@@ -10,7 +10,6 @@ Pythagorean pairs (c, s) and the exact tangent s/c.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,14 +57,13 @@ class BoostParams:
 
 def boost_power(base: BoostParams, m: int) -> BoostParams:
     """Coefficients of the m-th power of a boost, by the exact closed form
-    a_m = ((a+b)^m + (a-b)^m)/2, b_m = ((a+b)^m - (a-b)^m)/2."""
+    a_m = ((a+b)^m + (a-b)^m)/2, b_m = ((a+b)^m - (a-b)^m)/2. BoostParams
+    re-checks a_m^2 - b_m^2 = 1 on the result."""
     if m < 0:
         raise ValueError("boost power wants a nonnegative exponent")
     grow = (base.a + base.b) ** m
     shrink = (base.a - base.b) ** m
-    out = BoostParams((grow + shrink) / 2, (grow - shrink) / 2)
-    assert out.a * out.a - out.b * out.b == 1
-    return out
+    return BoostParams((grow + shrink) / 2, (grow - shrink) / 2)
 
 
 @dataclass(frozen=True)
@@ -229,25 +227,15 @@ class IntersectionMatrix:
         }
 
 
-def intersection_matrix(spec: ArrangementSpec, max_workers: int = 1) -> IntersectionMatrix:
+def intersection_matrix(spec: ArrangementSpec) -> IntersectionMatrix:
     """Fill the whole verdict table directly, then record whether the
     lower-triangular pattern holds and cross-check the rotation shift
     identity (every entry is still computed, never inferred)."""
     flats, hypers = build_family(spec)
     size = spec.n + 1
-    cells = [(row, col) for row in range(size) for col in range(size)]
-
-    def verdict(cell):
-        row, col = cell
-        return intersect_flat_hyperplane(flats[col], hypers[row])
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(verdict, cells))
-    else:
-        results = [verdict(c) for c in cells]
     grid = tuple(
-        tuple(results[row * size + col] for col in range(size)) for row in range(size)
+        tuple(intersect_flat_hyperplane(flats[col], hypers[row]) for col in range(size))
+        for row in range(size)
     )
     lower = all(grid[i][i].tag == "Point" for i in range(size)) and all(
         grid[row][col].tag == "Empty"
@@ -319,6 +307,13 @@ def arrangement_spec_to_dict(spec: ArrangementSpec) -> dict:
 
 def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
     """Accepts either an explicit rotation pair or a tangent parameter t."""
+    if not isinstance(d, dict):
+        raise ValueError("an arrangement spec must be a JSON object")
+    missing = [key for key in ("p", "q", "n", "m", "boost") if key not in d]
+    if "rotation" not in d and "t" not in d:
+        missing.append("rotation or t")
+    if missing:
+        raise ValueError(f"arrangement spec is missing {', '.join(missing)}")
     boost = BoostParams(frac(d["boost"][0]), frac(d["boost"][1]))
     if "rotation" in d:
         rotation = RotationPair(frac(d["rotation"][0]), frac(d["rotation"][1]))

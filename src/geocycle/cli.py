@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -80,9 +79,9 @@ def _cmd_lattice(args):
 def _cmd_spinor(args):
     l = _lattice_from_args(args)
     g = isometry_from_matrix(_parse_matrix(args.matrix), l)
-    tau = spinor_norm(g)
-    payload = dict(tau.to_dict())
-    payload["reflections"] = len(cartan_dieudonne(g))
+    reflections = cartan_dieudonne(g)
+    payload = dict(spinor_norm(g, reflections).to_dict())
+    payload["reflections"] = len(reflections)
     return "ok", payload, None
 
 
@@ -131,8 +130,7 @@ def _cmd_arrange(args):
                 raise ValueError("provide --m and --t, pass --auto-params, or use --spec-json")
             m, t = args.m, frac(args.t)
         spec = arr.arrangement_spec(args.p, args.q, args.n, boost, m, t)
-    workers = max(1, int(os.environ.get("GEOCYCLE_THREADS", "1")))
-    matrix = arr.intersection_matrix(spec, max_workers=workers)
+    matrix = arr.intersection_matrix(spec)
     if args.emit_plot_data:
         rows = ["k,tangent,lower,upper"]
         for k in range(1, spec.n + 1):

@@ -67,3 +67,7 @@ class NotOrthogonalPair(GeocycleError):
 
 class SearchExhausted(GeocycleError):
     """Parameter search ran out of candidates within its bounds."""
+
+
+class CertificateFailed(GeocycleError):
+    """An exact internal check of a computed result did not hold."""

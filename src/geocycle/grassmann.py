@@ -5,12 +5,20 @@ splitting into p hyperbolic planes plus a negative-definite rest; a
 *hyperplane* is the locus of positive p-planes inside the orthogonal
 complement of a fixed negative vector. Everything here is exact: the
 flat/hyperplane intersection criterion returns certified verdicts.
+
+The criterion has a closed form. The complement v^perp of the normal v meets
+a hyperbolic block <x, y> in the line through w = B(v,y)*x - B(v,x)*y (the
+whole block when B(v,x) = B(v,y) = 0), and the line's sign is that of
+Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y). Lines
+and normals are projective, so block bases and the functional B(v, .) are
+stored as primitive integer vectors and every verdict is integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -22,7 +30,9 @@ from .errors import (
 )
 from .isometries import Isometry
 from .lattices import QuadLattice, eval_form
-from .linalg import Subspace, Vec, intersect, perp, restricted_definiteness, span
+from .linalg import Subspace, Vec, perp, restricted_definiteness, span
+
+IntVec = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,10 @@ class Flat:
     lattice: QuadLattice
     blocks: tuple[Subspace, ...]  # each of restricted inertia (1,1,0)
     rest: Subspace  # negative definite, possibly zero-dimensional
+    # per block: primitive integer basis x, y and Q(x), B(x,y), Q(y)
+    int_blocks: tuple[tuple[IntVec, IntVec, int, int, int], ...] = field(
+        compare=False, repr=False
+    )
 
     @property
     def block_count(self) -> int:
@@ -67,6 +81,7 @@ class Hyperplane:
     normal: Vec  # self-pairing < 0
     line: Subspace  # span of the normal
     complement: Subspace  # its orthogonal complement
+    functional: IntVec = field(compare=False, repr=False)  # primitive multiple of gram.normal
 
     def to_dict(self) -> dict:
         return {
@@ -97,6 +112,23 @@ class IntersectionVerdict:
         return out
 
 
+def _primitive(v) -> IntVec:
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _int_pairing(l: QuadLattice, x: IntVec) -> IntVec:
+    """The integer functional gram.x, i.e. z -> B(x, z)."""
+    return tuple(sum(g * c for g, c in zip(row, x) if g and c) for row in l.gram)
+
+
+def _int_dot(x: IntVec, y: IntVec) -> int:
+    return sum(a * b for a, b in zip(x, y) if a and b)
+
+
 def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
     """Validate and build a flat from block bases and a rest basis.
 
@@ -125,7 +157,12 @@ def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
     total = span([row for part in parts for row in part.basis], ambient=l.rank)
     if total.dim != l.rank:
         raise NotSpanning(f"components span only {total.dim} of {l.rank} dimensions")
-    return Flat(l, blocks, rest)
+    int_blocks = []
+    for b in blocks:
+        x, y = (_primitive(row) for row in b.basis)
+        gx = _int_pairing(l, x)
+        int_blocks.append((x, y, _int_dot(gx, x), _int_dot(gx, y), _int_dot(_int_pairing(l, y), y)))
+    return Flat(l, blocks, rest, tuple(int_blocks))
 
 
 def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
@@ -134,12 +171,37 @@ def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
     if q >= 0:
         raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
     line = span([v], ambient=l.rank)
-    return Hyperplane(l, v, line, perp(line, l))
+    functional = _primitive(_int_pairing(l, _primitive(v)))
+    return Hyperplane(l, v, line, perp(line, l), functional)
 
 
 def _check_same_lattice(a, b) -> None:
     if a.lattice != b.lattice:
         raise LatticeMismatch("objects live over different lattices")
+
+
+def _block_lines(flat: Flat, hyper: Hyperplane) -> list[tuple[IntVec, int] | None]:
+    """Per block <x, y>: None when the block lies inside the hyperplane's
+    complement (a = b = 0), else the cut line's integer spanning vector
+    w = b*x - a*y and Q(w), by the closed form in the module docstring."""
+    phi = hyper.functional
+    out: list[tuple[IntVec, int] | None] = []
+    for x, y, qx, bxy, qy in flat.int_blocks:
+        a = _int_dot(phi, x)
+        b = _int_dot(phi, y)
+        if a == 0 and b == 0:
+            out.append(None)
+            continue
+        w = tuple(b * xi - a * yi for xi, yi in zip(x, y))
+        out.append((w, b * b * qx - 2 * a * b * bxy + a * a * qy))
+    return out
+
+
+def _rest_clause_holds(flat: Flat, hyper: Hyperplane) -> bool:
+    """The hyperplane's line meets the rest's orthogonal complement
+    trivially, i.e. B(v, r) != 0 for some rest basis vector r (false for a
+    zero-dimensional rest)."""
+    return any(linalg.dot(hyper.functional, r) != 0 for r in flat.rest.basis)
 
 
 def general_position(
@@ -152,8 +214,9 @@ def general_position(
     """Transversality of a (flat, hyperplane) pair.
 
     weak: every complement-block intersection is a line, and the hyperplane's
-    line meets the rest's orthogonal complement trivially. strong: weak, and
-    every such line is positive.
+    line meets the rest's orthogonal complement trivially (B(v, r) != 0 for
+    some rest basis vector r). strong: weak, and every such line is positive
+    (Q(w) > 0 in the closed form of :func:`_block_lines`).
 
     When the rest is zero-dimensional its orthogonal complement is the whole
     space, so the rest clause fails as stated; `skip_rest_clause_when_empty`
@@ -162,17 +225,14 @@ def general_position(
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
     _check_same_lattice(flat, hyper)
-    lines = [intersect(hyper.complement, b) for b in flat.blocks]
-    if any(line.dim != 1 for line in lines):
+    lines = _block_lines(flat, hyper)
+    if any(line is None for line in lines):
         return False
     if not (skip_rest_clause_when_empty and flat.rest.dim == 0):
-        rest_perp = perp(flat.rest, flat.lattice)
-        if intersect(rest_perp, hyper.line).dim != 0:
+        if not _rest_clause_holds(flat, hyper):
             return False
     if mode == "strong":
-        for line in lines:
-            if restricted_definiteness(line, flat.lattice) != (1, 0, 0):
-                return False
+        return all(q > 0 for _, q in lines)
     return True
 
 
@@ -184,29 +244,28 @@ def intersect_flat_hyperplane(
 ) -> IntersectionVerdict:
     """Certified flat-hyperplane intersection verdict.
 
-    Computes the line cut out of each hyperbolic block by the hyperplane's
-    complement. All lines positive: the unique intersection point is their
-    direct sum. Some line negative or isotropic: the intersection is empty.
-    A block meeting the complement in dimension != 1 is degenerate (the
-    criterion's hypothesis fails).
+    The hyperplane's complement cuts each hyperbolic block <x, y> in the
+    line through w = B(v,y)*x - B(v,x)*y, whose sign is that of
+    Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y).
+    All lines positive: the unique intersection point is their direct sum
+    (certified positive definite). Some line negative or isotropic: the
+    intersection is empty. A block with a = b = 0 lies inside the
+    complement and is degenerate (the criterion's hypothesis fails); the
+    first such block is reported.
 
     The rest clause of weak general position plays no role in the criterion
     itself; pass check_rest_clause=True to demand it anyway and receive a
     degenerate verdict when it fails.
     """
     _check_same_lattice(flat, hyper)
-    lines = []
-    for i, block in enumerate(flat.blocks):
-        line = intersect(hyper.complement, block)
-        if line.dim != 1:
+    lines = _block_lines(flat, hyper)
+    for i, line in enumerate(lines):
+        if line is None:
             return IntersectionVerdict("Degenerate", reason=f"dim_not_one({i})")
-        lines.append(line)
-    if check_rest_clause:
-        rest_perp = perp(flat.rest, flat.lattice)
-        if intersect(rest_perp, hyper.line).dim != 0:
-            return IntersectionVerdict("Degenerate", reason="rest_clause_fails")
-    if all(restricted_definiteness(line, flat.lattice) == (1, 0, 0) for line in lines):
-        plane = span([row for line in lines for row in line.basis], ambient=flat.lattice.rank)
+    if check_rest_clause and not _rest_clause_holds(flat, hyper):
+        return IntersectionVerdict("Degenerate", reason="rest_clause_fails")
+    if all(q > 0 for _, q in lines):
+        plane = span([w for w, _ in lines], ambient=flat.lattice.rank)
         return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
     return IntersectionVerdict("Empty")
 

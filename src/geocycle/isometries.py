@@ -9,6 +9,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (
     AmbientMismatch,
+    CertificateFailed,
     DetMinusOne,
     FormNotPreserved,
     IsotropicVector,
@@ -92,7 +93,8 @@ def _orthogonal_basis(l: QuadLattice) -> tuple[Vec, ...]:
     one; nondegeneracy guarantees every diagonal entry is nonzero.
     """
     diag, t = linalg.diagonalize_symmetric(l.gram_matrix())
-    assert all(d != 0 for d in diag)
+    if any(d == 0 for d in diag):
+        raise CertificateFailed("diagonalized Gram matrix has a zero entry")
     return t
 
 
@@ -126,8 +128,10 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
             current = linalg.mat_mul(reflection(w2, l).matrix, current)
             vectors.append(b)
             current = linalg.mat_mul(reflection(b, l).matrix, current)
-    assert current == linalg.identity_matrix(l.rank), "factorization failed to terminate"
-    assert len(vectors) <= 2 * l.rank
+    if current != linalg.identity_matrix(l.rank):
+        raise CertificateFailed("reflection factorization did not reach the identity")
+    if len(vectors) > 2 * l.rank:
+        raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
     return vectors
 
 
@@ -175,14 +179,17 @@ def square_class(r: Fraction) -> SquareClass:
     return SquareClass(rep, 1 if rep > 0 else -1)
 
 
-def spinor_norm(g: Isometry) -> SquareClass:
+def spinor_norm(g: Isometry, reflections: list[Vec] | None = None) -> SquareClass:
     """Product of the self-pairings over a reflection factorization, mod squares.
 
     Independent of the factorization; the identity (empty product) gets the
-    trivial class (+1, +1).
+    trivial class (+1, +1). `reflections` reuses a factorization of g that
+    :func:`cartan_dieudonne` already returned; by default g is factored here.
     """
+    if reflections is None:
+        reflections = cartan_dieudonne(g)
     total = Fraction(1)
-    for x in cartan_dieudonne(g):
+    for x in reflections:
         total *= eval_form(g.lattice, x, x)
     return square_class(total)
 

@@ -31,14 +31,17 @@ def frac(x) -> Fraction:
     """Coerce ints, Fractions and strings like ``"3/4"`` to Fraction.
 
     Floats are rejected on purpose: they would silently poison exact
-    computations.
+    computations. A string with a zero denominator is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot use {type(x).__name__} in exact arithmetic: {x!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import InadmissibleV, NotOrthogonalPair
+from .errors import CertificateFailed, InadmissibleV, NotOrthogonalPair
 from .isometries import Isometry, isometry_from_matrix
 from .lattices import standard_lattice
 from .linalg import Mat, Vec
@@ -126,7 +126,8 @@ def project_p1(x: CartanTangent, v: AdmissibleV) -> Vec:
             ((row[j] - (out[i] if j == i else 0)) * v.coords[j] for j in range(v.q)),
             Fraction(0),
         )
-        assert residual == 0, "projection residual does not annihilate v"
+        if residual != 0:
+            raise CertificateFailed("projection residual does not annihilate v")
     return tuple(out)
 
 

@@ -233,10 +233,6 @@ def test_matrix_csv_cells():
     assert all(cell in {"E", "P", "D"} for line in lines for cell in line.split(","))
 
 
-def test_matrix_parallel_fill_agrees():
-    spec = arrangement_spec(2, 3, 3, DEFAULT_BOOST, 3, F(1, 10))
-    assert intersection_matrix(spec, max_workers=4).tags() == intersection_matrix(spec).tags()
-
 
 def test_first_row_empty_where_inequality_holds():
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from geocycle.cli import main
 
 
@@ -103,15 +105,6 @@ def test_arrange_emit_plot_data(tmp_path, capsys):
     assert lines[1].startswith("1,-20/99,")
 
 
-def test_arrange_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("GEOCYCLE_THREADS", "3")
-    code, out, _ = run_cli(
-        capsys, "arrange", "--p", "2", "--q", "3", "--n", "2", "--auto-params"
-    )
-    assert code == 0
-    assert json.loads(out)["lower_triangular"] is True
-
-
 def test_roots_hyperbolic(capsys):
     code, out, err = run_cli(capsys, "roots", "--lattice", "hyperbolic", "--bound", "1")
     assert code == 0
@@ -148,6 +141,50 @@ def test_spinor_boost(capsys):
     payload = json.loads(out)
     assert payload["class"] == 2
     assert payload["real_sign"] == 1
+
+
+def test_spinor_factors_once(capsys, monkeypatch):
+    import geocycle.cli as cli
+    import geocycle.isometries as isometries
+
+    calls = []
+    original = isometries.cartan_dieudonne
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(isometries, "cartan_dieudonne", counting)
+    monkeypatch.setattr(cli, "cartan_dieudonne", counting)
+    code, out, _ = run_cli(
+        capsys, "spinor", "--lattice", "bpq", "--p", "1", "--q", "1",
+        "--matrix", '[["5/4","3/4"],["3/4","5/4"]]',
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out == '{"class": 2, "real_sign": 1, "reflections": 2}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrange", "--spec-json", "{}"],
+        ["signs", "--p", "2", "--q", "2", "--v", "1/0,1"],
+        ["arrange", "--p", "2", "--q", "3", "--n", "5", "--m", "1", "--t", "1/0"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_spec_json_names_missing_keys(capsys):
+    code, _, err = run_cli(capsys, "arrange", "--spec-json", '{"p": 2, "q": 3, "n": 2}')
+    assert code == 2
+    assert "m, boost, rotation or t" in err
 
 
 def test_spinor_rejects_non_isometry(capsys):
