@@ -218,14 +218,6 @@ class IntersectionMatrix:
     def to_csv(self) -> str:
         return "\n".join(",".join(v.tag[0] for v in row) for row in self.verdicts) + "\n"
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "entries": [[v.to_dict() for v in row] for row in self.verdicts],
-            "lower_triangular": self.lower_triangular,
-            "shift_consistent": self.shift_consistent,
-        }
-
 
 def intersection_matrix(spec: ArrangementSpec) -> IntersectionMatrix:
     """Fill the whole verdict table directly, then record whether the

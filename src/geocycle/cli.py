@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arrangement as arr
@@ -31,13 +30,6 @@ _K3_BLOCKS = {
     "e8:1": (6, "e8_neg"),
     "e8:2": (14, "e8_neg"),
 }
-
-
-@dataclass
-class CommandResult:
-    status: str  # ok | fail | error
-    payload: object
-    elapsed_ms: int
 
 
 def _parse_matrix(text: str):
@@ -99,14 +91,7 @@ def _cmd_signs(args):
     v = signmod.admissible_v(args.p, coords)
     mat = signmod.pi_k_matrix(args.p, args.q, v)
     d = det(mat)
-    expected = tuple(
-        tuple(
-            Fraction(-1 if (i == j and i < args.p - 1) else (1 if i == j else 0))
-            for j in range(args.p)
-        )
-        for i in range(args.p)
-    )
-    holds = mat == expected and d == Fraction(-1) ** (args.p - 1)
+    holds = mat == signmod.expected_pi_k_matrix(args.p) and d == Fraction(-1) ** (args.p - 1)
     payload = {
         "matrix": [[_json_number(x) for x in row] for row in mat],
         "det": _json_number(d),
@@ -282,13 +267,13 @@ def main(argv=None) -> int:
     except (GeocycleError, ValueError, TypeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    result = CommandResult(status, payload, int((time.perf_counter() - start) * 1000))
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
     if args.csv and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        sys.stdout.write(json.dumps(result.payload) + "\n")
-    print(f"elapsed_ms={result.elapsed_ms}", file=sys.stderr)
-    return 0 if result.status == "ok" else 1
+        sys.stdout.write(json.dumps(payload) + "\n")
+    print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .isometries import Isometry
 from .lattices import QuadLattice, eval_form
-from .linalg import Subspace, Vec, perp, restricted_definiteness, span
+from .linalg import Subspace, Vec, restricted_definiteness, span
 
 IntVec = tuple[int, ...]
 
@@ -66,12 +66,6 @@ class Flat:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def to_dict(self) -> dict:
-        return {
-            "blocks": [b.to_dict() for b in self.blocks],
-            "rest": self.rest.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -79,16 +73,7 @@ class Hyperplane:
 
     lattice: QuadLattice
     normal: Vec  # self-pairing < 0
-    line: Subspace  # span of the normal
-    complement: Subspace  # its orthogonal complement
     functional: IntVec = field(compare=False, repr=False)  # primitive multiple of gram.normal
-
-    def to_dict(self) -> dict:
-        return {
-            "normal": [str(x) for x in self.normal],
-            "line": self.line.to_dict(),
-            "complement": self.complement.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -102,14 +87,6 @@ class IntersectionVerdict:
     tag: str
     point: GrPoint | None = None
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"tag": self.tag}
-        if self.point is not None:
-            out["point"] = self.point.plane.to_dict()
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
 
 
 def _primitive(v) -> IntVec:
@@ -170,9 +147,7 @@ def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
     q = eval_form(l, v, v)
     if q >= 0:
         raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
-    line = span([v], ambient=l.rank)
-    functional = _primitive(_int_pairing(l, _primitive(v)))
-    return Hyperplane(l, v, line, perp(line, l), functional)
+    return Hyperplane(l, v, _primitive(_int_pairing(l, _primitive(v))))
 
 
 def _check_same_lattice(a, b) -> None:
@@ -274,27 +249,22 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
     """Sign patterns s for which (+-1 on each block, +1 on the rest) keeps
     the hyperplane's line invariant.
 
+    s is an involution, so it fixes <v> only by sending v to +v or to -v:
+    to +v iff v has no component in any flipped block (a = b = 0 there), to
+    -v iff v has no component in any unflipped block nor in the rest.
     Enumerates all 2^p candidates; the all-ones pattern is always present.
     Under strong general position (with the rest clause) the result is
     exactly the all-ones pattern; degenerate normals admit more.
     """
     _check_same_lattice(flat, hyper)
-    p = flat.block_count
-    columns = [row for b in flat.blocks for row in b.basis] + list(flat.rest.basis)
-    change = linalg.transpose(linalg.as_matrix(columns))  # columns = component basis
-    coords = linalg.mat_vec(linalg.matrix_inverse(change), hyper.normal)
-    sizes = [b.dim for b in flat.blocks] + [flat.rest.dim]
-    patterns = []
-    for signs in itertools.product((1, -1), repeat=p):
-        scale = []
-        for s, size in zip(list(signs) + [1], sizes):
-            scale.extend([s] * size)
-        image = linalg.mat_vec(
-            change, tuple(c * s for c, s in zip(coords, scale))
-        )
-        if hyper.line.contains(image):
-            patterns.append(signs)
-    return patterns
+    orthogonal = [line is None for line in _block_lines(flat, hyper)]  # v has no block component
+    no_rest = not _rest_clause_holds(flat, hyper)
+    return [
+        signs
+        for signs in itertools.product((1, -1), repeat=flat.block_count)
+        if all(o for o, s in zip(orthogonal, signs) if s == -1)
+        or (no_rest and all(o for o, s in zip(orthogonal, signs) if s == 1))
+    ]
 
 
 def translate(g: Isometry, obj):

@@ -99,10 +99,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.
 

@@ -167,6 +167,14 @@ def pi_k_matrix(p: int, q: int, v: AdmissibleV) -> Mat:
     return action_on_diagonal(diamond, star, v)
 
 
+def expected_pi_k_matrix(p: int) -> Mat:
+    """diag(-1, ..., -1, +1) of size p, the claimed value of pi_k_matrix."""
+    return tuple(
+        tuple(Fraction(0 if i != j else (-1 if i < p - 1 else 1)) for j in range(p))
+        for i in range(p)
+    )
+
+
 def epsilon_general(diamond, star, v: AdmissibleV) -> int:
     """Orientation sign of an S(O(p) x O(q)) pair acting on the tangent
     splitting: +1, -1, or 0 when the wedge degenerates.

@@ -45,7 +45,6 @@ class CheckResult:
         return {
             "name": self.name,
             "ok": self.ok,
-            "elapsed_ms": int(self.elapsed * 1000),
             "detail": self.detail,
         }
 
@@ -79,7 +78,9 @@ def _random_strong_position_pair(p: int, q: int, rng: random.Random):
     """A flat/hyperplane pair in strong general position over diag(+-1):
     block components dominated by the negative coordinate (positive cut
     lines), a nonzero rest component (rest clause), then a random isometry
-    applied to both."""
+    applied to both. The rest clause needs a nonzero rest, so q > p."""
+    if q <= p:
+        raise ValueError(f"a strong-position pair needs a nonzero rest, so q > p; got p={p}, q={q}")
     l = standard_lattice("bpq", p, q)
     coords = [Fraction(0)] * (p + q)
     for i in range(p):
@@ -110,13 +111,7 @@ def check_sign_claim(seed: int = DEFAULT_SEED) -> CheckResult:
     cases = failures = 0
     for p in range(1, 7):
         for q in range(p, 7):
-            expected = tuple(
-                tuple(
-                    Fraction(-1 if (i == j and i < p - 1) else (1 if i == j else 0))
-                    for j in range(p)
-                )
-                for i in range(p)
-            )
+            expected = signs.expected_pi_k_matrix(p)
             for _ in range(25):
                 v = signs.random_admissible_v(p, q, rng)
                 mat = signs.pi_k_matrix(p, q, v)
@@ -147,7 +142,6 @@ def check_arrangement_pattern() -> CheckResult:
             "t": str(t),
             "lower_triangular": matrix.lower_triangular,
             "shift_consistent": matrix.shift_consistent,
-            "elapsed_ms": int(case_elapsed * 1000),
         }
     return CheckResult(
         "arrangement_pattern", ok, time.perf_counter() - start, {"cases": per_case}
@@ -302,7 +296,7 @@ def check_root_enumeration() -> CheckResult:
         "root_enumeration",
         ok,
         elapsed,
-        {"e8_count": len(e8_roots), "e8_elapsed_ms": int(e8_elapsed * 1000), "failures": failures},
+        {"e8_count": len(e8_roots), "failures": failures},
     )
 
 

@@ -23,7 +23,7 @@ from geocycle.arrangement import (
 from geocycle.errors import SearchExhausted
 from geocycle.grassmann import hyperplane_new, intersect_flat_hyperplane, translate
 from geocycle.lattices import eval_form
-from geocycle.linalg import span
+from geocycle.linalg import perp, span
 
 
 def boost_matrix_power_oracle(base: BoostParams, m: int):
@@ -179,11 +179,12 @@ def test_rotated_block_cut_line_has_the_derived_ratio():
     bp = boost_power(DEFAULT_BOOST, 3)
     from geocycle.linalg import intersect, vec_add, vec_scale, span
 
+    complement = perp(span([hypers[0].normal], ambient=5), spec.lattice())
     for k in (1, 2, 3):
         rk = rotation_power(spec.rotation, k)
         tangent = rk.s / rk.c
         ratio = bp.a / bp.b + tangent / bp.b
-        line = intersect(hypers[0].complement, flats[k].blocks[0])
+        line = intersect(complement, flats[k].blocks[0])
         assert line.dim == 1
         rot_e1 = (rk.c, rk.s, F(0), F(0), F(0))
         rot_f1 = (F(0), F(0), rk.c, rk.s, F(0))
@@ -207,7 +208,7 @@ def test_complement_matches_explicit_spanning_set():
         ],
         ambient=5,
     )
-    assert h.complement == explicit
+    assert perp(span([h.normal], ambient=5), l) == explicit
 
 
 # ------------------------------------------------------------------- matrix

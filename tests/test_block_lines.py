@@ -3,10 +3,14 @@
 The oracle computes every verdict with the general machinery: the line cut
 out of each block is intersect(perp(<v>), block), its sign comes from
 restricted_definiteness, and the rest clause holds iff <v> meets
-perp(rest) trivially. Tags, reasons, Point planes and both general-position
-modes must agree with the kernel on every input below.
+perp(rest) trivially. The stabilizer oracle writes v in the flat's
+component basis by a matrix inverse, flips the block coordinates and tests
+whether the image stays on <v>. Tags, reasons, Point planes, both
+general-position modes and the stabilizer sign patterns must agree with the
+kernel on every input below.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -24,20 +28,50 @@ from geocycle.grassmann import (
     general_position,
     hyperplane_new,
     intersect_flat_hyperplane,
+    stabilizer_sign_patterns,
     translate,
 )
-from geocycle.lattices import standard_lattice
-from geocycle.linalg import intersect, perp, restricted_definiteness, span
+from geocycle.lattices import eval_form, standard_lattice
+from geocycle.linalg import (
+    as_matrix,
+    intersect,
+    mat_vec,
+    matrix_inverse,
+    perp,
+    restricted_definiteness,
+    span,
+    transpose,
+)
 
 
 def oracle(flat, hyper):
     """Cut lines of every block, their signs, and the rest clause."""
     l = flat.lattice
-    complement = perp(span([hyper.normal], ambient=l.rank), l)
+    normal_line = span([hyper.normal], ambient=l.rank)
+    complement = perp(normal_line, l)
     lines = [intersect(complement, block) for block in flat.blocks]
     positive = [line.dim == 1 and restricted_definiteness(line, l) == (1, 0, 0) for line in lines]
-    rest_clause = intersect(perp(flat.rest, l), hyper.line).dim == 0
+    rest_clause = intersect(perp(flat.rest, l), normal_line).dim == 0
     return lines, positive, rest_clause
+
+
+def oracle_stabilizer(flat, hyper):
+    """Sign patterns whose flip (+-1 on each block, +1 on the rest) keeps
+    <v> invariant, by a change of basis to the flat's components."""
+    columns = [row for b in flat.blocks for row in b.basis] + list(flat.rest.basis)
+    change = transpose(as_matrix(columns))  # columns = component basis
+    coords = mat_vec(matrix_inverse(change), hyper.normal)
+    sizes = [b.dim for b in flat.blocks] + [flat.rest.dim]
+    line = span([hyper.normal], ambient=flat.lattice.rank)
+    patterns = []
+    for signs in itertools.product((1, -1), repeat=flat.block_count):
+        scale = []
+        for s, size in zip(list(signs) + [1], sizes):
+            scale.extend([s] * size)
+        image = mat_vec(change, tuple(c * s for c, s in zip(coords, scale)))
+        if line.contains(image):
+            patterns.append(signs)
+    return patterns
 
 
 def oracle_verdict(lines, positive, rest_clause, check_rest_clause):
@@ -72,6 +106,7 @@ def assert_matches_oracle(flat, hyper):
                 lines, positive, rest_clause, flat.rest.dim, mode, skip
             )
             assert general_position(flat, hyper, mode, skip_rest_clause_when_empty=skip) == expected
+    assert stabilizer_sign_patterns(flat, hyper) == oracle_stabilizer(flat, hyper)
 
 
 def assert_family_matches(spec):
@@ -105,6 +140,10 @@ def test_non_triangular_family_matches_oracle(p, q, n, m, t):
         (2, 3, (1, 0, 1, 1, 0)),  # isotropic cut line in block 0
         (2, 2, (0, 1, 0, 2)),  # orthogonal to block 0, zero-dimensional rest
         (2, 2, (1, 1, 2, 2)),  # zero-dimensional rest, both lines cut
+        (2, 3, (3, 0, 5, 4, 4)),  # strong position: all-ones pattern only
+        (1, 1, (0, 1)),  # zero-dimensional rest: both patterns
+        (3, 4, (0, 0, 0, 1, 0, 0, 0)),  # only a block-0 component
+        (3, 4, (0, 0, 0, 0, 0, 0, 1)),  # only a rest component
     ],
 )
 def test_special_normals_match_oracle(p, q, normal):
@@ -123,3 +162,26 @@ def test_random_strong_position_pairs_match_oracle():
         flat, hyper = verify._random_strong_position_pair(p, q, rng)
         assert_matches_oracle(flat, hyper)
         assert general_position(flat, hyper, "strong")
+
+
+def test_random_strong_position_pair_needs_a_rest():
+    with pytest.raises(ValueError):
+        verify._random_strong_position_pair(2, 2, random.Random(1))
+
+
+def test_random_small_normals_match_oracle():
+    # small integer coordinates hit every mix of vanishing block and rest
+    # components, in signatures from (1, 1) to (2, 5)
+    rng = random.Random(73)
+    for p, q in ((1, 1), (1, 2), (2, 2), (2, 3), (2, 5)):
+        l = standard_lattice("bpq", p, q)
+        flat = standard_flat(p, q, l)
+        g = verify.random_isometry(l, rng, reflections=2)
+        moved = translate(g, flat)
+        for _ in range(40):
+            normal = tuple(rng.randint(-1, 1) for _ in range(l.rank))
+            if eval_form(l, normal, normal) >= 0:
+                continue
+            hyper = hyperplane_new(normal, l)
+            assert_matches_oracle(flat, hyper)
+            assert_matches_oracle(moved, translate(g, hyper))

@@ -217,12 +217,23 @@ def test_congruence_non_integral_exits_2(capsys):
     assert code == 2
 
 
+def json_keys(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from json_keys(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from json_keys(value)
+
+
 def test_verify_all(capsys):
     code, out, err = run_cli(capsys, "verify-all")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_ok"] is True
     assert len(payload["checks"]) == 8
+    assert not [key for key in json_keys(payload) if key.endswith("elapsed_ms")]
     for line in err.strip().split("\n"):
         if ":" in line and "elapsed" not in line:
             assert "PASS" in line

@@ -29,7 +29,7 @@ from geocycle.grassmann import (
 )
 from geocycle.isometries import compose, identity_isometry, reflection
 from geocycle.lattices import eval_form, standard_lattice
-from geocycle.linalg import intersect, restricted_definiteness, span
+from geocycle.linalg import intersect, perp, restricted_definiteness, span
 
 B11 = standard_lattice("bpq", 1, 1)
 B12 = standard_lattice("bpq", 1, 2)
@@ -45,6 +45,11 @@ def arrangement_pair(p, q, m):
     spec = arrangement_spec(p, q, 0, BOOST, m, F(1, 10))
     flats, hypers = build_family(spec)
     return flats[0], hypers[0]
+
+
+def complement(h):
+    """The orthogonal complement of the hyperplane's normal, computed directly."""
+    return perp(span([h.normal], ambient=h.lattice.rank), h.lattice)
 
 
 def random_isometry(l, rng, k=3):
@@ -91,8 +96,8 @@ def test_flat_rejects_non_spanning():
 
 def test_hyperplane_from_f1():
     h = hyperplane_new((0, 1), B11)
-    assert h.line == span([(0, 1)])
-    assert h.complement == span([(1, 0)])
+    assert h.normal == (0, 1)
+    assert complement(h) == span([(1, 0)])
 
 
 def test_hyperplane_normal_zero_power_boost():
@@ -124,7 +129,7 @@ def test_general_position_b12_example():
     # normal pairs to zero with the rest, so the rest clause fails
     f = standard_flat(1, 2, B12)
     h = hyperplane_new((0, 1, 0), B12)
-    line = intersect(h.complement, f.blocks[0])
+    line = intersect(complement(h), f.blocks[0])
     assert line == span([(1, 0, 0)])
     assert restricted_definiteness(line, B12) == (1, 0, 0)
     assert not general_position(f, h, "weak")
@@ -135,7 +140,7 @@ def test_general_position_boosted_normal_fails_rest_clause():
     # clause is written, even though every block line is a positive line
     f, h = arrangement_pair(2, 3, 1)
     assert not general_position(f, h, "weak")
-    lines = [intersect(h.complement, b) for b in f.blocks]
+    lines = [intersect(complement(h), b) for b in f.blocks]
     assert all(line.dim == 1 for line in lines)
     assert all(restricted_definiteness(line, B23) == (1, 0, 0) for line in lines)
 
@@ -226,7 +231,7 @@ def test_point_verdict_certification():
     plane = verdict.point.plane
     assert restricted_definiteness(plane, f.lattice) == (plane.dim, 0, 0)
     for row in plane.basis:
-        assert h.complement.contains(row)
+        assert complement(h).contains(row)
     for block in f.blocks:
         assert intersect(plane, block).dim == 1
 
@@ -253,7 +258,7 @@ def test_empty_verdict_confirmed_by_brute_force():
     for lam in cases:
         assert eval_form(B23, lam, lam) < 0
         h = hyperplane_new(lam, B23)
-        lines = [intersect(h.complement, b) for b in f.blocks]
+        lines = [intersect(complement(h), b) for b in f.blocks]
         assert all(line.dim == 1 for line in lines)
         non_positive = [
             line for line in lines if restricted_definiteness(line, B23) != (1, 0, 0)

@@ -1,11 +1,15 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import geocycle
 
 SOURCE = Path(geocycle.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -17,3 +21,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_traced_functions_exist():
+    # the traced benchmark run looks every traced function up by name in its
+    # layer's module, so deleting or renaming one breaks that run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{fn}"
+        for layer, fns in spans.TRACED.items()
+        for fn in fns
+        if not inspect.isfunction(getattr(importlib.import_module(f"geocycle.{layer}"), fn, None))
+    ]
+    assert missing == []
