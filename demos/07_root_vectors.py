@@ -6,6 +6,7 @@ orthogonality predicates decide whether a positive plane lies on a root's
 hyperplane.
 """
 
+import sys
 import time
 
 from geocycle import (
@@ -27,8 +28,8 @@ print("roots of diag(1,-1) at bound 10:", enumerate_roots(b11, 10),
 e8n = standard_lattice("e8_neg")
 start = time.perf_counter()
 roots = enumerate_roots(e8n, 6)
-print(f"\nnegated E8 has {len(roots)} roots at bound 6 "
-      f"({time.perf_counter() - start:.3f}s)")
+print(f"\nnegated E8 has {len(roots)} roots at bound 6")
+print(f"(enumerated in {time.perf_counter() - start:.3f}s)", file=sys.stderr)
 print("first three:", roots[:3])
 
 # In the K3 lattice (H + H + H + -E8 + -E8) the standard positive 3-plane

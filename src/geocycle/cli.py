@@ -37,6 +37,9 @@ def _parse_matrix(text: str):
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"matrix must be JSON: {e}") from e
+    # a string or an object would iterate as its characters or keys
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise ValueError("matrix must be a JSON list of rows")
     return as_matrix(raw)
 
 

@@ -3,8 +3,10 @@ spinor norms and congruence-subgroup membership."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .errors import (
@@ -44,17 +46,30 @@ class Isometry:
 
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
-    """Validate m^T.gram.m = gram exactly and package the result."""
+    """Validate m^T.gram.m = gram exactly and package the result.
+
+    The check runs in integers: with D the lcm of the denominators and
+    A = D.m, m preserves the form iff A^T.gram.A = D^2.gram entrywise.
+    That product is symmetric, so its upper triangle decides it.
+    """
     mat = linalg.as_matrix(m)
     n = l.rank
     if len(mat) != n or any(len(r) != n for r in mat):
         raise NotSquare(f"expected a {n}x{n} matrix")
-    g = l.gram_matrix()
-    if linalg.mat_mul(linalg.mat_mul(linalg.transpose(mat), g), mat) != g:
-        raise FormNotPreserved("matrix does not preserve the bilinear form")
-    d = linalg.det(mat)
+    d = math.lcm(*(x.denominator for row in mat for x in row))
+    a = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    gram = l.gram
+    ga = [
+        [sum(gram[i][k] * a[k][j] for k in range(n) if gram[i][k] and a[k][j]) for j in range(n)]
+        for i in range(n)
+    ]
+    d2 = d * d
+    for i in range(n):
+        for j in range(i, n):
+            if sum(a[k][i] * ga[k][j] for k in range(n) if a[k][i]) != d2 * gram[i][j]:
+                raise FormNotPreserved("matrix does not preserve the bilinear form")
     # |det| = 1 is automatic for form-preserving matrices; keep the sign
-    return Isometry(mat, l, d)
+    return Isometry(mat, l, Fraction(linalg._bareiss_int(a), d**n))
 
 
 def identity_isometry(l: QuadLattice) -> Isometry:
@@ -68,29 +83,48 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     return Isometry(linalg.mat_mul(g.matrix, h.matrix), g.lattice, g.det * h.det)
 
 
-def reflection(x, l: QuadLattice) -> Isometry:
-    """The reflection along an anisotropic vector: z -> z - 2(z.x)/(x.x) x."""
+def _reflect(x, l: QuadLattice, m: Mat) -> Mat:
+    """R_x.m = m - (2/Q(x)).x.((gram.x)^T.m) for the reflection R_x along x.
+
+    A rank-one update: one row combination of m, then a multiple of it
+    subtracted from the rows where x is nonzero; zero entries are skipped.
+    """
     v = linalg.as_vector(x)
-    if len(v) != l.rank:
-        raise AmbientMismatch(f"vector of length {len(v)} on rank {l.rank}")
-    q = eval_form(l, v, v)
+    n = l.rank
+    if len(v) != n:
+        raise AmbientMismatch(f"vector of length {len(v)} on rank {n}")
+    gram = l.gram
+    pairing = [sum(gram[i][j] * v[j] for j in range(n) if gram[i][j] and v[j]) for i in range(n)]
+    q = sum((vi * pi for vi, pi in zip(v, pairing) if vi and pi), Fraction(0))
     if q == 0:
         raise IsotropicVector(f"cannot reflect along isotropic vector {v}")
-    pairing = linalg.mat_vec(l.gram_matrix(), v)  # row functional z -> x.z
+    # c = (gram.x)^T.m, the functional z -> x.z applied to the columns of m
+    c = [Fraction(0)] * len(m[0]) if m else []
+    for pi, row in zip(pairing, m):
+        if pi:
+            c = [ck + pi * rk if rk else ck for ck, rk in zip(c, row)]
     scale = Fraction(2) / q
-    n = l.rank
-    mat = tuple(
-        tuple((Fraction(1) if i == j else Fraction(0)) - scale * v[i] * pairing[j] for j in range(n))
-        for i in range(n)
-    )
-    return Isometry(mat, l, Fraction(-1))
+    out = []
+    for vi, row in zip(v, m):
+        if vi:
+            f = scale * vi
+            row = tuple(rk - f * ck if ck else rk for rk, ck in zip(row, c))
+        out.append(row)
+    return tuple(out)
 
 
+def reflection(x, l: QuadLattice) -> Isometry:
+    """The reflection along an anisotropic vector: z -> z - 2(z.x)/(x.x) x."""
+    return Isometry(_reflect(x, l, linalg.identity_matrix(l.rank)), l, Fraction(-1))
+
+
+@lru_cache(maxsize=None)
 def _orthogonal_basis(l: QuadLattice) -> tuple[Vec, ...]:
     """A rational basis of pairwise-orthogonal anisotropic vectors.
 
     The rows of the congruence transform t (with t.gram.t^T diagonal) give
-    one; nondegeneracy guarantees every diagonal entry is nonzero.
+    one; nondegeneracy guarantees every diagonal entry is nonzero. Cached
+    per lattice, as its Fraction Gram matrix is.
     """
     diag, t = linalg.diagonalize_symmetric(l.gram_matrix())
     if any(d == 0 for d in diag):
@@ -120,14 +154,14 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
         w = linalg.vec_sub(u, b)
         if eval_form(l, w, w) != 0:
             vectors.append(w)
-            current = linalg.mat_mul(reflection(w, l).matrix, current)
+            current = _reflect(w, l, current)
         else:
             # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
             w2 = linalg.vec_add(u, b)
             vectors.append(w2)
-            current = linalg.mat_mul(reflection(w2, l).matrix, current)
+            current = _reflect(w2, l, current)
             vectors.append(b)
-            current = linalg.mat_mul(reflection(b, l).matrix, current)
+            current = _reflect(b, l, current)
     if current != linalg.identity_matrix(l.rank):
         raise CertificateFailed("reflection factorization did not reach the identity")
     if len(vectors) > 2 * l.rank:
@@ -136,10 +170,12 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
 
 
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
-    out = identity_isometry(l)
-    for v in vectors:
-        out = compose(out, reflection(v, l))
-    return out
+    """reflection(x_1) . ... . reflection(x_k), applied right to left."""
+    vectors = list(vectors)
+    out = linalg.identity_matrix(l.rank)
+    for v in reversed(vectors):
+        out = _reflect(v, l, out)
+    return Isometry(out, l, Fraction((-1) ** len(vectors)))
 
 
 @dataclass(frozen=True)
@@ -153,15 +189,29 @@ class SquareClass:
         return {"class": self.representative, "real_sign": self.real_sign}
 
 
+def _is_square(n: int) -> bool:
+    r = math.isqrt(n)
+    return r * r == n
+
+
 def squarefree_part(n: int) -> int:
-    """Strip square factors by trial division (inputs are desk scale)."""
+    """The squarefree s with n = s * k^2 for some integer k.
+
+    Trial division runs only while d^3 <= the remaining cofactor: once no
+    prime below d divides it and d^3 exceeds it, the cofactor has at most two
+    prime factors, so it is squarefree unless it is a square. A square
+    cofactor ends the search at once; that is tested at the start and after
+    each prime removed.
+    """
     if n == 0:
         raise ValueError("0 has no square class")
     sign = -1 if n < 0 else 1
     n = abs(n)
+    if _is_square(n):
+        return sign
     out = 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -169,13 +219,16 @@ def squarefree_part(n: int) -> int:
                 e += 1
             if e % 2:
                 out *= d
+            if _is_square(n):
+                return sign * out
         d += 1 if d == 2 else 2
     return sign * out * n
 
 
 def square_class(r: Fraction) -> SquareClass:
-    # num*den differs from num/den by the square den^2
-    rep = squarefree_part(r.numerator * r.denominator)
+    # num/den = num*den / den^2; a Fraction's num and den are coprime, so the
+    # squarefree part of num*den is the product of theirs, factored apart
+    rep = squarefree_part(r.numerator) * squarefree_part(r.denominator)
     return SquareClass(rep, 1 if rep > 0 else -1)
 
 

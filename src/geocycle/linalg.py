@@ -31,11 +31,12 @@ def frac(x) -> Fraction:
     """Coerce ints, Fractions and strings like ``"3/4"`` to Fraction.
 
     Floats are rejected on purpose: they would silently poison exact
-    computations. A string with a zero denominator is a ValueError.
+    computations, and so are booleans, which would pass for 0 and 1. A
+    string with a zero denominator is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

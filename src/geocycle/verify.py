@@ -22,7 +22,6 @@ from .isometries import (
     Isometry,
     cartan_dieudonne,
     compose,
-    identity_isometry,
     product_of_reflections,
     reflection,
     spinor_norm,
@@ -60,10 +59,8 @@ def random_anisotropic_vector(l: QuadLattice, rng: random.Random, lo=-5, hi=5):
 
 
 def random_isometry(l: QuadLattice, rng: random.Random, reflections: int = 4) -> Isometry:
-    out = identity_isometry(l)
-    for _ in range(reflections):
-        out = compose(out, reflection(random_anisotropic_vector(l, rng), l))
-    return out
+    vectors = [random_anisotropic_vector(l, rng) for _ in range(reflections)]
+    return product_of_reflections(vectors, l)
 
 
 def random_subspace(ambient: int, rng: random.Random, max_rows: int | None = None):
@@ -238,9 +235,9 @@ def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
         h = random_isometry(l, rng, reflections=rng.randint(1, 3))
         gh = compose(g, h)
         tg, th = spinor_norm(g), spinor_norm(h)
-        if spinor_norm(gh) != square_class(Fraction(tg.representative * th.representative)):
-            failures += 1
         factors = cartan_dieudonne(gh)
+        if spinor_norm(gh, factors) != square_class(Fraction(tg.representative * th.representative)):
+            failures += 1
         if len(factors) > 2 * l.rank:
             failures += 1
         if product_of_reflections(factors, l).matrix != gh.matrix:

@@ -187,6 +187,35 @@ def test_spec_json_names_missing_keys(capsys):
     assert "m, boost, rotation or t" in err
 
 
+def test_spinor_of_a_reflection_with_a_large_prime_norm(capsys):
+    # the reflection along ((p+1)/2, (p-1)/2) in B(1,1) has Q = p, and the
+    # numerator times the denominator of its factor's norm has 130 bits
+    from geocycle.isometries import reflection
+    from geocycle.lattices import standard_lattice
+
+    p = 10000000000037
+    m = reflection(((p + 1) // 2, (p - 1) // 2), standard_lattice("bpq", 1, 1)).matrix
+    code, out, _ = run_cli(
+        capsys, "spinor", "--lattice", "bpq", "--p", "1", "--q", "1",
+        "--matrix", json.dumps([[str(x) for x in row] for row in m]),
+    )
+    assert code == 0
+    assert json.loads(out) == {"class": 10000000000037, "real_sign": 1, "reflections": 1}
+
+
+@pytest.mark.parametrize(
+    "matrix", ["[[true,0],[0,1]]", '["10","01"]', '{"10": 0, "01": 1}', '[{"1": 0}, {"0": 1}]']
+)
+def test_spinor_rejects_booleans_strings_and_objects(capsys, matrix):
+    # each of these used to pass for the identity
+    code, out, err = run_cli(
+        capsys, "spinor", "--lattice", "bpq", "--p", "1", "--q", "1", "--matrix", matrix
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_spinor_rejects_non_isometry(capsys):
     code, _, err = run_cli(
         capsys, "spinor", "--lattice", "bpq", "--p", "1", "--q", "1",

@@ -6,6 +6,7 @@ shapes the targeted tests do not reach.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -146,3 +147,124 @@ def test_combined_lattice_roots_split_blockwise():
     block_n = {(r[2],) for r in roots if (r[0], r[1]) == (0, 0)}
     assert block_h == set(enumerate_roots(h, 2))
     assert block_n == set(enumerate_roots(neg2, 2))
+
+
+def _matrix_texts(rng):
+    """(label, --matrix text, lattice argv) triples across the input boundary."""
+    lattices = [
+        (["--lattice", "bpq", "--p", "1", "--q", "1"], standard_lattice("bpq", 1, 1)),
+        (["--lattice", "bpq", "--p", "2", "--q", "3"], standard_lattice("bpq", 2, 3)),
+        (["--lattice", "hyperbolic"], standard_lattice("hyperbolic")),
+        (["--lattice", "e8_neg"], standard_lattice("e8_neg")),
+        (["--lattice", "k3"], standard_lattice("k3")),
+    ]
+
+    def entry():
+        return rng.choice([
+            rng.randint(-3, 3),
+            f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}",
+            10 ** rng.randint(20, 400) * rng.choice([-1, 1]),
+        ])
+
+    def dumps(rows):
+        return json.dumps(rows)
+
+    def isometry_rows(l, k):
+        vectors = []
+        while len(vectors) < k:
+            v = tuple(rng.randint(-2, 2) for _ in range(l.rank))
+            if any(v) and eval_form(l, v, v) != 0:
+                vectors.append(v)
+        g = product_of_reflections(vectors, l)
+        return [[int(x) if x.denominator == 1 else str(x) for x in row] for row in g.matrix]
+
+    for _ in range(240):
+        lattice_argv, l = rng.choice(lattices[:4] if rng.random() < 0.9 else lattices)
+        n = l.rank
+        kind = rng.choice([
+            "ragged", "empty", "empty_row", "non_square", "zero_den", "float", "object",
+            "object_rows", "string_rows", "huge_int", "too_many_digits", "bool", "null",
+            "nested", "not_json", "non_isometry", "isometry", "near_isometry",
+        ])
+        if kind == "ragged":
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            rows[rng.randrange(n)].pop()
+            text = dumps(rows)
+        elif kind == "empty":
+            text = "[]"
+        elif kind == "empty_row":
+            text = "[[]]"
+        elif kind == "non_square":
+            text = dumps([[entry() for _ in range(n + rng.choice([-1, 1]))] for _ in range(n)])
+        elif kind == "zero_den":
+            rows = isometry_rows(l, 1)
+            rows[0][0] = "1/0"
+            text = dumps(rows)
+        elif kind == "float":
+            rows = isometry_rows(l, 1)
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([0.5, 1.0, 1e3])
+            text = dumps(rows).replace("1000.0", rng.choice(["1e3", "NaN", "Infinity"]))
+        elif kind == "object":
+            text = dumps({str(i): i for i in range(n)})
+        elif kind == "object_rows":
+            text = dumps([{str(j): int(i == j) for j in range(n)} for i in range(n)])
+        elif kind == "string_rows":
+            text = dumps(["".join("1" if i == j else "0" for j in range(n)) for i in range(n)])
+        elif kind == "huge_int":
+            rows = isometry_rows(l, 0)
+            rows[rng.randrange(n)][rng.randrange(n)] = 10 ** rng.randint(50, 4000)
+            text = dumps(rows)
+        elif kind == "too_many_digits":
+            text = "[[1" + "0" * 5000 + "]]"
+        elif kind == "bool":
+            rows = isometry_rows(l, 0)
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice([True, False])
+            text = dumps(rows)
+        elif kind == "null":
+            rows = isometry_rows(l, 1)
+            rows[rng.randrange(n)][rng.randrange(n)] = None
+            text = dumps(rows)
+        elif kind == "nested":
+            text = dumps([[[entry()] for _ in range(n)] for _ in range(n)])
+        elif kind == "not_json":
+            text = rng.choice(["[[1,2", "abc", "", "[[1 2]]", "'[[1]]'"])
+        elif kind == "non_isometry":
+            text = dumps([[entry() for _ in range(n)] for _ in range(n)])
+        elif kind == "isometry":
+            text = dumps(isometry_rows(l, rng.randint(0, 4)))
+        else:
+            rows = isometry_rows(l, rng.randint(1, 3))
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = str(F(rows[i][j]) + F(1, rng.randint(1, 50)))
+            text = dumps(rows)
+        yield kind, text, lattice_argv
+
+
+def test_matrix_argument_fuzz(capsys):
+    # the --matrix argument of spinor and congruence: any text exits 0, 1
+    # or 2 without a traceback, and 0/1 print exactly one JSON document
+    from geocycle.cli import main
+
+    rng = random.Random(233)
+    seen = set()
+    for kind, text, lattice_argv in _matrix_texts(rng):
+        seen.add(kind)
+        if rng.random() < 0.5:
+            argv = ["spinor", *lattice_argv, "--matrix", text]
+        else:
+            modulus = str(rng.randint(-1, 6))
+            argv = ["congruence", *lattice_argv, "--matrix", text, "--modulus", modulus]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (kind, argv)
+        assert "Traceback" not in err, (kind, argv)
+        if code in (0, 1):
+            assert out.endswith("\n") and out.count("\n") == 1, (kind, argv)
+            json.loads(out)
+        else:
+            assert out == "" and "error:" in err, (kind, argv)
+        if kind == "isometry" and argv[0] == "spinor":
+            assert code == 0, (kind, argv)
+        if kind not in ("isometry", "huge_int", "non_isometry"):
+            assert code == 2, (kind, argv)
+    assert len(seen) == 18

@@ -1,9 +1,20 @@
+"""Isometries, reflections, Cartan-Dieudonne and spinor norms.
+
+Two independent oracles sit next to the unit tests. The dense
+Cartan-Dieudonne factorization builds every reflection as a full matrix and
+multiplies it in; the rank-one kernel must return the same vectors. The
+Zassenhaus spinor norm (H. Zassenhaus, "On the spinor norm", Arch. Math. 13,
+1962) is the square class of det[2 B((1-g)e_i, e_j)] over the pivot columns
+i, j of 1-g, with no factorization at all; `spinor_norm` must agree with it.
+"""
+
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from geocycle.errors import (
+    AmbientMismatch,
     DetMinusOne,
     FormNotPreserved,
     IsotropicVector,
@@ -24,11 +35,93 @@ from geocycle.isometries import (
     squarefree_part,
 )
 from geocycle.lattices import eval_form, standard_lattice
-from geocycle.linalg import identity_matrix
+from geocycle.linalg import (
+    as_vector,
+    det,
+    diagonalize_symmetric,
+    identity_matrix,
+    mat_mul,
+    mat_vec,
+    matrix_inverse,
+    rref,
+    vec_add,
+    vec_sub,
+)
 
 B11 = standard_lattice("bpq", 1, 1)
+B14 = standard_lattice("bpq", 1, 4)
 B23 = standard_lattice("bpq", 2, 3)
+K3 = standard_lattice("k3")
+E8N = standard_lattice("e8_neg")
 BOOST = [[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]
+
+
+def dense_reflection_matrix(x, l):
+    """The n x n matrix of z -> z - 2(z.x)/(x.x) x, entry by entry."""
+    v = as_vector(x)
+    pairing = mat_vec(l.gram_matrix(), v)
+    scale = F(2) / eval_form(l, v, v)
+    n = l.rank
+    return tuple(
+        tuple((F(1) if i == j else F(0)) - scale * v[i] * pairing[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def dense_cartan_dieudonne(g):
+    """Oracle: the same walk over the diagonalizing basis, with each
+    reflection built as a full matrix and multiplied in densely."""
+    l = g.lattice
+    current = g.matrix
+    vectors = []
+    _, basis = diagonalize_symmetric(l.gram_matrix())
+    for b in basis:
+        u = mat_vec(current, b)
+        if u == b:
+            continue
+        w = vec_sub(u, b)
+        steps = [w] if eval_form(l, w, w) != 0 else [vec_add(u, b), b]
+        for x in steps:
+            vectors.append(x)
+            current = mat_mul(dense_reflection_matrix(x, l), current)
+    assert current == identity_matrix(l.rank)
+    return vectors
+
+
+def zassenhaus_spinor_norm(g):
+    """Oracle: the class of det[2 B((1-g)e_i, e_j)] over the pivot columns of 1-g."""
+    l = g.lattice
+    n = l.rank
+    gram = l.gram_matrix()
+    one_minus_g = tuple(
+        tuple((1 if i == j else 0) - g.matrix[i][j] for j in range(n)) for i in range(n)
+    )
+    _, pivots = rref(one_minus_g)
+    if not pivots:
+        return SquareClass(1, 1)
+    wall = tuple(
+        tuple(2 * sum(one_minus_g[k][i] * gram[k][j] for k in range(n)) for j in pivots)
+        for i in pivots
+    )
+    return square_class(det(wall))
+
+
+def trial_division_squarefree_part(n):
+    """Oracle: strip square factors by trial division all the way to sqrt(n)."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                out *= d
+        d += 1 if d == 2 else 2
+    return sign * out * n
 
 
 def random_anisotropic(l, rng):
@@ -118,18 +211,20 @@ def test_cartan_dieudonne_minus_identity_euclidean():
     assert product_of_reflections(factors, euclid).matrix == g.matrix
 
 
-def test_cartan_dieudonne_isotropic_difference_branch():
-    # send e1 to u = (1,2,2,0,0): q(u) = 1 and q(u - e1) = 0, which forces
+def isotropic_difference_isometry():
+    # sends e1 to u = (1,2,2,0,0): q(u) = 1 and q(u - e1) = 0, which forces
     # the two-reflection workaround on the first step
-    from geocycle.linalg import matrix_inverse, vec_add
-
     u = (F(1), F(2), F(2), F(0), F(0))
     e1 = (F(1), F(0), F(0), F(0), F(0))
+    to_e1 = compose(reflection(e1, B23), reflection(vec_add(u, e1), B23))
+    return isometry_from_matrix(matrix_inverse(to_e1.matrix), B23), u, e1
+
+
+def test_cartan_dieudonne_isotropic_difference_branch():
+    g, u, e1 = isotropic_difference_isometry()
     assert eval_form(B23, u, u) == 1
     diff = tuple(a - b for a, b in zip(u, e1))
     assert eval_form(B23, diff, diff) == 0
-    to_e1 = compose(reflection(e1, B23), reflection(vec_add(u, e1), B23))
-    g = isometry_from_matrix(matrix_inverse(to_e1.matrix), B23)
     assert g.apply(e1) == u
     factors = cartan_dieudonne(g)
     assert product_of_reflections(factors, B23).matrix == g.matrix
@@ -226,3 +321,130 @@ def test_congruence_rejects_det_minus_one():
     g = reflection((1, 0), B11)  # integral, det -1
     with pytest.raises(DetMinusOne):
         in_congruence_subgroup(g, 2)
+
+
+def oracle_isometries():
+    """Seeded products of 0-6 reflections in four signatures, -1 on K3 and
+    the isotropic-difference isometry."""
+    rng = random.Random(71)
+    cases = []
+    for l, count, lo in ((B23, 30, -5), (B14, 30, -5), (E8N, 20, -3), (K3, 8, -2)):
+        for i in range(count):
+            vectors = []
+            while len(vectors) < i % 7:
+                v = tuple(rng.randint(lo, -lo) for _ in range(l.rank))
+                if any(v) and eval_form(l, v, v) != 0:
+                    vectors.append(v)
+            g = product_of_reflections(vectors, l)
+            cases.append(pytest.param(g, id=f"{l.name}-{len(vectors)}refl-{i}"))
+    minus_one = tuple(tuple(-x for x in row) for row in identity_matrix(K3.rank))
+    cases.append(pytest.param(isometry_from_matrix(minus_one, K3), id="K3-minus-one"))
+    cases.append(pytest.param(isotropic_difference_isometry()[0], id="isotropic-difference"))
+    return cases
+
+
+@pytest.mark.parametrize("g", oracle_isometries())
+def test_rank_one_factorization_matches_oracles(g):
+    vectors = cartan_dieudonne(g)
+    assert vectors == dense_cartan_dieudonne(g)
+    assert spinor_norm(g) == zassenhaus_spinor_norm(g)
+    assert spinor_norm(g, vectors) == zassenhaus_spinor_norm(g)
+
+
+def test_minus_one_on_k3_has_the_class_of_the_determinant():
+    g = isometry_from_matrix([[-x for x in row] for row in identity_matrix(22)], K3)
+    assert g.det == 1
+    assert zassenhaus_spinor_norm(g) == spinor_norm(g) == SquareClass(-1, -1)
+    assert len(cartan_dieudonne(g)) == 22
+
+
+def test_rank_one_products_match_dense_products():
+    rng = random.Random(73)
+    for l in (B23, B14, E8N):
+        for _ in range(10):
+            vectors = [random_anisotropic(l, rng) for _ in range(rng.randint(0, 5))]
+            dense = identity_matrix(l.rank)
+            for v in vectors:
+                assert reflection(v, l).matrix == dense_reflection_matrix(v, l)
+                dense = mat_mul(dense, dense_reflection_matrix(v, l))
+            g = product_of_reflections(vectors, l)
+            assert g.matrix == dense
+            assert g.det == (-1) ** len(vectors)
+
+
+def test_product_of_reflections_rejects_bad_vectors():
+    with pytest.raises(IsotropicVector):
+        product_of_reflections([(1, 0), (1, 1)], B11)
+    with pytest.raises(AmbientMismatch):
+        product_of_reflections([(1, 0, 0)], B11)
+    with pytest.raises(AmbientMismatch):
+        reflection((1, 0, 0), B11)
+
+
+def test_integer_certificate_rejects_near_isometries():
+    # one entry of a certified isometry nudged by 1/den is caught exactly,
+    # and the certified determinant is the exact +-1
+    rng = random.Random(79)
+    for _ in range(20):
+        g = product_of_reflections([random_anisotropic(B23, rng) for _ in range(3)], B23)
+        assert isometry_from_matrix(g.matrix, B23).det == -1
+        rows = [list(r) for r in g.matrix]
+        i, j = rng.randrange(5), rng.randrange(5)
+        rows[i][j] += F(1, rng.choice([1, 3, 7, 1000003]))
+        with pytest.raises(FormNotPreserved):
+            isometry_from_matrix(rows, B23)
+
+
+def test_integer_certificate_checks_orthogonality():
+    # every column has the right norm, but the second pairs with the first
+    m = [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [0, 0, 0, 0, 1]]
+    with pytest.raises(FormNotPreserved):
+        isometry_from_matrix(m, B23)
+
+
+def test_integer_certificate_matches_dense_check():
+    rng = random.Random(81)
+    for l in (B11, B23, standard_lattice("hyperbolic")):
+        g = l.gram_matrix()
+        for _ in range(60):
+            vectors = [random_anisotropic(l, rng) for _ in range(rng.randint(0, 3))]
+            rows = [list(r) for r in product_of_reflections(vectors, l).matrix]
+            for _ in range(rng.randint(0, 2)):
+                rows[rng.randrange(l.rank)][rng.randrange(l.rank)] = F(rng.randint(-4, 4), rng.randint(1, 4))
+            mat = tuple(tuple(r) for r in rows)
+            preserved = mat_mul(mat_mul(tuple(zip(*mat)), g), mat) == g
+            try:
+                h = isometry_from_matrix(mat, l)
+            except FormNotPreserved:
+                assert not preserved
+            else:
+                assert preserved and h.det == det(mat)
+
+
+def test_squarefree_part_matches_trial_division():
+    rng = random.Random(83)
+    primes = [10007, 10009, 99991, 1000003, 1000033]
+    inputs = [rng.randint(-10**7, 10**7) for _ in range(2000)]
+    inputs += [rng.randint(1, 3000) ** 2 * rng.randint(-3000, 3000) for _ in range(1000)]
+    inputs += [rng.randint(1, 300) ** 3 * rng.choice([-1, 1]) for _ in range(300)]
+    inputs += [p * p * q for p in primes for q in primes[:3] + [2, 3, 10007 * 10009]]
+    inputs += [p * q for p in primes[:3] for q in primes[:3]] + [p**3 for p in primes[:3]]
+    for n in inputs:
+        if n:
+            assert squarefree_part(n) == trial_division_squarefree_part(n), n
+
+
+def test_square_class_of_fractions_matches_trial_division():
+    rng = random.Random(89)
+    for _ in range(2000):
+        r = F(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6))
+        rep = trial_division_squarefree_part(r.numerator * r.denominator)
+        assert square_class(r) == SquareClass(rep, 1 if rep > 0 else -1)
+
+
+def test_squarefree_part_of_a_large_prime_is_fast():
+    # num*den here has 130 bits; trial division to its square root never ends
+    p = 10000000000037
+    assert squarefree_part(p) == p
+    assert square_class(F(4 * ((p + 1) // 2) ** 2, p)) == SquareClass(p, 1)
+    assert squarefree_part(-7 * p * p) == -7

@@ -31,6 +31,13 @@ def test_frac_rejects_floats():
         frac(0.5)
 
 
+def test_frac_rejects_booleans():
+    with pytest.raises(TypeError):
+        frac(True)
+    with pytest.raises(TypeError):
+        frac(False)
+
+
 def test_frac_parses_strings_and_ints():
     assert frac("3/4") == F(3, 4)
     assert frac("-2") == F(-2)
