@@ -1,9 +1,10 @@
 """Root vectors (self-pairing -2) and orthogonality predicates.
 
-Root enumeration is a pruned exact search over a coordinate box; for
-definite blocks it runs down a triangular completed-squares form. The
-orthogonality predicates decide whether a positive plane lies on a root's
-hyperplane.
+Root enumeration splits the Gram matrix into its orthogonal blocks,
+tabulates each block's vectors in the coordinate box by value (definite
+blocks run down a triangular completed-squares form) and joins the values
+that sum to -2. The orthogonality predicates decide whether a positive
+plane lies on a root's hyperplane.
 """
 
 import sys

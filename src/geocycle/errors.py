@@ -71,3 +71,7 @@ class SearchExhausted(GeocycleError):
 
 class CertificateFailed(GeocycleError):
     """An exact internal check of a computed result did not hold."""
+
+
+class BudgetExceeded(GeocycleError):
+    """An enumeration needed more work than its fixed node budget."""

@@ -37,13 +37,6 @@ class Isometry:
     def is_identity(self) -> bool:
         return self.matrix == linalg.identity_matrix(self.lattice.rank)
 
-    def to_dict(self) -> dict:
-        return {
-            "matrix": [[str(x) for x in row] for row in self.matrix],
-            "lattice": self.lattice.to_dict(),
-            "det": str(self.det),
-        }
-
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
     """Validate m^T.gram.m = gram exactly and package the result.

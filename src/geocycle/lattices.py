@@ -49,9 +49,6 @@ class QuadLattice:
     def gram_matrix(self) -> Mat:
         return _gram_fractions(self)
 
-    def to_dict(self) -> dict:
-        return {"rank": self.rank, "gram": [list(r) for r in self.gram]}
-
 
 @lru_cache(maxsize=None)
 def _gram_fractions(l: QuadLattice) -> Mat:

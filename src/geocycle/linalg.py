@@ -11,6 +11,7 @@ subspace equality a bit-exact comparison of basis tuples.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
@@ -27,18 +28,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Fraction("1e10000000") builds a ten-million-digit integer, so the
+# decimal exponent of a string is capped before Fraction sees it.
+MAX_DECIMAL_EXPONENT = 1000
+_DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and strings like ``"3/4"`` to Fraction.
 
     Floats are rejected on purpose: they would silently poison exact
     computations, and so are booleans, which would pass for 0 and 1. A
-    string with a zero denominator is a ValueError.
+    string with a zero denominator, or with a decimal exponent beyond
+    ±MAX_DECIMAL_EXPONENT, is a ValueError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        exponent = _DECIMAL_EXPONENT.search(x)
+        if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {x[:40]!r} is beyond ±{MAX_DECIMAL_EXPONENT}"
+            )
         try:
             return Fraction(x)
         except ZeroDivisionError:
@@ -297,10 +310,6 @@ class Subspace:
             "ambient": self.ambient,
             "basis": [[str(x) for x in row] for row in self.basis],
         }
-
-
-def subspace_from_dict(d: dict) -> Subspace:
-    return span(d["basis"], ambient=d["ambient"])
 
 
 def span(vectors: Iterable[Iterable], ambient: int | None = None) -> Subspace:

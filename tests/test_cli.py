@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -125,6 +126,18 @@ def test_roots_k3_block(capsys):
     assert "count=240" in err
 
 
+def test_roots_over_budget_exits_2_quickly(capsys):
+    # K3 at bound 1 has far more roots than the node budget allows
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roots", "--lattice", "k3", "--bound", "1")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert "error: root enumeration needs more than" in err
+    assert "stopped after visiting" in err
+    assert "Traceback" not in err
+
+
 def test_roots_block_requires_k3(capsys):
     code, _, err = run_cli(
         capsys, "roots", "--lattice", "hyperbolic", "--bound", "1", "--block", "e8:1"
@@ -171,6 +184,8 @@ def test_spinor_factors_once(capsys, monkeypatch):
         ["arrange", "--spec-json", "{}"],
         ["signs", "--p", "2", "--q", "2", "--v", "1/0,1"],
         ["arrange", "--p", "2", "--q", "3", "--n", "5", "--m", "1", "--t", "1/0"],
+        ["spinor", "--lattice", "bpq", "--p", "1", "--q", "1",
+         "--matrix", '[["1e10000000",0],[0,1]]'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

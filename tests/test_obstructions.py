@@ -4,11 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from geocycle.errors import AmbientMismatch, NotSpanning, WrongInertia
+from geocycle import obstructions
+from geocycle.errors import AmbientMismatch, BudgetExceeded, NotSpanning, WrongInertia
 from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import matrix_inverse, restricted_definiteness, span
 from geocycle.obstructions import (
     ROOT_NORM,
+    _block_table,
+    _enumerate_box,
+    _enumerate_definite,
+    _integer_square_forms,
+    _is_lower_unitriangular_support,
     any_root_orthogonal,
     beta_orthogonal,
     enumerate_roots,
@@ -26,12 +32,39 @@ K3 = standard_lattice("k3")
 
 
 def naive_roots(l, bound):
+    """Oracle: exhaust the whole coordinate box, summing g_ij v_i v_j over
+    the nonzero Gram entries in integers."""
+    entries = [(i, j, c) for i, row in enumerate(l.gram) for j, c in enumerate(row) if c]
     out = [
         v
         for v in itertools.product(range(-bound, bound + 1), repeat=l.rank)
-        if eval_form(l, v, v) == ROOT_NORM
+        if sum(c * v[i] * v[j] for i, j, c in entries) == ROOT_NORM
     ]
     return sorted(out)
+
+
+class Unbounded:
+    """A budget that never runs out, for the oracles."""
+
+    def spend(self, k=1):
+        pass
+
+
+def box_enumerate_roots(l, bound):
+    """Oracle: the whole-lattice dispatch enumerate_roots used before the
+    block join, one search over all coordinates for the value -2."""
+    if l.rank == 0:
+        return []
+    weights, icoeffs, scale = _integer_square_forms(l.gram)
+    if all(w > 0 for w in weights):
+        return []
+    target = ROOT_NORM * scale
+    if all(w < 0 for w in weights) and _is_lower_unitriangular_support(icoeffs):
+        search = _enumerate_definite
+    else:
+        search = _enumerate_box
+    found = search(weights, icoeffs, target, target, bound, l.rank, Unbounded())
+    return sorted(found.get(target, []))
 
 
 def unit(i, n):
@@ -80,6 +113,138 @@ def test_roots_closed_under_negation_and_sorted():
 )
 def test_pruned_equals_naive(lattice, bound):
     assert enumerate_roots(lattice, bound) == naive_roots(lattice, bound)
+
+
+NAMED_AT_SMALL_BOUNDS = [
+    (H, 1), (H, 3), (H, 10),
+    (B11, 4),
+    (standard_lattice("bpq", 1, 2), 3),
+    (standard_lattice("bpq", 2, 1), 3),
+    (standard_lattice("bpq", 1, 3), 2),
+    (standard_lattice("bpq", 2, 2), 2),
+    (E8_NEG, 1),
+    (standard_lattice("e8_pos"), 1),
+]
+
+
+@pytest.mark.parametrize("lattice,bound", NAMED_AT_SMALL_BOUNDS)
+def test_join_matches_both_oracles_on_named_lattices(lattice, bound):
+    # K3 has no bound small enough: at bound 1 it runs out of budget
+    # (tests/test_cli.py), and its blocks are H and -E8
+    got = enumerate_roots(lattice, bound)
+    assert got == naive_roots(lattice, bound)
+    assert got == box_enumerate_roots(lattice, bound)
+
+
+def test_join_matches_the_box_search_on_b24():
+    b24 = standard_lattice("bpq", 2, 4)
+    at_3 = enumerate_roots(b24, 3)
+    assert len(at_3) == 4792
+    assert at_3 == box_enumerate_roots(b24, 3) == naive_roots(b24, 3)
+    at_4 = enumerate_roots(b24, 4)
+    assert len(at_4) == 12376
+    assert at_4 == box_enumerate_roots(b24, 4)
+
+
+def test_hyperbolic_at_bound_200_builds_no_box_table(monkeypatch):
+    assert box_enumerate_roots(H, 200) == [(-1, 1), (1, -1)]
+    # 401^2 vectors are in the box; the join needs a handful of nodes
+    monkeypatch.setattr(obstructions, "ROOT_NODE_BUDGET", 20)
+    assert enumerate_roots(H, 200) == [(-1, 1), (1, -1)]
+
+
+# the orthogonal blocks of the random sums below
+BLOCKS = {
+    "+1": [[1]], "-1": [[-1]], "+2": [[2]], "-2": [[-2]], "+3": [[3]], "-3": [[-3]],
+    "H": [[0, 1], [1, 0]],
+    "2H": [[0, 2], [2, 0]],
+    "-H": [[0, -1], [-1, 0]],
+    "A2": [[2, -1], [-1, 2]],
+    "-A2": [[-2, 1], [1, -2]],
+    "indefinite2": [[1, 1], [1, -1]],
+    "indefinite3": [[1, 1, 0], [1, -1, 1], [0, 1, 1]],
+}
+
+
+def random_block_sum(rng, max_rank):
+    """An orthogonal sum of random BLOCKS, with its coordinates conjugated
+    by a random permutation so that the blocks interleave."""
+    grams = []
+    rank = 0
+    while True:
+        g = rng.choice(list(BLOCKS.values()))
+        if grams and rank + len(g) > max_rank:
+            break
+        grams.append(g)
+        rank += len(g)
+    total = quad_lattice([])
+    for g in grams:
+        total = combine(total, quad_lattice(g))
+    perm = list(range(rank))
+    rng.shuffle(perm)
+    return quad_lattice([[total.gram[perm[i]][perm[j]] for j in range(rank)] for i in range(rank)])
+
+
+def test_join_matches_both_oracles_on_random_interleaved_block_sums():
+    rng = random.Random(20261018)
+    interleaved = 0
+    for _ in range(150):
+        l = random_block_sum(rng, 5)
+        bound = rng.randint(1, 2)
+        got = enumerate_roots(l, bound)
+        assert got == naive_roots(l, bound), l.gram
+        assert got == box_enumerate_roots(l, bound), l.gram
+        blocks = obstructions._orthogonal_blocks(l.gram)
+        interleaved += [i for b in blocks for i in b] != list(range(l.rank))
+    assert interleaved >= 50  # the scatter back to coordinates is exercised
+
+
+@pytest.mark.parametrize(
+    "gram", list(BLOCKS.values()) + [standard_lattice("e8_pos").gram],
+    ids=list(BLOCKS) + ["E8"],
+)
+def test_block_tables_are_exact_on_their_windows(gram):
+    rng = random.Random(len(gram) * 1000 + gram[0][0])
+    l = quad_lattice(gram)
+    n = l.rank
+    forms = None if n == 1 or obstructions._hyperbolic_entry(gram) else _integer_square_forms(gram)
+    for bound in (1, 2, 3):
+        if (2 * bound + 1) ** n > 3 ** 8:
+            break
+        box = list(itertools.product(range(-bound, bound + 1), repeat=n))
+        values = {v: int(eval_form(l, v, v)) for v in box}
+        lo_all, hi_all = obstructions._block_range(gram, forms, bound)
+        assert lo_all <= min(values.values()) and max(values.values()) <= hi_all
+        for _ in range(6):
+            lo = rng.randint(lo_all, hi_all)
+            hi = rng.randint(lo, hi_all)
+            if forms is not None and all(w < 0 for w in forms[0]):
+                lo, hi = min(lo, 0), min(hi, 0)  # the definite search wants lo <= 0
+            table = _block_table(gram, forms, lo, hi, bound, Unbounded())
+            expected = {}
+            for v in box:
+                if lo <= values[v] <= hi:
+                    expected.setdefault(values[v], []).append(v)
+            assert {k: sorted(vs) for k, vs in table.items()} == expected
+
+
+def test_budget_stops_the_box_search_on_an_irreducible_indefinite_block(monkeypatch):
+    l = quad_lattice([[1, 1, 0], [1, -1, 1], [0, 1, 1]])
+    forms = _integer_square_forms(l.gram)
+    assert not all(w < 0 for w in forms[0]) and not all(w > 0 for w in forms[0])
+    assert enumerate_roots(l, 3) == naive_roots(l, 3)
+    monkeypatch.setattr(obstructions, "ROOT_NODE_BUDGET", 50)
+    with pytest.raises(BudgetExceeded, match="more than 50 nodes") as excinfo:
+        enumerate_roots(l, 3)
+    assert any(entry.name == "_enumerate_box" for entry in excinfo.traceback)
+
+
+def test_budget_counts_the_roots_before_building_them(monkeypatch):
+    b24 = standard_lattice("bpq", 2, 4)
+    monkeypatch.setattr(obstructions, "ROOT_NODE_BUDGET", 4792)
+    with pytest.raises(BudgetExceeded) as excinfo:
+        enumerate_roots(b24, 3)
+    assert any(entry.name == "_join" for entry in excinfo.traceback)
 
 
 def test_box_bound_is_respected():
