@@ -297,6 +297,13 @@ def arrangement_spec_to_dict(spec: ArrangementSpec) -> dict:
     }
 
 
+def _spec_pair(d: dict, key: str) -> tuple[Fraction, Fraction]:
+    value = d[key]
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"arrangement spec {key} must be a list of two numbers")
+    return frac(value[0]), frac(value[1])
+
+
 def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
     """Accepts either an explicit rotation pair or a tangent parameter t."""
     if not isinstance(d, dict):
@@ -306,9 +313,9 @@ def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
         missing.append("rotation or t")
     if missing:
         raise ValueError(f"arrangement spec is missing {', '.join(missing)}")
-    boost = BoostParams(frac(d["boost"][0]), frac(d["boost"][1]))
+    boost = BoostParams(*_spec_pair(d, "boost"))
     if "rotation" in d:
-        rotation = RotationPair(frac(d["rotation"][0]), frac(d["rotation"][1]))
+        rotation = RotationPair(*_spec_pair(d, "rotation"))
     else:
         rotation = rotation_from_tangent(frac(d["t"]))
     return ArrangementSpec(int(d["p"]), int(d["q"]), boost, int(d["m"]), rotation, int(d["n"]))

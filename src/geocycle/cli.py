@@ -159,11 +159,11 @@ def _cmd_roots(args):
             (0,) * offset + r + (0,) * (full_rank - offset - sub.rank) for r in roots
         ]
         print(f"block={args.block} count={len(embedded)}", file=sys.stderr)
-        return "ok", [list(r) for r in embedded], None
+        return "ok", embedded, None
     l = _lattice_from_args(args)
     roots = obs.enumerate_roots(l, args.bound)
     print(f"lattice={args.lattice} bound={args.bound} count={len(roots)}", file=sys.stderr)
-    return "ok", [list(r) for r in roots], None
+    return "ok", roots, None
 
 
 def _cmd_verify_all(args):

@@ -74,4 +74,5 @@ class CertificateFailed(GeocycleError):
 
 
 class BudgetExceeded(GeocycleError):
-    """An enumeration needed more work than its fixed node budget."""
+    """A search needed more work than its fixed budget (root enumeration
+    nodes, trial divisions when factoring)."""

@@ -6,11 +6,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import mul
 
 from . import linalg
 from .errors import (
     AmbientMismatch,
+    BudgetExceeded,
     CertificateFailed,
     DetMinusOne,
     FormNotPreserved,
@@ -21,21 +24,69 @@ from .errors import (
 from .lattices import QuadLattice, eval_form
 from .linalg import Mat, Vec
 
+IntMat = tuple[tuple[int, ...], ...]
+
+# Trial divisions squarefree_part may spend on one integer; past them the
+# square class is not certified, so it raises. Every divisor below 2*10^6
+# is tried, so any integer below 8*10^18 is factored in full.
+FACTOR_TRIAL_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class Isometry:
-    """A rational matrix g with g^T.gram.g = gram, certified at construction."""
+    """A rational matrix g = num/den with g^T.gram.g = gram, certified at
+    construction.
 
-    matrix: Mat
+    num is an integer matrix and den a positive integer with
+    gcd(num, den) = 1, so equal isometries have equal fields and compare
+    and hash equal. Reflections, products and images are computed from
+    (num, den) in integers; `matrix` is the same map as Fractions.
+    """
+
+    num: IntMat
+    den: int
     lattice: QuadLattice
     det: Fraction
 
+    @cached_property
+    def matrix(self) -> Mat:
+        """num/den as Fractions, built on first use."""
+        den = self.den
+        return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
+
     def apply(self, v) -> Vec:
-        return linalg.mat_vec(self.matrix, linalg.as_vector(v))
+        row, s = _cleared(v, self.lattice)
+        den = self.den * s
+        return tuple(Fraction(sum(map(mul, r, row)), den) for r in self.num)
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == linalg.identity_matrix(self.lattice.rank)
+        return self.den == 1 and self.num == _identity(self.lattice.rank)
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> IntMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _cleared(v, l: QuadLattice) -> tuple[list[int], int]:
+    """(row, s) with row an integer vector and s > 0 the lcm of the
+    denominators of the rational vector v = row/s on l."""
+    v = linalg.as_vector(v)
+    if len(v) != l.rank:
+        raise AmbientMismatch(f"vector of length {len(v)} on rank {l.rank}")
+    s = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
+def _normalized(num, den: int) -> tuple[IntMat, int]:
+    """(num, den) divided by gcd(num, den) and by the sign of den."""
+    g = math.gcd(den, *chain.from_iterable(num))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(map(tuple, num)), den
+    return tuple(tuple(a // g for a in row) for row in num), den // g
 
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
@@ -43,7 +94,9 @@ def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
 
     The check runs in integers: with D the lcm of the denominators and
     A = D.m, m preserves the form iff A^T.gram.A = D^2.gram entrywise.
-    That product is symmetric, so its upper triangle decides it.
+    That product is symmetric, so its upper triangle decides it. (A, D)
+    is the isometry: gcd(A, D) = 1 already, as D is an lcm of the reduced
+    denominators.
     """
     mat = linalg.as_matrix(m)
     n = l.rank
@@ -62,58 +115,66 @@ def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
             if sum(a[k][i] * ga[k][j] for k in range(n) if a[k][i]) != d2 * gram[i][j]:
                 raise FormNotPreserved("matrix does not preserve the bilinear form")
     # |det| = 1 is automatic for form-preserving matrices; keep the sign
-    return Isometry(mat, l, Fraction(linalg._bareiss_int(a), d**n))
+    det = Fraction(linalg._bareiss_int(a), d**n)
+    return Isometry(tuple(map(tuple, a)), d, l, det)
 
 
 def identity_isometry(l: QuadLattice) -> Isometry:
-    return Isometry(linalg.identity_matrix(l.rank), l, Fraction(1))
+    return Isometry(_identity(l.rank), 1, l, Fraction(1))
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """g after h. Products of certified isometries need no re-validation."""
     if g.lattice != h.lattice:
         raise AmbientMismatch("isometries over different lattices")
-    return Isometry(linalg.mat_mul(g.matrix, h.matrix), g.lattice, g.det * h.det)
+    cols = tuple(zip(*h.num))
+    num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
+    return Isometry(*_normalized(num, g.den * h.den), g.lattice, g.det * h.det)
 
 
-def _reflect(x, l: QuadLattice, m: Mat) -> Mat:
-    """R_x.m = m - (2/Q(x)).x.((gram.x)^T.m) for the reflection R_x along x.
+def _ray(x, l: QuadLattice) -> tuple[list[int], list[int], int]:
+    """The primitive integer vector on the line of the nonzero integer
+    vector x, with its pairing gram.x and its self-pairing Q."""
+    g = math.gcd(*x)
+    if g > 1:
+        x = [xi // g for xi in x]
+    pairing = [sum(map(mul, row, x)) for row in l.gram]
+    return x, pairing, sum(map(mul, x, pairing))
 
-    A rank-one update: one row combination of m, then a multiple of it
-    subtracted from the rows where x is nonzero; zero entries are skipped.
+
+def _reflect(ray, num: IntMat, den: int) -> tuple[IntMat, int]:
+    """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)).
+
+    The rank-one update in integers: R_x.(A/D) = (Q.A - 2.x.((gram.x)^T.A))
+    / (Q.D), normalized by its gcd. Rows where x is zero are only scaled.
     """
-    v = linalg.as_vector(x)
-    n = l.rank
-    if len(v) != n:
-        raise AmbientMismatch(f"vector of length {len(v)} on rank {n}")
-    gram = l.gram
-    pairing = [sum(gram[i][j] * v[j] for j in range(n) if gram[i][j] and v[j]) for i in range(n)]
-    q = sum((vi * pi for vi, pi in zip(v, pairing) if vi and pi), Fraction(0))
-    if q == 0:
-        raise IsotropicVector(f"cannot reflect along isotropic vector {v}")
-    # c = (gram.x)^T.m, the functional z -> x.z applied to the columns of m
-    c = [Fraction(0)] * len(m[0]) if m else []
-    for pi, row in zip(pairing, m):
-        if pi:
-            c = [ck + pi * rk if rk else ck for ck, rk in zip(c, row)]
-    scale = Fraction(2) / q
-    out = []
-    for vi, row in zip(v, m):
-        if vi:
-            f = scale * vi
-            row = tuple(rk - f * ck if ck else rk for rk, ck in zip(row, c))
-        out.append(row)
-    return tuple(out)
+    x, pairing, q = ray
+    c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
+    out = [
+        [q * a - xi * ck for a, ck in zip(row, c)] if xi else [q * a for a in row]
+        for xi, row in zip(x, num)
+    ]
+    return _normalized(out, q * den)
+
+
+def _anisotropic_ray(x, l: QuadLattice):
+    """The ray of the line through a rational vector, which must be
+    anisotropic."""
+    ray = _ray(_cleared(x, l)[0], l)
+    if ray[2] == 0:
+        raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(x)}")
+    return ray
 
 
 def reflection(x, l: QuadLattice) -> Isometry:
     """The reflection along an anisotropic vector: z -> z - 2(z.x)/(x.x) x."""
-    return Isometry(_reflect(x, l, linalg.identity_matrix(l.rank)), l, Fraction(-1))
+    return Isometry(*_reflect(_anisotropic_ray(x, l), _identity(l.rank), 1), l, Fraction(-1))
 
 
 @lru_cache(maxsize=None)
-def _orthogonal_basis(l: QuadLattice) -> tuple[Vec, ...]:
-    """A rational basis of pairwise-orthogonal anisotropic vectors.
+def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[Vec, list[int], int], ...]:
+    """A rational basis of pairwise-orthogonal anisotropic vectors, each as
+    (b, row, scale) with b = row/scale, row integer and scale > 0.
 
     The rows of the congruence transform t (with t.gram.t^T diagonal) give
     one; nondegeneracy guarantees every diagonal entry is nonzero. Cached
@@ -122,7 +183,7 @@ def _orthogonal_basis(l: QuadLattice) -> tuple[Vec, ...]:
     diag, t = linalg.diagonalize_symmetric(l.gram_matrix())
     if any(d == 0 for d in diag):
         raise CertificateFailed("diagonalized Gram matrix has a zero entry")
-    return t
+    return tuple((b, *_cleared(b, l)) for b in t)
 
 
 def cartan_dieudonne(g: Isometry) -> list[Vec]:
@@ -135,27 +196,33 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
     Walks an orthogonal basis b_1..b_n: at each step either one reflection
     (along g(b)-b when that vector is anisotropic) or two (along g(b)+b and
     then b, the classical workaround when g(b)-b is isotropic) restores b
-    without disturbing the vectors already fixed.
+    without disturbing the vectors already fixed. With the current map A/D
+    and b = row/scale, g(b) -+ b = (A.row -+ D.row)/(D.scale): the walk runs
+    on the integer vectors A.row -+ D.row, and only the vectors returned
+    become Fractions.
     """
     l = g.lattice
-    current = g.matrix
+    num, den = g.num, g.den
     vectors: list[Vec] = []
-    for b in _orthogonal_basis(l):
-        u = linalg.mat_vec(current, b)
-        if u == b:
+    for b, row, s in _orthogonal_basis(l):
+        image = [sum(map(mul, r, row)) for r in num]
+        fixed = [den * x for x in row]
+        w = [a - f for a, f in zip(image, fixed)]
+        if not any(w):
             continue
-        w = linalg.vec_sub(u, b)
-        if eval_form(l, w, w) != 0:
-            vectors.append(w)
-            current = _reflect(w, l, current)
-        else:
+        scale = den * s
+        ray = _ray(w, l)
+        if ray[2] == 0:
             # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
-            w2 = linalg.vec_add(u, b)
-            vectors.append(w2)
-            current = _reflect(w2, l, current)
+            w = [a + f for a, f in zip(image, fixed)]
+            vectors.append(tuple(Fraction(x, scale) for x in w))
+            num, den = _reflect(_ray(w, l), num, den)
             vectors.append(b)
-            current = _reflect(b, l, current)
-    if current != linalg.identity_matrix(l.rank):
+            ray = _ray(row, l)
+        else:
+            vectors.append(tuple(Fraction(x, scale) for x in w))
+        num, den = _reflect(ray, num, den)
+    if den != 1 or num != _identity(l.rank):
         raise CertificateFailed("reflection factorization did not reach the identity")
     if len(vectors) > 2 * l.rank:
         raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
@@ -165,10 +232,10 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
     """reflection(x_1) . ... . reflection(x_k), applied right to left."""
     vectors = list(vectors)
-    out = linalg.identity_matrix(l.rank)
+    num, den = _identity(l.rank), 1
     for v in reversed(vectors):
-        out = _reflect(v, l, out)
-    return Isometry(out, l, Fraction((-1) ** len(vectors)))
+        num, den = _reflect(_anisotropic_ray(v, l), num, den)
+    return Isometry(num, den, l, Fraction((-1) ** len(vectors)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +261,10 @@ def squarefree_part(n: int) -> int:
     prime below d divides it and d^3 exceeds it, the cofactor has at most two
     prime factors, so it is squarefree unless it is a square. A square
     cofactor ends the search at once; that is tested at the start and after
-    each prime removed.
+    each prime removed. A cofactor with three or more large prime factors
+    would keep the search going for ever, so after FACTOR_TRIAL_BUDGET
+    divisors it raises BudgetExceeded instead of returning a class it has
+    not certified.
     """
     if n == 0:
         raise ValueError("0 has no square class")
@@ -204,7 +274,14 @@ def squarefree_part(n: int) -> int:
         return sign
     out = 1
     d = 2
+    trials = 0
     while d * d * d <= n:
+        if trials == FACTOR_TRIAL_BUDGET:
+            raise BudgetExceeded(
+                f"the square class of a {n.bit_length()}-bit cofactor needs more than "
+                f"{FACTOR_TRIAL_BUDGET} trial divisions"
+            )
+        trials += 1
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -244,15 +321,12 @@ def in_congruence_subgroup(g: Isometry, modulus: int) -> bool:
     """True iff g is integral, det +1, and congruent to the identity mod modulus."""
     if modulus < 1:
         raise ValueError("modulus must be a positive integer")
-    for row in g.matrix:
-        for x in row:
-            if x.denominator != 1:
-                raise NonIntegralMatrix("congruence membership needs integer entries")
+    if g.den != 1:
+        raise NonIntegralMatrix("congruence membership needs integer entries")
     if g.det != 1:
         raise DetMinusOne("congruence subgroups sit inside the determinant-one group")
-    n = g.lattice.rank
-    for i in range(n):
-        for j in range(n):
-            if (int(g.matrix[i][j]) - (1 if i == j else 0)) % modulus != 0:
-                return False
-    return True
+    return all(
+        (a - (i == j)) % modulus == 0
+        for i, row in enumerate(g.num)
+        for j, a in enumerate(row)
+    )

@@ -131,17 +131,17 @@ def project_p1(x: CartanTangent, v: AdmissibleV) -> Vec:
     return tuple(out)
 
 
-def _diagonal_unit(i: int, p: int, q: int) -> CartanTangent:
+def transport_diagonal_unit(diamond: Mat, star: Mat, i: int) -> CartanTangent:
+    """The tangent action C -> diamond . C . star^{-1} on the diagonal unit
+    E_ii. star is orthogonal, so its inverse is its transpose, and
+    diamond . E_ii . star^T is the outer product of column i of diamond and
+    column i of star."""
+    zero_row = (Fraction(0),) * len(star)
+    star_col = [row[i] for row in star]
     return tuple(
-        tuple(Fraction(1) if (r == i and c == i) else Fraction(0) for c in range(q))
-        for r in range(p)
+        tuple(row[i] * s if s else s for s in star_col) if row[i] else zero_row
+        for row in diamond
     )
-
-
-def transport(diamond: Mat, star: Mat, x: CartanTangent) -> CartanTangent:
-    """The tangent action C -> diamond . C . star^{-1}; star is orthogonal,
-    so its inverse is its transpose."""
-    return linalg.mat_mul(linalg.mat_mul(diamond, x), linalg.transpose(star))
 
 
 def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
@@ -155,8 +155,7 @@ def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
 def action_on_diagonal(diamond: Mat, star: Mat, v: AdmissibleV) -> Mat:
     """Matrix of the induced map on the diagonal summand: transport each
     diagonal unit and project back."""
-    p, q = len(diamond), len(star)
-    cols = [project_p1(transport(diamond, star, _diagonal_unit(i, p, q)), v) for i in range(p)]
+    cols = [project_p1(transport_diagonal_unit(diamond, star, i), v) for i in range(len(diamond))]
     return linalg.transpose(linalg.as_matrix(cols))
 
 

@@ -240,7 +240,7 @@ def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
             failures += 1
         if len(factors) > 2 * l.rank:
             failures += 1
-        if product_of_reflections(factors, l).matrix != gh.matrix:
+        if product_of_reflections(factors, l) != gh:
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 10.0

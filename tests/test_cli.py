@@ -218,6 +218,25 @@ def test_spinor_of_a_reflection_with_a_large_prime_norm(capsys):
     assert json.loads(out) == {"class": 10000000000037, "real_sign": 1, "reflections": 1}
 
 
+def test_spinor_with_three_large_primes_in_its_norm_exits_2(capsys):
+    # Q = N, a product of three primes near 10^9: its square class needs a
+    # factorization past the trial-division budget, so the command refuses
+    from geocycle.isometries import reflection
+    from geocycle.lattices import standard_lattice
+
+    n = 1000000007 * 1000000009 * 998244353
+    m = reflection(((n + 1) // 2, (n - 1) // 2), standard_lattice("bpq", 1, 1)).matrix
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "spinor", "--lattice", "bpq", "--p", "1", "--q", "1",
+        "--matrix", json.dumps([[str(x) for x in row] for row in m]),
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "matrix", ["[[true,0],[0,1]]", '["10","01"]', '{"10": 0, "01": 1}', '[{"1": 0}, {"0": 1}]']
 )

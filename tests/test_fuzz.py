@@ -31,6 +31,7 @@ from geocycle.isometries import (
 )
 from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
 from geocycle.obstructions import ROOT_NORM, enumerate_roots
+from geocycle.signs import random_admissible_v
 from geocycle.verify import random_isometry
 
 
@@ -268,3 +269,117 @@ def test_matrix_argument_fuzz(capsys):
         if kind not in ("isometry", "huge_int", "non_isometry"):
             assert code == 2, (kind, argv)
     assert len(seen) == 18
+
+
+def _fuzz_rational(rng):
+    return rng.choice([
+        str(rng.randint(-3, 3)),
+        f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}",
+        f"{rng.randint(-9, 9)}/0",
+        rng.choice(["", "x", "1.5", "1e3", "1e5000", "nan", "--", "3//4", " 1"]),
+    ])
+
+
+def _fuzz_int(rng, lo, hi):
+    return str(rng.randint(lo, hi)) if rng.random() < 0.9 else rng.choice(["", "x", "1.5", "1e3"])
+
+
+def _signs_argv(rng):
+    p, q = rng.randint(-1, 6), rng.randint(-1, 6)
+    if 1 <= p <= q and rng.random() < 0.6:
+        coords = random_admissible_v(p, q, rng).coords[: rng.choice([p, q])]
+        v = ",".join(str(x) for x in coords)
+    else:
+        v = ",".join(_fuzz_rational(rng) for _ in range(rng.randint(0, 7)))
+    return ["signs", "--p", str(p), "--q", str(q), "--v", v]
+
+
+def _lattice_options(rng, flag):
+    kind = rng.choice(["bpq", "bpq", "hyperbolic", "e8_pos", "e8_neg", "k3", "leech", ""])
+    argv = [flag, kind]
+    for name in ("--p", "--q"):
+        if rng.random() < 0.8:
+            argv += [name, _fuzz_int(rng, -1, 4)]
+    return argv
+
+
+def _roots_argv(rng):
+    if rng.random() < 0.2:
+        block = rng.choice(["h:1", "h:3", "e8:1", "e8:2", "e8:3", "x"])
+        return ["roots", "--lattice", rng.choice(["k3", "k3", "bpq"]), "--bound",
+                _fuzz_int(rng, -1, 2), "--block", block]
+    argv = ["roots", *_lattice_options(rng, "--lattice"), "--bound", _fuzz_int(rng, -2, 2)]
+    if "k3" in argv:  # k3 at bound 1 already exits 2 on the node budget, slowly
+        argv[argv.index("--bound") + 1] = "0"
+    return argv
+
+
+def _lattice_argv(rng):
+    return ["lattice", *_lattice_options(rng, "--kind")] + (["--classify"] if rng.random() < 0.5 else [])
+
+
+def _spec_json(rng):
+    def pair():
+        return rng.choice([
+            [_fuzz_rational(rng), _fuzz_rational(rng)],
+            ["5/4", "3/4"],
+            [1],
+            [],
+            "5/4",
+            {"0": 1, "1": 2},
+            None,
+            3,
+        ])
+
+    doc = {
+        "p": rng.randint(-1, 3), "q": rng.randint(-1, 4), "n": rng.randint(-1, 5),
+        "m": rng.choice([rng.randint(-1, 4), "2", None, [1]]), "boost": pair(),
+    }
+    doc["rotation" if rng.random() < 0.5 else "t"] = pair() if rng.random() < 0.5 else _fuzz_rational(rng)
+    for key in list(doc):
+        if rng.random() < 0.1:
+            del doc[key]
+    return json.dumps(doc if rng.random() < 0.9 else rng.choice([[doc], "x", 3]))
+
+
+def _arrange_argv(rng):
+    if rng.random() < 0.3:
+        return ["arrange", "--spec-json", _spec_json(rng)]
+    argv = ["arrange"]
+    for name, lo, hi in (("--p", -1, 3), ("--q", -1, 4), ("--n", -1, 8)):
+        if rng.random() < 0.9:
+            argv += [name, _fuzz_int(rng, lo, hi)]
+    if rng.random() < 0.6:
+        argv.append("--auto-params")
+    else:
+        argv += ["--m", _fuzz_int(rng, -1, 5), "--t", _fuzz_rational(rng)]
+    if rng.random() < 0.3:
+        argv += ["--boost-a", _fuzz_rational(rng), "--boost-b", _fuzz_rational(rng)]
+    return argv
+
+
+def test_command_line_argv_fuzz(capsys):
+    # seeded argv for every subcommand but spinor/congruence (their --matrix
+    # is fuzzed above): exit 0, 1 or 2 without a traceback; 0/1 print
+    # exactly one JSON document and 2 prints nothing on stdout
+    from geocycle.cli import main
+
+    rng = random.Random(239)
+    makers = [_signs_argv, _roots_argv, _lattice_argv, _arrange_argv]
+    argvs = [rng.choice(makers)(rng) for _ in range(160)]
+    argvs += [["verify-all", "--seed", "7"], ["--seed", "8", "verify-all"]]
+    codes = set()
+    for argv in argvs:
+        if rng.random() < 0.2 and argv[0] != "arrange":
+            argv = ["--csv", *argv] if rng.random() < 0.5 else [*argv, "--json"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if code in (0, 1):
+            assert out.endswith("\n") and out.count("\n") == 1, argv
+            json.loads(out)
+        else:
+            assert out == "", argv
+    assert {0, 2} <= codes

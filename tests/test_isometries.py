@@ -1,13 +1,17 @@
 """Isometries, reflections, Cartan-Dieudonne and spinor norms.
 
-Two independent oracles sit next to the unit tests. The dense
-Cartan-Dieudonne factorization builds every reflection as a full matrix and
-multiplies it in; the rank-one kernel must return the same vectors. The
-Zassenhaus spinor norm (H. Zassenhaus, "On the spinor norm", Arch. Math. 13,
-1962) is the square class of det[2 B((1-g)e_i, e_j)] over the pivot columns
-i, j of 1-g, with no factorization at all; `spinor_norm` must agree with it.
+Independent oracles sit next to the unit tests. Two Cartan-Dieudonne walks
+hold the current map as a Fraction matrix: the dense one builds every
+reflection as a full matrix and multiplies it in, the other applies it as a
+Fraction rank-one update. The integer kernel, which holds an isometry as an
+integer matrix over one denominator, must return the same vectors and the
+same matrices as both. The Zassenhaus spinor norm (H. Zassenhaus, "On the
+spinor norm", Arch. Math. 13, 1962) is the square class of
+det[2 B((1-g)e_i, e_j)] over the pivot columns i, j of 1-g, with no
+factorization at all; `spinor_norm` must agree with it.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,6 +19,7 @@ import pytest
 
 from geocycle.errors import (
     AmbientMismatch,
+    BudgetExceeded,
     DetMinusOne,
     FormNotPreserved,
     IsotropicVector,
@@ -68,9 +73,10 @@ def dense_reflection_matrix(x, l):
     )
 
 
-def dense_cartan_dieudonne(g):
-    """Oracle: the same walk over the diagonalizing basis, with each
-    reflection built as a full matrix and multiplied in densely."""
+def walk_cartan_dieudonne(g, reflect):
+    """Oracle: the walk over the diagonalizing basis, with the current map
+    held as a Fraction matrix and each reflection applied by
+    reflect(x, lattice, matrix)."""
     l = g.lattice
     current = g.matrix
     vectors = []
@@ -83,9 +89,56 @@ def dense_cartan_dieudonne(g):
         steps = [w] if eval_form(l, w, w) != 0 else [vec_add(u, b), b]
         for x in steps:
             vectors.append(x)
-            current = mat_mul(dense_reflection_matrix(x, l), current)
+            current = reflect(x, l, current)
     assert current == identity_matrix(l.rank)
+    assert len(vectors) <= 2 * l.rank
     return vectors
+
+
+def dense_cartan_dieudonne(g):
+    """Each reflection built as a full matrix and multiplied in densely."""
+    return walk_cartan_dieudonne(g, lambda x, l, m: mat_mul(dense_reflection_matrix(x, l), m))
+
+
+def fraction_reflect(x, l, m):
+    """Oracle: R_x.m = m - (2/Q(x)).x.((gram.x)^T.m) as a rank-one update
+    of the Fraction matrix m, zero entries skipped."""
+    v = as_vector(x)
+    n = l.rank
+    gram = l.gram
+    pairing = [sum(gram[i][j] * v[j] for j in range(n) if gram[i][j] and v[j]) for i in range(n)]
+    q = sum((vi * pi for vi, pi in zip(v, pairing) if vi and pi), F(0))
+    c = [F(0)] * len(m[0]) if m else []
+    for pi, row in zip(pairing, m):
+        if pi:
+            c = [ck + pi * rk if rk else ck for ck, rk in zip(c, row)]
+    scale = F(2) / q
+    out = []
+    for vi, row in zip(v, m):
+        if vi:
+            f = scale * vi
+            row = tuple(rk - f * ck if ck else rk for rk, ck in zip(row, c))
+        out.append(row)
+    return tuple(out)
+
+
+def fraction_product(vectors, l):
+    """Oracle: reflection(x_1) . ... . reflection(x_k) as a Fraction matrix."""
+    out = identity_matrix(l.rank)
+    for v in reversed(vectors):
+        out = fraction_reflect(v, l, out)
+    return out
+
+
+def fraction_cartan_dieudonne(g):
+    """Each reflection applied by fraction_reflect."""
+    return walk_cartan_dieudonne(g, fraction_reflect)
+
+
+def assert_normalized(g):
+    # den > 0 and gcd(num, den) = 1: the form that makes equal isometries equal
+    assert g.den > 0
+    assert math.gcd(g.den, *(a for row in g.num for a in row)) == 1
 
 
 def zassenhaus_spinor_norm(g):
@@ -345,8 +398,30 @@ def oracle_isometries():
 
 @pytest.mark.parametrize("g", oracle_isometries())
 def test_rank_one_factorization_matches_oracles(g):
+    l = g.lattice
     vectors = cartan_dieudonne(g)
     assert vectors == dense_cartan_dieudonne(g)
+    assert vectors == fraction_cartan_dieudonne(g)
+    # one isometry reached two ways: from its reflections and from its matrix
+    oracle = fraction_product(vectors, l)
+    h = product_of_reflections(vectors, l)
+    k = isometry_from_matrix(oracle, l)
+    for iso in (g, h, k):
+        assert_normalized(iso)
+        assert iso.matrix == oracle
+        assert iso.det == det(oracle) == (-1) ** len(vectors)
+    assert g == h == k and hash(g) == hash(h) == hash(k)
+    # products and images against Fraction matrix products
+    _, basis = diagonalize_symmetric(l.gram_matrix())
+    r = reflection(basis[0], l)
+    for a, b in ((g, g), (g, r), (r, g)):
+        ab = compose(a, b)
+        assert_normalized(ab)
+        assert ab.matrix == mat_mul(a.matrix, b.matrix)
+        assert ab.det == a.det * b.det
+    rng = random.Random(len(vectors))
+    for v in basis[:3] + (tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(l.rank)),):
+        assert g.apply(v) == mat_vec(g.matrix, v)
     assert spinor_norm(g) == zassenhaus_spinor_norm(g)
     assert spinor_norm(g, vectors) == zassenhaus_spinor_norm(g)
 
@@ -448,3 +523,13 @@ def test_squarefree_part_of_a_large_prime_is_fast():
     assert squarefree_part(p) == p
     assert square_class(F(4 * ((p + 1) // 2) ** 2, p)) == SquareClass(p, 1)
     assert squarefree_part(-7 * p * p) == -7
+
+
+def test_squarefree_part_of_three_large_primes_exceeds_the_budget():
+    # d^3 <= n until d ~ 10^9, far past the trial-division budget; the class
+    # is not certified, so it raises rather than returning one
+    with pytest.raises(BudgetExceeded):
+        squarefree_part(1000000007 * 1000000009 * 998244353)
+    assert squarefree_part(-1000000007 * 1000000009) == -1000000007 * 1000000009
+    assert squarefree_part(1000000007**2 * 998244353**2 * 6) == 6
+

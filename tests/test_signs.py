@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from geocycle.errors import InadmissibleV, NotOrthogonalPair
-from geocycle.linalg import as_matrix, det, identity_matrix
+from geocycle.linalg import as_matrix, det, identity_matrix, mat_mul, transpose
 from geocycle.signs import (
     admissible_v,
     build_k,
@@ -15,8 +15,7 @@ from geocycle.signs import (
     random_admissible_v,
     reflection_blocks,
     stereographic_unit_vector,
-    transport,
-    _diagonal_unit,
+    transport_diagonal_unit,
 )
 
 V22 = admissible_v(2, [F(3, 5), F(4, 5)])
@@ -28,6 +27,16 @@ def expected_diagonal(p):
         tuple(F(-1 if (i == j and i < p - 1) else (1 if i == j else 0)) for j in range(p))
         for i in range(p)
     )
+
+
+def _diagonal_unit(i, p, q):
+    return tuple(tuple(F(int(r == i and c == i)) for c in range(q)) for r in range(p))
+
+
+def transport(diamond, star, x):
+    """Oracle: the tangent action C -> diamond . C . star^T as two dense
+    products."""
+    return mat_mul(mat_mul(diamond, x), transpose(star))
 
 
 def epsilon_full_determinant_oracle(diamond, star, v):
@@ -218,6 +227,46 @@ def test_epsilon_against_full_determinant_oracle():
         for _ in range(10):
             v = random_admissible_v(p, q, rng)
             diamond, star = random_signed_permutation_pair(p, q, rng)
+            assert epsilon_general(diamond, star, v) == epsilon_full_determinant_oracle(
+                diamond, star, v
+            )
+
+
+def householder(n, rng):
+    """I - 2uu^T along a random rational unit vector u: orthogonal, det -1,
+    with dense rational entries."""
+    u = stereographic_unit_vector([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n - 1)])
+    return tuple(tuple(F(int(i == j)) - 2 * u[i] * u[j] for j in range(n)) for i in range(n))
+
+
+def random_orthogonal_pairs(p, q, rng):
+    """Pairs epsilon_general accepts: the canonical reflection blocks, a
+    signed permutation pair, and that pair times two Householder factors."""
+    v = random_admissible_v(p, q, rng)
+    diamond, star = random_signed_permutation_pair(p, q, rng)
+    dense = (mat_mul(diamond, householder(p, rng)), mat_mul(star, householder(q, rng)))
+    return v, [reflection_blocks(p, q, v), (diamond, star), dense]
+
+
+def test_outer_product_transport_matches_dense_products():
+    rng = random.Random(17)
+    for p in range(1, 7):
+        for q in range(p, 7):
+            v, pairs = random_orthogonal_pairs(p, q, rng)
+            for diamond, star in pairs:
+                for i in range(p):
+                    assert transport_diagonal_unit(diamond, star, i) == transport(
+                        diamond, star, _diagonal_unit(i, p, q)
+                    )
+                epsilon_general(diamond, star, v)  # accepted as an S(O(p) x O(q)) pair
+
+
+def test_epsilon_of_dense_pairs_against_full_determinant_oracle():
+    rng = random.Random(19)
+    for p, q in ((1, 3), (2, 2), (2, 3), (3, 3)):
+        for _ in range(3):
+            v, pairs = random_orthogonal_pairs(p, q, rng)
+            diamond, star = pairs[2]
             assert epsilon_general(diamond, star, v) == epsilon_full_determinant_oracle(
                 diamond, star, v
             )
