@@ -163,16 +163,15 @@ def base_hyperplane_normal(spec: ArrangementSpec) -> tuple[Fraction, ...]:
 
 
 def build_family(spec: ArrangementSpec) -> tuple[list[Flat], list[Hyperplane]]:
-    """Flats F_k and hyperplanes H_l for 0 <= k, l <= n, as rotated copies of
-    the base pair."""
+    """Flats F_k and hyperplanes H_l for 0 <= k, l <= n: the base pair, then
+    each next pair translated from the last by the generator rotation."""
     l = spec.lattice()
-    base_flat = standard_flat(spec.p, spec.q, l)
-    base_hyper = hyperplane_new(base_hyperplane_normal(spec), l)
-    flats, hypers = [], []
-    for k in range(spec.n + 1):
-        rk = rotation_isometry(rotation_power(spec.rotation, k), spec.p, spec.q, l)
-        flats.append(translate(rk, base_flat))
-        hypers.append(translate(rk, base_hyper))
+    r = rotation_isometry(spec.rotation, spec.p, spec.q, l)
+    flats = [standard_flat(spec.p, spec.q, l)]
+    hypers = [hyperplane_new(base_hyperplane_normal(spec), l)]
+    for _ in range(spec.n):
+        flats.append(translate(r, flats[-1]))
+        hypers.append(translate(r, hypers[-1]))
     return flats, hypers
 
 
@@ -318,7 +317,10 @@ def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
         rotation = RotationPair(*_spec_pair(d, "rotation"))
     else:
         rotation = rotation_from_tangent(frac(d["t"]))
-    return ArrangementSpec(int(d["p"]), int(d["q"]), boost, int(d["m"]), rotation, int(d["n"]))
+    p, q, m, n = (d[key] for key in ("p", "q", "m", "n"))
+    if any(isinstance(x, (bool, float)) for x in (p, q, m, n)):  # int() would truncate them
+        raise ValueError(f"arrangement spec p, q, m and n must be integers, got {[p, q, m, n]}")
+    return ArrangementSpec(int(p), int(q), boost, int(m), rotation, int(n))
 
 
 DEFAULT_BOOST = BoostParams(Fraction(5, 4), Fraction(3, 4))

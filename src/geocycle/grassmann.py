@@ -10,8 +10,10 @@ The criterion has a closed form. The complement v^perp of the normal v meets
 a hyperbolic block <x, y> in the line through w = B(v,y)*x - B(v,x)*y (the
 whole block when B(v,x) = B(v,y) = 0), and the line's sign is that of
 Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y). Lines
-and normals are projective, so block bases and the functional B(v, .) are
-stored as primitive integer vectors and every verdict is integer arithmetic.
+and normals are projective, so a flat is held as the primitive integer rows
+of its blocks and its rest, certified once on their integer Gram matrix, and
+the functional B(v, .) as a primitive integer vector: every verdict is
+integer arithmetic. The RREF subspaces of a flat are derived on demand.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -50,21 +54,36 @@ def gr_point(plane: Subspace, l: QuadLattice) -> GrPoint:
     return GrPoint(l, plane)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flat:
-    """Orthogonal splitting into hyperbolic 2-blocks plus a negative rest."""
+    """Orthogonal splitting into hyperbolic 2-blocks plus a negative rest,
+    held as primitive integer rows. `blocks` and `rest` are the derived RREF
+    subspaces; flats are equal iff their lattices and subspaces are."""
 
     lattice: QuadLattice
-    blocks: tuple[Subspace, ...]  # each of restricted inertia (1,1,0)
-    rest: Subspace  # negative definite, possibly zero-dimensional
-    # per block: primitive integer basis x, y and Q(x), B(x,y), Q(y)
-    int_blocks: tuple[tuple[IntVec, IntVec, int, int, int], ...] = field(
-        compare=False, repr=False
-    )
+    # per block, of inertia (1,1,0): the basis x, y and Q(x), B(x,y), Q(y)
+    int_blocks: tuple[tuple[IntVec, IntVec, int, int, int], ...]
+    int_rest: tuple[IntVec, ...]  # negative definite, possibly empty
+
+    @cached_property
+    def blocks(self) -> tuple[Subspace, ...]:
+        return tuple(span([x, y], ambient=self.lattice.rank) for x, y, *_ in self.int_blocks)
+
+    @cached_property
+    def rest(self) -> Subspace:
+        return span(self.int_rest, ambient=self.lattice.rank)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.int_blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.blocks, self.rest) == (other.lattice, other.blocks, other.rest)
+
+    def __hash__(self):
+        return hash((self.lattice, self.blocks, self.rest))
 
 
 @dataclass(frozen=True)
@@ -90,7 +109,8 @@ class IntersectionVerdict:
 
 
 def _primitive(v) -> IntVec:
-    """The primitive integer vector on the ray of a nonzero rational vector."""
+    """The primitive integer vector on the ray of a nonzero rational (or
+    integer) vector."""
     scale = math.lcm(*(x.denominator for x in v))
     ints = [x.numerator * (scale // x.denominator) for x in v]
     g = math.gcd(*ints)
@@ -99,11 +119,41 @@ def _primitive(v) -> IntVec:
 
 def _int_pairing(l: QuadLattice, x: IntVec) -> IntVec:
     """The integer functional gram.x, i.e. z -> B(x, z)."""
-    return tuple(sum(g * c for g, c in zip(row, x) if g and c) for row in l.gram)
+    return tuple(sum(map(mul, row, x)) for row in l.gram)
 
 
 def _int_dot(x: IntVec, y: IntVec) -> int:
-    return sum(a * b for a, b in zip(x, y) if a and b)
+    return sum(map(mul, x, y))
+
+
+def _certified_flat(parts, l: QuadLattice) -> Flat:
+    """Certify and build a flat from primitive integer rows: one list of
+    independent rows per block, then the rest's.
+
+    Everything is read off the integer Gram matrix V.G.V^T of all the rows:
+    each block has inertia (1,1,0), the rest is negative definite, entries
+    between parts vanish, and, as pairwise orthogonal nondegenerate parts
+    are independent, they span the space iff 2*blocks + dim rest = rank.
+    """
+    rows = [row for part in parts for row in part]
+    gram = [[_int_dot(gx, y) for y in rows] for gx in (_int_pairing(l, x) for x in rows)]
+    cuts = list(itertools.accumulate(map(len, parts), initial=0))
+    *subs, rest_gram = [[row[a:b] for row in gram[a:b]] for a, b in zip(cuts, cuts[1:])]
+    for i, g in enumerate(subs):
+        if len(g) != 2 or g[0][0] * g[1][1] - g[0][1] * g[1][0] >= 0:
+            sig = linalg.inertia(g)
+            raise WrongInertia(f"block {i} has restricted inertia {sig}, expected (1, 1, 0)")
+    rest_sig = linalg.inertia(rest_gram)
+    if rest_sig != (0, len(rest_gram), 0):
+        raise WrongInertia(f"rest has restricted inertia {rest_sig}, expected negative definite")
+    part_of = [i for i, part in enumerate(parts) for _ in part]
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        if gram[a][b] and part_of[a] != part_of[b]:
+            raise NotOrthogonal(f"components {part_of[a]} and {part_of[b]} are not orthogonal")
+    if 2 * len(subs) + len(rest_gram) != l.rank:
+        raise NotSpanning(f"components span only {len(rows)} of {l.rank} dimensions")
+    int_blocks = tuple((x, y, g[0][0], g[0][1], g[1][1]) for (x, y), g in zip(parts, subs))
+    return Flat(l, int_blocks, tuple(parts[-1]))
 
 
 def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
@@ -111,35 +161,14 @@ def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
 
     Each block must restrict to inertia (1,1,0), the rest to a negative
     definite form; all components must be pairwise orthogonal and together
-    span the ambient space.
+    span the ambient space. Each component's rows are reduced to a basis
+    by one RREF, and the certificate then runs on its primitive integer rows.
     """
-    blocks = tuple(span(rows, ambient=l.rank) for rows in u_bases)
+    blocks = [span(rows, ambient=l.rank) for rows in u_bases]
     if not blocks:
         raise ValueError("a flat needs at least one hyperbolic block")
-    rest = span(n_basis, ambient=l.rank)
-    for i, b in enumerate(blocks):
-        sig = restricted_definiteness(b, l)
-        if sig != (1, 1, 0):
-            raise WrongInertia(f"block {i} has restricted inertia {sig}, expected (1, 1, 0)")
-    rest_sig = restricted_definiteness(rest, l)
-    if rest_sig != (0, rest.dim, 0):
-        raise WrongInertia(f"rest has restricted inertia {rest_sig}, expected negative definite")
-    parts = list(blocks) + [rest]
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for x in parts[i].basis:
-                for y in parts[j].basis:
-                    if eval_form(l, x, y) != 0:
-                        raise NotOrthogonal(f"components {i} and {j} are not orthogonal")
-    total = span([row for part in parts for row in part.basis], ambient=l.rank)
-    if total.dim != l.rank:
-        raise NotSpanning(f"components span only {total.dim} of {l.rank} dimensions")
-    int_blocks = []
-    for b in blocks:
-        x, y = (_primitive(row) for row in b.basis)
-        gx = _int_pairing(l, x)
-        int_blocks.append((x, y, _int_dot(gx, x), _int_dot(gx, y), _int_dot(_int_pairing(l, y), y)))
-    return Flat(l, blocks, rest, tuple(int_blocks))
+    parts = blocks + [span(n_basis, ambient=l.rank)]
+    return _certified_flat([[_primitive(row) for row in part.basis] for part in parts], l)
 
 
 def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
@@ -176,7 +205,7 @@ def _rest_clause_holds(flat: Flat, hyper: Hyperplane) -> bool:
     """The hyperplane's line meets the rest's orthogonal complement
     trivially, i.e. B(v, r) != 0 for some rest basis vector r (false for a
     zero-dimensional rest)."""
-    return any(linalg.dot(hyper.functional, r) != 0 for r in flat.rest.basis)
+    return any(_int_dot(hyper.functional, r) != 0 for r in flat.int_rest)
 
 
 def general_position(
@@ -203,7 +232,7 @@ def general_position(
     lines = _block_lines(flat, hyper)
     if any(line is None for line in lines):
         return False
-    if not (skip_rest_clause_when_empty and flat.rest.dim == 0):
+    if not (skip_rest_clause_when_empty and not flat.int_rest):
         if not _rest_clause_holds(flat, hyper):
             return False
     if mode == "strong":
@@ -270,23 +299,21 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
-    Rebuilds through the validating constructors, so every invariant is
-    re-certified on the image.
+    A flat's integer rows are mapped through g's integer matrix and taken
+    primitive (g's denominator only rescales them), then the image is
+    re-certified on its integer Gram matrix. Hyperplanes and points are
+    rebuilt through their validating constructors.
     """
+    if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
+        raise TypeError(f"cannot translate {type(obj).__name__}")
+    _check_same_lattice(g, obj)
     if isinstance(obj, Flat):
-        _check_same_lattice(g, obj)
-        return flat_new(
-            [[g.apply(row) for row in b.basis] for b in obj.blocks],
-            [g.apply(row) for row in obj.rest.basis],
-            obj.lattice,
-        )
+        def image(x):
+            return _primitive([sum(map(mul, row, x)) for row in g.num])
+
+        parts = [[image(x), image(y)] for x, y, *_ in obj.int_blocks]
+        return _certified_flat(parts + [[image(r) for r in obj.int_rest]], obj.lattice)
     if isinstance(obj, Hyperplane):
-        _check_same_lattice(g, obj)
         return hyperplane_new(g.apply(obj.normal), obj.lattice)
-    if isinstance(obj, GrPoint):
-        _check_same_lattice(g, obj)
-        return gr_point(
-            span([g.apply(row) for row in obj.plane.basis], ambient=obj.lattice.rank),
-            obj.lattice,
-        )
-    raise TypeError(f"cannot translate {type(obj).__name__}")
+    plane = span([g.apply(row) for row in obj.plane.basis], ambient=obj.lattice.rank)
+    return gr_point(plane, obj.lattice)

@@ -70,34 +70,12 @@ def as_matrix(rows: Iterable[Iterable]) -> Mat:
     return m
 
 
-def zero_vector(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def identity_matrix(n: int) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
-
-
-def vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in x)
-
-
-def dot(x: Vec, y: Vec) -> Fraction:
-    """Plain coordinate dot product (no bilinear form involved)."""
-    return sum((a * b for a, b in zip(x, y)), ZERO)
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -350,14 +328,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         + tuple(-b.basis[j][i] for j in range(b.dim))
         for i in range(a.ambient)
     )
-    vectors = []
-    for coeffs in kernel(stacked):
-        x = zero_vector(a.ambient)
-        for u, row in zip(coeffs[: a.dim], a.basis):
-            if u:
-                x = vec_add(x, vec_scale(u, row))
-        vectors.append(x)
-    return span(vectors, ambient=a.ambient)
+    columns = transpose(a.basis)
+    return span([mat_vec(columns, u[: a.dim]) for u in kernel(stacked)], ambient=a.ambient)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

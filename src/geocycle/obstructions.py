@@ -358,10 +358,6 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     return _join(blocks, tables, ROOT_NORM, l.rank, budget)
 
 
-def is_root(l: QuadLattice, coords: Sequence[int]) -> bool:
-    return eval_form(l, coords, coords) == ROOT_NORM
-
-
 def plane_orthogonal_to(u: Subspace, delta, l: QuadLattice) -> bool:
     """Containment test: does the plane sit inside the vector's orthogonal
     complement? True iff every basis vector pairs to zero with it."""
@@ -394,16 +390,6 @@ def inner_product(rows) -> Mat:
     if sig != (n, 0, 0):
         raise WrongInertia(f"inner product must be positive definite, got inertia {sig}")
     return beta
-
-
-def unit_volume_scale(beta: Mat) -> float:
-    """Display-only multiplier carrying beta to determinant 1.
-
-    Exact arithmetic cannot take n-th roots, and every predicate here is
-    scale-invariant anyway; this float is for presentation.
-    """
-    d = linalg.det(beta)
-    return float(d) ** (-1.0 / len(beta))
 
 
 def beta_orthogonal(beta: Mat, p_sub: Subspace, l_sub: Subspace) -> bool:

@@ -170,6 +170,36 @@ def test_family_hyperplanes_are_rotated_copies():
         assert flats[k] == translate(rk, standard_flat(2, 3, l))
 
 
+def test_family_cost_is_linear_in_n(monkeypatch):
+    # each flat and hyperplane is the last one translated by the generator:
+    # no RREF beyond the base flat's, one certified rotation at every n
+    import geocycle.arrangement as arrangement
+    import geocycle.linalg as linalg
+
+    counts = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(linalg, "rref")
+    counting(arrangement, "isometry_from_matrix")
+    seen = []
+    for n in (5, 32):
+        counts.clear()
+        m, t = search_parameters(3, 4, n, DEFAULT_BOOST)
+        flats, hypers = build_family(arrangement_spec(3, 4, n, DEFAULT_BOOST, m, t))
+        assert len(flats) == len(hypers) == n + 1
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["isometry_from_matrix"] == 1
+
+
 def test_rotated_block_cut_line_has_the_derived_ratio():
     # the line the complement cuts out of the rotated first block is
     # X * r^k(e_1) + Y * r^k(f_1) with X/Y = a_m/b_m + tan(k angle)/b_m,
@@ -177,7 +207,7 @@ def test_rotated_block_cut_line_has_the_derived_ratio():
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))
     flats, hypers = build_family(spec)
     bp = boost_power(DEFAULT_BOOST, 3)
-    from geocycle.linalg import intersect, vec_add, vec_scale, span
+    from geocycle.linalg import intersect, span
 
     complement = perp(span([hypers[0].normal], ambient=5), spec.lattice())
     for k in (1, 2, 3):
@@ -188,7 +218,7 @@ def test_rotated_block_cut_line_has_the_derived_ratio():
         assert line.dim == 1
         rot_e1 = (rk.c, rk.s, F(0), F(0), F(0))
         rot_f1 = (F(0), F(0), rk.c, rk.s, F(0))
-        expected = span([vec_add(vec_scale(ratio, rot_e1), rot_f1)], ambient=5)
+        expected = span([tuple(ratio * a + b for a, b in zip(rot_e1, rot_f1))], ambient=5)
         assert line == expected
 
 

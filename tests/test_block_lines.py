@@ -1,4 +1,5 @@
-"""The closed-form block-line kernel against the general subspace kernel.
+"""The closed-form block-line kernel against the general subspace kernel,
+and the integer flat certificate against the Fraction one it replaced.
 
 The oracle computes every verdict with the general machinery: the line cut
 out of each block is intersect(perp(<v>), block), its sign comes from
@@ -8,9 +9,15 @@ component basis by a matrix inverse, flips the block coordinates and tests
 whether the image stays on <v>. Tags, reasons, Point planes, both
 general-position modes and the stabilizer sign patterns must agree with the
 kernel on every input below.
+
+The flat oracle is the Fraction flat_new: RREF spans, restricted inertia
+and eval_form pairs. It must agree with flat_new on accept or reject, on
+the exception class and on the block and rest subspaces, and every flat a
+family or a translate builds must have the subspaces it gives.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,10 +28,14 @@ from geocycle.arrangement import (
     DEFAULT_BOOST,
     arrangement_spec,
     build_family,
+    rotation_isometry,
+    rotation_power,
     search_parameters,
     standard_flat,
 )
+from geocycle.errors import AmbientMismatch, NotOrthogonal, NotSpanning, WrongInertia
 from geocycle.grassmann import (
+    flat_new,
     general_position,
     hyperplane_new,
     intersect_flat_hyperplane,
@@ -109,8 +120,96 @@ def assert_matches_oracle(flat, hyper):
     assert stabilizer_sign_patterns(flat, hyper) == oracle_stabilizer(flat, hyper)
 
 
+def fraction_flat_new(u_bases, n_basis, l):
+    """The Fraction certificate flat_new ran before flats were integer rows:
+    an RREF span per component, restricted inertia of each, eval_form over
+    every cross pair, and an RREF span of everything. Returns the block
+    subspaces and the rest subspace."""
+    blocks = tuple(span(rows, ambient=l.rank) for rows in u_bases)
+    if not blocks:
+        raise ValueError("a flat needs at least one hyperbolic block")
+    rest = span(n_basis, ambient=l.rank)
+    for i, b in enumerate(blocks):
+        sig = restricted_definiteness(b, l)
+        if sig != (1, 1, 0):
+            raise WrongInertia(f"block {i} has restricted inertia {sig}, expected (1, 1, 0)")
+    rest_sig = restricted_definiteness(rest, l)
+    if rest_sig != (0, rest.dim, 0):
+        raise WrongInertia(f"rest has restricted inertia {rest_sig}, expected negative definite")
+    parts = list(blocks) + [rest]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            for x in parts[i].basis:
+                for y in parts[j].basis:
+                    if eval_form(l, x, y) != 0:
+                        raise NotOrthogonal(f"components {i} and {j} are not orthogonal")
+    total = span([row for part in parts for row in part.basis], ambient=l.rank)
+    if total.dim != l.rank:
+        raise NotSpanning(f"components span only {total.dim} of {l.rank} dimensions")
+    return blocks, rest
+
+
+def flat_outcome(build, u_bases, n_basis, l):
+    """(block subspaces, rest subspace) of an accepted input, else the
+    class of the exception it raised."""
+    try:
+        made = build(u_bases, n_basis, l)
+    except Exception as e:
+        return type(e)
+    if isinstance(made, tuple):
+        return made
+    assert_integer_rows(made)
+    return made.blocks, made.rest
+
+
+def assert_integer_rows(flat):
+    """The flat's rows are primitive integer vectors and each block carries
+    the Q(x), B(x,y), Q(y) of its rows."""
+    l = flat.lattice
+    for x, y, qx, bxy, qy in flat.int_blocks:
+        assert (qx, bxy, qy) == (eval_form(l, x, x), eval_form(l, x, y), eval_form(l, y, y))
+    rows = [row for x, y, *_ in flat.int_blocks for row in (x, y)] + list(flat.int_rest)
+    assert all(isinstance(c, int) for row in rows for c in row)
+    assert all(math.gcd(*row) == 1 for row in rows)
+
+
+def assert_flat_new_matches_oracle(u_bases, n_basis, l):
+    expected = flat_outcome(fraction_flat_new, u_bases, n_basis, l)
+    assert flat_outcome(flat_new, u_bases, n_basis, l) == expected
+    return expected
+
+
+def assert_translate_matches_oracle(g, flat):
+    # the rows the Fraction translate fed to flat_new: g applied to the
+    # RREF bases of the flat's subspaces
+    l = flat.lattice
+    u_bases = [[g.apply(row) for row in b.basis] for b in flat.blocks]
+    n_basis = [g.apply(row) for row in flat.rest.basis]
+    image = translate(g, flat)
+    assert_integer_rows(image)
+    assert (image.blocks, image.rest) == assert_flat_new_matches_oracle(u_bases, n_basis, l)
+    return image
+
+
+def assert_family_flats_match_oracle(spec, flats):
+    # the Fraction build_family: the k-th rotation power, built from k = 0,
+    # applied to the standard flat's rows and certified by the Fraction oracle
+    l = spec.lattice()
+    base = standard_flat(spec.p, spec.q, l)
+    assert (base.blocks, base.rest) == assert_flat_new_matches_oracle(
+        [b.basis for b in base.blocks], base.rest.basis, l
+    )
+    for k, flat in enumerate(flats):
+        rk = rotation_isometry(rotation_power(spec.rotation, k), spec.p, spec.q, l)
+        u_bases = [[rk.apply(row) for row in b.basis] for b in base.blocks]
+        n_basis = [rk.apply(row) for row in base.rest.basis]
+        assert_integer_rows(flat)
+        assert (flat.blocks, flat.rest) == assert_flat_new_matches_oracle(u_bases, n_basis, l)
+
+
 def assert_family_matches(spec):
     flats, hypers = build_family(spec)
+    assert_family_flats_match_oracle(spec, flats)
     for hyper in hypers:
         for flat in flats:
             assert_matches_oracle(flat, hyper)
@@ -152,7 +251,7 @@ def test_special_normals_match_oracle(p, q, normal):
     hyper = hyperplane_new(normal, l)
     assert_matches_oracle(flat, hyper)
     g = verify.random_isometry(l, random.Random(sum(normal)), reflections=3)
-    assert_matches_oracle(translate(g, flat), translate(g, hyper))
+    assert_matches_oracle(assert_translate_matches_oracle(g, flat), translate(g, hyper))
 
 
 def test_random_strong_position_pairs_match_oracle():
@@ -177,7 +276,7 @@ def test_random_small_normals_match_oracle():
         l = standard_lattice("bpq", p, q)
         flat = standard_flat(p, q, l)
         g = verify.random_isometry(l, rng, reflections=2)
-        moved = translate(g, flat)
+        moved = assert_translate_matches_oracle(g, flat)
         for _ in range(40):
             normal = tuple(rng.randint(-1, 1) for _ in range(l.rank))
             if eval_form(l, normal, normal) >= 0:
@@ -185,3 +284,167 @@ def test_random_small_normals_match_oracle():
             hyper = hyperplane_new(normal, l)
             assert_matches_oracle(flat, hyper)
             assert_matches_oracle(moved, translate(g, hyper))
+
+
+# ------------------------------------------------------- the flat certificate
+
+
+def unit(i, n):
+    return [1 if j == i else 0 for j in range(n)]
+
+
+B22 = standard_lattice("bpq", 2, 2)
+B23 = standard_lattice("bpq", 2, 3)
+
+
+@pytest.mark.parametrize(
+    "u_bases,n_basis,l,error",
+    [
+        # the error cases of tests/test_grassmann.py
+        ([[unit(0, 4), unit(1, 4)], [unit(2, 4), unit(3, 4)]], [], B22, WrongInertia),
+        ([[unit(0, 5), unit(2, 5)], [unit(0, 5), unit(3, 5)]], [unit(4, 5)], B23, NotOrthogonal),
+        ([[unit(0, 4), unit(2, 4)]], [], B22, NotSpanning),
+        # no block, a row of the wrong length
+        ([], [unit(0, 4)], B22, ValueError),
+        ([[unit(0, 4), unit(2, 4)], [unit(1, 5), unit(3, 5)]], [], B22, AmbientMismatch),
+        # degenerate blocks: an isotropic line plus an orthogonal vector, a
+        # totally isotropic plane
+        ([[[1, 0, 1, 0, 0], unit(1, 5)], [[0, 1, 0, 1, 0], unit(4, 5)]], [unit(3, 5)], B23,
+         WrongInertia),
+        ([[[1, 0, 1, 0], [0, 1, 0, 1]], [unit(0, 4), unit(3, 4)]], [], B22, WrongInertia),
+        # a rest that is not negative definite, with everything else in order
+        ([[unit(0, 5), unit(2, 5)]], [unit(1, 5), unit(3, 5), unit(4, 5)], B23, WrongInertia),
+        # a degenerate rest
+        ([[unit(0, 5), unit(2, 5)], [unit(1, 5), unit(3, 5)]], [[0, 1, 0, 1, 0]], B23,
+         WrongInertia),
+    ],
+)
+def test_flat_new_error_cases_match_oracle(u_bases, n_basis, l, error):
+    assert assert_flat_new_matches_oracle(u_bases, n_basis, l) is error
+
+
+FLAT_INPUT_KINDS = (
+    "valid", "mixed", "rational", "dependent", "repeated", "zero", "one_row", "three_row",
+    "same_sign", "degenerate", "positive_rest", "non_orthogonal", "sheared_block",
+    "non_spanning", "dropped_block", "swapped", "random",
+)
+
+
+def random_flat_input(rng, kind):
+    """Block and rest rows of a flat over a small B(p, q), moved by a random
+    isometry, then broken (or not) in the way kind names."""
+    p = rng.randint(1, 3)
+    q = rng.randint(p, 4)
+    n = p + q
+    l = standard_lattice("bpq", p, q)
+    g = verify.random_isometry(l, rng, reflections=rng.randint(0, 2))
+
+    def image(v):
+        return list(g.apply(v))
+
+    def small():
+        return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    def combine(rows):
+        coeffs = [small() for _ in rows]
+        return [sum((c * r[i] for c, r in zip(coeffs, rows)), F(0)) for i in range(n)]
+
+    def scaled(row):
+        c = small()
+        return [c * x for x in row]
+
+    e = [image(unit(i, n)) for i in range(p)]
+    f = [image(unit(p + j, n)) for j in range(q)]
+    blocks = [[e[i], f[i]] for i in range(p)]
+    rest = f[p:]
+    parts = blocks + [rest]
+    nonempty = [part for part in parts if part]
+    if kind == "mixed":  # another basis of each block, possibly a singular one
+        blocks = [[combine(b), combine(b)] for b in blocks]
+    elif kind == "rational":
+        blocks = [[scaled(row) for row in b] for b in blocks]
+        rest = [scaled(row) for row in rest]
+    elif kind == "dependent":
+        part = rng.choice(nonempty)
+        part.append(combine(part))
+    elif kind == "repeated":
+        part = rng.choice(nonempty)
+        part.append(list(rng.choice(part)))
+    elif kind == "zero":
+        rng.choice(parts).append([0] * n)
+    elif kind == "one_row":
+        rng.choice(blocks).pop(rng.randrange(2))
+    elif kind == "three_row":
+        block = rng.choice(blocks)
+        donor = rest or [row for b in blocks if b is not block for row in b] or [combine(e + f)]
+        block.append(donor.pop())
+    elif kind == "same_sign":
+        i = rng.randrange(p)
+        blocks[i] = [f[i], f[-1]] if q > 1 else [e[i], e[-1]]
+    elif kind == "degenerate":  # an isotropic line plus an orthogonal vector
+        i = rng.randrange(p)
+        isotropic = [a + b for a, b in zip(e[i], f[i])]
+        others = [v for k, v in enumerate(e + f) if k not in (i, p + i)]
+        if p > 1 and rng.random() < 0.5:  # a totally isotropic plane
+            j = (i + 1) % p
+            others = [[a + b for a, b in zip(e[j], f[j])]]
+        blocks[i] = [isotropic, rng.choice(others or [isotropic])]
+    elif kind == "positive_rest":
+        rest.append(e[rng.randrange(p)])
+        if rest[:-1]:
+            rest.pop(0)
+    elif kind == "non_orthogonal" and rest:
+        j = rng.randrange(len(rest))
+        rest[j] = [a + small() * b for a, b in zip(rest[j], rng.choice(rng.choice(blocks)))]
+    elif kind == "sheared_block":
+        i = rng.randrange(p)
+        other = rng.choice([row for part in parts for row in part if part is not blocks[i]] or e)
+        blocks[i][1] = [a + small() * b for a, b in zip(blocks[i][1], other)]
+    elif kind == "non_spanning":
+        (rest or blocks).pop()
+    elif kind == "dropped_block":
+        blocks.pop(rng.randrange(p))
+    elif kind == "swapped" and q > p:  # block <e_i, f_j> and f_i in the rest
+        i, j = rng.randrange(p), rng.randrange(q - p)
+        blocks[i][1], rest[j] = rest[j], blocks[i][1]
+    elif kind == "random":
+        shape = [rng.randint(0, 3) for _ in range(rng.randint(0, p + 1))]
+        blocks = [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)] for k in shape]
+        rest = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, q))]
+    return blocks, rest, l
+
+
+def test_random_flat_inputs_match_oracle():
+    # 2040 seeded inputs, 120 of each kind: every kind must both reach the
+    # certificate and, across the run, give both accepts and rejects
+    rng = random.Random(409)
+    outcomes = {kind: set() for kind in FLAT_INPUT_KINDS}
+    for _ in range(120):
+        for kind in FLAT_INPUT_KINDS:
+            blocks, rest, l = random_flat_input(rng, kind)
+            got = assert_flat_new_matches_oracle(blocks, rest, l)
+            outcomes[kind].add(got if isinstance(got, type) else "accepted")
+    accepted = {kind for kind, seen in outcomes.items() if "accepted" in seen}
+    assert accepted >= {"valid", "mixed", "rational", "dependent", "repeated", "zero", "swapped"}
+    for kind in ("one_row", "three_row", "same_sign", "degenerate", "positive_rest"):
+        assert WrongInertia in outcomes[kind], kind
+    assert NotOrthogonal in outcomes["non_orthogonal"] | outcomes["sheared_block"]
+    assert NotSpanning in outcomes["non_spanning"] | outcomes["dropped_block"]
+    assert ValueError in outcomes["dropped_block"]
+    assert len(set().union(*outcomes.values())) == 5
+
+
+def test_translated_flat_equals_flat_new_of_its_subspaces():
+    # translate keeps the images of the integer rows, flat_new the primitive
+    # RREF rows: different rows, the same flat
+    l = standard_lattice("bpq", 2, 3)
+    flat = standard_flat(2, 3, l)
+    g = verify.random_isometry(l, random.Random(5), reflections=3)
+    image = translate(g, flat)
+    rebuilt = flat_new([b.basis for b in image.blocks], image.rest.basis, l)
+    assert image.int_blocks != rebuilt.int_blocks
+    assert image == rebuilt
+    assert hash(image) == hash(rebuilt)
+    swapped = flat_new([b.basis for b in reversed(image.blocks)], image.rest.basis, l)
+    assert swapped != image
+    assert image != flat

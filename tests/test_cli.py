@@ -186,6 +186,10 @@ def test_spinor_factors_once(capsys, monkeypatch):
         ["arrange", "--p", "2", "--q", "3", "--n", "5", "--m", "1", "--t", "1/0"],
         ["spinor", "--lattice", "bpq", "--p", "1", "--q", "1",
          "--matrix", '[["1e10000000",0],[0,1]]'],
+        ["arrange", "--spec-json",
+         '{"p": 2.9, "q": 3.5, "n": 2, "m": 3, "boost": ["5/4","3/4"], "t": "1/10"}'],
+        ["arrange", "--spec-json",
+         '{"p": 2, "q": 3, "n": 2, "m": true, "boost": ["5/4","3/4"], "t": "1/10"}'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

@@ -331,11 +331,19 @@ def _spec_json(rng):
             3,
         ])
 
+    if rng.random() < 0.2:  # a valid spec but for one size given as a float or a boolean
+        doc = {"p": 2, "q": 3, "n": rng.randint(1, 3), "m": 3, "boost": ["5/4", "3/4"], "t": "1/10"}
+        key = rng.choice(["p", "q", "n", "m"])
+        doc[key] = rng.choice([float(doc[key]), doc[key] + 0.5, True])
+        return json.dumps(doc)
     doc = {
         "p": rng.randint(-1, 3), "q": rng.randint(-1, 4), "n": rng.randint(-1, 5),
         "m": rng.choice([rng.randint(-1, 4), "2", None, [1]]), "boost": pair(),
     }
     doc["rotation" if rng.random() < 0.5 else "t"] = pair() if rng.random() < 0.5 else _fuzz_rational(rng)
+    for key in ("p", "q", "n", "m"):
+        if rng.random() < 0.25:  # a JSON float or boolean, integer-valued or not
+            doc[key] = rng.choice([2.0, 3.0, 2.9, 3.5, -1.5, 1e3, True, False])
     for key in list(doc):
         if rng.random() < 0.1:
             del doc[key]
@@ -358,10 +366,19 @@ def _arrange_argv(rng):
     return argv
 
 
+def _has_non_integer_size(spec_json):
+    """A --spec-json object whose p, q, n or m is a JSON float or boolean."""
+    doc = json.loads(spec_json)
+    return isinstance(doc, dict) and any(
+        isinstance(doc.get(key), (bool, float)) for key in ("p", "q", "n", "m")
+    )
+
+
 def test_command_line_argv_fuzz(capsys):
     # seeded argv for every subcommand but spinor/congruence (their --matrix
     # is fuzzed above): exit 0, 1 or 2 without a traceback; 0/1 print
-    # exactly one JSON document and 2 prints nothing on stdout
+    # exactly one JSON document and 2 prints nothing on stdout; a spec whose
+    # p, q, n or m is a float or a boolean exits 2
     from geocycle.cli import main
 
     rng = random.Random(239)
@@ -369,6 +386,7 @@ def test_command_line_argv_fuzz(capsys):
     argvs = [rng.choice(makers)(rng) for _ in range(160)]
     argvs += [["verify-all", "--seed", "7"], ["--seed", "8", "verify-all"]]
     codes = set()
+    non_integer = 0
     for argv in argvs:
         if rng.random() < 0.2 and argv[0] != "arrange":
             argv = ["--csv", *argv] if rng.random() < 0.5 else [*argv, "--json"]
@@ -382,4 +400,8 @@ def test_command_line_argv_fuzz(capsys):
             json.loads(out)
         else:
             assert out == "", argv
+        if argv[:2] == ["arrange", "--spec-json"] and _has_non_integer_size(argv[2]):
+            non_integer += 1
+            assert code == 2, argv
     assert {0, 2} <= codes
+    assert non_integer >= 3

@@ -49,8 +49,6 @@ from geocycle.linalg import (
     mat_vec,
     matrix_inverse,
     rref,
-    vec_add,
-    vec_sub,
 )
 
 B11 = standard_lattice("bpq", 1, 1)
@@ -85,8 +83,8 @@ def walk_cartan_dieudonne(g, reflect):
         u = mat_vec(current, b)
         if u == b:
             continue
-        w = vec_sub(u, b)
-        steps = [w] if eval_form(l, w, w) != 0 else [vec_add(u, b), b]
+        w = tuple(a - c for a, c in zip(u, b))
+        steps = [w] if eval_form(l, w, w) != 0 else [tuple(a + c for a, c in zip(u, b)), b]
         for x in steps:
             vectors.append(x)
             current = reflect(x, l, current)
@@ -269,7 +267,7 @@ def isotropic_difference_isometry():
     # the two-reflection workaround on the first step
     u = (F(1), F(2), F(2), F(0), F(0))
     e1 = (F(1), F(0), F(0), F(0), F(0))
-    to_e1 = compose(reflection(e1, B23), reflection(vec_add(u, e1), B23))
+    to_e1 = compose(reflection(e1, B23), reflection(tuple(a + b for a, b in zip(u, e1)), B23))
     return isometry_from_matrix(matrix_inverse(to_e1.matrix), B23), u, e1
 
 
