@@ -10,7 +10,6 @@ from .arrangement import (
     arrangement_spec,
     boost_power,
     build_family,
-    inequality_predicate,
     intersection_matrix,
     rotation_from_tangent,
     rotation_power,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import SearchExhausted
 from .grassmann import (
@@ -88,14 +89,18 @@ def rotation_from_tangent(t) -> RotationPair:
     return RotationPair((1 - t * t) / den, (-2 * t) / den)
 
 
+def _rotation_powers(r: RotationPair):
+    """(c_k, s_k) of r^k for k = 0, 1, 2, ...: one walk, one product a step."""
+    c, s = Fraction(1), Fraction(0)
+    while True:
+        yield c, s
+        c, s = c * r.c - s * r.s, s * r.c + c * r.s
+
+
 def rotation_power(r: RotationPair, k: int) -> RotationPair:
     if k < 0:
         raise ValueError("rotation power wants a nonnegative exponent")
-    c, s = Fraction(1), Fraction(0)
-    for _ in range(k):
-        c, s = c * r.c - s * r.s, s * r.c + c * r.s
-    out = RotationPair(c, s)
-    return out
+    return RotationPair(*next(islice(_rotation_powers(r), k, None)))
 
 
 @dataclass(frozen=True)
@@ -184,22 +189,24 @@ class InequalityDetail:
     upper: Fraction
 
 
-def inequality_detail(spec: ArrangementSpec, k: int) -> InequalityDetail:
-    """Exact evaluation of the emptiness inequality for the k-th rotated flat:
-    -(a_m + b_m) <= tan(k*angle) <= -(a_m - b_m)."""
-    if k < 1:
-        raise ValueError("the inequality is stated for k >= 1")
+def inequality_details(spec: ArrangementSpec, n: int) -> list[InequalityDetail]:
+    """Exact evaluation of the emptiness inequality for the k-th rotated flat,
+    -(a_m + b_m) <= tan(k*angle) <= -(a_m - b_m), for k = 1..n in one walk
+    over the rotation powers."""
     bp = boost_power(spec.boost, spec.m)
     lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
-    rk = rotation_power(spec.rotation, k)
-    if rk.c == 0:
-        return InequalityDetail(False, True, None, lower, upper)
-    tangent = rk.s / rk.c
-    return InequalityDetail(lower <= tangent <= upper, False, tangent, lower, upper)
+    tangents = (s / c if c else None for c, s in islice(_rotation_powers(spec.rotation), 1, n + 1))
+    return [
+        InequalityDetail(t is not None and lower <= t <= upper, t is None, t, lower, upper)
+        for t in tangents
+    ]
 
 
-def inequality_predicate(spec: ArrangementSpec, k: int) -> bool:
-    return inequality_detail(spec, k).holds
+def inequality_detail(spec: ArrangementSpec, k: int) -> InequalityDetail:
+    """The emptiness inequality for the k-th rotated flat alone."""
+    if k < 1:
+        raise ValueError("the inequality is stated for k >= 1")
+    return inequality_details(spec, k)[-1]
 
 
 @dataclass(frozen=True)
@@ -246,9 +253,7 @@ def _negative_tangents(rotation: RotationPair, limit: int) -> list[Fraction]:
     stopping at the first pole or sign change (where the inequality is
     unsatisfiable for every boost)."""
     out: list[Fraction] = []
-    c, s = Fraction(1), Fraction(0)
-    for _ in range(limit):
-        c, s = c * rotation.c - s * rotation.s, s * rotation.c + c * rotation.s
+    for c, s in islice(_rotation_powers(rotation), 1, limit + 1):
         if c == 0 or s / c >= 0:
             break
         out.append(s / c)

@@ -121,8 +121,7 @@ def _cmd_arrange(args):
     matrix = arr.intersection_matrix(spec)
     if args.emit_plot_data:
         rows = ["k,tangent,lower,upper"]
-        for k in range(1, spec.n + 1):
-            d = arr.inequality_detail(spec, k)
+        for k, d in enumerate(arr.inequality_details(spec, spec.n), start=1):
             rows.append(f"{k},{d.tangent if d.tangent is not None else 'pole'},{d.lower},{d.upper}")
         with open(args.emit_plot_data, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")

@@ -12,15 +12,16 @@ whole block when B(v,x) = B(v,y) = 0), and the line's sign is that of
 Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y). Lines
 and normals are projective, so a flat is held as the primitive integer rows
 of its blocks and its rest, certified once on their integer Gram matrix, and
-the functional B(v, .) as a primitive integer vector: every verdict is
-integer arithmetic. The RREF subspaces of a flat are derived on demand.
+a hyperplane as the primitive integer vector on its normal line: every
+verdict is integer arithmetic. Scaling v by c scales a, b and w by c and
+Q(w) by c^2, so no verdict depends on the vector chosen on the line. The
+RREF subspaces of a flat are derived on demand.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -33,8 +34,8 @@ from .errors import (
     WrongInertia,
 )
 from .isometries import Isometry
-from .lattices import QuadLattice, eval_form
-from .linalg import Subspace, Vec, restricted_definiteness, span
+from .lattices import QuadLattice, cleared, primitive, ray
+from .linalg import Subspace, restricted_definiteness, span
 
 IntVec = tuple[int, ...]
 
@@ -88,11 +89,17 @@ class Flat:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Locus of positive planes orthogonal to a fixed negative vector."""
+    """Locus of positive planes orthogonal to a negative line <v>, held as
+    the line's primitive integer vector with its first nonzero entry
+    positive: hyperplanes are equal iff their lattices and lines are."""
 
     lattice: QuadLattice
-    normal: Vec  # self-pairing < 0
-    functional: IntVec = field(compare=False, repr=False)  # primitive multiple of gram.normal
+    normal: IntVec  # Q(normal) < 0
+
+    @cached_property
+    def functional(self) -> IntVec:
+        """gram.normal, i.e. z -> B(normal, z)."""
+        return ray(self.normal, self.lattice)[1]
 
 
 @dataclass(frozen=True)
@@ -106,20 +113,6 @@ class IntersectionVerdict:
     tag: str
     point: GrPoint | None = None
     reason: str | None = None
-
-
-def _primitive(v) -> IntVec:
-    """The primitive integer vector on the ray of a nonzero rational (or
-    integer) vector."""
-    scale = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _int_pairing(l: QuadLattice, x: IntVec) -> IntVec:
-    """The integer functional gram.x, i.e. z -> B(x, z)."""
-    return tuple(sum(map(mul, row, x)) for row in l.gram)
 
 
 def _int_dot(x: IntVec, y: IntVec) -> int:
@@ -136,7 +129,7 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
     are independent, they span the space iff 2*blocks + dim rest = rank.
     """
     rows = [row for part in parts for row in part]
-    gram = [[_int_dot(gx, y) for y in rows] for gx in (_int_pairing(l, x) for x in rows)]
+    gram = [[_int_dot(gx, y) for y in rows] for gx in (ray(x, l)[1] for x in rows)]
     cuts = list(itertools.accumulate(map(len, parts), initial=0))
     *subs, rest_gram = [[row[a:b] for row in gram[a:b]] for a, b in zip(cuts, cuts[1:])]
     for i, g in enumerate(subs):
@@ -168,15 +161,23 @@ def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
     if not blocks:
         raise ValueError("a flat needs at least one hyperbolic block")
     parts = blocks + [span(n_basis, ambient=l.rank)]
-    return _certified_flat([[_primitive(row) for row in part.basis] for part in parts], l)
+    rows = [[primitive(cleared(row, l)[0]) for row in part.basis] for part in parts]
+    return _certified_flat(rows, l)
+
+
+def _certified_hyperplane(x, l: QuadLattice) -> Hyperplane:
+    """The hyperplane of the line through the integer vector x, whose Q
+    must be negative."""
+    normal, _, q = ray(x, l)
+    if q >= 0:
+        raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
+    return Hyperplane(l, normal)
 
 
 def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
-    v = linalg.as_vector(normal)
-    q = eval_form(l, v, v)
-    if q >= 0:
-        raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
-    return Hyperplane(l, v, _primitive(_int_pairing(l, _primitive(v))))
+    """The hyperplane orthogonal to a rational vector of negative
+    self-pairing; it depends only on the vector's line."""
+    return _certified_hyperplane(cleared(normal, l)[0], l)
 
 
 def _check_same_lattice(a, b) -> None:
@@ -240,12 +241,7 @@ def general_position(
     return True
 
 
-def intersect_flat_hyperplane(
-    flat: Flat,
-    hyper: Hyperplane,
-    *,
-    check_rest_clause: bool = False,
-) -> IntersectionVerdict:
+def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerdict:
     """Certified flat-hyperplane intersection verdict.
 
     The hyperplane's complement cuts each hyperbolic block <x, y> in the
@@ -255,19 +251,14 @@ def intersect_flat_hyperplane(
     (certified positive definite). Some line negative or isotropic: the
     intersection is empty. A block with a = b = 0 lies inside the
     complement and is degenerate (the criterion's hypothesis fails); the
-    first such block is reported.
-
-    The rest clause of weak general position plays no role in the criterion
-    itself; pass check_rest_clause=True to demand it anyway and receive a
-    degenerate verdict when it fails.
+    first such block is reported. The rest clause of weak general position
+    plays no role in the criterion; :func:`general_position` checks it.
     """
     _check_same_lattice(flat, hyper)
     lines = _block_lines(flat, hyper)
     for i, line in enumerate(lines):
         if line is None:
             return IntersectionVerdict("Degenerate", reason=f"dim_not_one({i})")
-    if check_rest_clause and not _rest_clause_holds(flat, hyper):
-        return IntersectionVerdict("Degenerate", reason="rest_clause_fails")
     if all(q > 0 for _, q in lines):
         plane = span([w for w, _ in lines], ambient=flat.lattice.rank)
         return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
@@ -299,21 +290,23 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
-    A flat's integer rows are mapped through g's integer matrix and taken
-    primitive (g's denominator only rescales them), then the image is
-    re-certified on its integer Gram matrix. Hyperplanes and points are
-    rebuilt through their validating constructors.
+    A flat's integer rows and a hyperplane's integer normal are mapped
+    through g's integer matrix and taken primitive (g's denominator only
+    rescales them); the image flat is re-certified on its integer Gram
+    matrix, and the image normal's Q < 0 is checked again. Points are
+    rebuilt through their validating constructor.
     """
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
     _check_same_lattice(g, obj)
-    if isinstance(obj, Flat):
-        def image(x):
-            return _primitive([sum(map(mul, row, x)) for row in g.num])
 
+    def image(x):
+        return primitive([sum(map(mul, row, x)) for row in g.num])
+
+    if isinstance(obj, Flat):
         parts = [[image(x), image(y)] for x, y, *_ in obj.int_blocks]
         return _certified_flat(parts + [[image(r) for r in obj.int_rest]], obj.lattice)
     if isinstance(obj, Hyperplane):
-        return hyperplane_new(g.apply(obj.normal), obj.lattice)
+        return _certified_hyperplane(image(obj.normal), obj.lattice)
     plane = span([g.apply(row) for row in obj.plane.basis], ambient=obj.lattice.rank)
     return gr_point(plane, obj.lattice)

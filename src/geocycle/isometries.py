@@ -21,7 +21,7 @@ from .errors import (
     NonIntegralMatrix,
     NotSquare,
 )
-from .lattices import QuadLattice, eval_form
+from .lattices import QuadLattice, cleared, ray
 from .linalg import Mat, Vec
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -55,7 +55,7 @@ class Isometry:
         return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
 
     def apply(self, v) -> Vec:
-        row, s = _cleared(v, self.lattice)
+        row, s = cleared(v, self.lattice)
         den = self.den * s
         return tuple(Fraction(sum(map(mul, r, row)), den) for r in self.num)
 
@@ -67,16 +67,6 @@ class Isometry:
 @lru_cache(maxsize=None)
 def _identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _cleared(v, l: QuadLattice) -> tuple[list[int], int]:
-    """(row, s) with row an integer vector and s > 0 the lcm of the
-    denominators of the rational vector v = row/s on l."""
-    v = linalg.as_vector(v)
-    if len(v) != l.rank:
-        raise AmbientMismatch(f"vector of length {len(v)} on rank {l.rank}")
-    s = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (s // x.denominator) for x in v], s
 
 
 def _normalized(num, den: int) -> tuple[IntMat, int]:
@@ -132,23 +122,13 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     return Isometry(*_normalized(num, g.den * h.den), g.lattice, g.det * h.det)
 
 
-def _ray(x, l: QuadLattice) -> tuple[list[int], list[int], int]:
-    """The primitive integer vector on the line of the nonzero integer
-    vector x, with its pairing gram.x and its self-pairing Q."""
-    g = math.gcd(*x)
-    if g > 1:
-        x = [xi // g for xi in x]
-    pairing = [sum(map(mul, row, x)) for row in l.gram]
-    return x, pairing, sum(map(mul, x, pairing))
-
-
-def _reflect(ray, num: IntMat, den: int) -> tuple[IntMat, int]:
+def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)).
 
     The rank-one update in integers: R_x.(A/D) = (Q.A - 2.x.((gram.x)^T.A))
     / (Q.D), normalized by its gcd. Rows where x is zero are only scaled.
     """
-    x, pairing, q = ray
+    x, pairing, q = x_ray
     c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
     out = [
         [q * a - xi * ck for a, ck in zip(row, c)] if xi else [q * a for a in row]
@@ -157,18 +137,22 @@ def _reflect(ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     return _normalized(out, q * den)
 
 
-def _anisotropic_ray(x, l: QuadLattice):
-    """The ray of the line through a rational vector, which must be
-    anisotropic."""
-    ray = _ray(_cleared(x, l)[0], l)
-    if ray[2] == 0:
-        raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(x)}")
-    return ray
+def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
+    """reflection(x_1) . ... . reflection(x_k), applied right to left; each
+    x_i must be anisotropic."""
+    vectors = list(vectors)
+    num, den = _identity(l.rank), 1
+    for v in reversed(vectors):
+        x_ray = ray(cleared(v, l)[0], l)
+        if x_ray[2] == 0:
+            raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
+        num, den = _reflect(x_ray, num, den)
+    return Isometry(num, den, l, Fraction((-1) ** len(vectors)))
 
 
 def reflection(x, l: QuadLattice) -> Isometry:
     """The reflection along an anisotropic vector: z -> z - 2(z.x)/(x.x) x."""
-    return Isometry(*_reflect(_anisotropic_ray(x, l), _identity(l.rank), 1), l, Fraction(-1))
+    return product_of_reflections([x], l)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +167,7 @@ def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[Vec, list[int], int], ...]:
     diag, t = linalg.diagonalize_symmetric(l.gram_matrix())
     if any(d == 0 for d in diag):
         raise CertificateFailed("diagonalized Gram matrix has a zero entry")
-    return tuple((b, *_cleared(b, l)) for b in t)
+    return tuple((b, *cleared(b, l)) for b in t)
 
 
 def cartan_dieudonne(g: Isometry) -> list[Vec]:
@@ -211,31 +195,22 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
         if not any(w):
             continue
         scale = den * s
-        ray = _ray(w, l)
-        if ray[2] == 0:
+        line = ray(w, l)
+        if line[2] == 0:
             # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
             w = [a + f for a, f in zip(image, fixed)]
             vectors.append(tuple(Fraction(x, scale) for x in w))
-            num, den = _reflect(_ray(w, l), num, den)
+            num, den = _reflect(ray(w, l), num, den)
             vectors.append(b)
-            ray = _ray(row, l)
+            line = ray(row, l)
         else:
             vectors.append(tuple(Fraction(x, scale) for x in w))
-        num, den = _reflect(ray, num, den)
+        num, den = _reflect(line, num, den)
     if den != 1 or num != _identity(l.rank):
         raise CertificateFailed("reflection factorization did not reach the identity")
     if len(vectors) > 2 * l.rank:
         raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
     return vectors
-
-
-def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
-    """reflection(x_1) . ... . reflection(x_k), applied right to left."""
-    vectors = list(vectors)
-    num, den = _identity(l.rank), 1
-    for v in reversed(vectors):
-        num, den = _reflect(_anisotropic_ray(v, l), num, den)
-    return Isometry(num, den, l, Fraction((-1) ** len(vectors)))
 
 
 @dataclass(frozen=True)
@@ -308,13 +283,15 @@ def spinor_norm(g: Isometry, reflections: list[Vec] | None = None) -> SquareClas
     Independent of the factorization; the identity (empty product) gets the
     trivial class (+1, +1). `reflections` reuses a factorization of g that
     :func:`cartan_dieudonne` already returned; by default g is factored here.
+    Q of a vector and Q of the primitive integer vector on its line differ
+    by a rational square, so the product runs over the integer Qs.
     """
     if reflections is None:
         reflections = cartan_dieudonne(g)
-    total = Fraction(1)
+    total = 1
     for x in reflections:
-        total *= eval_form(g.lattice, x, x)
-    return square_class(total)
+        total *= ray(cleared(x, g.lattice)[0], g.lattice)[2]
+    return square_class(Fraction(total))
 
 
 def in_congruence_subgroup(g: Isometry, modulus: int) -> bool:

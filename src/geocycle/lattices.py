@@ -1,10 +1,14 @@
-"""Integral quadratic lattices: construction, direct sums, classification."""
+"""Integral quadratic lattices: construction, direct sums, classification,
+and the integer-ray kernel: a rational vector cleared of denominators, the
+primitive integer vector on its line, and that vector's pairing and Q."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -132,6 +136,34 @@ def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
     return total
 
 
+def cleared(v, l: QuadLattice) -> tuple[list[int], int]:
+    """(row, s) with row an integer vector and s > 0 the lcm of the
+    denominators of the rational vector v = row/s on l."""
+    v = linalg.as_vector(v)
+    if len(v) != l.rank:
+        raise AmbientMismatch(f"vector of length {len(v)} on rank {l.rank}")
+    s = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
+def primitive(x) -> tuple[int, ...]:
+    """The primitive integer vector on the line of the integer vector x,
+    its first nonzero entry positive, so that equal lines give equal
+    vectors. The zero vector stays zero."""
+    g = math.gcd(*x)
+    if g and next(c for c in x if c) < 0:
+        g = -g
+    return tuple(c // g for c in x) if g else tuple(x)
+
+
+def ray(x, l: QuadLattice) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """primitive(x) for an integer vector x on l, with its pairing gram.x,
+    i.e. z -> B(x, z), and its self-pairing Q."""
+    x = primitive(x)
+    pairing = tuple(sum(map(mul, row, x)) for row in l.gram)
+    return x, pairing, sum(map(mul, x, pairing))
+
+
 def determinant(l: QuadLattice) -> int:
     return linalg._bareiss_int([list(r) for r in l.gram])
 
@@ -139,10 +171,6 @@ def determinant(l: QuadLattice) -> int:
 def classify(l: QuadLattice) -> LatticeClass:
     """Signature by exact congruence diagonalization, parity, determinant."""
     d = determinant(l)
-    if l.rank and d == 0:
-        raise DegenerateGram("cannot classify a degenerate form")
-    plus, minus, zero = linalg.inertia(l.gram_matrix())
-    if zero:
-        raise DegenerateGram("cannot classify a degenerate form")
+    plus, minus, _ = linalg.inertia(l.gram_matrix())
     parity = "even" if all(l.gram[i][i] % 2 == 0 for i in range(l.rank)) else "odd"
     return LatticeClass((plus, minus), parity, d, abs(d) == 1)

@@ -79,18 +79,15 @@ def _random_strong_position_pair(p: int, q: int, rng: random.Random):
     if q <= p:
         raise ValueError(f"a strong-position pair needs a nonzero rest, so q > p; got p={p}, q={q}")
     l = standard_lattice("bpq", p, q)
-    coords = [Fraction(0)] * (p + q)
+    coords = [0] * (p + q)
     for i in range(p):
         y = rng.choice([-1, 1]) * rng.randint(2, 6)
-        x = rng.randint(-(abs(y) - 1), abs(y) - 1)
-        coords[i] = Fraction(x)
-        coords[p + i] = Fraction(y)
-    while True:
+        coords[i] = rng.randint(-(abs(y) - 1), abs(y) - 1)
+        coords[p + i] = y
+    tail = [0]
+    while not any(tail):
         tail = [rng.randint(-3, 3) for _ in range(q - p)]
-        if any(tail):
-            break
-    for j, z in enumerate(tail):
-        coords[2 * p + j] = Fraction(z)
+    coords[2 * p:] = tail
     g = random_isometry(l, rng, reflections=rng.randint(0, 3))
     flat = gr.translate(g, arr.standard_flat(p, q, l))
     hyper = gr.translate(g, gr.hyperplane_new(coords, l))
@@ -162,8 +159,8 @@ def check_inequality_implies_empty() -> CheckResult:
         combos += 1
         spec = arr.ArrangementSpec(2, 3, boost, m, arr.rotation_from_tangent(t), 12)
         flats, hypers = arr.build_family(spec)
-        for k in range(1, 13):
-            if arr.inequality_predicate(spec, k):
+        for k, detail in enumerate(arr.inequality_details(spec, 12), start=1):
+            if detail.holds:
                 hits += 1
                 if gr.intersect_flat_hyperplane(flats[k], hypers[0]).tag != "Empty":
                     violations += 1

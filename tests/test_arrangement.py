@@ -12,7 +12,7 @@ from geocycle.arrangement import (
     boost_power,
     build_family,
     inequality_detail,
-    inequality_predicate,
+    inequality_details,
     intersection_matrix,
     rotation_from_tangent,
     rotation_isometry,
@@ -149,6 +149,53 @@ def test_inequality_pole_is_false_with_flag():
     assert not detail.holds and detail.pole and detail.tangent is None
 
 
+def test_inequality_details_match_tangent_addition():
+    # tan((k+1)x) = (tan kx + tan x) / (1 - tan kx tan x): an oracle that
+    # never multiplies rotation pairs (Pythagorean angles hit no pole)
+    for t in (F(1, 10), F(1, 4), F(1, 2)):
+        spec = arrangement_spec(2, 3, 0, DEFAULT_BOOST, 3, t)
+        first = inequality_detail(spec, 1).tangent
+        tan = first
+        for k, detail in enumerate(inequality_details(spec, 24), start=1):
+            assert detail == inequality_detail(spec, k)
+            assert detail.tangent == tan and not detail.pole
+            assert detail.holds == (detail.lower <= tan <= detail.upper)
+            tan = (tan + first) / (1 - tan * first)
+    quarter = ArrangementSpec(2, 3, DEFAULT_BOOST, 3, RotationPair(F(0), F(-1)), 4)
+    details = inequality_details(quarter, 4)
+    assert [d.pole for d in details] == [True, False, True, False]
+    assert [d.tangent for d in details] == [None, 0, None, 0]
+
+
+def test_plot_data_cost_is_linear_in_n(monkeypatch, tmp_path, capsys):
+    # the plot rows come from one walk over the rotation powers: n + 1
+    # powers (k = 0..n) at every n, not a fresh walk from k = 0 per row
+    import geocycle.arrangement as arrangement
+    from geocycle.cli import main
+
+    original = arrangement._rotation_powers
+    steps = []
+
+    def counting(r):
+        for pair in original(r):
+            steps.append(pair)
+            yield pair
+
+    monkeypatch.setattr(arrangement, "_rotation_powers", counting)
+    for n in (4, 40):
+        steps.clear()
+        path = tmp_path / f"plot{n}.csv"
+        argv = ["arrange", "--p", "2", "--q", "3", "--n", str(n), "--m", "3", "--t", "1/10",
+                "--emit-plot-data", str(path)]
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert len(steps) == n + 1
+        rows = path.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == n + 1
+        d = inequality_detail(arrangement_spec(2, 3, n, DEFAULT_BOOST, 3, F(1, 10)), n)
+        assert rows[-1] == f"{n},{d.tangent},{d.lower},{d.upper}"
+
+
 # ------------------------------------------------------------------- family
 
 
@@ -268,8 +315,8 @@ def test_matrix_csv_cells():
 def test_first_row_empty_where_inequality_holds():
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))
     matrix = intersection_matrix(spec)
-    for k in range(1, 6):
-        if inequality_predicate(spec, k):
+    for k, detail in enumerate(inequality_details(spec, 5), start=1):
+        if detail.holds:
             assert matrix.verdicts[0][k].tag == "Empty"
 
 
@@ -279,8 +326,8 @@ def test_inequality_implies_empty_on_grid():
         for m in (1, 3):
             spec = ArrangementSpec(2, 3, boost, m, rotation_from_tangent(F(1, 10)), 12)
             flats, hypers = build_family(spec)
-            for k in range(1, 13):
-                if inequality_predicate(spec, k):
+            for k, detail in enumerate(inequality_details(spec, 12), start=1):
+                if detail.holds:
                     assert intersect_flat_hyperplane(flats[k], hypers[0]).tag == "Empty"
 
 
@@ -309,7 +356,6 @@ def test_searched_parameters_satisfy_all_inequalities():
     for n in (1, 3, 5, 8):
         m, t = search_parameters(2, 3, n, DEFAULT_BOOST)
         spec = arrangement_spec(2, 3, n, DEFAULT_BOOST, m, t)
-        for k in range(1, n + 1):
-            assert inequality_predicate(spec, k)
+        assert all(detail.holds for detail in inequality_details(spec, n))
         # deterministic: repeated searches agree
         assert search_parameters(2, 3, n, DEFAULT_BOOST) == (m, t)

@@ -14,6 +14,12 @@ The flat oracle is the Fraction flat_new: RREF spans, restricted inertia
 and eval_form pairs. It must agree with flat_new on accept or reject, on
 the exception class and on the block and rest subspaces, and every flat a
 family or a translate builds must have the subspaces it gives.
+
+The hyperplane oracle is the Fraction hyperplane_new: eval_form's Q < 0 on
+the rational normal as given, and translate through Isometry.apply. It must
+agree with hyperplane_new and translate on accept or reject, on the
+exception class and on the normal's line, and the verdict oracles above run
+on its Fraction normal, not on the kernel's primitive one.
 """
 
 import itertools
@@ -27,13 +33,20 @@ from geocycle import verify
 from geocycle.arrangement import (
     DEFAULT_BOOST,
     arrangement_spec,
+    base_hyperplane_normal,
     build_family,
     rotation_isometry,
     rotation_power,
     search_parameters,
     standard_flat,
 )
-from geocycle.errors import AmbientMismatch, NotOrthogonal, NotSpanning, WrongInertia
+from geocycle.errors import (
+    AmbientMismatch,
+    NonNegativeVector,
+    NotOrthogonal,
+    NotSpanning,
+    WrongInertia,
+)
 from geocycle.grassmann import (
     flat_new,
     general_position,
@@ -42,9 +55,10 @@ from geocycle.grassmann import (
     stabilizer_sign_patterns,
     translate,
 )
-from geocycle.lattices import eval_form, standard_lattice
+from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import (
     as_matrix,
+    as_vector,
     intersect,
     mat_vec,
     matrix_inverse,
@@ -55,10 +69,11 @@ from geocycle.linalg import (
 )
 
 
-def oracle(flat, hyper):
-    """Cut lines of every block, their signs, and the rest clause."""
+def oracle(flat, normal):
+    """Cut lines of every block, their signs, and the rest clause, for the
+    hyperplane orthogonal to the rational vector normal."""
     l = flat.lattice
-    normal_line = span([hyper.normal], ambient=l.rank)
+    normal_line = span([normal], ambient=l.rank)
     complement = perp(normal_line, l)
     lines = [intersect(complement, block) for block in flat.blocks]
     positive = [line.dim == 1 and restricted_definiteness(line, l) == (1, 0, 0) for line in lines]
@@ -66,14 +81,14 @@ def oracle(flat, hyper):
     return lines, positive, rest_clause
 
 
-def oracle_stabilizer(flat, hyper):
+def oracle_stabilizer(flat, normal):
     """Sign patterns whose flip (+-1 on each block, +1 on the rest) keeps
     <v> invariant, by a change of basis to the flat's components."""
     columns = [row for b in flat.blocks for row in b.basis] + list(flat.rest.basis)
     change = transpose(as_matrix(columns))  # columns = component basis
-    coords = mat_vec(matrix_inverse(change), hyper.normal)
+    coords = mat_vec(matrix_inverse(change), normal)
     sizes = [b.dim for b in flat.blocks] + [flat.rest.dim]
-    line = span([hyper.normal], ambient=flat.lattice.rank)
+    line = span([normal], ambient=flat.lattice.rank)
     patterns = []
     for signs in itertools.product((1, -1), repeat=flat.block_count):
         scale = []
@@ -85,12 +100,10 @@ def oracle_stabilizer(flat, hyper):
     return patterns
 
 
-def oracle_verdict(lines, positive, rest_clause, check_rest_clause):
+def oracle_verdict(lines, positive):
     for i, line in enumerate(lines):
         if line.dim != 1:
             return "Degenerate", f"dim_not_one({i})", None
-    if check_rest_clause and not rest_clause:
-        return "Degenerate", "rest_clause_fails", None
     if all(positive):
         ambient = lines[0].ambient
         return "Point", None, span([row for line in lines for row in line.basis], ambient=ambient)
@@ -105,19 +118,68 @@ def oracle_general_position(lines, positive, rest_clause, rest_dim, mode, skip):
     return mode == "weak" or all(positive)
 
 
-def assert_matches_oracle(flat, hyper):
-    lines, positive, rest_clause = oracle(flat, hyper)
-    for check in (False, True):
-        v = intersect_flat_hyperplane(flat, hyper, check_rest_clause=check)
-        got = (v.tag, v.reason, v.point.plane if v.point is not None else None)
-        assert got == oracle_verdict(lines, positive, rest_clause, check)
+def assert_matches_oracle(flat, hyper, normal):
+    """The kernel's verdicts on (flat, hyper) against the general kernel's
+    on the hyperplane orthogonal to the rational vector normal, which the
+    Fraction oracle built; hyper must hold normal's line."""
+    assert_primitive_normal(hyper, normal)
+    lines, positive, rest_clause = oracle(flat, normal)
+    v = intersect_flat_hyperplane(flat, hyper)
+    got = (v.tag, v.reason, v.point.plane if v.point is not None else None)
+    assert got == oracle_verdict(lines, positive)
     for mode in ("weak", "strong"):
         for skip in (False, True):
             expected = oracle_general_position(
                 lines, positive, rest_clause, flat.rest.dim, mode, skip
             )
             assert general_position(flat, hyper, mode, skip_rest_clause_when_empty=skip) == expected
-    assert stabilizer_sign_patterns(flat, hyper) == oracle_stabilizer(flat, hyper)
+    assert stabilizer_sign_patterns(flat, hyper) == oracle_stabilizer(flat, normal)
+
+
+def fraction_hyperplane_new(normal, l):
+    """The Fraction hyperplane_new hyperplanes had before they were primitive
+    integer normals: Q < 0 by eval_form on the rational normal as given.
+    Returns that normal."""
+    v = as_vector(normal)
+    q = eval_form(l, v, v)
+    if q >= 0:
+        raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
+    return v
+
+
+def fraction_translate(g, normal):
+    """The Fraction translate of a hyperplane: g applied to the rational
+    normal by Isometry.apply, then fraction_hyperplane_new."""
+    return fraction_hyperplane_new(g.apply(normal), g.lattice)
+
+
+def assert_primitive_normal(hyper, normal):
+    """hyper.normal is the primitive integer vector on normal's line, with
+    its first nonzero entry positive."""
+    x = hyper.normal
+    assert all(isinstance(c, int) for c in x)
+    assert math.gcd(*x) == 1
+    assert next(c for c in x if c) > 0
+    assert span([x], ambient=len(x)) == span([normal], ambient=len(x))
+
+
+def hyperplane_outcome(build, normal, l):
+    try:
+        return build(normal, l)
+    except Exception as e:
+        return type(e)
+
+
+def assert_hyperplane_new_matches_oracle(normal, l):
+    """(hyperplane, Fraction normal) of an accepted normal, else the class
+    of the exception both constructors raised."""
+    expected = hyperplane_outcome(fraction_hyperplane_new, normal, l)
+    got = hyperplane_outcome(hyperplane_new, normal, l)
+    if isinstance(expected, type):
+        assert got is expected
+        return expected
+    assert_primitive_normal(got, expected)
+    return got, expected
 
 
 def fraction_flat_new(u_bases, n_basis, l):
@@ -207,12 +269,23 @@ def assert_family_flats_match_oracle(spec, flats):
         assert (flat.blocks, flat.rest) == assert_flat_new_matches_oracle(u_bases, n_basis, l)
 
 
+def family_normals(spec):
+    """The Fraction build_family's normals: the base normal, then each next
+    one translated from the last by the generator rotation."""
+    l = spec.lattice()
+    r = rotation_isometry(spec.rotation, spec.p, spec.q, l)
+    normals = [fraction_hyperplane_new(base_hyperplane_normal(spec), l)]
+    for _ in range(spec.n):
+        normals.append(fraction_translate(r, normals[-1]))
+    return normals
+
+
 def assert_family_matches(spec):
     flats, hypers = build_family(spec)
     assert_family_flats_match_oracle(spec, flats)
-    for hyper in hypers:
+    for hyper, normal in zip(hypers, family_normals(spec), strict=True):
         for flat in flats:
-            assert_matches_oracle(flat, hyper)
+            assert_matches_oracle(flat, hyper, normal)
 
 
 @pytest.mark.parametrize(
@@ -248,10 +321,48 @@ def test_non_triangular_family_matches_oracle(p, q, n, m, t):
 def test_special_normals_match_oracle(p, q, normal):
     l = standard_lattice("bpq", p, q)
     flat = standard_flat(p, q, l)
-    hyper = hyperplane_new(normal, l)
-    assert_matches_oracle(flat, hyper)
+    hyper, v = assert_hyperplane_new_matches_oracle(normal, l)
+    assert_matches_oracle(flat, hyper, v)
     g = verify.random_isometry(l, random.Random(sum(normal)), reflections=3)
-    assert_matches_oracle(assert_translate_matches_oracle(g, flat), translate(g, hyper))
+    moved = assert_translate_matches_oracle(g, flat)
+    assert_matches_oracle(moved, translate(g, hyper), fraction_translate(g, v))
+
+
+# B(x, .) of a primitive x need not be primitive here: gram.(1, -1, 1) is
+# (-2, 2, -2). <e_1, e_2> is a hyperbolic block and <e_3> a negative rest.
+NON_PRIMITIVE_PAIRING = quad_lattice([[0, 2, 0], [2, 0, 0], [0, 0, -2]])
+
+
+@pytest.mark.parametrize(
+    "normal",
+    [(1, -1, 1), (F(-3, 2), F(3, 2), F(-3, 2)), (2, -1, 1), (1, 1, 2), (0, 1, 1), (0, 0, 1),
+     (1, -2, 0), (1, 1, 1), (0, 1, 0), (0, 0, 0), (1, -1, 1, 0)],
+)
+def test_non_primitive_pairing_matches_oracle(normal):
+    l = NON_PRIMITIVE_PAIRING
+    flat = flat_new([[unit(0, 3), unit(1, 3)]], [unit(2, 3)], l)
+    got = assert_hyperplane_new_matches_oracle(normal, l)
+    if isinstance(got, type):
+        assert got in (NonNegativeVector, AmbientMismatch)
+        return
+    hyper, v = got
+    assert assert_hyperplane_new_matches_oracle(hyper.normal, l)[0] == hyper
+    assert_matches_oracle(flat, hyper, v)
+    rng = random.Random(sum(map(abs, hyper.normal)))
+    for _ in range(3):
+        g = verify.random_isometry(l, rng, reflections=3)
+        moved = assert_translate_matches_oracle(g, flat)
+        assert_matches_oracle(moved, translate(g, hyper), fraction_translate(g, v))
+
+
+def test_non_primitive_pairing_lattice_reaches_every_verdict():
+    l = NON_PRIMITIVE_PAIRING
+    flat = flat_new([[unit(0, 3), unit(1, 3)]], [unit(2, 3)], l)
+    tags = {
+        intersect_flat_hyperplane(flat, hyperplane_new(normal, l)).tag
+        for normal in ((1, -1, 1), (1, 1, 2), (0, 0, 1))
+    }
+    assert tags == {"Point", "Empty", "Degenerate"}
 
 
 def test_random_strong_position_pairs_match_oracle():
@@ -259,7 +370,8 @@ def test_random_strong_position_pairs_match_oracle():
     for i in range(100):
         p, q = ((2, 3), (3, 4))[i % 2]
         flat, hyper = verify._random_strong_position_pair(p, q, rng)
-        assert_matches_oracle(flat, hyper)
+        _, v = assert_hyperplane_new_matches_oracle(hyper.normal, flat.lattice)
+        assert_matches_oracle(flat, hyper, v)
         assert general_position(flat, hyper, "strong")
 
 
@@ -270,8 +382,10 @@ def test_random_strong_position_pair_needs_a_rest():
 
 def test_random_small_normals_match_oracle():
     # small integer coordinates hit every mix of vanishing block and rest
-    # components, in signatures from (1, 1) to (2, 5)
+    # components, in signatures from (1, 1) to (2, 5); zero, isotropic and
+    # positive normals must be rejected as the Fraction oracle rejects them
     rng = random.Random(73)
+    rejected = set()
     for p, q in ((1, 1), (1, 2), (2, 2), (2, 3), (2, 5)):
         l = standard_lattice("bpq", p, q)
         flat = standard_flat(p, q, l)
@@ -279,11 +393,14 @@ def test_random_small_normals_match_oracle():
         moved = assert_translate_matches_oracle(g, flat)
         for _ in range(40):
             normal = tuple(rng.randint(-1, 1) for _ in range(l.rank))
-            if eval_form(l, normal, normal) >= 0:
+            got = assert_hyperplane_new_matches_oracle(normal, l)
+            if isinstance(got, type):
+                rejected.add((got, any(normal)))
                 continue
-            hyper = hyperplane_new(normal, l)
-            assert_matches_oracle(flat, hyper)
-            assert_matches_oracle(moved, translate(g, hyper))
+            hyper, v = got
+            assert_matches_oracle(flat, hyper, v)
+            assert_matches_oracle(moved, translate(g, hyper), fraction_translate(g, v))
+    assert rejected == {(NonNegativeVector, False), (NonNegativeVector, True)}
 
 
 # ------------------------------------------------------- the flat certificate

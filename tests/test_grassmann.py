@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from geocycle.arrangement import (
     standard_flat,
 )
 from geocycle.errors import (
+    AmbientMismatch,
     LatticeMismatch,
     NonNegativeVector,
     NotOrthogonal,
@@ -27,7 +29,7 @@ from geocycle.grassmann import (
     stabilizer_sign_patterns,
     translate,
 )
-from geocycle.isometries import compose, identity_isometry, reflection
+from geocycle.isometries import Isometry, compose, identity_isometry, reflection
 from geocycle.lattices import eval_form, standard_lattice
 from geocycle.linalg import intersect, perp, restricted_definiteness, span
 
@@ -113,6 +115,47 @@ def test_hyperplane_rejects_positive_vector():
         hyperplane_new((1, 0), B11)
     with pytest.raises(NonNegativeVector):
         hyperplane_new((1, 1), B11)  # isotropic
+
+
+def test_hyperplane_rejects_zero_and_wrong_length_normals():
+    with pytest.raises(NonNegativeVector):
+        hyperplane_new((0, 0), B11)
+    with pytest.raises(NonNegativeVector):
+        hyperplane_new((F(0), F(0), F(0), F(0), F(0)), B23)
+    with pytest.raises(AmbientMismatch):
+        hyperplane_new((0, 1, 0), B11)
+    with pytest.raises(AmbientMismatch):
+        hyperplane_new((0, 0, 1, 0), B23)
+
+
+def test_hyperplane_equality_is_by_line():
+    v = (2, 0, 4, 2, 2)  # Q = 4 - 16 - 4 - 4 < 0
+    h = hyperplane_new(v, B23)
+    assert h.normal == (1, 0, 2, 1, 1)
+    for c in (-1, F(3, 2), F(-1, 6)):
+        same = tuple(c * x for x in v)
+        other = hyperplane_new(same, B23)
+        assert other == h
+        assert hash(other) == hash(h)
+        assert other.normal == h.normal
+    for different in ((1, 0, 2, 1, 2), (1, 0, 2, -1, 1), (-1, 0, 2, 1, 1)):
+        assert hyperplane_new(different, B23) != h
+    b14 = standard_lattice("bpq", 1, 4)
+    assert hyperplane_new((1, 0, 2, 1, 1), b14) != h  # same vector, other lattice
+
+
+def test_hyperplane_normal_is_primitive_with_positive_lead():
+    rng = random.Random(83)
+    for _ in range(60):
+        v = tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5))
+        if eval_form(B23, v, v) >= 0:
+            continue
+        x = hyperplane_new(v, B23).normal
+        assert all(isinstance(c, int) for c in x)
+        assert math.gcd(*x) == 1
+        assert next(c for c in x if c) > 0
+        assert span([x]) == span([v])
+        assert hyperplane_new(x, B23).normal == x
 
 
 # --------------------------------------------------------- general position
@@ -218,10 +261,12 @@ def test_intersection_degenerate_when_block_inside_complement():
 
 
 def test_intersection_rest_clause_flag():
+    # the rest clause is general_position's, not part of the verdict: the
+    # boosted normal has no rest component, so the pair fails weak general
+    # position while the criterion still finds the point
     f, h = arrangement_pair(2, 3, 3)
-    verdict = intersect_flat_hyperplane(f, h, check_rest_clause=True)
-    assert verdict.tag == "Degenerate"
-    assert verdict.reason == "rest_clause_fails"
+    assert intersect_flat_hyperplane(f, h).tag == "Point"
+    assert not general_position(f, h, "weak")
 
 
 def test_point_verdict_certification():
@@ -322,6 +367,25 @@ def test_translate_moves_blocks():
     g = random_isometry(B23, rng)
     image = translate(g, f)
     assert image.blocks[0] == span([g.apply(row) for row in f.blocks[0].basis])
+
+
+def test_translate_rechecks_negative_normal():
+    # an uncertified matrix can send a negative line to a positive one;
+    # translate re-checks Q of the image and rejects it
+    swap = Isometry(((0, 1), (1, 0)), 1, B11, F(-1))
+    with pytest.raises(NonNegativeVector):
+        translate(swap, hyperplane_new((0, 1), B11))
+
+
+def test_translate_hyperplane_keeps_line():
+    rng = random.Random(89)
+    h = hyperplane_new((1, 0, 2, 1, 1), B23)
+    for _ in range(5):
+        g = random_isometry(B23, rng)
+        image = translate(g, h)
+        assert span([image.normal]) == span([g.apply(h.normal)])
+        assert next(c for c in image.normal if c) > 0
+        assert translate(g, hyperplane_new([-3 * c for c in h.normal], B23)) == image
 
 
 def test_translate_lattice_mismatch():

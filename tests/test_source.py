@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -36,3 +37,23 @@ def test_traced_functions_exist():
         if not inspect.isfunction(getattr(importlib.import_module(f"geocycle.{layer}"), fn, None))
     ]
     assert missing == []
+
+
+def test_no_uncompared_dataclass_fields():
+    # every dataclass compares all of its fields: a field left out of == is
+    # a second representation that equality does not see
+    classes = {
+        obj
+        for path in SOURCE.glob("*.py")
+        for _, obj in inspect.getmembers(importlib.import_module(f"geocycle.{path.stem}"))
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__.startswith("geocycle")
+    }
+    assert len(classes) >= 10
+    offenders = sorted(
+        f"{cls.__module__}.{cls.__qualname__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if not f.compare
+    )
+    assert offenders == []
