@@ -75,7 +75,6 @@ from .signs import (
     build_k,
     epsilon_general,
     pi_k_matrix,
-    project_p1,
     random_admissible_v,
     stereographic_unit_vector,
 )

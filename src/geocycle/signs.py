@@ -5,6 +5,10 @@ It splits as (diagonal matrices) + (matrices annihilating a fixed unit
 vector v). A compact-factor pair (diamond, star) acts by C -> diamond . C .
 star^{-1}; the sign of interest is the determinant sign of that action
 projected back onto the diagonal summand.
+
+Each diagonal unit goes to a rank-one matrix, so the action has a closed
+form: E_ii goes to a.b^T (a, b column i of diamond and of star), whose
+diagonal part is a_k (b.v) / v_k in row k.
 """
 
 from __future__ import annotations
@@ -14,13 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import CertificateFailed, InadmissibleV, NotOrthogonalPair
-from .isometries import Isometry, isometry_from_matrix
+from .errors import InadmissibleV, NotOrthogonalPair
+from .isometries import Isometry, product_of_reflections
 from .lattices import standard_lattice
 from .linalg import Mat, Vec
-
-# A tangent vector is just a p x q rational matrix.
-CartanTangent = Mat
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,15 @@ def random_admissible_v(p: int, q: int, rng: random.Random) -> AdmissibleV:
         return admissible_v(p, point + (Fraction(0),) * (q - p))
 
 
+def _check_shape(p: int, q: int, v: AdmissibleV) -> None:
+    if v.p != p or v.q != q:
+        raise InadmissibleV(f"vector shaped for (p={v.p}, q={v.q}), wanted ({p}, {q})")
+
+
 def reflection_blocks(p: int, q: int, v: AdmissibleV) -> tuple[Mat, Mat]:
     """The pair (diag(1,...,1,-1), I - 2vv^T) acting on the positive and
     negative coordinate blocks."""
-    if v.p != p or v.q != q:
-        raise InadmissibleV(f"vector shaped for (p={v.p}, q={v.q}), wanted ({p}, {q})")
+    _check_shape(p, q, v)
     diamond = tuple(
         tuple(Fraction(-1 if i == j == p - 1 else (1 if i == j else 0)) for j in range(p))
         for i in range(p)
@@ -91,57 +96,13 @@ def reflection_blocks(p: int, q: int, v: AdmissibleV) -> tuple[Mat, Mat]:
 
 
 def build_k(p: int, q: int, v: AdmissibleV) -> Isometry:
-    """The block-diagonal compact element assembled from reflection_blocks,
-    certified as an isometry of diag(+1 x p, -1 x q)."""
-    diamond, star = reflection_blocks(p, q, v)
-    n = p + q
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(p):
-        for j in range(p):
-            rows[i][j] = diamond[i][j]
-    for i in range(q):
-        for j in range(q):
-            rows[p + i][p + j] = star[i][j]
-    return isometry_from_matrix(rows, standard_lattice("bpq", p, q))
-
-
-def project_p1(x: CartanTangent, v: AdmissibleV) -> Vec:
-    """Diagonal part of the splitting X = A + C with C.v = 0.
-
-    Row by row: A_i = X_ii + (sum_{j != i} v_j X_ij) / v_i. The residual
-    C = X - embed(A) is verified to annihilate v exactly.
-    """
-    p = len(x)
-    if p != v.p or any(len(row) != v.q for row in x):
-        raise InadmissibleV(f"tangent matrix must be {v.p} x {v.q}")
-    out = []
-    for i, row in enumerate(x):
-        correction = sum(
-            (v.coords[j] * row[j] for j in range(v.q) if j != i and v.coords[j]),
-            Fraction(0),
-        )
-        out.append(row[i] + correction / v.coords[i])
-    for i, row in enumerate(x):
-        residual = sum(
-            ((row[j] - (out[i] if j == i else 0)) * v.coords[j] for j in range(v.q)),
-            Fraction(0),
-        )
-        if residual != 0:
-            raise CertificateFailed("projection residual does not annihilate v")
-    return tuple(out)
-
-
-def transport_diagonal_unit(diamond: Mat, star: Mat, i: int) -> CartanTangent:
-    """The tangent action C -> diamond . C . star^{-1} on the diagonal unit
-    E_ii. star is orthogonal, so its inverse is its transpose, and
-    diamond . E_ii . star^T is the outer product of column i of diamond and
-    column i of star."""
-    zero_row = (Fraction(0),) * len(star)
-    star_col = [row[i] for row in star]
-    return tuple(
-        tuple(row[i] * s if s else s for s in star_col) if row[i] else zero_row
-        for row in diamond
-    )
+    """The compact element of reflection_blocks as one isometry of
+    diag(+1 x p, -1 x q): the reflection along e_p (Q = 1) is the diamond
+    diag(1, ..., 1, -1), and the reflection along (0, v) (Q = -1) is the
+    star I - 2vv^T on the negative block."""
+    _check_shape(p, q, v)
+    e_p = (0,) * (p - 1) + (1,) + (0,) * q
+    return product_of_reflections([e_p, (0,) * p + v.coords], standard_lattice("bpq", p, q))
 
 
 def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
@@ -153,10 +114,20 @@ def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
 
 
 def action_on_diagonal(diamond: Mat, star: Mat, v: AdmissibleV) -> Mat:
-    """Matrix of the induced map on the diagonal summand: transport each
-    diagonal unit and project back."""
-    cols = [project_p1(transport_diagonal_unit(diamond, star, i), v) for i in range(len(diamond))]
-    return linalg.transpose(linalg.as_matrix(cols))
+    """Matrix of the induced map on the diagonal summand (diamond p x p and
+    star q x q, shaped for v).
+
+    Column i is the diagonal part of diamond . E_ii . star^T = a.b^T (a, b
+    column i of diamond and of star). Row k of a.b^T is A_k e_k plus a row
+    that annihilates v, so A_k v_k = a_k (b.v): entry (k, i) is
+    diamond[k][i] (star^T v)_i / v_k, and no p x q matrix is built.
+    """
+    p = len(diamond)
+    s = [sum(row[i] * x for row, x in zip(star, v.coords)) for i in range(p)]
+    return tuple(
+        tuple(d * si / vk for d, si in zip(row, s))
+        for row, vk in zip(diamond, v.coords)
+    )
 
 
 def pi_k_matrix(p: int, q: int, v: AdmissibleV) -> Mat:

@@ -4,18 +4,19 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from geocycle.errors import InadmissibleV, NotOrthogonalPair
+from geocycle.errors import CertificateFailed, InadmissibleV, NotOrthogonalPair
+from geocycle.isometries import isometry_from_matrix
+from geocycle.lattices import standard_lattice
 from geocycle.linalg import as_matrix, det, identity_matrix, mat_mul, transpose
 from geocycle.signs import (
+    action_on_diagonal,
     admissible_v,
     build_k,
     epsilon_general,
     pi_k_matrix,
-    project_p1,
     random_admissible_v,
     reflection_blocks,
     stereographic_unit_vector,
-    transport_diagonal_unit,
 )
 
 V22 = admissible_v(2, [F(3, 5), F(4, 5)])
@@ -37,6 +38,53 @@ def transport(diamond, star, x):
     """Oracle: the tangent action C -> diamond . C . star^T as two dense
     products."""
     return mat_mul(mat_mul(diamond, x), transpose(star))
+
+
+def oracle_project_p1(x, v):
+    """Oracle: diagonal part of the splitting X = A + C with C.v = 0, row by
+    row as A_i = X_ii + (sum_{j != i} v_j X_ij) / v_i, with the residual
+    C = X - embed(A) verified to annihilate v exactly."""
+    p = len(x)
+    if p != v.p or any(len(row) != v.q for row in x):
+        raise InadmissibleV(f"tangent matrix must be {v.p} x {v.q}")
+    out = []
+    for i, row in enumerate(x):
+        correction = sum(
+            (v.coords[j] * row[j] for j in range(v.q) if j != i and v.coords[j]),
+            F(0),
+        )
+        out.append(row[i] + correction / v.coords[i])
+    for i, row in enumerate(x):
+        residual = sum(
+            ((row[j] - (out[i] if j == i else 0)) * v.coords[j] for j in range(v.q)),
+            F(0),
+        )
+        if residual != 0:
+            raise CertificateFailed("projection residual does not annihilate v")
+    return tuple(out)
+
+
+def oracle_action_on_diagonal(diamond, star, v):
+    """Oracle: transport each diagonal unit by dense products and project
+    it back, one column per unit."""
+    p, q = len(diamond), len(star)
+    cols = [oracle_project_p1(transport(diamond, star, _diagonal_unit(i, p, q)), v) for i in range(p)]
+    return transpose(as_matrix(cols))
+
+
+def oracle_build_k(p, q, v):
+    """Oracle: the block-diagonal matrix of reflection_blocks, certified
+    entry by entry through isometry_from_matrix."""
+    diamond, star = reflection_blocks(p, q, v)
+    n = p + q
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(p):
+        for j in range(p):
+            rows[i][j] = diamond[i][j]
+    for i in range(q):
+        for j in range(q):
+            rows[p + i][p + j] = star[i][j]
+    return isometry_from_matrix(rows, standard_lattice("bpq", p, q))
 
 
 def epsilon_full_determinant_oracle(diamond, star, v):
@@ -139,6 +187,17 @@ def test_build_k_1_2():
 def test_build_k_rejects_inadmissible():
     with pytest.raises(InadmissibleV):
         build_k(2, 2, admissible_v(1, [F(1), F(0)]))
+    with pytest.raises(InadmissibleV):
+        build_k(2, 3, V22)  # v is shaped for q = 2
+
+
+def test_build_k_matches_block_assembly():
+    rng = random.Random(23)
+    for p in range(1, 7):
+        for q in range(p, 7):
+            for _ in range(3):
+                v = random_admissible_v(p, q, rng)
+                assert build_k(p, q, v) == oracle_build_k(p, q, v)
 
 
 def test_negative_block_is_involution():
@@ -154,23 +213,25 @@ def test_negative_block_is_involution():
 def test_projection_kills_the_complement():
     # rows proportional to (4, -3) annihilate v = (3/5, 4/5)
     x = as_matrix([[4, -3], [8, -6]])
-    assert project_p1(x, V22) == (F(0), F(0))
+    assert oracle_project_p1(x, V22) == (F(0), F(0))
 
 
 def test_projection_of_zero():
     x = as_matrix([[0, 0], [0, 0]])
-    assert project_p1(x, V22) == (F(0), F(0))
+    assert oracle_project_p1(x, V22) == (F(0), F(0))
 
 
 def test_projection_worked_example():
     # transported diag(1, 0): first row (7/25, -24/25), second row zero
     x = as_matrix([[F(7, 25), F(-24, 25)], [0, 0]])
-    assert project_p1(x, V22) == (F(-1), F(0))
+    assert oracle_project_p1(x, V22) == (F(-1), F(0))
+    action = action_on_diagonal(*reflection_blocks(2, 2, V22), V22)
+    assert tuple(row[0] for row in action) == (F(-1), F(0))
 
 
 def test_projection_shape_check():
     with pytest.raises(InadmissibleV):
-        project_p1(as_matrix([[1, 0, 0]]), V22)
+        oracle_project_p1(as_matrix([[1, 0, 0]]), V22)
 
 
 # ------------------------------------------------------------- the sign claim
@@ -248,17 +309,19 @@ def random_orthogonal_pairs(p, q, rng):
     return v, [reflection_blocks(p, q, v), (diamond, star), dense]
 
 
-def test_outer_product_transport_matches_dense_products():
+def test_action_on_diagonal_matches_projection_oracle():
+    # the dense Householder pairs have non-symmetric factors, so reading a
+    # row of diamond or of star for its column changes the action
     rng = random.Random(17)
     for p in range(1, 7):
         for q in range(p, 7):
             v, pairs = random_orthogonal_pairs(p, q, rng)
             for diamond, star in pairs:
-                for i in range(p):
-                    assert transport_diagonal_unit(diamond, star, i) == transport(
-                        diamond, star, _diagonal_unit(i, p, q)
-                    )
+                assert action_on_diagonal(diamond, star, v) == oracle_action_on_diagonal(diamond, star, v)
                 epsilon_general(diamond, star, v)  # accepted as an S(O(p) x O(q)) pair
+    v = admissible_v(1, [F(1), F(0)])
+    quarter_turn = (identity_matrix(1), as_matrix([[0, -1], [1, 0]]))
+    assert action_on_diagonal(*quarter_turn, v) == oracle_action_on_diagonal(*quarter_turn, v) == ((F(0),),)
 
 
 def test_epsilon_of_dense_pairs_against_full_determinant_oracle():
@@ -284,6 +347,13 @@ def test_epsilon_rejects_non_orthogonal():
     v = admissible_v(2, [F(3, 5), F(4, 5)])
     with pytest.raises(NotOrthogonalPair):
         epsilon_general(as_matrix([[1, 1], [0, 1]]), identity_matrix(2), v)
+
+
+def test_epsilon_rejects_sizes_other_than_v():
+    with pytest.raises(NotOrthogonalPair):
+        epsilon_general(identity_matrix(3), identity_matrix(2), V22)
+    with pytest.raises(NotOrthogonalPair):
+        epsilon_general(identity_matrix(2), identity_matrix(3), V22)
 
 
 def test_epsilon_rejects_det_product_minus_one():
