@@ -92,8 +92,7 @@ def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
     n = l.rank
     if len(mat) != n or any(len(r) != n for r in mat):
         raise NotSquare(f"expected a {n}x{n} matrix")
-    d = math.lcm(*(x.denominator for row in mat for x in row))
-    a = [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+    a, d = linalg._integer_matrix(mat)
     gram = l.gram
     ga = [
         [sum(gram[i][k] * a[k][j] for k in range(n) if gram[i][k] and a[k][j]) for j in range(n)]
@@ -162,9 +161,9 @@ def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[Vec, list[int], int], ...]:
 
     The rows of the congruence transform t (with t.gram.t^T diagonal) give
     one; nondegeneracy guarantees every diagonal entry is nonzero. Cached
-    per lattice, as its Fraction Gram matrix is.
+    per lattice.
     """
-    diag, t = linalg.diagonalize_symmetric(l.gram_matrix())
+    diag, t = linalg.diagonalize_symmetric(l.gram)
     if any(d == 0 for d in diag):
         raise CertificateFailed("diagonalized Gram matrix has a zero entry")
     return tuple((b, *cleared(b, l)) for b in t)

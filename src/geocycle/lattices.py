@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import AmbientMismatch, DegenerateGram
-from .linalg import Mat
 
 # Edges of the E8 Dynkin diagram, Bourbaki numbering: the chain
 # 1-3-4-5-6-7-8 with node 2 hanging off node 4.
@@ -50,14 +49,6 @@ class QuadLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def gram_matrix(self) -> Mat:
-        return _gram_fractions(self)
-
-
-@lru_cache(maxsize=None)
-def _gram_fractions(l: QuadLattice) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in l.gram)
-
 
 def quad_lattice(rows: Iterable[Iterable[int]], name: str | None = None) -> QuadLattice:
     return QuadLattice(tuple(tuple(int(x) for x in row) for row in rows), name)
@@ -79,6 +70,7 @@ def _e8_gram() -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def standard_lattice(kind: str, p: int | None = None, q: int | None = None) -> QuadLattice:
     """Named Gram matrices: ``bpq``, ``hyperbolic``, ``e8_pos``, ``e8_neg``, ``k3``.
 
@@ -171,6 +163,6 @@ def determinant(l: QuadLattice) -> int:
 def classify(l: QuadLattice) -> LatticeClass:
     """Signature by exact congruence diagonalization, parity, determinant."""
     d = determinant(l)
-    plus, minus, _ = linalg.inertia(l.gram_matrix())
+    plus, minus, _ = linalg.inertia(l.gram)
     parity = "even" if all(l.gram[i][i] % 2 == 0 for i in range(l.rank)) else "odd"
     return LatticeClass((plus, minus), parity, d, abs(d) == 1)

@@ -4,6 +4,9 @@ Vectors are tuples of ``Fraction``; matrices are tuples of row tuples.
 No floating point enters any code path, so rank decisions, sign decisions
 and subspace equalities are certified rather than approximate.
 
+The symmetric elimination behind inertia and congruence diagonalization
+runs in integers (fraction-free Bareiss), with Fractions only at its edge.
+
 Subspaces are always stored with a reduced-row-echelon basis, which makes
 subspace equality a bit-exact comparison of basis tuples.
 """
@@ -14,6 +17,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import AmbientMismatch, NotSquare
@@ -173,84 +178,84 @@ def det(m: Mat) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}")
-    if n == 0:
-        return ONE
-    scale = 1
-    int_rows = []
-    for row in m:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    return Fraction(_bareiss_int(int_rows), scale)
+    a, s = _integer_matrix(m)
+    return Fraction(_bareiss_int(a), s**n)
 
 
-def matrix_inverse(m: Mat) -> Mat:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise NotSquare("cannot invert a non-square matrix")
-    aug = tuple(row + ident for row, ident in zip(m, identity_matrix(n)))
-    reduced, pivots = rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+def _integer_matrix(m) -> tuple[Iterable[Iterable[int]], int]:
+    """(s.m, s) for a matrix of ints or Fractions, s > 0 the lcm of its
+    denominators; an int matrix is returned as it is."""
+    if set(map(type, chain.from_iterable(m))) <= {int}:
+        return m, 1
+    s = math.lcm(*map(attrgetter("denominator"), chain.from_iterable(m)))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
+def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:
+    """Symmetric Bareiss elimination of an integer symmetric matrix a:
+    (pivots, t), p_0..p_{r-1} the pivots (r the rank), t integer with
+    t.a.t^T = diag(p_{k-1} p_k) (p_{-1} = 1) and 0 past r. Each update
+    (p.x - f.y) // p_prev is exact, every entry being a minor. A zero pivot
+    is repaired by swapping in a later nonzero diagonal entry, else by adding
+    row and column j onto i for the first a[i][j] != 0; it stops when the
+    rest vanishes."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    pivots: list[int] = []
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is None:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+                )
+                if pair is None:
+                    break  # the rest is identically zero
+                i, j = pair
+                for row in a[k:]:
+                    row[i] += row[j]
+                a[i][k:] = [x + y for x, y in zip(a[i][k:], a[j][k:])]
+                t[i] = [x + y for x, y in zip(t[i], t[j])]
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                for row in a[k:]:
+                    row[k], row[i] = row[i], row[k]
+                t[k], t[i] = t[i], t[k]
+        p = a[k][k]
+        pivot_row = a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if f:
+                a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], pivot_row)]
+                t[i] = [(p * x - f * y) // prev for x, y in zip(t[i], t[k])]
+            elif p != prev:  # a row clear of the pivot column is only rescaled
+                a[i][k + 1:] = [p * x // prev for x in a[i][k + 1:]]
+                t[i] = [p * x // prev for x in t[i]]
+        pivots.append(p)
+        prev = p
+    return pivots, t
 
 
 def diagonalize_symmetric(m: Mat) -> tuple[tuple[Fraction, ...], Mat]:
-    """Congruence-diagonalize a symmetric matrix.
-
-    Returns (d, t) with t.m.t^T = diag(d). A zero pivot with a nonzero
-    diagonal entry further down is repaired by swapping; when the whole
-    remaining diagonal vanishes, the row+column addition trick (add row j
-    and column j onto row/column i where a[i][j] != 0) manufactures the
-    pivot 2*a[i][j], keeping every step an exact congruence.
-    """
-    n = len(m)
-    a = [[frac(x) for x in row] for row in m]
-    t = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-    def add_row_col(i: int, j: int, f: Fraction) -> None:
-        for c in range(n):
-            a[i][c] += f * a[j][c]
-        for r in range(n):
-            a[r][i] += f * a[r][j]
-        for c in range(n):
-            t[i][c] += f * t[j][c]
-
-    def swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
-            if piv is not None:
-                swap(k, piv)
-            else:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                    None,
-                )
-                if pair is None:
-                    break  # remaining block is identically zero
-                i, j = pair
-                add_row_col(i, j, ONE)
-                if i != k:
-                    swap(k, i)
-        d = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_row_col(i, k, -a[i][k] / d)
-    return tuple(a[k][k] for k in range(n)), tuple(tuple(row) for row in t)
+    """(d, t) with t.m.t^T = diag(d) for a symmetric matrix m of ints or
+    Fractions, read off _congruence of s.m: d_k = p_k / (s p_{k-1}) and
+    t_k = T_k / p_{k-1}, and past the rank r, d_k = 0 over p_{r-1}."""
+    a, s = _integer_matrix(m)
+    pivots, t = _congruence(a)
+    prevs = [1] + pivots
+    prevs += prevs[-1:] * (len(t) - len(prevs))
+    diag = (Fraction(p, prev * s) for p, prev in zip(pivots + [0] * (len(t) - len(pivots)), prevs))
+    return tuple(diag), tuple(tuple(Fraction(x, prev) for x in row) for row, prev in zip(t, prevs))
 
 
-def inertia(m: Mat) -> tuple[int, int, int]:
-    """Counts (n_plus, n_minus, n_zero) of a symmetric rational form."""
-    diag, _ = diagonalize_symmetric(m)
-    plus = sum(1 for d in diag if d > 0)
-    minus = sum(1 for d in diag if d < 0)
-    return plus, minus, len(diag) - plus - minus
+def inertia(m) -> tuple[int, int, int]:
+    """Counts (n_plus, n_minus, n_zero) of a symmetric matrix of ints or
+    Fractions; d_k = p_k / p_{k-1} is positive iff p_k p_{k-1} is."""
+    pivots, _ = _congruence(_integer_matrix(m)[0])
+    plus = sum(1 for p, prev in zip(pivots, [1] + pivots) if (p > 0) == (prev > 0))
+    return plus, len(pivots) - plus, len(m) - len(pivots)
 
 
 def _pivot_col(row: Vec) -> int:
@@ -341,7 +346,7 @@ def perp(a: Subspace, lattice: "QuadLattice") -> Subspace:
     """Orthogonal complement of ``a`` under the lattice's bilinear form."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    constraints = mat_mul(a.basis, lattice.gram_matrix())
+    constraints = mat_mul(a.basis, lattice.gram)
     return span(kernel(constraints, ncols=lattice.rank), ambient=lattice.rank)
 
 
@@ -349,6 +354,5 @@ def restricted_definiteness(a: Subspace, lattice: "QuadLattice") -> tuple[int, i
     """Inertia of the lattice form restricted to the subspace."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    g = lattice.gram_matrix()
-    restricted = mat_mul(mat_mul(a.basis, g), transpose(a.basis))
+    restricted = mat_mul(mat_mul(a.basis, lattice.gram), transpose(a.basis))
     return inertia(restricted)

@@ -6,12 +6,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import AmbientMismatch, BudgetExceeded, NotSpanning, WrongInertia
-from .lattices import QuadLattice, eval_form
+from .lattices import QuadLattice, eval_form, primitive
 from .linalg import Mat, Subspace, subspace_sum
 
 # A root vector is an integer coordinate tuple with self-pairing -2.
@@ -48,23 +47,20 @@ def _integer_square_forms(gram):
     """Rewrite the form as an integer-weighted sum of squares of integer
     linear forms: W_k * M_k(x)^2 summing to scale * Q(x).
 
-    Derived from exact congruence diagonalization; returns
-    (weights, coeff_rows, scale) with everything integral.
+    With the pivots p_k and transform T of the fraction-free congruence,
+    U = T.gram gives gram = U^T diag(1 / (p_{k-1} p_k)) U: M_k is U_k / g_k,
+    primitive with its first nonzero entry positive, and W_k / scale is
+    g_k^2 / (p_{k-1} p_k). Returns (weights, coeff_rows, scale), all integral.
     """
-    diag, t = linalg.diagonalize_symmetric(gram)
-    tinv = linalg.matrix_inverse(t)
-    n = len(gram)
-    # linear form k has rational coefficients column k of t^{-1}
-    weights: list[Fraction] = []
-    icoeffs: list[list[int]] = []
-    for k in range(n):
-        col = [tinv[j][k] for j in range(n)]
-        mult = math.lcm(*(c.denominator for c in col))
-        icoeffs.append([int(c * mult) for c in col])
-        weights.append(diag[k] / (mult * mult))
-    scale = math.lcm(*(w.denominator for w in weights))
-    int_weights = [int(w * scale) for w in weights]
-    return int_weights, icoeffs, scale
+    pivots, t = linalg._congruence(gram)
+    forms = [[sum(map(operator.mul, row, col)) for col in zip(*gram)] for row in t]
+    weights = []  # g_k^2 / (p_{k-1} p_k) in lowest terms, as (numerator, denominator)
+    for u, p, prev in zip(forms, pivots, [1] + pivots):
+        num, den = math.gcd(*u) ** 2, prev * p
+        h = math.gcd(num, den)
+        weights.append((num // h, den // h))
+    scale = math.lcm(*(den for _, den in weights))
+    return [num * scale // den for num, den in weights], [list(primitive(u)) for u in forms], scale
 
 
 def _is_lower_unitriangular_support(icoeffs: list[list[int]]) -> bool:

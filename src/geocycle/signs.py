@@ -80,19 +80,23 @@ def _check_shape(p: int, q: int, v: AdmissibleV) -> None:
         raise InadmissibleV(f"vector shaped for (p={v.p}, q={v.q}), wanted ({p}, {q})")
 
 
+def _diagonal(entries) -> Mat:
+    """The Fraction matrix with the given diagonal and zeros elsewhere."""
+    return tuple(
+        tuple(Fraction(x if i == j else 0) for j in range(len(entries)))
+        for i, x in enumerate(entries)
+    )
+
+
 def reflection_blocks(p: int, q: int, v: AdmissibleV) -> tuple[Mat, Mat]:
     """The pair (diag(1,...,1,-1), I - 2vv^T) acting on the positive and
     negative coordinate blocks."""
     _check_shape(p, q, v)
-    diamond = tuple(
-        tuple(Fraction(-1 if i == j == p - 1 else (1 if i == j else 0)) for j in range(p))
-        for i in range(p)
-    )
     star = tuple(
         tuple((Fraction(1) if i == j else Fraction(0)) - 2 * v.coords[i] * v.coords[j] for j in range(q))
         for i in range(q)
     )
-    return diamond, star
+    return _diagonal([1] * (p - 1) + [-1]), star
 
 
 def build_k(p: int, q: int, v: AdmissibleV) -> Isometry:
@@ -113,6 +117,14 @@ def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
         raise NotOrthogonalPair("determinants must multiply to +1")
 
 
+def _diagonal_action(diamond: Mat, s, v: AdmissibleV) -> Mat:
+    """Entry (k, i) is diamond[k][i] s_i / v_k, where s = star^T v."""
+    return tuple(
+        tuple(d * si / vk for d, si in zip(row, s))
+        for row, vk in zip(diamond, v.coords)
+    )
+
+
 def action_on_diagonal(diamond: Mat, star: Mat, v: AdmissibleV) -> Mat:
     """Matrix of the induced map on the diagonal summand (diamond p x p and
     star q x q, shaped for v).
@@ -124,25 +136,22 @@ def action_on_diagonal(diamond: Mat, star: Mat, v: AdmissibleV) -> Mat:
     """
     p = len(diamond)
     s = [sum(row[i] * x for row, x in zip(star, v.coords)) for i in range(p)]
-    return tuple(
-        tuple(d * si / vk for d, si in zip(row, s))
-        for row, vk in zip(diamond, v.coords)
-    )
+    return _diagonal_action(diamond, s, v)
 
 
 def pi_k_matrix(p: int, q: int, v: AdmissibleV) -> Mat:
     """The diagonal-summand action of the canonical compact element; equals
-    diag(-1, ..., -1, +1) with determinant (-1)^(p-1) for every admissible v."""
-    diamond, star = reflection_blocks(p, q, v)
-    return action_on_diagonal(diamond, star, v)
+    diag(-1, ..., -1, +1) with determinant (-1)^(p-1) for every admissible v.
+    Its star I - 2vv^T has star^T v = v - 2(v.v) v: no q x q star is built."""
+    _check_shape(p, q, v)
+    vv = sum(x * x for x in v.coords)
+    s = [x - 2 * vv * x for x in v.coords[:p]]
+    return _diagonal_action(_diagonal([1] * (p - 1) + [-1]), s, v)
 
 
 def expected_pi_k_matrix(p: int) -> Mat:
     """diag(-1, ..., -1, +1) of size p, the claimed value of pi_k_matrix."""
-    return tuple(
-        tuple(Fraction(0 if i != j else (-1 if i < p - 1 else 1)) for j in range(p))
-        for i in range(p)
-    )
+    return _diagonal([-1] * (p - 1) + [1])
 
 
 def epsilon_general(diamond, star, v: AdmissibleV) -> int:

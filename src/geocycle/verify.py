@@ -338,12 +338,11 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
         l = grams[i % len(grams)]
         n = l.rank
         while True:
-            g = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-            if linalg.det(tuple(map(tuple, g))) != 0:
+            gm = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+            if linalg.det(gm) != 0:
                 break
-        gm = tuple(map(tuple, g))
-        congruent = linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), l.gram_matrix()), gm)
-        if linalg.inertia(congruent) != linalg.inertia(l.gram_matrix()):
+        congruent = linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), l.gram), gm)
+        if linalg.inertia(congruent) != linalg.inertia(l.gram):
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 5.0

@@ -1,0 +1,99 @@
+"""Fraction oracles for the integer symmetric core.
+
+These are the eliminations the library used before its symmetric core ran
+in integers, kept so that tests can compare the integer core against
+them.
+"""
+
+import math
+
+from geocycle.errors import NotSquare
+from geocycle.linalg import ONE, ZERO, as_matrix, frac, identity_matrix, rref
+
+
+def fraction_diagonalize_symmetric(m):
+    """Congruence-diagonalize a symmetric matrix over Fraction.
+
+    Returns (d, t) with t.m.t^T = diag(d). A zero pivot with a nonzero
+    diagonal entry further down is repaired by swapping; when the whole
+    remaining diagonal vanishes, the row+column addition trick (add row j
+    and column j onto row/column i where a[i][j] != 0) manufactures the
+    pivot 2*a[i][j], keeping every step an exact congruence.
+    """
+    n = len(m)
+    a = [[frac(x) for x in row] for row in m]
+    t = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+    def add_row_col(i, j, f):
+        for c in range(n):
+            a[i][c] += f * a[j][c]
+        for r in range(n):
+            a[r][i] += f * a[r][j]
+        for c in range(n):
+            t[i][c] += f * t[j][c]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        t[i], t[j] = t[j], t[i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if piv is not None:
+                swap(k, piv)
+            else:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
+                    None,
+                )
+                if pair is None:
+                    break  # remaining block is identically zero
+                i, j = pair
+                add_row_col(i, j, ONE)
+                if i != k:
+                    swap(k, i)
+        d = a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                add_row_col(i, k, -a[i][k] / d)
+    return tuple(a[k][k] for k in range(n)), tuple(tuple(row) for row in t)
+
+
+def fraction_inertia(m):
+    diag, _ = fraction_diagonalize_symmetric(m)
+    plus = sum(1 for d in diag if d > 0)
+    minus = sum(1 for d in diag if d < 0)
+    return plus, minus, len(diag) - plus - minus
+
+
+def oracle_matrix_inverse(m):
+    """The inverse of a square rational matrix, by RREF of [m | I]."""
+    m = as_matrix(m)
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise NotSquare("cannot invert a non-square matrix")
+    aug = tuple(row + ident for row, ident in zip(m, identity_matrix(n)))
+    reduced, pivots = rref(aug)
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def inverse_square_forms(gram):
+    """The square forms read off the inverse of the congruence transform:
+    form k is column k of t^{-1} cleared of denominators, with weight
+    d_k / mult^2, all weights scaled by the lcm of their denominators."""
+    diag, t = fraction_diagonalize_symmetric(gram)
+    tinv = oracle_matrix_inverse(t)
+    n = len(gram)
+    weights = []
+    icoeffs = []
+    for k in range(n):
+        col = [tinv[j][k] for j in range(n)]
+        mult = math.lcm(*(c.denominator for c in col))
+        icoeffs.append([int(c * mult) for c in col])
+        weights.append(diag[k] / (mult * mult))
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [int(w * scale) for w in weights], icoeffs, scale

@@ -61,12 +61,12 @@ from geocycle.linalg import (
     as_vector,
     intersect,
     mat_vec,
-    matrix_inverse,
     perp,
     restricted_definiteness,
     span,
     transpose,
 )
+from oracles import oracle_matrix_inverse
 
 
 def oracle(flat, normal):
@@ -86,7 +86,7 @@ def oracle_stabilizer(flat, normal):
     <v> invariant, by a change of basis to the flat's components."""
     columns = [row for b in flat.blocks for row in b.basis] + list(flat.rest.basis)
     change = transpose(as_matrix(columns))  # columns = component basis
-    coords = mat_vec(matrix_inverse(change), normal)
+    coords = mat_vec(oracle_matrix_inverse(change), normal)
     sizes = [b.dim for b in flat.blocks] + [flat.rest.dim]
     line = span([normal], ambient=flat.lattice.rank)
     patterns = []

@@ -154,6 +154,7 @@ def test_spinor_boost(capsys):
     payload = json.loads(out)
     assert payload["class"] == 2
     assert payload["real_sign"] == 1
+    assert out == '{"class": 2, "real_sign": 1, "reflections": 2}\n'
 
 
 def test_spinor_factors_once(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from geocycle.errors import (
 )
 from geocycle.isometries import (
     SquareClass,
+    _orthogonal_basis,
     cartan_dieudonne,
     compose,
     identity_isometry,
@@ -47,9 +48,9 @@ from geocycle.linalg import (
     identity_matrix,
     mat_mul,
     mat_vec,
-    matrix_inverse,
     rref,
 )
+from oracles import fraction_diagonalize_symmetric, oracle_matrix_inverse
 
 B11 = standard_lattice("bpq", 1, 1)
 B14 = standard_lattice("bpq", 1, 4)
@@ -62,7 +63,7 @@ BOOST = [[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]
 def dense_reflection_matrix(x, l):
     """The n x n matrix of z -> z - 2(z.x)/(x.x) x, entry by entry."""
     v = as_vector(x)
-    pairing = mat_vec(l.gram_matrix(), v)
+    pairing = mat_vec(l.gram, v)
     scale = F(2) / eval_form(l, v, v)
     n = l.rank
     return tuple(
@@ -78,7 +79,7 @@ def walk_cartan_dieudonne(g, reflect):
     l = g.lattice
     current = g.matrix
     vectors = []
-    _, basis = diagonalize_symmetric(l.gram_matrix())
+    _, basis = diagonalize_symmetric(l.gram)
     for b in basis:
         u = mat_vec(current, b)
         if u == b:
@@ -143,7 +144,7 @@ def zassenhaus_spinor_norm(g):
     """Oracle: the class of det[2 B((1-g)e_i, e_j)] over the pivot columns of 1-g."""
     l = g.lattice
     n = l.rank
-    gram = l.gram_matrix()
+    gram = l.gram
     one_minus_g = tuple(
         tuple((1 if i == j else 0) - g.matrix[i][j] for j in range(n)) for i in range(n)
     )
@@ -190,6 +191,16 @@ def test_identity_is_isometry():
 def test_boost_is_isometry():
     g = isometry_from_matrix(BOOST, B11)
     assert g.det == 1
+
+
+def test_cartan_dieudonne_of_the_readme_boost():
+    # the factors demo 03 prints; they come from the orthogonal basis
+    assert cartan_dieudonne(isometry_from_matrix(BOOST, B11)) == [(F(1, 4), F(3, 4)), (F(0), F(-2))]
+
+
+def test_orthogonal_basis_of_k3_is_the_fraction_oracles():
+    _, t = fraction_diagonalize_symmetric(K3.gram)
+    assert tuple(b for b, _, _ in _orthogonal_basis(K3)) == t
 
 
 def test_scaling_is_not_an_isometry():
@@ -268,7 +279,7 @@ def isotropic_difference_isometry():
     u = (F(1), F(2), F(2), F(0), F(0))
     e1 = (F(1), F(0), F(0), F(0), F(0))
     to_e1 = compose(reflection(e1, B23), reflection(tuple(a + b for a, b in zip(u, e1)), B23))
-    return isometry_from_matrix(matrix_inverse(to_e1.matrix), B23), u, e1
+    return isometry_from_matrix(oracle_matrix_inverse(to_e1.matrix), B23), u, e1
 
 
 def test_cartan_dieudonne_isotropic_difference_branch():
@@ -410,7 +421,7 @@ def test_rank_one_factorization_matches_oracles(g):
         assert iso.det == det(oracle) == (-1) ** len(vectors)
     assert g == h == k and hash(g) == hash(h) == hash(k)
     # products and images against Fraction matrix products
-    _, basis = diagonalize_symmetric(l.gram_matrix())
+    _, basis = diagonalize_symmetric(l.gram)
     r = reflection(basis[0], l)
     for a, b in ((g, g), (g, r), (r, g)):
         ab = compose(a, b)
@@ -478,7 +489,7 @@ def test_integer_certificate_checks_orthogonality():
 def test_integer_certificate_matches_dense_check():
     rng = random.Random(81)
     for l in (B11, B23, standard_lattice("hyperbolic")):
-        g = l.gram_matrix()
+        g = l.gram
         for _ in range(60):
             vectors = [random_anisotropic(l, rng) for _ in range(rng.randint(0, 3))]
             rows = [list(r) for r in product_of_reflections(vectors, l).matrix]

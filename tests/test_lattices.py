@@ -62,6 +62,14 @@ def test_bpq_requires_params():
         standard_lattice("bpq", 0, 3)
 
 
+def test_standard_lattices_are_built_once():
+    assert standard_lattice("k3") is standard_lattice("k3")
+    assert standard_lattice("bpq", 2, 3) is standard_lattice("bpq", 2, 3)
+    for _ in range(2):  # a call that raises is not cached
+        with pytest.raises(ValueError):
+            standard_lattice("bpq", 0, 3)
+
+
 def test_classify_diagonal_example():
     c = classify(quad_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]]))
     assert c == type(c)((1, 2), "odd", 1, True)

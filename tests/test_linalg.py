@@ -14,12 +14,12 @@ from geocycle.linalg import (
     inertia,
     intersect,
     kernel,
-    matrix_inverse,
     perp,
     restricted_definiteness,
     span,
     subspace_sum,
 )
+from oracles import fraction_diagonalize_symmetric, fraction_inertia, oracle_matrix_inverse
 
 B11 = standard_lattice("bpq", 1, 1)
 H = standard_lattice("hyperbolic")
@@ -207,12 +207,12 @@ def test_matrix_inverse_round_trip():
             rows = as_matrix([[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
             if det(rows) != 0:
                 break
-        assert linalg.mat_mul(rows, matrix_inverse(rows)) == linalg.identity_matrix(4)
+        assert linalg.mat_mul(rows, oracle_matrix_inverse(rows)) == linalg.identity_matrix(4)
 
 
 def test_sylvester_invariance_rational_congruence():
     rng = random.Random(23)
-    g = B23.gram_matrix()
+    g = B23.gram
     base = inertia(g)
     for _ in range(100):
         while True:
@@ -235,7 +235,92 @@ def test_inertia_matches_sympy_root_counts():
             plus = sum(1 for r in roots if r > 0)
             minus = sum(1 for r in roots if r < 0)
             got = inertia(as_matrix(rows))
-            assert got == (plus, minus, n - plus - minus)
+            assert got == inertia(rows) == (plus, minus, n - plus - minus)
+
+
+def test_inertia_of_rational_matrices_matches_sympy():
+    rng = random.Random(31)
+    x = sympy.Symbol("x")
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            rows = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = F(rng.randint(-4, 4), rng.randint(1, 5))
+            exact = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows])
+            roots = sympy.Poly(exact.charpoly(x), x).real_roots()
+            plus = sum(1 for r in roots if r > 0)
+            minus = sum(1 for r in roots if r < 0)
+            assert inertia(rows) == (plus, minus, n - plus - minus)
+
+
+def seeded_symmetric_matrices():
+    """Symmetric matrices that reach every branch of the elimination: dense
+    ints, zero diagonals, Fractions, singular ones, interleaved orthogonal
+    blocks (hyperbolic ones too), and K3."""
+    rng = random.Random(37)
+    blocks = ([[0, 1], [1, 0]], [[0, 2], [2, 0]], [[2, -1], [-1, 2]], [[1]], [[-3]], [[0]])
+    out = []
+    for trial in range(600):
+        n = rng.randint(1, 7)
+        kind = trial % 5
+        if kind == 3:
+            # V^T D V with V of rank at most r < n
+            r = rng.randint(0, n - 1)
+            v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            d = [rng.choice((-2, -1, 1, 2)) for _ in range(r)]
+            out.append([[sum(d[k] * v[k][i] * v[k][j] for k in range(r)) for j in range(n)] for i in range(n)])
+            continue
+        if kind == 4:
+            total = []
+            while len(total) < n:
+                total.append(rng.choice(blocks))
+            size = sum(map(len, total))
+            rows = [[0] * size for _ in range(size)]
+            at = 0
+            for b in total:
+                for i, row in enumerate(b):
+                    rows[at + i][at:at + len(b)] = row
+                at += len(b)
+            perm = list(range(size))
+            rng.shuffle(perm)
+            out.append([[rows[perm[i]][perm[j]] for j in range(size)] for i in range(size)])
+            continue
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if kind == 0:
+                    value = rng.randint(-4, 4)
+                elif kind == 1:
+                    value = 0 if i == j else rng.choice((0, 0, rng.randint(-3, 3)))
+                else:
+                    value = F(rng.randint(-5, 5), rng.randint(1, 4))
+                rows[i][j] = rows[j][i] = value
+        out.append(rows)
+    out.append(standard_lattice("k3").gram)
+    return out
+
+
+def test_integer_congruence_reproduces_the_fraction_elimination():
+    for m in seeded_symmetric_matrices():
+        diag, t = linalg.diagonalize_symmetric(m)
+        assert (diag, t) == fraction_diagonalize_symmetric(m), m
+        assert all(type(x) is F for x in diag) and all(type(x) is F for row in t for x in row)
+        assert inertia(m) == fraction_inertia(m), m
+
+
+def test_congruence_certificate_in_integers():
+    # t.a.t^T = diag(p_{k-1} p_k) up to the rank, and 0 past it
+    for m in seeded_symmetric_matrices():
+        if any(isinstance(x, F) for row in m for x in row):
+            continue
+        pivots, t = linalg._congruence(m)
+        n, r = len(m), len(pivots)
+        product = [[sum(t[a][i] * m[i][j] * t[b][j] for i in range(n) for j in range(n))
+                    for b in range(n)] for a in range(n)]
+        weights = [p * q for p, q in zip(pivots, [1] + pivots)] + [0] * (n - r)
+        assert product == [[weights[a] if a == b else 0 for b in range(n)] for a in range(n)]
+        assert all(pivots)
 
 
 def test_subspace_contains():

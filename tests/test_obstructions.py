@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ import pytest
 from geocycle import obstructions
 from geocycle.errors import AmbientMismatch, BudgetExceeded, NotSpanning, WrongInertia
 from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
-from geocycle.linalg import matrix_inverse, restricted_definiteness, span
+from geocycle.linalg import restricted_definiteness, span
 from geocycle.obstructions import (
     ROOT_NORM,
     _block_table,
@@ -21,6 +22,7 @@ from geocycle.obstructions import (
     inner_product,
     plane_orthogonal_to,
 )
+from oracles import inverse_square_forms, oracle_matrix_inverse
 
 H = standard_lattice("hyperbolic")
 B11 = standard_lattice("bpq", 1, 1)
@@ -226,6 +228,40 @@ def test_block_tables_are_exact_on_their_windows(gram):
             assert {k: sorted(vs) for k, vs in table.items()} == expected
 
 
+SQUARE_FORM_GRAMS = {
+    **BLOCKS, "E8": standard_lattice("e8_pos").gram, "-E8": E8_NEG.gram,
+}
+
+
+@pytest.mark.parametrize("name", list(SQUARE_FORM_GRAMS))
+def test_square_forms_sum_to_scale_times_q(name):
+    gram = SQUARE_FORM_GRAMS[name]
+    n = len(gram)
+    weights, icoeffs, scale = _integer_square_forms(gram)
+    assert scale > 0 and all(type(w) is int and w for w in weights)
+    for row in icoeffs:
+        assert math.gcd(*row) == 1 and next(c for c in row if c) > 0
+    rng = random.Random(name)
+    for _ in range(50):
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+        squares = sum(w * sum(c * xi for c, xi in zip(row, x)) ** 2 for w, row in zip(weights, icoeffs))
+        assert squares == scale * q
+    oracle = inverse_square_forms(gram)
+    if _is_lower_unitriangular_support(oracle[1]):
+        assert (weights, icoeffs, scale) == oracle
+
+
+def test_roots_are_the_same_with_the_inverse_based_forms(monkeypatch):
+    rng = random.Random(41)
+    cases = [(random_block_sum(rng, 5), rng.randint(1, 2)) for _ in range(40)]
+    cases += [(E8_NEG, 6), (standard_lattice("e8_pos"), 2), (B23, 2), (quad_lattice(BLOCKS["indefinite3"]), 3)]
+    expected = [enumerate_roots(l, bound) for l, bound in cases]
+    monkeypatch.setattr(obstructions, "_integer_square_forms", inverse_square_forms)
+    assert [enumerate_roots(l, bound) for l, bound in cases] == expected
+    assert len(expected[-4]) == 240  # every root of -E8 lies in the box of radius 6
+
+
 def test_budget_stops_the_box_search_on_an_irreducible_indefinite_block(monkeypatch):
     l = quad_lattice([[1, 1, 0], [1, -1, 1], [0, 1, 1]])
     forms = _integer_square_forms(l.gram)
@@ -316,7 +352,7 @@ def test_standard_plane_is_orthogonal_to_block_roots():
 def test_perturbed_plane_misses_every_block_root():
     # perturb along a direction pairing nontrivially with every root: the
     # preimage of the all-ones functional under the block Gram
-    w = matrix_inverse(E8_NEG.gram_matrix())
+    w = oracle_matrix_inverse(E8_NEG.gram)
     ones = tuple(F(1) for _ in range(8))
     direction = tuple(sum(w[i][j] * ones[j] for j in range(8)) for i in range(8))
     bump = [F(0)] * 22

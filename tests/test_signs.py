@@ -9,6 +9,7 @@ from geocycle.isometries import isometry_from_matrix
 from geocycle.lattices import standard_lattice
 from geocycle.linalg import as_matrix, det, identity_matrix, mat_mul, transpose
 from geocycle.signs import (
+    AdmissibleV,
     action_on_diagonal,
     admissible_v,
     build_k,
@@ -264,6 +265,16 @@ def test_pi_k_sweep_small():
                 mat = pi_k_matrix(p, q, v)
                 assert mat == expected_diagonal(p)
                 assert det(mat) == F(-1) ** (p - 1)
+                # pi_k_matrix reads star^T v off v.v instead of building the star
+                assert mat == action_on_diagonal(*reflection_blocks(p, q, v), v)
+
+
+def test_pi_k_matrix_computes_v_dot_v():
+    # built around the validation, v.v = 2: a closed form that assumed
+    # v.v = 1 would disagree with the dense star here
+    v = AdmissibleV(2, (F(1), F(1), F(0)))
+    assert pi_k_matrix(2, 3, v) == action_on_diagonal(*reflection_blocks(2, 3, v), v)
+    assert pi_k_matrix(2, 3, v) != expected_diagonal(2)
 
 
 # -------------------------------------------------------------------- epsilon
