@@ -5,11 +5,13 @@ first two positive and first two negative directions generate, for suitable
 parameters, a family whose flat-vs-hyperplane intersection matrix is lower
 triangular with points on the diagonal. The inequality controlling emptiness
 is evaluated as an exact rational comparison: angles never appear, only
-Pythagorean pairs (c, s) and the exact tangent s/c.
+Pythagorean pairs (c, s) and the exact tangent s/c. A rotation's powers are
+walked as Gaussian integers: for t = 1/d, r^k = (d - i)^{2k} / (d^2 + 1)^k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -90,17 +92,21 @@ def rotation_from_tangent(t) -> RotationPair:
 
 
 def _rotation_powers(r: RotationPair):
-    """(c_k, s_k) of r^k for k = 0, 1, 2, ...: one walk, one product a step."""
-    c, s = Fraction(1), Fraction(0)
+    """(re, im) with r^k = (re + im*i) / D^k for k = 0, 1, 2, ..., D the
+    common denominator of c and s: one walk, one Gaussian product a step."""
+    d = math.lcm(r.c.denominator, r.s.denominator)
+    c, s = int(r.c * d), int(r.s * d)
+    re, im = 1, 0
     while True:
-        yield c, s
-        c, s = c * r.c - s * r.s, s * r.c + c * r.s
+        yield re, im
+        re, im = re * c - im * s, im * c + re * s
 
 
 def rotation_power(r: RotationPair, k: int) -> RotationPair:
     if k < 0:
         raise ValueError("rotation power wants a nonnegative exponent")
-    return RotationPair(*next(islice(_rotation_powers(r), k, None)))
+    dk = math.lcm(r.c.denominator, r.s.denominator) ** k
+    return RotationPair(*(Fraction(x, dk) for x in next(islice(_rotation_powers(r), k, None))))
 
 
 @dataclass(frozen=True)
@@ -149,10 +155,8 @@ def rotation_isometry(pair: RotationPair, p: int, q: int, l: QuadLattice | None 
     n = p + q
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for base in (0, p):  # e-block then f-block
-        rows[base][base] = pair.c
-        rows[base + 1][base] = pair.s
-        rows[base][base + 1] = -pair.s
-        rows[base + 1][base + 1] = pair.c
+        rows[base][base:base + 2] = pair.c, -pair.s
+        rows[base + 1][base:base + 2] = pair.s, pair.c
     return isometry_from_matrix(rows, l)
 
 
@@ -195,7 +199,8 @@ def inequality_details(spec: ArrangementSpec, n: int) -> list[InequalityDetail]:
     over the rotation powers."""
     bp = boost_power(spec.boost, spec.m)
     lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
-    tangents = (s / c if c else None for c, s in islice(_rotation_powers(spec.rotation), 1, n + 1))
+    powers = islice(_rotation_powers(spec.rotation), 1, n + 1)
+    tangents = (Fraction(im, re) if re else None for re, im in powers)
     return [
         InequalityDetail(t is not None and lower <= t <= upper, t is None, t, lower, upper)
         for t in tangents
@@ -248,15 +253,15 @@ def intersection_matrix(spec: ArrangementSpec) -> IntersectionMatrix:
     return IntersectionMatrix(size, grid, lower, shift_ok)
 
 
-def _negative_tangents(rotation: RotationPair, limit: int) -> list[Fraction]:
-    """tan(k*angle) for k = 1, 2, ... while the tangent stays negative,
-    stopping at the first pole or sign change (where the inequality is
-    unsatisfiable for every boost)."""
-    out: list[Fraction] = []
-    for c, s in islice(_rotation_powers(rotation), 1, limit + 1):
-        if c == 0 or s / c >= 0:
+def _negative_tangents(rotation: RotationPair, limit: int) -> list[tuple[int, int]]:
+    """tan(k*angle) = im/re as (im, re), re > 0, for k = 1, 2, ... while it is
+    negative: a pole or sign change makes the inequality fail for every boost."""
+    out: list[tuple[int, int]] = []
+    for re, im in islice(_rotation_powers(rotation), 1, limit + 1):
+        re, im = (re, im) if re > 0 else (-re, -im)
+        if re == 0 or im >= 0:
             break
-        out.append(s / c)
+        out.append((im, re))
     return out
 
 
@@ -277,7 +282,7 @@ def search_parameters(
             tangents = tangent_cache[t]
             if len(tangents) < n:
                 continue  # some k <= n already hits a pole or a nonnegative tangent
-            if all(lower <= tan <= upper for tan in tangents[:n]):
+            if all(lower * re <= im <= upper * re for im, re in tangents):  # times re > 0
                 return m, t
     raise SearchExhausted(
         f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}"

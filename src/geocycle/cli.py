@@ -8,6 +8,7 @@ stdout bytes. Exit codes: 0 ok, 1 a checked claim failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -199,6 +200,7 @@ def _add_output_flags(target, *, top_level: bool) -> None:
                         **({"default": verify.DEFAULT_SEED} if top_level else extra))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geocycle",

@@ -14,13 +14,15 @@ and normals are projective, so a flat is held as the primitive integer rows
 of its blocks and its rest, certified once on their integer Gram matrix, and
 a hyperplane as the primitive integer vector on its normal line: every
 verdict is integer arithmetic. Scaling v by c scales a, b and w by c and
-Q(w) by c^2, so no verdict depends on the vector chosen on the line. The
-RREF subspaces of a flat are derived on demand.
+Q(w) by c^2, so no verdict depends on the vector chosen on the line; a block
+keeps (Q(x), B(x,y), Q(y)) over its positive gcd, and w is formed only for a
+Point cell. The RREF subspaces of a flat are derived on demand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -62,7 +64,7 @@ class Flat:
     subspaces; flats are equal iff their lattices and subspaces are."""
 
     lattice: QuadLattice
-    # per block, of inertia (1,1,0): the basis x, y and Q(x), B(x,y), Q(y)
+    # per block, of inertia (1,1,0): x, y and Q(x), B(x,y), Q(y) over their positive gcd
     int_blocks: tuple[tuple[IntVec, IntVec, int, int, int], ...]
     int_rest: tuple[IntVec, ...]  # negative definite, possibly empty
 
@@ -145,7 +147,8 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
             raise NotOrthogonal(f"components {part_of[a]} and {part_of[b]} are not orthogonal")
     if 2 * len(subs) + len(rest_gram) != l.rank:
         raise NotSpanning(f"components span only {len(rows)} of {l.rank} dimensions")
-    int_blocks = tuple((x, y, g[0][0], g[0][1], g[1][1]) for (x, y), g in zip(parts, subs))
+    triples = [(g[0][0], g[0][1], g[1][1]) for g in subs]  # gcd > 0, as det < 0
+    int_blocks = tuple((x, y, *(c // math.gcd(*t) for c in t)) for (x, y), t in zip(parts, triples))
     return Flat(l, int_blocks, tuple(parts[-1]))
 
 
@@ -185,20 +188,15 @@ def _check_same_lattice(a, b) -> None:
         raise LatticeMismatch("objects live over different lattices")
 
 
-def _block_lines(flat: Flat, hyper: Hyperplane) -> list[tuple[IntVec, int] | None]:
+def _block_lines(flat: Flat, hyper: Hyperplane) -> list[tuple[int, int, int] | None]:
     """Per block <x, y>: None when the block lies inside the hyperplane's
-    complement (a = b = 0), else the cut line's integer spanning vector
-    w = b*x - a*y and Q(w), by the closed form in the module docstring."""
+    complement (a = b = 0), else (a, b, Q(w)) for the cut line through
+    w = b*x - a*y, which is not formed here (see the module docstring)."""
     phi = hyper.functional
-    out: list[tuple[IntVec, int] | None] = []
+    out: list[tuple[int, int, int] | None] = []
     for x, y, qx, bxy, qy in flat.int_blocks:
-        a = _int_dot(phi, x)
-        b = _int_dot(phi, y)
-        if a == 0 and b == 0:
-            out.append(None)
-            continue
-        w = tuple(b * xi - a * yi for xi, yi in zip(x, y))
-        out.append((w, b * b * qx - 2 * a * b * bxy + a * a * qy))
+        a, b = _int_dot(phi, x), _int_dot(phi, y)
+        out.append((a, b, b * (b * qx - 2 * a * bxy) + a * a * qy) if a or b else None)
     return out
 
 
@@ -237,7 +235,7 @@ def general_position(
         if not _rest_clause_holds(flat, hyper):
             return False
     if mode == "strong":
-        return all(q > 0 for _, q in lines)
+        return all(q > 0 for *_, q in lines)
     return True
 
 
@@ -259,8 +257,10 @@ def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerd
     for i, line in enumerate(lines):
         if line is None:
             return IntersectionVerdict("Degenerate", reason=f"dim_not_one({i})")
-    if all(q > 0 for _, q in lines):
-        plane = span([w for w, _ in lines], ambient=flat.lattice.rank)
+    if all(q > 0 for *_, q in lines):
+        pairs = zip(flat.int_blocks, lines)
+        cuts = [[b * xi - a * yi for xi, yi in zip(x, y)] for (x, y, *_), (a, b, _) in pairs]
+        plane = span(cuts, ambient=flat.lattice.rank)
         return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
     return IntersectionVerdict("Empty")
 

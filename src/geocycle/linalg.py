@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import AmbientMismatch, NotSquare
@@ -351,8 +351,9 @@ def perp(a: Subspace, lattice: "QuadLattice") -> Subspace:
 
 
 def restricted_definiteness(a: Subspace, lattice: "QuadLattice") -> tuple[int, int, int]:
-    """Inertia of the lattice form restricted to the subspace."""
+    """Inertia of the form on the subspace, read off its RREF rows scaled to integers."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    restricted = mat_mul(mat_mul(a.basis, lattice.gram), transpose(a.basis))
-    return inertia(restricted)
+    rows = [_integer_matrix([row])[0][0] for row in a.basis]  # each by its lcm > 0: a congruence
+    pairings = [[sum(map(mul, g, r)) for g in lattice.gram] for r in rows]
+    return inertia([[sum(map(mul, pr, r)) for r in rows] for pr in pairings])

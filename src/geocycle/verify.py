@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import arrangement as arr
 from . import grassmann as gr
@@ -338,10 +339,11 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
         l = grams[i % len(grams)]
         n = l.rank
         while True:
-            gm = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+            gm = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if linalg.det(gm) != 0:
                 break
-        congruent = linalg.mat_mul(linalg.mat_mul(linalg.transpose(gm), l.gram), gm)
+        gram_gm = [[sum(map(mul, row, col)) for col in zip(*gm)] for row in l.gram]
+        congruent = [[sum(map(mul, a, b)) for b in zip(*gram_gm)] for a in zip(*gm)]  # gm^T.G.gm
         if linalg.inertia(congruent) != linalg.inertia(l.gram):
             failures += 1
     elapsed = time.perf_counter() - start

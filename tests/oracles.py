@@ -1,14 +1,28 @@
-"""Fraction oracles for the integer symmetric core.
+"""Fraction oracles for the library's integer paths.
 
-These are the eliminations the library used before its symmetric core ran
-in integers, kept so that tests can compare the integer core against
-them.
+These are the computations the library made over Fraction before they ran
+in integers: the symmetric elimination, the matrix inverse, the rotation
+walk with the parameter search on top of it, and the restricted inertia of
+a subspace. Tests compare the integer paths against them.
 """
 
 import math
+from fractions import Fraction
+from itertools import islice
 
-from geocycle.errors import NotSquare
-from geocycle.linalg import ONE, ZERO, as_matrix, frac, identity_matrix, rref
+from geocycle.arrangement import MAX_BOOST_POWER, TANGENT_SCAN, boost_power, rotation_from_tangent
+from geocycle.errors import NotSquare, SearchExhausted
+from geocycle.linalg import (
+    ONE,
+    ZERO,
+    as_matrix,
+    frac,
+    identity_matrix,
+    inertia,
+    mat_mul,
+    rref,
+    transpose,
+)
 
 
 def fraction_diagonalize_symmetric(m):
@@ -97,3 +111,44 @@ def inverse_square_forms(gram):
         weights.append(diag[k] / (mult * mult))
     scale = math.lcm(*(w.denominator for w in weights))
     return [int(w * scale) for w in weights], icoeffs, scale
+
+
+def fraction_rotation_powers(r):
+    """(c_k, s_k) of r^k for k = 0, 1, 2, ..., one Fraction product a step."""
+    c, s = Fraction(1), Fraction(0)
+    while True:
+        yield c, s
+        c, s = c * r.c - s * r.s, s * r.c + c * r.s
+
+
+def fraction_negative_tangents(rotation, limit):
+    """tan(k*angle) = s_k/c_k for k = 1, 2, ... while it stays negative."""
+    out = []
+    for c, s in islice(fraction_rotation_powers(rotation), 1, limit + 1):
+        if c == 0 or s / c >= 0:
+            break
+        out.append(s / c)
+    return out
+
+
+def fraction_search_parameters(p, q, n, boost):
+    """The parameter search with its tangents compared as Fractions."""
+    if n < 1:
+        raise ValueError("family size n must be at least 1")
+    tangent_cache = {t: fraction_negative_tangents(rotation_from_tangent(t), n) for t in TANGENT_SCAN}
+    for m in range(1, MAX_BOOST_POWER + 1):
+        bp = boost_power(boost, m)
+        lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
+        for t in TANGENT_SCAN:
+            tangents = tangent_cache[t]
+            if len(tangents) < n:
+                continue
+            if all(lower <= tan <= upper for tan in tangents[:n]):
+                return m, t
+    raise SearchExhausted(f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}")
+
+
+def mat_mul_restricted_definiteness(a, lattice):
+    """Inertia of the form restricted to a subspace, from the Fraction
+    product basis . gram . basis^T of its RREF rows."""
+    return inertia(mat_mul(mat_mul(a.basis, lattice.gram), transpose(a.basis)))

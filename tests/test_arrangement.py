@@ -2,8 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+import math
+from itertools import islice
+
+from geocycle import arrangement
 from geocycle.arrangement import (
     DEFAULT_BOOST,
+    TANGENT_SCAN,
     ArrangementSpec,
     BoostParams,
     RotationPair,
@@ -24,6 +29,7 @@ from geocycle.errors import SearchExhausted
 from geocycle.grassmann import hyperplane_new, intersect_flat_hyperplane, translate
 from geocycle.lattices import eval_form
 from geocycle.linalg import perp, span
+from oracles import fraction_negative_tangents, fraction_rotation_powers, fraction_search_parameters
 
 
 def boost_matrix_power_oracle(base: BoostParams, m: int):
@@ -102,6 +108,41 @@ def test_rotation_power_unit_circle_and_additivity():
             a, b, c = rotation_power(r, j), rotation_power(r, k), rotation_power(r, j + k)
             assert (a.c * b.c - a.s * b.s, a.s * b.c + a.c * b.s) == (c.c, c.s)
             assert c.c * c.c + c.s * c.s == 1
+
+
+def off_circle_pair(c, s):
+    """A pair (c, s) built without RotationPair's unit-circle check. On the
+    circle c and s always share their reduced denominator; off it they need
+    not, and the Gaussian walk is the same complex product either way."""
+    r = object.__new__(RotationPair)
+    object.__setattr__(r, "c", c)
+    object.__setattr__(r, "s", s)
+    return r
+
+
+ROTATIONS = [rotation_from_tangent(t) for t in TANGENT_SCAN] + [
+    RotationPair(F(0), F(-1)),
+    RotationPair(F(-3, 5), F(4, 5)),
+    off_circle_pair(F(1, 2), F(-2, 3)),
+]
+
+
+@pytest.mark.parametrize("r", ROTATIONS, ids=lambda r: f"{r.c},{r.s}")
+def test_gaussian_walk_matches_the_fraction_walk(r):
+    # r^k = (re + im*i) / D^k in integers, D the lcm of the denominators
+    d = math.lcm(r.c.denominator, r.s.denominator)
+    walks = zip(arrangement._rotation_powers(r), fraction_rotation_powers(r))
+    for k, ((re, im), (c, s)) in enumerate(islice(walks, 301)):
+        assert type(re) is int and type(im) is int
+        assert (F(re, d**k), F(im, d**k)) == (c, s)
+
+
+@pytest.mark.parametrize("r", ROTATIONS[:-1], ids=lambda r: f"{r.c},{r.s}")
+def test_negative_tangents_match_the_fraction_tangents(r):
+    got = arrangement._negative_tangents(r, 900)
+    assert all(re > 0 for _, re in got)
+    assert [F(im, re) for im, re in got] == fraction_negative_tangents(r, 900)
+    assert arrangement._negative_tangents(r, 3) == got[:3]
 
 
 def test_rotation_validation():
@@ -359,3 +400,33 @@ def test_searched_parameters_satisfy_all_inequalities():
         assert all(detail.holds for detail in inequality_details(spec, n))
         # deterministic: repeated searches agree
         assert search_parameters(2, 3, n, DEFAULT_BOOST) == (m, t)
+
+
+def search_outcome(search, p, q, n, boost):
+    try:
+        return search(p, q, n, boost)
+    except SearchExhausted:
+        return SearchExhausted
+
+
+BOOSTS = [DEFAULT_BOOST, BoostParams(F(5, 3), F(4, 3)), BoostParams(F(17, 8), F(15, 8))]
+
+
+@pytest.mark.parametrize("boost", BOOSTS, ids=lambda b: f"{b.a},{b.b}")
+def test_search_matches_the_fraction_search(boost):
+    # the search reads only n and the boost; p and q vary all the same
+    for (p, q), n in zip([(2, 3), (3, 4), (3, 19), (8, 8)] * 6, range(1, 25)):
+        expected = search_outcome(fraction_search_parameters, p, q, n, boost)
+        assert search_outcome(search_parameters, p, q, n, boost) == expected
+    for n in (32, 64, 128, 256, 400, 500):
+        expected = search_outcome(fraction_search_parameters, 3, 4, n, boost)
+        assert search_outcome(search_parameters, 3, 4, n, boost) == expected
+
+
+def test_search_matches_the_fraction_search_at_the_scan_limit():
+    # t = 1/1024 keeps its tangent negative for k <= 804 and no further
+    assert search_parameters(3, 19, 804, DEFAULT_BOOST) == (12, F(1, 1024))
+    for n in (804, 805):
+        expected = search_outcome(fraction_search_parameters, 3, 19, n, DEFAULT_BOOST)
+        assert search_outcome(search_parameters, 3, 19, n, DEFAULT_BOOST) == expected
+    assert expected is SearchExhausted

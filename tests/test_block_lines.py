@@ -226,10 +226,12 @@ def flat_outcome(build, u_bases, n_basis, l):
 
 def assert_integer_rows(flat):
     """The flat's rows are primitive integer vectors and each block carries
-    the Q(x), B(x,y), Q(y) of its rows."""
+    the Q(x), B(x,y), Q(y) of its rows divided by their positive gcd."""
     l = flat.lattice
     for x, y, qx, bxy, qy in flat.int_blocks:
-        assert (qx, bxy, qy) == (eval_form(l, x, x), eval_form(l, x, y), eval_form(l, y, y))
+        raw = (eval_form(l, x, x), eval_form(l, x, y), eval_form(l, y, y))
+        g = math.gcd(*map(int, raw))
+        assert g > 0 and (qx, bxy, qy) == tuple(c / g for c in raw)
     rows = [row for x, y, *_ in flat.int_blocks for row in (x, y)] + list(flat.int_rest)
     assert all(isinstance(c, int) for row in rows for c in row)
     assert all(math.gcd(*row) == 1 for row in rows)

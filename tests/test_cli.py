@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from geocycle import cli, verify
 from geocycle.cli import main
 
 
@@ -311,3 +312,47 @@ def test_timings_go_to_stderr_not_stdout(capsys):
     _, out, err = run_cli(capsys, "lattice", "--kind", "hyperbolic")
     assert "elapsed_ms" in err
     assert "elapsed_ms" not in out
+
+
+PARSE_SEQUENCE = [
+    ["--csv", "arrange", "--p", "2", "--q", "3", "--n", "3", "--m", "3", "--t", "1/10"],
+    ["arrange", "--p", "2", "--q", "3", "--n", "3", "--m", "3", "--t", "1/10"],
+    ["arrange", "--p", "2", "--q", "3", "--n", "3", "--m", "3", "--t", "1/10", "--csv"],
+    ["arrange", "--p", "2", "--q", "3", "--n", "2", "--auto-params"],
+    ["--seed", "5", "verify-all"],
+    ["verify-all", "--seed", "6"],
+    ["verify-all"],
+    ["--seed", "5", "verify-all", "--seed", "8", "--csv"],
+    ["lattice", "--kind", "bpq", "--p", "1", "--q", "2", "--classify"],
+    ["lattice", "--kind", "hyperbolic", "--json"],
+    ["lattice", "--kind", "bpq"],
+    ["roots", "--lattice", "hyperbolic", "--bound", "2"],
+    ["arrange", "--p", "x"],
+    ["nope"],
+    [],
+    ["--seed", "x", "lattice", "--kind", "hyperbolic"],
+    ["lattice", "--help"],
+    ["signs", "--p", "2", "--q", "3", "--v", "3/5,4/5"],
+    ["verify-all"],
+    ["lattice", "--kind", "hyperbolic"],
+]
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # the parser is built once per process: every call in a mixed sequence
+    # gives the stdout and exit code of the same call on a fresh parser
+    monkeypatch.setattr(
+        verify, "run_all", lambda seed: [verify.CheckResult(f"seed {seed}", True, 0.0, {})]
+    )
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run_cli(capsys, *argv)[:2] for argv in PARSE_SEQUENCE]
+    fresh = []
+    for argv in PARSE_SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert shared == fresh
+    codes = [code for code, _ in shared]
+    assert codes.count(2) == 5 and codes.count(0) == len(codes) - 5
+    assert [json.loads(out)["checks"][0]["name"] for _, out in shared[4:8]] == [
+        "seed 5", "seed 6", f"seed {verify.DEFAULT_SEED}", "seed 8"
+    ]

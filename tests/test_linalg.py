@@ -19,7 +19,13 @@ from geocycle.linalg import (
     span,
     subspace_sum,
 )
-from oracles import fraction_diagonalize_symmetric, fraction_inertia, oracle_matrix_inverse
+from geocycle.verify import random_subspace
+from oracles import (
+    fraction_diagonalize_symmetric,
+    fraction_inertia,
+    mat_mul_restricted_definiteness,
+    oracle_matrix_inverse,
+)
 
 B11 = standard_lattice("bpq", 1, 1)
 H = standard_lattice("hyperbolic")
@@ -161,6 +167,58 @@ def test_restricted_definiteness_examples():
     assert restricted_definiteness(span([(1, 0)]), B11) == (1, 0, 0)
     assert restricted_definiteness(span([(1, 1)]), B11) == (0, 0, 1)  # isotropic line
     assert restricted_definiteness(span([(1, 0), (0, 1)]), H) == (1, 1, 0)
+
+
+def degenerate_span(l, u, rng, rows):
+    """The isotropic vector u with `rows` random integer vectors of its
+    orthogonal complement: u lies in the radical of their span."""
+    complement = perp(span([u]), l).basis
+    combos = [[rng.randint(-3, 3) for _ in complement] for _ in range(rows)]
+    return span([u] + [[sum(c * b[i] for c, b in zip(cs, complement)) for i in range(l.rank)]
+                       for cs in combos])
+
+
+def unit(n, *ones):
+    return [1 if i in ones else 0 for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "l,u,v",
+    [
+        (B23, unit(5, 0, 2), unit(5, 0)),
+        (standard_lattice("bpq", 3, 4), unit(7, 1, 5), unit(7, 1)),
+        (standard_lattice("bpq", 3, 19), unit(22, 0, 3), unit(22, 0)),
+        (standard_lattice("k3"), unit(22, 0), unit(22, 1)),
+    ],
+    ids=["B(2,3)", "B(3,4)", "B(3,19)", "K3"],
+)
+def test_restricted_definiteness_matches_the_fraction_product(l, u, v):
+    # u is isotropic and B(u, v) != 0, so <u, v> is a hyperbolic plane and
+    # every space through it is indefinite
+    rng = random.Random(l.rank)
+    spaces = [span((), ambient=l.rank)]
+    spaces += [random_subspace(l.rank, rng, max_rows=6) for _ in range(40)]
+    spaces += [degenerate_span(l, u, rng, rng.randint(0, 4)) for _ in range(15)]
+    spaces += [span([u, v, *random_subspace(l.rank, rng, max_rows=3).basis]) for _ in range(5)]
+    kinds = set()
+    for a in spaces:
+        sig = restricted_definiteness(a, l)
+        assert sig == mat_mul_restricted_definiteness(a, l)
+        assert sum(sig) == a.dim
+        kinds.add("zero" if a.dim == 0 else "degenerate" if sig[2] else
+                  "indefinite" if sig[0] and sig[1] else "definite")
+    assert kinds == {"zero", "degenerate", "indefinite", "definite"}
+    assert any(x.denominator > 1 for a in spaces for row in a.basis for x in row)
+
+
+def test_restricted_definiteness_certifies_in_integers(monkeypatch):
+    # each RREF row is scaled to integers before its Gram matrix is formed
+    seen = []
+    original = linalg.inertia
+    monkeypatch.setattr(linalg, "inertia", lambda m: seen.append(m) or original(m))
+    a = span([(F(1, 2), F(1, 3), 0, 0, 1), (0, 1, F(2, 7), 0, 0)])
+    assert restricted_definiteness(a, B23) == mat_mul_restricted_definiteness(a, B23)
+    assert seen and all(type(x) is int for row in seen[0] for x in row)
 
 
 def test_inertia_additive_on_orthogonal_pieces():
