@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import SearchExhausted
+from .errors import BudgetExceeded, SearchExhausted
 from .grassmann import (
     Flat,
     Hyperplane,
@@ -36,6 +36,16 @@ TANGENT_SCAN = tuple(
     Fraction(1, d) for d in (10, 16, 20, 32, 50, 64, 100, 128, 256, 512, 1024)
 )
 MAX_BOOST_POWER = 64
+# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 5.4 s, (32,32) at n = 256 28 s
+MAX_FAMILY_SIZE = 256
+MAX_Q = 32
+
+
+def check_family_size(q: int, n: int, m: int = 0) -> None:
+    """Raise BudgetExceeded unless n <= MAX_FAMILY_SIZE, q <= MAX_Q and m <= MAX_BOOST_POWER."""
+    for name, value, cap in (("n", n, MAX_FAMILY_SIZE), ("q", q, MAX_Q), ("m", m, MAX_BOOST_POWER)):
+        if value > cap:
+            raise BudgetExceeded(f"arrange takes {name} <= {cap}, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,7 @@ class ArrangementSpec:
             raise ValueError("the family generator needs a nontrivial boost (b > 0)")
         if not self.rotation.s < 0:
             raise ValueError("the family generator needs s < 0")
+        check_family_size(self.q, self.n, self.m)
 
     def lattice(self) -> QuadLattice:
         return standard_lattice("bpq", self.p, self.q)
@@ -271,7 +282,8 @@ def search_parameters(
     """Smallest boost power m and first scan tangent t whose family satisfies
     the emptiness inequality for every k = 1..n. Deterministic; raises
     SearchExhausted when the bounded scan (m <= 64, fixed tangent list)
-    contains no witness."""
+    contains no witness. The inequality lives in the rotated 2-plane, so
+    (m, t) depends only on n and the boost, never on p or q."""
     if n < 1:
         raise ValueError("family size n must be at least 1")
     tangent_cache = {t: _negative_tangents(rotation_from_tangent(t), n) for t in TANGENT_SCAN}

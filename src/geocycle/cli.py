@@ -21,7 +21,7 @@ from . import verify
 from .errors import GeocycleError
 from .isometries import cartan_dieudonne, in_congruence_subgroup, isometry_from_matrix, spinor_norm
 from .lattices import classify, standard_lattice
-from .linalg import as_matrix, det, frac
+from .linalg import det, frac
 
 # K3 coordinate blocks for --block: label -> (offset, lattice kind)
 _K3_BLOCKS = {
@@ -33,7 +33,7 @@ _K3_BLOCKS = {
 }
 
 
-def _parse_matrix(text: str):
+def _parse_matrix(text: str) -> list:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -41,7 +41,7 @@ def _parse_matrix(text: str):
     # a string or an object would iterate as its characters or keys
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValueError("matrix must be a JSON list of rows")
-    return as_matrix(raw)
+    return raw  # isometry_from_matrix coerces the rows
 
 
 def _parse_vector(text: str):
@@ -113,6 +113,7 @@ def _cmd_arrange(args):
             raise ValueError("provide --p, --q and --n (or a --spec-json document)")
         boost = arr.BoostParams(frac(args.boost_a), frac(args.boost_b))
         if args.auto_params:
+            arr.check_family_size(args.q, args.n)
             m, t = arr.search_parameters(args.p, args.q, args.n, boost)
         else:
             if args.m is None or args.t is None:

@@ -75,4 +75,4 @@ class CertificateFailed(GeocycleError):
 
 class BudgetExceeded(GeocycleError):
     """A search needed more work than its fixed budget (root enumeration
-    nodes, trial divisions when factoring)."""
+    nodes, trial divisions when factoring, arrangement sizes)."""

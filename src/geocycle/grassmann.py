@@ -125,13 +125,18 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
     """Certify and build a flat from primitive integer rows: one list of
     independent rows per block, then the rest's.
 
-    Everything is read off the integer Gram matrix V.G.V^T of all the rows:
-    each block has inertia (1,1,0), the rest is negative definite, entries
-    between parts vanish, and, as pairwise orthogonal nondegenerate parts
-    are independent, they span the space iff 2*blocks + dim rest = rank.
+    Everything is read off the integer Gram matrix V.G.V^T of all the rows,
+    its upper triangle computed and mirrored: each block has inertia
+    (1,1,0), the rest is negative definite, entries between parts vanish,
+    and, as pairwise orthogonal nondegenerate parts are independent, they
+    span the space iff 2*blocks + dim rest = rank.
     """
     rows = [row for part in parts for row in part]
-    gram = [[_int_dot(gx, y) for y in rows] for gx in (ray(x, l)[1] for x in rows)]
+    gram = [[0] * len(rows) for _ in rows]
+    for a, x in enumerate(rows):
+        gx = [_int_dot(g, x) for g in l.gram]
+        for b in range(a, len(rows)):
+            gram[a][b] = gram[b][a] = _int_dot(gx, rows[b])
     cuts = list(itertools.accumulate(map(len, parts), initial=0))
     *subs, rest_gram = [[row[a:b] for row in gram[a:b]] for a, b in zip(cuts, cuts[1:])]
     for i, g in enumerate(subs):
@@ -164,8 +169,7 @@ def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
     if not blocks:
         raise ValueError("a flat needs at least one hyperbolic block")
     parts = blocks + [span(n_basis, ambient=l.rank)]
-    rows = [[primitive(cleared(row, l)[0]) for row in part.basis] for part in parts]
-    return _certified_flat(rows, l)
+    return _certified_flat([part.rows for part in parts], l)
 
 
 def _certified_hyperplane(x, l: QuadLattice) -> Hyperplane:
@@ -290,11 +294,11 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
-    A flat's integer rows and a hyperplane's integer normal are mapped
-    through g's integer matrix and taken primitive (g's denominator only
-    rescales them); the image flat is re-certified on its integer Gram
-    matrix, and the image normal's Q < 0 is checked again. Points are
-    rebuilt through their validating constructor.
+    A flat's integer rows, a point's plane rows and a hyperplane's integer
+    normal are mapped through g's integer matrix and taken primitive (g's
+    denominator only rescales them); the image flat is re-certified on its
+    integer Gram matrix, the image normal's Q < 0 is checked again, and the
+    image point goes through its validating constructor.
     """
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
@@ -308,5 +312,5 @@ def translate(g: Isometry, obj):
         return _certified_flat(parts + [[image(r) for r in obj.int_rest]], obj.lattice)
     if isinstance(obj, Hyperplane):
         return _certified_hyperplane(image(obj.normal), obj.lattice)
-    plane = span([g.apply(row) for row in obj.plane.basis], ambient=obj.lattice.rank)
+    plane = span([image(x) for x in obj.plane.rows], ambient=obj.lattice.rank)
     return gr_point(plane, obj.lattice)

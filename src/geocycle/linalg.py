@@ -4,11 +4,12 @@ Vectors are tuples of ``Fraction``; matrices are tuples of row tuples.
 No floating point enters any code path, so rank decisions, sign decisions
 and subspace equalities are certified rather than approximate.
 
-The symmetric elimination behind inertia and congruence diagonalization
-runs in integers (fraction-free Bareiss), with Fractions only at its edge.
-
-Subspaces are always stored with a reduced-row-echelon basis, which makes
-subspace equality a bit-exact comparison of basis tuples.
+Both eliminations run in integers, with Fractions only at their edge: the
+symmetric one behind inertia and congruence diagonalization is
+fraction-free Bareiss, and the row one behind rref, kernel and subspaces is
+a Gauss-Jordan that divides each row by its content after every operation.
+A subspace is stored by its primitive integer RREF rows, which makes
+subspace equality a bit-exact comparison of integer tuples.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Iterable
@@ -83,11 +85,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_vec(m: Mat, v: Vec) -> Vec:
-    # skip zero terms: most matrices here are sparse-ish (diagonals, blocks)
-    return tuple(sum((r[j] * v[j] for j in range(len(v)) if r[j] and v[j]), ZERO) for r in m)
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
     return tuple(
@@ -96,54 +93,74 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped.
+def _cleared(row: Iterable) -> list[int]:
+    """s.row for a row of ints, Fractions or strings, s > 0 the lcm of its
+    denominators; an int row passes through."""
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row
+    v = as_vector(row)
+    s = math.lcm(*map(attrgetter("denominator"), v))
+    return [x.numerator * (s // x.denominator) for x in v]
 
-    Returns (rows, pivot_columns). Leading entries are 1 and their columns
-    are cleared, so the result is the canonical basis of the row space.
-    """
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+
+def _echelon(rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer Gauss-Jordan: (rows, pivots) of the reduced row echelon form,
+    zero rows dropped, each row its RREF row times the lcm of that row's
+    denominators, i.e. primitive with a positive pivot entry. A row
+    operation is (p/g).r_i - (f/g).r_pivot with g = gcd(p, f), and its
+    result is divided by its content, so no row outgrows the final ones."""
+    a = list(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        g = math.gcd(*a[piv]) if a[piv][c] > 0 else -math.gcd(*a[piv])
+        a[piv], a[r] = a[r], [x // g for x in a[piv]]
+        row, p = a[r], a[r][c]
+        for i, other in enumerate(a):
+            f = other[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                other = [p // g * x - f // g * y for x, y in zip(other, row)]
+                g = math.gcd(*other)
+                a[i] = [x // g for x in other] if g > 1 else other
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    return a[: len(pivots)], pivots
 
 
-def kernel(m: Mat, ncols: int | None = None) -> Mat:
-    """Basis of the right null space {x : m.x = 0}, one vector per row."""
+def _null_space(m: Iterable[list[int]], ncols: int) -> list[tuple[int, list[int]]]:
+    """Integer basis of {x : m.x = 0}: per free column f of m's echelon
+    rows, (f, x) with x_f = L and x_c = -L.row[f] / row[c] on each pivot
+    column c, L the lcm of the pivot entries over a nonzero row[f]."""
+    rows, pivots = _echelon(m)
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[f] = lcm = math.lcm(*(row[c] for row, c in zip(rows, pivots) if row[f]))
+        for row, c in zip(rows, pivots):
+            x[c] = -row[f] * (lcm // row[c])
+        out.append((f, x))
+    return out
+
+
+def rref(m) -> tuple[Mat, tuple[int, ...]]:
+    """(rows, pivot_columns) of the reduced row echelon form, zero rows
+    dropped: the canonical basis of the row space, read off _echelon."""
+    rows, pivots = _echelon(map(_cleared, m))
+    return tuple(map(_unit_pivot, rows, pivots)), tuple(pivots)
+
+
+def kernel(m, ncols: int | None = None) -> Mat:
+    """Basis of the right null space {x : m.x = 0}, one vector per row,
+    each 1 on its free column and -rref(m)[r][f] on the r-th pivot column."""
     if m:
         ncols = len(m[0])
     elif ncols is None:
         raise ValueError("empty constraint matrix needs an explicit column count")
-    else:
-        return identity_matrix(ncols)
-    reduced, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced[r][f]
-        basis.append(tuple(v))
-    return tuple(basis)
+    return tuple(_unit_pivot(x, f) for f, x in _null_space(map(_cleared, m), ncols))
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -258,41 +275,38 @@ def inertia(m) -> tuple[int, int, int]:
     return plus, len(pivots) - plus, len(m) - len(pivots)
 
 
-def _pivot_col(row: Vec) -> int:
-    return next(i for i, x in enumerate(row) if x != 0)
+def _unit_pivot(row: list[int], c: int) -> Vec:
+    """The integer row over its entry in column c, as Fractions."""
+    return tuple(Fraction(x, row[c]) for x in row)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A rational subspace, stored by its canonical RREF basis.
-
-    Construct through :func:`span`; two subspaces are equal iff their basis
-    tuples are identical.
-    """
+    """A rational subspace, stored by its canonical rows: each is its RREF
+    row times the lcm of that row's denominators, i.e. primitive with a
+    positive pivot entry. Construct through :func:`span`; two subspaces are
+    equal iff their rows are identical."""
 
     ambient: int
-    basis: Mat
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Mat:
+        """The canonical RREF basis as Fractions, built on first use."""
+        return tuple(_unit_pivot(row, next(c for c, x in enumerate(row) if x)) for row in self.rows)
 
     def contains(self, vector) -> bool:
-        v = list(as_vector(vector))
+        v = _cleared(vector)
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
-        for row in self.basis:
-            p = _pivot_col(row)
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return len(_echelon([*self.rows, v])[1]) == self.dim
 
     def to_dict(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "basis": [[str(x) for x in row] for row in self.basis],
-        }
+        return {"ambient": self.ambient, "basis": [[str(x) for x in row] for row in self.basis]}
 
 
 def span(vectors: Iterable[Iterable], ambient: int | None = None) -> Subspace:
@@ -301,16 +315,18 @@ def span(vectors: Iterable[Iterable], ambient: int | None = None) -> Subspace:
     A zero or empty input yields the zero subspace (``ambient`` is then
     required to fix the dimension).
     """
-    rows = as_matrix(vectors)
+    rows = [_cleared(v) for v in vectors]
     if rows:
         width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
         if ambient is not None and ambient != width:
             raise AmbientMismatch(f"rows of length {width}, ambient {ambient}")
         ambient = width
     elif ambient is None:
         raise ValueError("ambient dimension required for an empty span")
-    reduced, _ = rref(rows)
-    return Subspace(ambient, reduced)
+    reduced, _ = _echelon(rows)
+    return Subspace(ambient, tuple(map(tuple, reduced)))
 
 
 def _check_same_ambient(a: Subspace, b: Subspace) -> None:
@@ -322,38 +338,34 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection a .. b via the kernel of the stacked constraint system.
 
     A vector lies in both spaces iff it is u.A = v.B for some coefficient
-    vectors (u, v); those live in the kernel of the n x (dim a + dim b)
-    matrix [A^T | -B^T].
+    vectors (u, v); those live in the integer kernel of the
+    n x (dim a + dim b) matrix [A^T | -B^T].
     """
     _check_same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
-        return span((), ambient=a.ambient)
-    stacked = tuple(
-        tuple(a.basis[j][i] for j in range(a.dim))
-        + tuple(-b.basis[j][i] for j in range(b.dim))
-        for i in range(a.ambient)
-    )
-    columns = transpose(a.basis)
-    return span([mat_vec(columns, u[: a.dim]) for u in kernel(stacked)], ambient=a.ambient)
+        return Subspace(a.ambient, ())
+    columns = list(zip(*a.rows))
+    stacked = [[*x, *(-y for y in z)] for x, z in zip(columns, zip(*b.rows))]
+    kernel_rows = _null_space(stacked, a.dim + b.dim)
+    return span([[sum(map(mul, u, x)) for x in columns] for _, u in kernel_rows], ambient=a.ambient)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return span(a.basis + b.basis, ambient=a.ambient)
+    return span(a.rows + b.rows, ambient=a.ambient)
 
 
 def perp(a: Subspace, lattice: "QuadLattice") -> Subspace:
     """Orthogonal complement of ``a`` under the lattice's bilinear form."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    constraints = mat_mul(a.basis, lattice.gram)
-    return span(kernel(constraints, ncols=lattice.rank), ambient=lattice.rank)
+    constraints = [[sum(map(mul, g, row)) for g in lattice.gram] for row in a.rows]
+    return span([x for _, x in _null_space(constraints, lattice.rank)], ambient=lattice.rank)
 
 
 def restricted_definiteness(a: Subspace, lattice: "QuadLattice") -> tuple[int, int, int]:
-    """Inertia of the form on the subspace, read off its RREF rows scaled to integers."""
+    """Inertia of the form on the subspace, read off its integer rows (a congruence)."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    rows = [_integer_matrix([row])[0][0] for row in a.basis]  # each by its lcm > 0: a congruence
-    pairings = [[sum(map(mul, g, r)) for g in lattice.gram] for r in rows]
-    return inertia([[sum(map(mul, pr, r)) for r in rows] for pr in pairings])
+    pairings = [[sum(map(mul, g, r)) for g in lattice.gram] for r in a.rows]
+    return inertia([[sum(map(mul, pr, r)) for r in a.rows] for pr in pairings])

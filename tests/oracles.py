@@ -1,9 +1,11 @@
 """Fraction oracles for the library's integer paths.
 
 These are the computations the library made over Fraction before they ran
-in integers: the symmetric elimination, the matrix inverse, the rotation
-walk with the parameter search on top of it, and the restricted inertia of
-a subspace. Tests compare the integer paths against them.
+in integers: the symmetric elimination, the row elimination with the
+kernel, span, intersection and complement on top of it, the matrix
+inverse, the rotation walk with the parameter search on top of it, and the
+restricted inertia of a subspace. Tests compare the integer paths against
+them.
 """
 
 import math
@@ -20,9 +22,68 @@ from geocycle.linalg import (
     identity_matrix,
     inertia,
     mat_mul,
-    rref,
     transpose,
 )
+
+
+def mat_vec(m, v):
+    return tuple(sum((x * y for x, y in zip(r, v) if x and y), ZERO) for r in m)
+
+
+def fraction_rref(m):
+    """Reduced row echelon form over Fraction with zero rows dropped:
+    (rows, pivot_columns), leading entries 1 and their columns cleared."""
+    rows = [list(r) for r in as_matrix(m)]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def fraction_kernel(m, ncols):
+    """Basis of {x : m.x = 0}: per free column f, x_f = 1 and x_c = -rref[r][f]."""
+    reduced, pivots = fraction_rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def fraction_intersect(a, b):
+    """The RREF basis of the meet of two RREF bases in the same ambient,
+    through the Fraction kernel of [A^T | -B^T]."""
+    if not a or not b:
+        return ()
+    stacked = [list(ca) + [-x for x in cb] for ca, cb in zip(zip(*a), zip(*b))]
+    columns = transpose(a)
+    meet = [mat_vec(columns, u[: len(a)]) for u in fraction_kernel(stacked, len(a) + len(b))]
+    return fraction_rref(meet)[0]
+
+
+def fraction_perp(a, gram):
+    """The RREF basis of the complement of an RREF basis under gram."""
+    return fraction_rref(fraction_kernel(mat_mul(a, gram), len(gram)))[0]
 
 
 def fraction_diagonalize_symmetric(m):
@@ -89,7 +150,7 @@ def oracle_matrix_inverse(m):
     if any(len(r) != n for r in m):
         raise NotSquare("cannot invert a non-square matrix")
     aug = tuple(row + ident for row, ident in zip(m, identity_matrix(n)))
-    reduced, pivots = rref(aug)
+    reduced, pivots = fraction_rref(aug)
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)

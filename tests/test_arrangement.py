@@ -402,6 +402,14 @@ def test_searched_parameters_satisfy_all_inequalities():
         assert search_parameters(2, 3, n, DEFAULT_BOOST) == (m, t)
 
 
+def test_search_parameters_do_not_depend_on_the_signature():
+    # the inequality lives in the rotated 2-plane, so (m, t) is a function
+    # of n and the boost alone
+    for n in (1, 2, 5, 12, 24, 32, 48, 64):
+        found = {search_parameters(p, q, n, DEFAULT_BOOST) for p, q in ((2, 3), (3, 19), (8, 8))}
+        assert len(found) == 1, (n, found)
+
+
 def search_outcome(search, p, q, n, boost):
     try:
         return search(p, q, n, boost)

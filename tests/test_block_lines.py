@@ -60,13 +60,12 @@ from geocycle.linalg import (
     as_matrix,
     as_vector,
     intersect,
-    mat_vec,
     perp,
     restricted_definiteness,
     span,
     transpose,
 )
-from oracles import oracle_matrix_inverse
+from oracles import mat_vec, oracle_matrix_inverse
 
 
 def oracle(flat, normal):

@@ -180,6 +180,44 @@ def test_spinor_factors_once(capsys, monkeypatch):
     assert out == '{"class": 2, "real_sign": 1, "reflections": 2}\n'
 
 
+def test_matrix_is_coerced_once(capsys, monkeypatch):
+    # --matrix keeps its JSON shape checks in the CLI; isometry_from_matrix
+    # turns the rows into Fractions, once
+    import geocycle.linalg as linalg
+
+    calls = []
+    original = linalg.as_matrix
+    monkeypatch.setattr(linalg, "as_matrix", lambda rows: calls.append(rows) or original(rows))
+    for command, rows in ((["spinor"], [["5/4", "3/4"], ["3/4", "5/4"]]),
+                          (["congruence", "--modulus", "4"], [[1, 0], ["0", 1]])):
+        calls.clear()
+        code, _, _ = run_cli(capsys, *command, "--lattice", "bpq", "--p", "1", "--q", "1",
+                             "--matrix", json.dumps(rows))
+        assert code == 0
+        assert calls == [rows]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrange", "--p", "3", "--q", "4", "--n", "2", "--m", "1000000000", "--t", "1/10"],
+        ["arrange", "--spec-json",
+         '{"p": 2, "q": 3, "n": 2, "m": 1000000000, "boost": ["5/4","3/4"], "t": "1/10"}'],
+        ["arrange", "--p", "3", "--q", "4", "--n", "1000000000", "--auto-params"],
+        ["arrange", "--p", "33", "--q", "33", "--n", "1", "--auto-params"],
+    ],
+)
+def test_arrange_past_its_caps_exits_2_at_once(capsys, monkeypatch, argv):
+    # the caps are checked before the parameter search and before the
+    # boost power 2^m is formed
+    monkeypatch.setattr(cli.arr, "search_parameters", None)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "error: arrange takes" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -366,6 +366,28 @@ def _arrange_argv(rng):
     return argv
 
 
+@pytest.mark.parametrize(
+    "key,cap", [("n", 256), ("q", 32), ("m", 64)], ids=["n", "q", "m"]
+)
+def test_arrangement_caps_at_the_boundary(key, cap):
+    # the cap itself is accepted and one past it is refused, from a
+    # --spec-json document and from the flags' constructor alike; no
+    # family is built
+    from geocycle.arrangement import arrangement_spec_from_dict
+    from geocycle.errors import BudgetExceeded
+
+    doc = {"p": 2, "q": 3, "n": 5, "m": 3, "boost": ["5/4", "3/4"], "t": "1/10"}
+    for value, ok in ((cap, True), (cap + 1, False)):
+        sizes = {**doc, key: value}
+        args = (2, sizes["q"], sizes["n"], DEFAULT_BOOST, sizes["m"], F(1, 10))
+        for make in (lambda: arrangement_spec_from_dict(sizes), lambda: arrangement_spec(*args)):
+            if ok:
+                assert getattr(make(), key) == value
+            else:
+                with pytest.raises(BudgetExceeded, match=f"{key} <= {cap}, got {key} = {value}"):
+                    make()
+
+
 def _has_non_integer_size(spec_json):
     """A --spec-json object whose p, q, n or m is a JSON float or boolean."""
     doc = json.loads(spec_json)

@@ -47,10 +47,9 @@ from geocycle.linalg import (
     diagonalize_symmetric,
     identity_matrix,
     mat_mul,
-    mat_vec,
     rref,
 )
-from oracles import fraction_diagonalize_symmetric, oracle_matrix_inverse
+from oracles import fraction_diagonalize_symmetric, mat_vec, oracle_matrix_inverse
 
 B11 = standard_lattice("bpq", 1, 1)
 B14 = standard_lattice("bpq", 1, 4)

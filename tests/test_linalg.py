@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,12 @@ from geocycle.verify import random_subspace
 from oracles import (
     fraction_diagonalize_symmetric,
     fraction_inertia,
+    fraction_intersect,
+    fraction_kernel,
+    fraction_perp,
+    fraction_rref,
     mat_mul_restricted_definiteness,
+    mat_vec,
     oracle_matrix_inverse,
 )
 
@@ -249,7 +255,7 @@ def test_kernel_annihilates():
     for _ in range(30):
         m = as_matrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)])
         for v in kernel(m):
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x == 0 for x in mat_vec(m, v))
         rank = len(linalg.rref(m)[0])
         assert len(kernel(m)) == 5 - rank
 
@@ -385,3 +391,85 @@ def test_subspace_contains():
     a = span([(1, 0, 1), (0, 1, 1)])
     assert a.contains((1, 1, 2))
     assert not a.contains((0, 0, 1))
+
+
+def seeded_rational_matrices():
+    """Row lists that reach every branch of the integer row elimination:
+    empty, zero and dependent rows, mixed denominators, negative leading
+    entries, widths up to 22, and entries of about 700 bits like the cut
+    lines of the Point cells."""
+    rng = random.Random(41)
+    out = [[], [[0, 0, 0]], [[0] * 22] * 3, [[F(-3, 4), 0], [F(3, 2), 0]], [[-5]]]
+    for trial in range(400):
+        width = rng.choice((1, 2, 3, 4, 5, 7, 11, 22))
+        rows = rng.randint(0, min(width + 2, 8))
+        kind = trial % 4
+        if kind == 0:
+            m = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(width)] for _ in range(rows)]
+        elif kind == 1:
+            m = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(width)] for _ in range(rows)]
+        elif kind == 2:  # at most `rank` independent rows, recombined and scaled
+            rank = rng.randint(1, max(1, min(width, 4)))
+            base = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rank)]
+            m = [[sum(rng.randint(-2, 2) * F(b[i], rng.randint(1, 3)) for b in base)
+                  for i in range(width)] for _ in range(rows)]
+        else:
+            m = [[rng.choice((0, rng.randint(-2**700, 2**700))) for _ in range(width)] for _ in range(rows)]
+        for row in m:  # zero rows, negative leading entries
+            if rng.random() < 0.15:
+                row[:] = [0] * width
+            elif rng.random() < 0.5:
+                row[:] = [-x for x in row]
+        out.append(m)
+    return out
+
+
+def sympy_rref(rows):
+    ref, pivots = sympy.Matrix(rows).rref()
+    nonzero = [r for r in ref.tolist() if any(x != 0 for x in r)]
+    return tuple(tuple(F(int(x.p), int(x.q)) for x in r) for r in nonzero), tuple(pivots)
+
+
+def test_row_elimination_matches_the_fraction_oracle_and_sympy():
+    for i, m in enumerate(seeded_rational_matrices()):
+        width = len(m[0]) if m else 3
+        expected = fraction_rref(m)
+        assert linalg.rref(m) == expected, m
+        assert span(m, ambient=width).basis == expected[0], m
+        assert kernel(m, ncols=width) == fraction_kernel(m, width), m
+        if m and i % 4 == 0:
+            assert expected == sympy_rref(m), m
+            assert kernel(m) == tuple(tuple(F(int(x.p), int(x.q)) for x in v)
+                                      for v in sympy.Matrix(m).nullspace()), m
+
+
+def test_meet_and_complement_match_the_fraction_oracle():
+    rng = random.Random(43)
+    lattices = [standard_lattice("bpq", 1, 1), B23, standard_lattice("bpq", 3, 4),
+                standard_lattice("bpq", 3, 19), standard_lattice("k3")]
+    spaces = {}
+    for m in seeded_rational_matrices():
+        if m:
+            spaces.setdefault(len(m[0]), []).append(span(m))
+    for l in lattices:
+        for a in spaces.get(l.rank, [])[:12]:
+            assert perp(a, l).basis == fraction_perp(a.basis, l.gram)
+    for width, group in spaces.items():
+        for _ in range(15):
+            a, b = rng.choice(group), rng.choice(group)
+            assert intersect(a, b).basis == fraction_intersect(a.basis, b.basis)
+            assert subspace_sum(a, b).basis == fraction_rref(a.basis + b.basis)[0]
+
+
+def test_subspace_rows_are_primitive_with_positive_pivots():
+    # each row is its RREF row times the lcm of its denominators
+    for m in seeded_rational_matrices():
+        s = span(m, ambient=len(m[0]) if m else 3)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in s.rows]
+        assert pivots == sorted(set(pivots))
+        for row, c in zip(s.rows, pivots):
+            assert all(type(x) is int for x in row)
+            assert row[c] > 0 and math.gcd(*row) == 1
+            assert all(other[c] == 0 for other in s.rows if other is not row)
+        assert s.rows == tuple(tuple(x * math.lcm(*(y.denominator for y in b)) for x in b)
+                               for b in s.basis)
