@@ -286,15 +286,16 @@ def search_parameters(
     (m, t) depends only on n and the boost, never on p or q."""
     if n < 1:
         raise ValueError("family size n must be at least 1")
-    tangent_cache = {t: _negative_tangents(rotation_from_tangent(t), n) for t in TANGENT_SCAN}
+    # a walk shorter than n hit a pole or a nonnegative tangent at some k <= n
+    walks = [(t, _negative_tangents(rotation_from_tangent(t), n)) for t in TANGENT_SCAN]
+    walks = [(t, tangents) for t, tangents in walks if len(tangents) == n]
     for m in range(1, MAX_BOOST_POWER + 1):
         bp = boost_power(boost, m)
-        lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
-        for t in TANGENT_SCAN:
-            tangents = tangent_cache[t]
-            if len(tangents) < n:
-                continue  # some k <= n already hits a pole or a nonnegative tangent
-            if all(lower * re <= im <= upper * re for im, re in tangents):  # times re > 0
+        ln, ld = (-(bp.a + bp.b)).as_integer_ratio()
+        un, ud = (-(bp.a - bp.b)).as_integer_ratio()
+        for t, tangents in walks:
+            # lower <= im/re <= upper, cross-multiplied by re, ld, ud > 0
+            if all(ln * re <= im * ld and im * ud <= un * re for im, re in tangents):
                 return m, t
     raise SearchExhausted(
         f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}"

@@ -17,6 +17,13 @@ verdict is integer arithmetic. Scaling v by c scales a, b and w by c and
 Q(w) by c^2, so no verdict depends on the vector chosen on the line; a block
 keeps (Q(x), B(x,y), Q(y)) over its positive gcd, and w is formed only for a
 Point cell. The RREF subspaces of a flat are derived on demand.
+
+A matrix or row that is multiplied many times is read through its nonzero
+terms only: a flat's `block_terms` are its block rows as (column, value)
+pairs, an isometry's `num_terms` and a lattice's `gram_terms` are the same
+for their matrices' rows. The rotation
+of a family moves only e1, e2, f1 and f2, so a block row has at most two
+nonzero coordinates at any rank, and a B(p,q) Gram row one.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
 )
 from .isometries import Isometry
 from .lattices import QuadLattice, cleared, primitive, ray
-from .linalg import Subspace, restricted_definiteness, span
+from .linalg import Subspace, Terms, nonzero_terms, restricted_definiteness, span, terms_times
 
 IntVec = tuple[int, ...]
 
@@ -75,6 +82,14 @@ class Flat:
     @cached_property
     def rest(self) -> Subspace:
         return span(self.int_rest, ambient=self.lattice.rank)
+
+    @cached_property
+    def block_terms(self) -> tuple[tuple[Terms, Terms, int, int, int], ...]:
+        """int_blocks with x and y as their nonzero (column, value) terms:
+        the verdicts read these (a rotated block row has at most two)."""
+        return tuple(
+            (*nonzero_terms((x, y)), qx, bxy, qy) for x, y, qx, bxy, qy in self.int_blocks
+        )
 
     @property
     def block_count(self) -> int:
@@ -134,7 +149,7 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
     rows = [row for part in parts for row in part]
     gram = [[0] * len(rows) for _ in rows]
     for a, x in enumerate(rows):
-        gx = [_int_dot(g, x) for g in l.gram]
+        gx = terms_times(l.gram_terms, x)
         for b in range(a, len(rows)):
             gram[a][b] = gram[b][a] = _int_dot(gx, rows[b])
     cuts = list(itertools.accumulate(map(len, parts), initial=0))
@@ -198,8 +213,12 @@ def _block_lines(flat: Flat, hyper: Hyperplane) -> list[tuple[int, int, int] | N
     w = b*x - a*y, which is not formed here (see the module docstring)."""
     phi = hyper.functional
     out: list[tuple[int, int, int] | None] = []
-    for x, y, qx, bxy, qy in flat.int_blocks:
-        a, b = _int_dot(phi, x), _int_dot(phi, y)
+    for xt, yt, qx, bxy, qy in flat.block_terms:
+        a = b = 0
+        for j, v in xt:
+            a += v * phi[j]
+        for j, v in yt:
+            b += v * phi[j]
         out.append((a, b, b * (b * qx - 2 * a * bxy) + a * a * qy) if a or b else None)
     return out
 
@@ -305,7 +324,7 @@ def translate(g: Isometry, obj):
     _check_same_lattice(g, obj)
 
     def image(x):
-        return primitive([sum(map(mul, row, x)) for row in g.num])
+        return primitive(terms_times(g.num_terms, x))
 
     if isinstance(obj, Flat):
         parts = [[image(x), image(y)] for x, y, *_ in obj.int_blocks]

@@ -54,10 +54,11 @@ class Isometry:
         den = self.den
         return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
 
-    def apply(self, v) -> Vec:
-        row, s = cleared(v, self.lattice)
-        den = self.den * s
-        return tuple(Fraction(sum(map(mul, r, row)), den) for r in self.num)
+    @cached_property
+    def num_terms(self) -> linalg.Terms:
+        """The nonzero terms of each row of num: images read these (a
+        rotation of two coordinate planes has at most two per row)."""
+        return linalg.nonzero_terms(self.num)
 
     @property
     def is_identity(self) -> bool:
@@ -94,10 +95,7 @@ def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
         raise NotSquare(f"expected a {n}x{n} matrix")
     a, d = linalg._integer_matrix(mat)
     gram = l.gram
-    ga = [
-        [sum(gram[i][k] * a[k][j] for k in range(n) if gram[i][k] and a[k][j]) for j in range(n)]
-        for i in range(n)
-    ]
+    ga = [[sum([v * a[k][j] for k, v in terms]) for j in range(n)] for terms in l.gram_terms]
     d2 = d * d
     for i in range(n):
         for j in range(i, n):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -48,6 +48,12 @@ class QuadLattice:
     @property
     def rank(self) -> int:
         return len(self.gram)
+
+    @cached_property
+    def gram_terms(self) -> linalg.Terms:
+        """The nonzero terms of each Gram row: every product with the Gram
+        matrix reads these (B(p,q) has one per row, K3 at most four)."""
+        return linalg.nonzero_terms(self.gram)
 
 
 def quad_lattice(rows: Iterable[Iterable[int]], name: str | None = None) -> QuadLattice:
@@ -120,11 +126,10 @@ def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
     ys = linalg.as_vector(y)
     if len(xs) != l.rank or len(ys) != l.rank:
         raise AmbientMismatch(f"vectors of length {len(xs)},{len(ys)} on rank {l.rank}")
-    g = l.gram
     total = Fraction(0)
-    for i, xi in enumerate(xs):
+    for xi, terms in zip(xs, l.gram_terms):
         if xi:
-            total += xi * sum((g[i][j] * ys[j] for j in range(l.rank) if g[i][j] and ys[j]), Fraction(0))
+            total += xi * sum((v * ys[j] for j, v in terms if ys[j]), Fraction(0))
     return total
 
 
@@ -152,7 +157,7 @@ def ray(x, l: QuadLattice) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """primitive(x) for an integer vector x on l, with its pairing gram.x,
     i.e. z -> B(x, z), and its self-pairing Q."""
     x = primitive(x)
-    pairing = tuple(sum(map(mul, row, x)) for row in l.gram)
+    pairing = linalg.terms_times(l.gram_terms, x)
     return x, pairing, sum(map(mul, x, pairing))
 
 

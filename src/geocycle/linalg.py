@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import AmbientMismatch, NotSquare
@@ -30,9 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+# per row of an integer matrix, its nonzero entries as (column, value) pairs
+Terms = tuple[tuple[tuple[int, int], ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_value = itemgetter(1)  # of a (column, value) pair
 
 
 # Fraction("1e10000000") builds a ten-million-digit integer, so the
@@ -91,6 +94,24 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
         for row in a
     )
+
+
+def nonzero_terms(rows: Iterable[Iterable[int]]) -> Terms:
+    """Per row of an integer matrix, its nonzero entries as (column, value)
+    pairs, so that a product with the matrix skips its zeros."""
+    return tuple([tuple(filter(_value, enumerate(row))) for row in rows])
+
+
+def terms_times(terms: Terms, x) -> tuple[int, ...]:
+    """M.x for the integer matrix M held as its nonzero terms. The plain
+    loop beats a comprehension per row on rows of one or two terms."""
+    out = []
+    for row in terms:
+        total = 0
+        for j, v in row:
+            total += v * x[j]
+        out.append(total)
+    return tuple(out)
 
 
 def _cleared(row: Iterable) -> list[int]:
@@ -306,7 +327,19 @@ class Subspace:
         return len(_echelon([*self.rows, v])[1]) == self.dim
 
     def to_dict(self) -> dict:
-        return {"ambient": self.ambient, "basis": [[str(x) for x in row] for row in self.basis]}
+        """The RREF basis as strings, read off the integer rows."""
+        return {"ambient": self.ambient, "basis": list(map(_reduced_strings, self.rows))}
+
+
+def _reduced_strings(row: tuple[int, ...]) -> list[str]:
+    """str(Fraction(x, p)) for each entry x of a row with pivot entry p > 0:
+    x/g over p/g with g = gcd(x, p), and an integer when p/g = 1."""
+    p = next(x for x in row if x)
+    out = []
+    for x in row:
+        g = math.gcd(x, p)
+        out.append(str(x // g) if g == p else f"{x // g}/{p // g}")
+    return out
 
 
 def span(vectors: Iterable[Iterable], ambient: int | None = None) -> Subspace:
@@ -359,7 +392,7 @@ def perp(a: Subspace, lattice: "QuadLattice") -> Subspace:
     """Orthogonal complement of ``a`` under the lattice's bilinear form."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    constraints = [[sum(map(mul, g, row)) for g in lattice.gram] for row in a.rows]
+    constraints = [terms_times(lattice.gram_terms, row) for row in a.rows]
     return span([x for _, x in _null_space(constraints, lattice.rank)], ambient=lattice.rank)
 
 
@@ -367,5 +400,5 @@ def restricted_definiteness(a: Subspace, lattice: "QuadLattice") -> tuple[int, i
     """Inertia of the form on the subspace, read off its integer rows (a congruence)."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    pairings = [[sum(map(mul, g, r)) for g in lattice.gram] for r in a.rows]
+    pairings = [terms_times(lattice.gram_terms, r) for r in a.rows]
     return inertia([[sum(map(mul, pr, r)) for r in a.rows] for pr in pairings])

@@ -118,9 +118,10 @@ def _check_orthogonal_pair(diamond: Mat, star: Mat) -> None:
 
 
 def _diagonal_action(diamond: Mat, s, v: AdmissibleV) -> Mat:
-    """Entry (k, i) is diamond[k][i] s_i / v_k, where s = star^T v."""
+    """Entry (k, i) is diamond[k][i] s_i / v_k, where s = star^T v; a zero
+    entry of diamond is returned as it is (pi_k_matrix's is diagonal)."""
     return tuple(
-        tuple(d * si / vk for d, si in zip(row, s))
+        tuple(d * si / vk if d else d for d, si in zip(row, s))
         for row, vk in zip(diamond, v.coords)
     )
 

@@ -342,8 +342,8 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
             gm = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if linalg.det(gm) != 0:
                 break
-        gram_gm = [[sum(map(mul, row, col)) for col in zip(*gm)] for row in l.gram]
-        congruent = [[sum(map(mul, a, b)) for b in zip(*gram_gm)] for a in zip(*gm)]  # gm^T.G.gm
+        gram_cols = [linalg.terms_times(l.gram_terms, col) for col in zip(*gm)]  # G.gm by columns
+        congruent = [[sum(map(mul, a, b)) for b in gram_cols] for a in zip(*gm)]  # gm^T.G.gm
         if linalg.inertia(congruent) != linalg.inertia(l.gram):
             failures += 1
     elapsed = time.perf_counter() - start

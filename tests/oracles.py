@@ -3,17 +3,19 @@
 These are the computations the library made over Fraction before they ran
 in integers: the symmetric elimination, the row elimination with the
 kernel, span, intersection and complement on top of it, the matrix
-inverse, the rotation walk with the parameter search on top of it, and the
-restricted inertia of a subspace. Tests compare the integer paths against
-them.
+inverse, the rotation walk with the parameter search on top of it, the
+restricted inertia of a subspace, and the image of a vector under an
+isometry. Tests compare the integer paths against them.
 """
 
 import math
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 from geocycle.arrangement import MAX_BOOST_POWER, TANGENT_SCAN, boost_power, rotation_from_tangent
 from geocycle.errors import NotSquare, SearchExhausted
+from geocycle.lattices import cleared
 from geocycle.linalg import (
     ONE,
     ZERO,
@@ -28,6 +30,14 @@ from geocycle.linalg import (
 
 def mat_vec(m, v):
     return tuple(sum((x * y for x, y in zip(r, v) if x and y), ZERO) for r in m)
+
+
+def oracle_apply(g, v):
+    """The image g.v of a rational vector under an isometry, as Fractions:
+    v cleared to an integer row over s, mapped through g.num over g.den * s."""
+    row, s = cleared(v, g.lattice)
+    den = g.den * s
+    return tuple(Fraction(sum(map(mul, r, row)), den) for r in g.num)
 
 
 def fraction_rref(m):

@@ -16,7 +16,7 @@ the exception class and on the block and rest subspaces, and every flat a
 family or a translate builds must have the subspaces it gives.
 
 The hyperplane oracle is the Fraction hyperplane_new: eval_form's Q < 0 on
-the rational normal as given, and translate through Isometry.apply. It must
+the rational normal as given, and translate through oracle_apply. It must
 agree with hyperplane_new and translate on accept or reject, on the
 exception class and on the normal's line, and the verdict oracles above run
 on its Fraction normal, not on the kernel's primitive one.
@@ -65,7 +65,7 @@ from geocycle.linalg import (
     span,
     transpose,
 )
-from oracles import mat_vec, oracle_matrix_inverse
+from oracles import mat_vec, oracle_apply, oracle_matrix_inverse
 
 
 def oracle(flat, normal):
@@ -148,8 +148,8 @@ def fraction_hyperplane_new(normal, l):
 
 def fraction_translate(g, normal):
     """The Fraction translate of a hyperplane: g applied to the rational
-    normal by Isometry.apply, then fraction_hyperplane_new."""
-    return fraction_hyperplane_new(g.apply(normal), g.lattice)
+    normal by oracle_apply, then fraction_hyperplane_new."""
+    return fraction_hyperplane_new(oracle_apply(g, normal), g.lattice)
 
 
 def assert_primitive_normal(hyper, normal):
@@ -246,8 +246,8 @@ def assert_translate_matches_oracle(g, flat):
     # the rows the Fraction translate fed to flat_new: g applied to the
     # RREF bases of the flat's subspaces
     l = flat.lattice
-    u_bases = [[g.apply(row) for row in b.basis] for b in flat.blocks]
-    n_basis = [g.apply(row) for row in flat.rest.basis]
+    u_bases = [[oracle_apply(g, row) for row in b.basis] for b in flat.blocks]
+    n_basis = [oracle_apply(g, row) for row in flat.rest.basis]
     image = translate(g, flat)
     assert_integer_rows(image)
     assert (image.blocks, image.rest) == assert_flat_new_matches_oracle(u_bases, n_basis, l)
@@ -264,8 +264,8 @@ def assert_family_flats_match_oracle(spec, flats):
     )
     for k, flat in enumerate(flats):
         rk = rotation_isometry(rotation_power(spec.rotation, k), spec.p, spec.q, l)
-        u_bases = [[rk.apply(row) for row in b.basis] for b in base.blocks]
-        n_basis = [rk.apply(row) for row in base.rest.basis]
+        u_bases = [[oracle_apply(rk, row) for row in b.basis] for b in base.blocks]
+        n_basis = [oracle_apply(rk, row) for row in base.rest.basis]
         assert_integer_rows(flat)
         assert (flat.blocks, flat.rest) == assert_flat_new_matches_oracle(u_bases, n_basis, l)
 
@@ -404,6 +404,49 @@ def test_random_small_normals_match_oracle():
     assert rejected == {(NonNegativeVector, False), (NonNegativeVector, True)}
 
 
+def assert_block_terms(flat):
+    """block_terms holds each block row's nonzero entries, and with them
+    rebuilds int_blocks."""
+    n = flat.lattice.rank
+    assert all(v for xt, yt, *_ in flat.block_terms for _, v in xt + yt)
+    rebuilt = tuple(
+        (*(tuple(dict(terms).get(j, 0) for j in range(n)) for terms in (xt, yt)), *triple)
+        for xt, yt, *triple in flat.block_terms
+    )
+    assert rebuilt == flat.int_blocks
+
+
+def test_block_terms_of_sparse_and_dense_flats_match_oracle():
+    # a family's block rows have one or two nonzero entries; under a seeded
+    # random isometry of B(3,4) every entry of every row is nonzero, so the
+    # verdicts read full term lists, against the oracle on the moved normals
+    # (Point diagonal) and on the unmoved ones
+    spec = arrangement_spec(3, 4, 4, DEFAULT_BOOST, *search_parameters(3, 4, 4, DEFAULT_BOOST))
+    l = spec.lattice()
+    flats, hypers = build_family(spec)
+    normals = family_normals(spec)
+    for flat in flats:
+        assert_block_terms(flat)
+        assert all(len(xt) <= 2 and len(yt) <= 2 for xt, yt, *_ in flat.block_terms)
+    rng = random.Random(97)
+    tags, dense = set(), 0
+    while dense < 2:
+        g = verify.random_isometry(l, rng, reflections=3)
+        moved = [translate(g, flat) for flat in flats]
+        rows = [row for f in moved for x, y, *_ in f.int_blocks for row in (x, y, *f.int_rest)]
+        if not all(map(all, rows)):
+            continue
+        dense += 1
+        for flat in moved:
+            assert_block_terms(flat)
+            assert all(len(xt) == len(yt) == l.rank for xt, yt, *_ in flat.block_terms)
+            for hyper, normal in zip(hypers, normals):
+                assert_matches_oracle(flat, translate(g, hyper), fraction_translate(g, normal))
+                assert_matches_oracle(flat, hyper, normal)
+                tags.add(intersect_flat_hyperplane(flat, translate(g, hyper)).tag)
+    assert tags == {"Point", "Empty"}
+
+
 # ------------------------------------------------------- the flat certificate
 
 
@@ -458,7 +501,7 @@ def random_flat_input(rng, kind):
     g = verify.random_isometry(l, rng, reflections=rng.randint(0, 2))
 
     def image(v):
-        return list(g.apply(v))
+        return list(oracle_apply(g, v))
 
     def small():
         return F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -394,3 +395,23 @@ def test_cached_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     assert [json.loads(out)["checks"][0]["name"] for _, out in shared[4:8]] == [
         "seed 5", "seed 6", f"seed {verify.DEFAULT_SEED}", "seed 8"
     ]
+
+
+# sha256 of stdout for the benchmark's four `arrange` argvs and the (3,19)
+# family at n = 64, recorded before the verdict table read the nonzero terms
+# of the Gram matrix, the isometry and the block rows: a speed-up must print
+# the same bytes.
+GOLDEN_ARRANGE = {
+    "--p 3 --q 4 --n 5": "a066c22263769282635880be7458160b15c090ab6db8b1828774f467d0eae4c8",
+    "--p 3 --q 4 --n 12": "485bab51b6ccff649fc7d2cffad1800bb64a98da5e6e1ba352f285a6338e91fa",
+    "--p 3 --q 4 --n 24": "0282ad50da676fb27bfb73e8c420d72896a464da068efb2da1ce9043d6302e86",
+    "--p 3 --q 4 --n 32": "a95e651042f8293da370722bfa0b0a930899e01574ac106e8121ca776c361d37",
+    "--p 3 --q 19 --n 64": "12ff1719246bd2e36a492f75094a9293552138c3f3befabf461784d117f7ccbb",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_ARRANGE))
+def test_arrange_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
+    code, out, _ = run_cli(capsys, "arrange", *args.split(), "--auto-params")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ARRANGE[args]

@@ -13,6 +13,7 @@ factorization at all; `spinor_norm` must agree with it.
 
 import math
 import random
+from operator import mul
 from fractions import Fraction as F
 
 import pytest
@@ -48,8 +49,9 @@ from geocycle.linalg import (
     identity_matrix,
     mat_mul,
     rref,
+    terms_times,
 )
-from oracles import fraction_diagonalize_symmetric, mat_vec, oracle_matrix_inverse
+from oracles import fraction_diagonalize_symmetric, mat_vec, oracle_apply, oracle_matrix_inverse
 
 B11 = standard_lattice("bpq", 1, 1)
 B14 = standard_lattice("bpq", 1, 4)
@@ -236,7 +238,7 @@ def test_reflection_properties():
         c = rng.choice([2, -3, F(1, 2), F(-5, 7)])
         assert reflection([c * xi for xi in x], B23).matrix == r.matrix
         # sends x to -x
-        assert r.apply(x) == tuple(-F(xi) for xi in x)
+        assert oracle_apply(r, x) == tuple(-F(xi) for xi in x)
 
 
 def test_reflection_fixes_orthogonal_complement():
@@ -247,7 +249,7 @@ def test_reflection_fixes_orthogonal_complement():
         x = random_anisotropic(B23, rng)
         r = reflection(x, B23)
         for row in perp(span([x]), B23).basis:
-            assert r.apply(row) == row
+            assert oracle_apply(r, row) == row
 
 
 def test_cartan_dieudonne_identity_is_empty():
@@ -286,7 +288,7 @@ def test_cartan_dieudonne_isotropic_difference_branch():
     assert eval_form(B23, u, u) == 1
     diff = tuple(a - b for a, b in zip(u, e1))
     assert eval_form(B23, diff, diff) == 0
-    assert g.apply(e1) == u
+    assert oracle_apply(g, e1) == u
     factors = cartan_dieudonne(g)
     assert product_of_reflections(factors, B23).matrix == g.matrix
     assert len(factors) <= 2 * B23.rank
@@ -429,9 +431,33 @@ def test_rank_one_factorization_matches_oracles(g):
         assert ab.det == a.det * b.det
     rng = random.Random(len(vectors))
     for v in basis[:3] + (tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(l.rank)),):
-        assert g.apply(v) == mat_vec(g.matrix, v)
+        assert oracle_apply(g, v) == mat_vec(g.matrix, v)
     assert spinor_norm(g) == zassenhaus_spinor_norm(g)
     assert spinor_norm(g, vectors) == zassenhaus_spinor_norm(g)
+
+
+def term_isometries():
+    """The oracle isometries (B(2,3), B(1,4), -E8, K3) and seeded products
+    of 1-4 reflections on B(3,4) and B(3,19)."""
+    rng = random.Random(79)
+    cases = [param.values[0] for param in oracle_isometries()]
+    for l in (standard_lattice("bpq", 3, 4), standard_lattice("bpq", 3, 19)):
+        for i in range(8):
+            cases.append(product_of_reflections(
+                [random_anisotropic(l, rng) for _ in range(1 + i % 4)], l))
+    return cases
+
+
+def test_num_terms_products_equal_the_dense_products():
+    rng = random.Random(89)
+    for g in term_isometries():
+        n = g.lattice.rank
+        assert all(v for row in g.num_terms for _, v in row)
+        dense = tuple(tuple(dict(row).get(j, 0) for j in range(n)) for row in g.num_terms)
+        assert dense == g.num
+        for bits in (3, 700):
+            x = [rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(n)]
+            assert terms_times(g.num_terms, x) == tuple(sum(map(mul, row, x)) for row in g.num)
 
 
 def test_minus_one_on_k3_has_the_class_of_the_determinant():

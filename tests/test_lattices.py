@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 import sympy
@@ -10,8 +11,10 @@ from geocycle.lattices import (
     combine,
     eval_form,
     quad_lattice,
+    ray,
     standard_lattice,
 )
+from geocycle.linalg import terms_times
 
 
 def sympy_signature(gram):
@@ -205,3 +208,27 @@ def test_classify_sylvester_invariance_integer_congruence():
             for row in range(4):
                 conj[row][i] += c * conj[row][j]
         assert classify(quad_lattice(conj)).signature == base
+
+
+def test_gram_terms_products_equal_the_dense_products():
+    # the nonzero terms rebuild the Gram matrix, and every product read off
+    # them equals the dense one, on vectors with zeros and 700-bit entries
+    rng = random.Random(83)
+    cases = [(standard_lattice("k3"), 4), (standard_lattice("e8_neg"), 4),
+             (standard_lattice("bpq", 3, 4), 1), (standard_lattice("bpq", 3, 19), 1)]
+    for l, most in cases:
+        n = l.rank
+        assert all(0 < len(row) <= most and all(v for _, v in row) for row in l.gram_terms)
+        dense = tuple(tuple(dict(row).get(j, 0) for j in range(n)) for row in l.gram_terms)
+        assert dense == l.gram
+        for bits in (3, 700):
+            for _ in range(10):
+                x = [rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(n)]
+                y = [rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(n)]
+                pairing = tuple(sum(map(mul, row, x)) for row in l.gram)
+                assert terms_times(l.gram_terms, x) == pairing
+                assert eval_form(l, x, y) == sum(map(mul, y, pairing))
+                if any(x):
+                    z, z_pairing, q = ray(x, l)
+                    assert z_pairing == tuple(sum(map(mul, row, z)) for row in l.gram)
+                    assert q == sum(map(mul, z, z_pairing))

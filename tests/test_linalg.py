@@ -424,6 +424,15 @@ def seeded_rational_matrices():
     return out
 
 
+def test_to_dict_reads_the_strings_off_the_integer_rows():
+    # to_dict reduces x over the pivot entry by one gcd; the bytes are those
+    # of str() over the Fraction RREF basis
+    for m in seeded_rational_matrices():
+        s = span(m, ambient=len(m[0]) if m else 3)
+        assert s.to_dict() == {"ambient": s.ambient,
+                               "basis": [[str(x) for x in row] for row in s.basis]}
+
+
 def sympy_rref(rows):
     ref, pivots = sympy.Matrix(rows).rref()
     nonzero = [r for r in ref.tolist() if any(x != 0 for x in r)]
