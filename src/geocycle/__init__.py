@@ -64,9 +64,7 @@ from .linalg import (
 )
 from .obstructions import (
     any_root_orthogonal,
-    beta_orthogonal,
     enumerate_roots,
-    inner_product,
     plane_orthogonal_to,
 )
 from .signs import (

@@ -44,7 +44,15 @@ from .errors import (
 )
 from .isometries import Isometry
 from .lattices import QuadLattice, cleared, primitive, ray
-from .linalg import Subspace, Terms, nonzero_terms, restricted_definiteness, span, terms_times
+from .linalg import (
+    Subspace,
+    Terms,
+    gram_of,
+    nonzero_terms,
+    restricted_definiteness,
+    span,
+    terms_times,
+)
 
 IntVec = tuple[int, ...]
 
@@ -132,26 +140,21 @@ class IntersectionVerdict:
     reason: str | None = None
 
 
-def _int_dot(x: IntVec, y: IntVec) -> int:
-    return sum(map(mul, x, y))
+_EMPTY = IntersectionVerdict("Empty")  # frozen, so every Empty cell shares it
 
 
 def _certified_flat(parts, l: QuadLattice) -> Flat:
     """Certify and build a flat from primitive integer rows: one list of
     independent rows per block, then the rest's.
 
-    Everything is read off the integer Gram matrix V.G.V^T of all the rows,
-    its upper triangle computed and mirrored: each block has inertia
+    Everything is read off the integer Gram matrix V.G.V^T of all the rows
+    (:func:`linalg.gram_of`): each block has inertia
     (1,1,0), the rest is negative definite, entries between parts vanish,
     and, as pairwise orthogonal nondegenerate parts are independent, they
     span the space iff 2*blocks + dim rest = rank.
     """
     rows = [row for part in parts for row in part]
-    gram = [[0] * len(rows) for _ in rows]
-    for a, x in enumerate(rows):
-        gx = terms_times(l.gram_terms, x)
-        for b in range(a, len(rows)):
-            gram[a][b] = gram[b][a] = _int_dot(gx, rows[b])
+    gram = gram_of(rows, l)
     cuts = list(itertools.accumulate(map(len, parts), initial=0))
     *subs, rest_gram = [[row[a:b] for row in gram[a:b]] for a, b in zip(cuts, cuts[1:])]
     for i, g in enumerate(subs):
@@ -203,7 +206,8 @@ def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
 
 
 def _check_same_lattice(a, b) -> None:
-    if a.lattice != b.lattice:
+    # a family shares one lattice object, so identity settles most calls
+    if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise LatticeMismatch("objects live over different lattices")
 
 
@@ -227,7 +231,7 @@ def _rest_clause_holds(flat: Flat, hyper: Hyperplane) -> bool:
     """The hyperplane's line meets the rest's orthogonal complement
     trivially, i.e. B(v, r) != 0 for some rest basis vector r (false for a
     zero-dimensional rest)."""
-    return any(_int_dot(hyper.functional, r) != 0 for r in flat.int_rest)
+    return any(sum(map(mul, hyper.functional, r)) for r in flat.int_rest)
 
 
 def general_position(
@@ -285,7 +289,7 @@ def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerd
         cuts = [[b * xi - a * yi for xi, yi in zip(x, y)] for (x, y, *_), (a, b, _) in pairs]
         plane = span(cuts, ambient=flat.lattice.rank)
         return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
-    return IntersectionVerdict("Empty")
+    return _EMPTY
 
 
 def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, ...]]:

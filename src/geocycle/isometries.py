@@ -40,13 +40,13 @@ class Isometry:
     num is an integer matrix and den a positive integer with
     gcd(num, den) = 1, so equal isometries have equal fields and compare
     and hash equal. Reflections, products and images are computed from
-    (num, den) in integers; `matrix` is the same map as Fractions.
+    (num, den) in integers; `matrix` is the same map as Fractions, and
+    `det` is read off num when first asked for.
     """
 
     num: IntMat
     den: int
     lattice: QuadLattice
-    det: Fraction
 
     @cached_property
     def matrix(self) -> Mat:
@@ -55,14 +55,16 @@ class Isometry:
         return tuple(tuple(Fraction(a, den) for a in row) for row in self.num)
 
     @cached_property
+    def det(self) -> int:
+        """det(num) / den^rank, exactly +1 or -1 for a form-preserving
+        matrix (Bareiss on num)."""
+        return linalg._bareiss_int(self.num) // self.den ** len(self.num)
+
+    @cached_property
     def num_terms(self) -> linalg.Terms:
         """The nonzero terms of each row of num: images read these (a
         rotation of two coordinate planes has at most two per row)."""
         return linalg.nonzero_terms(self.num)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.den == 1 and self.num == _identity(self.lattice.rank)
 
 
 @lru_cache(maxsize=None)
@@ -84,30 +86,22 @@ def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
     """Validate m^T.gram.m = gram exactly and package the result.
 
     The check runs in integers: with D the lcm of the denominators and
-    A = D.m, m preserves the form iff A^T.gram.A = D^2.gram entrywise.
-    That product is symmetric, so its upper triangle decides it. (A, D)
-    is the isometry: gcd(A, D) = 1 already, as D is an lcm of the reduced
-    denominators.
+    A = D.m, m preserves the form iff the Gram matrix of A's columns,
+    A^T.gram.A, is D^2.gram. (A, D) is the isometry: gcd(A, D) = 1
+    already, as D is an lcm of the reduced denominators.
     """
-    mat = linalg.as_matrix(m)
+    a, d = linalg.cleared(m)
     n = l.rank
-    if len(mat) != n or any(len(r) != n for r in mat):
+    if len(a) != n or any(len(r) != n for r in a):
         raise NotSquare(f"expected a {n}x{n} matrix")
-    a, d = linalg._integer_matrix(mat)
-    gram = l.gram
-    ga = [[sum([v * a[k][j] for k, v in terms]) for j in range(n)] for terms in l.gram_terms]
     d2 = d * d
-    for i in range(n):
-        for j in range(i, n):
-            if sum(a[k][i] * ga[k][j] for k in range(n) if a[k][i]) != d2 * gram[i][j]:
-                raise FormNotPreserved("matrix does not preserve the bilinear form")
-    # |det| = 1 is automatic for form-preserving matrices; keep the sign
-    det = Fraction(linalg._bareiss_int(a), d**n)
-    return Isometry(tuple(map(tuple, a)), d, l, det)
+    if linalg.gram_of(zip(*a), l) != [[d2 * x for x in row] for row in l.gram]:
+        raise FormNotPreserved("matrix does not preserve the bilinear form")
+    return Isometry(tuple(map(tuple, a)), d, l)
 
 
 def identity_isometry(l: QuadLattice) -> Isometry:
-    return Isometry(_identity(l.rank), 1, l, Fraction(1))
+    return Isometry(_identity(l.rank), 1, l)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
@@ -116,7 +110,7 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
         raise AmbientMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))
     num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
-    return Isometry(*_normalized(num, g.den * h.den), g.lattice, g.det * h.det)
+    return Isometry(*_normalized(num, g.den * h.den), g.lattice)
 
 
 def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
@@ -144,7 +138,7 @@ def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
         if x_ray[2] == 0:
             raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
         num, den = _reflect(x_ray, num, den)
-    return Isometry(num, den, l, Fraction((-1) ** len(vectors)))
+    return Isometry(num, den, l)
 
 
 def reflection(x, l: QuadLattice) -> Isometry:

@@ -135,12 +135,12 @@ def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
 
 def cleared(v, l: QuadLattice) -> tuple[list[int], int]:
     """(row, s) with row an integer vector and s > 0 the lcm of the
-    denominators of the rational vector v = row/s on l."""
-    v = linalg.as_vector(v)
-    if len(v) != l.rank:
-        raise AmbientMismatch(f"vector of length {len(v)} on rank {l.rank}")
-    s = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (s // x.denominator) for x in v], s
+    denominators of the rational vector v = row/s on l: linalg.cleared
+    of the one row, checked against l's rank."""
+    (row,), s = linalg.cleared([v])
+    if len(row) != l.rank:
+        raise AmbientMismatch(f"vector of length {len(row)} on rank {l.rank}")
+    return row, s
 
 
 def primitive(x) -> tuple[int, ...]:

@@ -1,8 +1,12 @@
 """Exact rational linear algebra.
 
-Vectors are tuples of ``Fraction``; matrices are tuples of row tuples.
 No floating point enters any code path, so rank decisions, sign decisions
-and subspace equalities are certified rather than approximate.
+and subspace equalities are certified rather than approximate. Rational
+input (ints, Fractions, strings like "3/4") enters the integer core one
+way, through :func:`cleared`, which writes rows as integer rows over the
+lcm of all their denominators; integer rows pair under a lattice one way,
+through :func:`gram_of`, which computes V.G.V^T over the Gram matrix's
+nonzero terms.
 
 Both eliminations run in integers, with Fractions only at their edge: the
 symmetric one behind inertia and congruence diagonalization is
@@ -114,15 +118,31 @@ def terms_times(terms: Terms, x) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cleared(row: Iterable) -> list[int]:
-    """s.row for a row of ints, Fractions or strings, s > 0 the lcm of its
-    denominators; an int row passes through."""
-    row = list(row)
-    if all(type(x) is int for x in row):
-        return row
-    v = as_vector(row)
-    s = math.lcm(*map(attrgetter("denominator"), v))
-    return [x.numerator * (s // x.denominator) for x in v]
+def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """(s.rows, s) for rows of ints, Fractions or strings, s > 0 the lcm of
+    all their denominators: int rows pass through with s = 1. Entries go
+    through :func:`frac`, so floats and booleans are a TypeError, and
+    ragged rows are a ValueError."""
+    rows = [list(row) for row in rows]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, 1
+    rows = [[frac(x) for x in row] for row in rows]
+    s = math.lcm(*map(attrgetter("denominator"), chain.from_iterable(rows)))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def gram_of(rows: Iterable[Iterable[int]], lattice: "QuadLattice") -> list[list[int]]:
+    """V.G.V^T for integer rows V on the lattice with Gram matrix G: each
+    row's pairing G.v over `gram_terms`, each pair once and mirrored."""
+    rows = list(rows)
+    gram = [[0] * len(rows) for _ in rows]
+    for a, x in enumerate(rows):
+        gx = terms_times(lattice.gram_terms, x)
+        for b in range(a, len(rows)):
+            gram[a][b] = gram[b][a] = sum(map(mul, gx, rows[b]))
+    return gram
 
 
 def _echelon(rows: Iterable[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -170,7 +190,7 @@ def _null_space(m: Iterable[list[int]], ncols: int) -> list[tuple[int, list[int]
 def rref(m) -> tuple[Mat, tuple[int, ...]]:
     """(rows, pivot_columns) of the reduced row echelon form, zero rows
     dropped: the canonical basis of the row space, read off _echelon."""
-    rows, pivots = _echelon(map(_cleared, m))
+    rows, pivots = _echelon(cleared(m)[0])
     return tuple(map(_unit_pivot, rows, pivots)), tuple(pivots)
 
 
@@ -181,7 +201,7 @@ def kernel(m, ncols: int | None = None) -> Mat:
         ncols = len(m[0])
     elif ncols is None:
         raise ValueError("empty constraint matrix needs an explicit column count")
-    return tuple(_unit_pivot(x, f) for f, x in _null_space(map(_cleared, m), ncols))
+    return tuple(_unit_pivot(x, f) for f, x in _null_space(cleared(m)[0], ncols))
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:
@@ -216,17 +236,8 @@ def det(m: Mat) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}")
-    a, s = _integer_matrix(m)
+    a, s = cleared(m)
     return Fraction(_bareiss_int(a), s**n)
-
-
-def _integer_matrix(m) -> tuple[Iterable[Iterable[int]], int]:
-    """(s.m, s) for a matrix of ints or Fractions, s > 0 the lcm of its
-    denominators; an int matrix is returned as it is."""
-    if set(map(type, chain.from_iterable(m))) <= {int}:
-        return m, 1
-    s = math.lcm(*map(attrgetter("denominator"), chain.from_iterable(m)))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
 
 
 def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:
@@ -280,7 +291,7 @@ def diagonalize_symmetric(m: Mat) -> tuple[tuple[Fraction, ...], Mat]:
     """(d, t) with t.m.t^T = diag(d) for a symmetric matrix m of ints or
     Fractions, read off _congruence of s.m: d_k = p_k / (s p_{k-1}) and
     t_k = T_k / p_{k-1}, and past the rank r, d_k = 0 over p_{r-1}."""
-    a, s = _integer_matrix(m)
+    a, s = cleared(m)
     pivots, t = _congruence(a)
     prevs = [1] + pivots
     prevs += prevs[-1:] * (len(t) - len(prevs))
@@ -291,7 +302,7 @@ def diagonalize_symmetric(m: Mat) -> tuple[tuple[Fraction, ...], Mat]:
 def inertia(m) -> tuple[int, int, int]:
     """Counts (n_plus, n_minus, n_zero) of a symmetric matrix of ints or
     Fractions; d_k = p_k / p_{k-1} is positive iff p_k p_{k-1} is."""
-    pivots, _ = _congruence(_integer_matrix(m)[0])
+    pivots, _ = _congruence(cleared(m)[0])
     plus = sum(1 for p, prev in zip(pivots, [1] + pivots) if (p > 0) == (prev > 0))
     return plus, len(pivots) - plus, len(m) - len(pivots)
 
@@ -321,7 +332,7 @@ class Subspace:
         return tuple(_unit_pivot(row, next(c for c, x in enumerate(row) if x)) for row in self.rows)
 
     def contains(self, vector) -> bool:
-        v = _cleared(vector)
+        (v,), _ = cleared([vector])
         if len(v) != self.ambient:
             raise AmbientMismatch(f"vector of length {len(v)} in ambient {self.ambient}")
         return len(_echelon([*self.rows, v])[1]) == self.dim
@@ -348,11 +359,9 @@ def span(vectors: Iterable[Iterable], ambient: int | None = None) -> Subspace:
     A zero or empty input yields the zero subspace (``ambient`` is then
     required to fix the dimension).
     """
-    rows = [_cleared(v) for v in vectors]
+    rows, _ = cleared(vectors)
     if rows:
         width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
         if ambient is not None and ambient != width:
             raise AmbientMismatch(f"rows of length {width}, ambient {ambient}")
         ambient = width
@@ -400,5 +409,4 @@ def restricted_definiteness(a: Subspace, lattice: "QuadLattice") -> tuple[int, i
     """Inertia of the form on the subspace, read off its integer rows (a congruence)."""
     if a.ambient != lattice.rank:
         raise AmbientMismatch(f"subspace ambient {a.ambient}, lattice rank {lattice.rank}")
-    pairings = [terms_times(lattice.gram_terms, r) for r in a.rows]
-    return inertia([[sum(map(mul, pr, r)) for r in a.rows] for pr in pairings])
+    return inertia(gram_of(a.rows, lattice))

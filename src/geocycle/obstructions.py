@@ -9,9 +9,9 @@ import operator
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import AmbientMismatch, BudgetExceeded, NotSpanning, WrongInertia
-from .lattices import QuadLattice, eval_form, primitive
-from .linalg import Mat, Subspace, subspace_sum
+from .errors import AmbientMismatch, BudgetExceeded
+from .lattices import QuadLattice, cleared, primitive
+from .linalg import Subspace
 
 # A root vector is an integer coordinate tuple with self-pairing -2.
 RootVector = tuple[int, ...]
@@ -356,11 +356,12 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
 
 def plane_orthogonal_to(u: Subspace, delta, l: QuadLattice) -> bool:
     """Containment test: does the plane sit inside the vector's orthogonal
-    complement? True iff every basis vector pairs to zero with it."""
+    complement? True iff every integer row of the plane pairs to zero
+    with the vector cleared of denominators."""
     if u.ambient != l.rank:
         raise AmbientMismatch(f"plane ambient {u.ambient}, lattice rank {l.rank}")
-    d = linalg.as_vector(delta)
-    return all(eval_form(l, row, d) == 0 for row in u.basis)
+    pairing = linalg.terms_times(l.gram_terms, cleared(delta, l)[0])
+    return not any(sum(map(operator.mul, pairing, row)) for row in u.rows)
 
 
 def any_root_orthogonal(
@@ -372,32 +373,3 @@ def any_root_orthogonal(
         if plane_orthogonal_to(u, root, l):
             return root
     return None
-
-
-def inner_product(rows) -> Mat:
-    """Validate a symmetric positive-definite rational matrix."""
-    beta = linalg.as_matrix(rows)
-    n = len(beta)
-    if any(len(r) != n for r in beta):
-        raise ValueError("inner product matrix must be square")
-    if beta != linalg.transpose(beta):
-        raise ValueError("inner product matrix must be symmetric")
-    sig = linalg.inertia(beta)
-    if sig != (n, 0, 0):
-        raise WrongInertia(f"inner product must be positive definite, got inertia {sig}")
-    return beta
-
-
-def beta_orthogonal(beta: Mat, p_sub: Subspace, l_sub: Subspace) -> bool:
-    """Direct orthogonality test of a complementary (hyperplane, line) pair
-    under a given inner product."""
-    if p_sub.ambient != l_sub.ambient or p_sub.ambient != len(beta):
-        raise AmbientMismatch("inner product and subspaces must share one ambient space")
-    if l_sub.dim != 1:
-        raise NotSpanning(f"the line factor must be one-dimensional, got {l_sub.dim}")
-    if p_sub.dim + 1 != p_sub.ambient or subspace_sum(p_sub, l_sub).dim != p_sub.ambient:
-        raise NotSpanning("the two factors must be complementary")
-    products = linalg.mat_mul(
-        linalg.mat_mul(p_sub.basis, beta), linalg.transpose(l_sub.basis)
-    )
-    return all(all(x == 0 for x in row) for row in products)

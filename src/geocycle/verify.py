@@ -12,7 +12,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from . import arrangement as arr
 from . import grassmann as gr
@@ -342,8 +341,7 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
             gm = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if linalg.det(gm) != 0:
                 break
-        gram_cols = [linalg.terms_times(l.gram_terms, col) for col in zip(*gm)]  # G.gm by columns
-        congruent = [[sum(map(mul, a, b)) for b in gram_cols] for a in zip(*gm)]  # gm^T.G.gm
+        congruent = linalg.gram_of(zip(*gm), l)  # gm^T.G.gm, over gm's columns
         if linalg.inertia(congruent) != linalg.inertia(l.gram):
             failures += 1
     elapsed = time.perf_counter() - start

@@ -30,7 +30,7 @@ from geocycle.grassmann import (
     translate,
 )
 from geocycle.isometries import Isometry, compose, identity_isometry, reflection
-from geocycle.lattices import eval_form, standard_lattice
+from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import intersect, perp, restricted_definiteness, span
 from oracles import oracle_apply
 
@@ -373,7 +373,7 @@ def test_translate_moves_blocks():
 def test_translate_rechecks_negative_normal():
     # an uncertified matrix can send a negative line to a positive one;
     # translate re-checks Q of the image and rejects it
-    swap = Isometry(((0, 1), (1, 0)), 1, B11, F(-1))
+    swap = Isometry(((0, 1), (1, 0)), 1, B11)
     with pytest.raises(NonNegativeVector):
         translate(swap, hyperplane_new((0, 1), B11))
 
@@ -393,6 +393,20 @@ def test_translate_lattice_mismatch():
     f = standard_flat(2, 3, B23)
     with pytest.raises(LatticeMismatch):
         translate(identity_isometry(B11), f)
+
+
+def test_an_equal_lattice_object_is_the_same_lattice():
+    # the lattice check tries identity first, then equality: a flat and a
+    # hyperplane over equal but distinct lattice objects still meet
+    copy = quad_lattice(B23.gram, name=B23.name)
+    assert copy == B23 and copy is not B23
+    flat, hyper = arrangement_pair(2, 3, 3)
+    for h in (hyper, hyperplane_new((1, 0, 2, 0, 0), B23)):
+        over_copy = hyperplane_new(h.normal, copy)
+        assert intersect_flat_hyperplane(flat, over_copy) == intersect_flat_hyperplane(flat, h)
+        assert general_position(flat, over_copy) == general_position(flat, h)
+    with pytest.raises(LatticeMismatch):
+        intersect_flat_hyperplane(flat, hyperplane_new((0, 0, 1, 0, 0), quad_lattice(B23.gram)))
 
 
 def test_gr_point_requires_positive_definite():

@@ -11,6 +11,7 @@ det[2 B((1-g)e_i, e_j)] over the pivot columns i, j of 1-g, with no
 factorization at all; `spinor_norm` must agree with it.
 """
 
+import dataclasses
 import math
 import random
 from operator import mul
@@ -28,6 +29,7 @@ from geocycle.errors import (
     NotSquare,
 )
 from geocycle.isometries import (
+    Isometry,
     SquareClass,
     _orthogonal_basis,
     cartan_dieudonne,
@@ -186,7 +188,7 @@ def random_anisotropic(l, rng):
 
 def test_identity_is_isometry():
     g = isometry_from_matrix(identity_matrix(5), B23)
-    assert g.det == 1 and g.is_identity
+    assert g.det == 1 and g == identity_isometry(B23)
 
 
 def test_boost_is_isometry():
@@ -233,7 +235,7 @@ def test_reflection_properties():
         x = random_anisotropic(B23, rng)
         r = reflection(x, B23)
         assert r.det == -1
-        assert compose(r, r).is_identity
+        assert compose(r, r) == identity_isometry(B23)
         # scale invariance
         c = rng.choice([2, -3, F(1, 2), F(-5, 7)])
         assert reflection([c * xi for xi in x], B23).matrix == r.matrix
@@ -458,6 +460,25 @@ def test_num_terms_products_equal_the_dense_products():
         for bits in (3, 700):
             x = [rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(n)]
             assert terms_times(g.num_terms, x) == tuple(sum(map(mul, row, x)) for row in g.num)
+
+
+def test_isometry_holds_num_den_and_lattice_only():
+    assert [f.name for f in dataclasses.fields(Isometry)] == ["num", "den", "lattice"]
+
+
+def test_det_is_read_off_num():
+    # det is not stored: it is Bareiss on num over den^rank, and must equal
+    # the Fraction determinant of the matrix on products, reflections and -1
+    isos = term_isometries()
+    products = [compose(a, b) for a, b in zip(isos, isos[1:]) if a.lattice == b.lattice]
+    minus_one = isometry_from_matrix([[-x for x in row] for row in identity_matrix(22)], K3)
+    r = reflection([1, 1] + [0] * 20, K3)
+    cases = isos + products + [minus_one, r, compose(minus_one, r)]
+    assert len(products) > 20
+    for g in cases:
+        assert type(g.det) is int and g.det == det(g.matrix)
+    assert (minus_one.det, r.det, compose(minus_one, r).det) == (1, -1, -1)
+    assert {g.det for g in cases} == {1, -1}
 
 
 def test_minus_one_on_k3_has_the_class_of_the_determinant():

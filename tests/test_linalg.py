@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 import sympy
@@ -482,3 +483,45 @@ def test_subspace_rows_are_primitive_with_positive_pivots():
             assert all(other[c] == 0 for other in s.rows if other is not row)
         assert s.rows == tuple(tuple(x * math.lcm(*(y.denominator for y in b)) for x in b)
                                for b in s.basis)
+
+
+def test_cleared_writes_rows_over_the_lcm_of_all_denominators():
+    assert linalg.cleared([[1, 2], [3, 4]]) == ([[1, 2], [3, 4]], 1)
+    assert linalg.cleared([[F(1, 2), "3/4"], [2, F(-1, 6)]]) == ([[6, 9], [24, -2]], 12)
+    assert linalg.cleared([]) == ([], 1)
+    for m in seeded_rational_matrices():
+        rows, s = linalg.cleared(m)
+        assert all(type(x) is int for row in rows for x in row)
+        assert s == math.lcm(*(frac(x).denominator for row in m for x in row))
+        assert [[F(x, s) for x in row] for row in rows] == [[frac(x) for x in row] for row in m]
+    with pytest.raises(ValueError):
+        linalg.cleared([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [1.5, True, False])
+def test_exact_entry_points_reject_floats_and_bools(bad):
+    # every entry passes through frac: a float would poison exact results
+    # and a bool would pass for 0 or 1
+    for fn in (det, inertia, linalg.diagonalize_symmetric, linalg.rref, span):
+        for m in ([[bad]], [[1, 0], [0, bad]], [[F(1, 2), 0], [bad, 1]]):
+            with pytest.raises(TypeError):
+                fn(m)
+
+
+def test_gram_of_equals_the_dense_product():
+    # V.G.V^T over the Gram terms against the dense product, on rows with
+    # zeros and 700-bit entries, on zero rows and on no rows
+    rng = random.Random(97)
+    for l in (standard_lattice("k3"), standard_lattice("e8_neg"),
+              standard_lattice("bpq", 3, 4), standard_lattice("bpq", 3, 19)):
+        n = l.rank
+        assert linalg.gram_of([], l) == []
+        assert linalg.gram_of([[0] * n] * 3, l) == [[0] * 3] * 3
+        for bits in (3, 700):
+            for count in (1, 2, 5):
+                rows = [[rng.choice((0, rng.randint(-2**bits, 2**bits))) for _ in range(n)]
+                        for _ in range(count)]
+                vg = [[sum(map(mul, row, col)) for col in zip(*l.gram)] for row in rows]
+                dense = [[sum(map(mul, a, b)) for b in rows] for a in vg]
+                assert linalg.gram_of(rows, l) == dense
+                assert linalg.gram_of(map(tuple, rows), l) == dense

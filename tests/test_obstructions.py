@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from geocycle import obstructions
-from geocycle.errors import AmbientMismatch, BudgetExceeded, NotSpanning, WrongInertia
+from geocycle.errors import AmbientMismatch, BudgetExceeded
 from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
-from geocycle.linalg import restricted_definiteness, span
+from geocycle.linalg import perp, restricted_definiteness, span
 from geocycle.obstructions import (
     ROOT_NORM,
     _block_table,
@@ -17,9 +17,7 @@ from geocycle.obstructions import (
     _integer_square_forms,
     _is_lower_unitriangular_support,
     any_root_orthogonal,
-    beta_orthogonal,
     enumerate_roots,
-    inner_product,
     plane_orthogonal_to,
 )
 from oracles import inverse_square_forms, oracle_matrix_inverse
@@ -321,6 +319,29 @@ def test_plane_orthogonal_scale_invariance():
             )
 
 
+def test_plane_orthogonal_matches_the_fraction_pairing():
+    # the plane's integer rows against the cleared vector, checked against
+    # eval_form on every Fraction basis vector of the plane
+    rng = random.Random(61)
+    b12 = standard_lattice("bpq", 1, 2)
+    assert not plane_orthogonal_to(span([(1, 0, 0), (0, 1, 0)]), (0, F(1, 2), 0), b12)
+    seen = set()
+    for l in (B23, E8_NEG, K3):
+        for _ in range(40):
+            rows = [[rng.choice((0, 0, F(rng.randint(-3, 3), rng.randint(1, 3))))
+                     for _ in range(l.rank)] for _ in range(rng.randint(1, 3))]
+            plane = span(rows, ambient=l.rank)
+            normals = perp(plane, l).basis
+            if normals and rng.random() < 0.5:
+                delta = [F(rng.randint(1, 5), rng.randint(1, 5)) * x for x in rng.choice(normals)]
+            else:
+                delta = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(l.rank)]
+            expected = all(eval_form(l, b, delta) == 0 for b in plane.basis)
+            assert plane_orthogonal_to(plane, delta, l) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_plane_orthogonal_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         plane_orthogonal_to(span([(1, 0)]), (1, 0), B23)
@@ -374,43 +395,3 @@ def test_perturbed_plane_misses_every_block_root():
 
 def test_any_root_orthogonal_empty_list():
     assert any_root_orthogonal(k3_positive_plane(), [], K3) is None
-
-
-# ---------------------------------------------------------- inner products
-
-
-def test_beta_orthogonal_axes():
-    beta = inner_product([[1, 0], [0, 1]])
-    assert beta_orthogonal(beta, span([(1, 0)]), span([(0, 1)]))
-    assert not beta_orthogonal(beta, span([(1, 0)]), span([(1, 1)]))
-
-
-def test_beta_orthogonal_weighted():
-    beta = inner_product([[1, 0], [0, 2]])
-    assert beta_orthogonal(beta, span([(1, 1)]), span([(2, -1)]))
-
-
-def test_beta_orthogonal_scale_invariant():
-    rng = random.Random(97)
-    for _ in range(20):
-        beta = inner_product([[2, 1], [1, 2]])
-        p_sub = span([(rng.randint(-3, 3), rng.randint(1, 3))])
-        l_sub = span([(1, rng.randint(-3, 3))])
-        if (p_sub.basis and l_sub.basis and
-                (p_sub.dim + l_sub.dim == 2) and
-                span(p_sub.basis + l_sub.basis).dim == 2):
-            scaled = tuple(tuple(3 * x for x in row) for row in beta)
-            assert beta_orthogonal(beta, p_sub, l_sub) == beta_orthogonal(scaled, p_sub, l_sub)
-
-
-def test_beta_orthogonal_dimension_violations():
-    beta = inner_product([[1, 0], [0, 1]])
-    with pytest.raises(NotSpanning):
-        beta_orthogonal(beta, span([(1, 0)]), span([(1, 0), (0, 1)]))
-    with pytest.raises(NotSpanning):
-        beta_orthogonal(beta, span([(1, 0)]), span([(1, 0)]))  # not complementary
-
-
-def test_inner_product_must_be_positive_definite():
-    with pytest.raises(WrongInertia):
-        inner_product([[1, 0], [0, -1]])
