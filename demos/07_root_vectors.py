@@ -1,9 +1,9 @@
 """Root vectors (self-pairing -2) and orthogonality predicates.
 
 Root enumeration splits the Gram matrix into its orthogonal blocks,
-tabulates each block's vectors in the coordinate box by value (definite
-blocks run down a triangular completed-squares form) and joins the values
-that sum to -2. The orthogonality predicates decide whether a positive
+tabulates each block's vectors in the coordinate box by value (every
+definite block, a rank-1 [[a]] included, runs down one triangular
+completed-squares search) and joins the values that sum to -2. The orthogonality predicates decide whether a positive
 plane lies on a root's hyperplane.
 """
 

@@ -12,7 +12,6 @@ from .arrangement import (
     build_family,
     intersection_matrix,
     rotation_from_tangent,
-    rotation_power,
     search_parameters,
     standard_flat,
 )

@@ -36,7 +36,7 @@ TANGENT_SCAN = tuple(
     Fraction(1, d) for d in (10, 16, 20, 32, 50, 64, 100, 128, 256, 512, 1024)
 )
 MAX_BOOST_POWER = 64
-# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 5.4 s, (32,32) at n = 256 28 s
+# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 4.8 s, (32,32) at n = 256 17 s
 MAX_FAMILY_SIZE = 256
 MAX_Q = 32
 
@@ -110,13 +110,6 @@ def _rotation_powers(r: RotationPair):
     while True:
         yield re, im
         re, im = re * c - im * s, im * c + re * s
-
-
-def rotation_power(r: RotationPair, k: int) -> RotationPair:
-    if k < 0:
-        raise ValueError("rotation power wants a nonnegative exponent")
-    dk = math.lcm(r.c.denominator, r.s.denominator) ** k
-    return RotationPair(*(Fraction(x, dk) for x in next(islice(_rotation_powers(r), k, None))))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from . import signs as signmod
 from . import verify
 from .errors import GeocycleError
 from .isometries import cartan_dieudonne, in_congruence_subgroup, isometry_from_matrix, spinor_norm
-from .lattices import classify, standard_lattice
+from .lattices import check_rank, classify, standard_lattice
 from .linalg import det, frac
 
 # K3 coordinate blocks for --block: label -> (offset, lattice kind)
@@ -53,12 +53,11 @@ def _json_number(x: Fraction):
 
 
 def _lattice_from_args(args):
-    return standard_lattice(args.lattice if hasattr(args, "lattice") else args.kind,
-                            getattr(args, "p", None), getattr(args, "q", None))
+    return standard_lattice(args.lattice, args.p, args.q)
 
 
 def _cmd_lattice(args):
-    l = standard_lattice(args.kind, args.p, args.q)
+    l = _lattice_from_args(args)
     if args.classify:
         c = classify(l)
         payload = {
@@ -68,7 +67,7 @@ def _cmd_lattice(args):
             "unimodular": c.unimodular,
         }
     else:
-        payload = {"kind": args.kind, "rank": l.rank, "gram": [list(r) for r in l.gram]}
+        payload = {"kind": args.lattice, "rank": l.rank, "gram": [list(r) for r in l.gram]}
     return "ok", payload, None
 
 
@@ -89,6 +88,7 @@ def _cmd_congruence(args):
 
 
 def _cmd_signs(args):
+    check_rank(args.p, args.q)
     coords = list(_parse_vector(args.v))
     if len(coords) == args.p and args.p < args.q:
         coords += [Fraction(0)] * (args.q - args.p)
@@ -179,8 +179,7 @@ def _cmd_verify_all(args):
 
 
 def _add_lattice_options(sub, flag="--lattice"):
-    sub.add_argument(flag, dest="lattice" if flag == "--lattice" else "kind",
-                     required=True,
+    sub.add_argument(flag, dest="lattice", required=True,
                      choices=["bpq", "hyperbolic", "e8_pos", "e8_neg", "k3"])
     sub.add_argument("--p", type=int)
     sub.add_argument("--q", type=int)

@@ -147,18 +147,20 @@ def reflection(x, l: QuadLattice) -> Isometry:
 
 
 @lru_cache(maxsize=None)
-def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[Vec, list[int], int], ...]:
-    """A rational basis of pairwise-orthogonal anisotropic vectors, each as
-    (b, row, scale) with b = row/scale, row integer and scale > 0.
-
-    The rows of the congruence transform t (with t.gram.t^T diagonal) give
-    one; nondegeneracy guarantees every diagonal entry is nonzero. Cached
-    per lattice.
+def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[list[int], int], ...]:
+    """A basis of pairwise-orthogonal anisotropic vectors b = row/scale, each
+    as (row, scale) with row integer and scale > 0: b_k = T_k / p_{k-1} in
+    lowest terms, from the pivots p and rows T of the fraction-free
+    congruence (T.gram.T^T = diag(p_{k-1} p_k)). Cached per lattice.
     """
-    diag, t = linalg.diagonalize_symmetric(l.gram)
-    if any(d == 0 for d in diag):
+    pivots, t = linalg._congruence(l.gram)
+    if len(pivots) < l.rank:
         raise CertificateFailed("diagonalized Gram matrix has a zero entry")
-    return tuple((b, *cleared(b, l)) for b in t)
+    basis = []
+    for row, prev in zip(t, [1] + pivots):
+        g = math.gcd(*row, prev) if prev > 0 else -math.gcd(*row, prev)
+        basis.append(([x // g for x in row], prev // g))
+    return tuple(basis)
 
 
 def cartan_dieudonne(g: Isometry) -> list[Vec]:
@@ -179,7 +181,7 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
     l = g.lattice
     num, den = g.num, g.den
     vectors: list[Vec] = []
-    for b, row, s in _orthogonal_basis(l):
+    for row, s in _orthogonal_basis(l):
         image = [sum(map(mul, r, row)) for r in num]
         fixed = [den * x for x in row]
         w = [a - f for a, f in zip(image, fixed)]
@@ -192,7 +194,7 @@ def cartan_dieudonne(g: Isometry) -> list[Vec]:
             w = [a + f for a, f in zip(image, fixed)]
             vectors.append(tuple(Fraction(x, scale) for x in w))
             num, den = _reflect(ray(w, l), num, den)
-            vectors.append(b)
+            vectors.append(tuple(Fraction(x, s) for x in row))
             line = ray(row, l)
         else:
             vectors.append(tuple(Fraction(x, scale) for x in w))

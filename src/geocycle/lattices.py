@@ -12,7 +12,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import AmbientMismatch, DegenerateGram
+from .errors import AmbientMismatch, BudgetExceeded, DegenerateGram
+
+# The largest rank p + q of B(p,q): every (g, g) with g <= 32 (arrange's MAX_Q) and (3,19)
+MAX_RANK = 64
 
 # Edges of the E8 Dynkin diagram, Bourbaki numbering: the chain
 # 1-3-4-5-6-7-8 with node 2 hanging off node 4.
@@ -76,6 +79,13 @@ def _e8_gram() -> tuple[tuple[int, ...], ...]:
     )
 
 
+def check_rank(p: int, q: int) -> None:
+    """Raise BudgetExceeded unless p + q <= MAX_RANK: checked before a dense
+    Gram matrix of that rank is built."""
+    if p + q > MAX_RANK:
+        raise BudgetExceeded(f"ranks p + q <= {MAX_RANK} are supported, got p + q = {p + q}")
+
+
 @lru_cache(maxsize=None)
 def standard_lattice(kind: str, p: int | None = None, q: int | None = None) -> QuadLattice:
     """Named Gram matrices: ``bpq``, ``hyperbolic``, ``e8_pos``, ``e8_neg``, ``k3``.
@@ -86,6 +96,7 @@ def standard_lattice(kind: str, p: int | None = None, q: int | None = None) -> Q
     if kind == "bpq":
         if p is None or q is None or p < 1 or q < 1:
             raise ValueError("bpq requires p >= 1 and q >= 1")
+        check_rank(p, q)
         diag = [1] * p + [-1] * q
         return quad_lattice(
             [[diag[i] if i == j else 0 for j in range(p + q)] for i in range(p + q)],

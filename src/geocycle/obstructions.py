@@ -75,44 +75,47 @@ def _is_lower_unitriangular_support(icoeffs: list[list[int]]) -> bool:
 def _enumerate_definite(
     weights, icoeffs, lo: int, hi: int, bound: int, n: int, budget: _Budget
 ) -> dict[int, list[RootVector]]:
-    """Depth-first search down a triangular sum of negative squares for the
-    vectors whose value (the sum) lies in [lo, hi], keyed by that value;
-    lo <= 0.
+    """Depth-first search down a triangular sum of squares whose weights
+    share one sign, for the vectors whose value (the sum) lies in [lo, hi],
+    keyed by that value.
 
-    Coordinates are assigned last-to-first; because every weight is negative
-    the partial sum only decreases, so each coordinate only takes the values
-    that keep it at or above lo, and every prefix below lo is pruned
-    exactly.
+    Coordinates are assigned last-to-first. The partial sum only moves away
+    from 0 towards the window's far end (hi for positive weights, lo for
+    negative ones), so each coordinate only takes the values that keep it
+    within that end, and every prefix past it is pruned exactly; the near
+    end is tested at the leaves. A node's children are charged to the
+    budget before any of them is visited.
     """
+    positive = weights[0] > 0
     found: dict[int, list[RootVector]] = {}
     x = [0] * n
     tails = [0] * n  # known part of each form from already-assigned coordinates
 
     def descend(idx: int, running: int) -> None:
-        budget.spend()
         if idx < 0:
-            if running <= hi:
+            if lo <= running if positive else running <= hi:
                 found.setdefault(running, []).append(tuple(x))
             return
         lead = icoeffs[idx][idx]
-        w = weights[idx]
         tail = tails[idx]
-        # nxt >= lo iff |lead * value + tail| <= r, and lead > 0
-        r = math.isqrt((running - lo) // -w)
-        first = max(-bound, -((r + tail) // lead))
-        last = min(bound, (r - tail) // lead)
-        for value in range(first, last + 1):
+        # the next sum stays within the far end iff |lead * value + tail| <= r,
+        # and lead > 0
+        w = weights[idx]
+        r = math.isqrt((hi - running if positive else running - lo) // abs(w))
+        values = range(max(-bound, -((r + tail) // lead)), min(bound, (r - tail) // lead) + 1)
+        budget.spend(len(values))
+        for value in values:
             m = lead * value + tail
-            nxt = running + w * m * m
             x[idx] = value
             for k in range(idx):
                 tails[k] += icoeffs[k][idx] * value
-            descend(idx - 1, nxt)
+            descend(idx - 1, running + w * m * m)
             for k in range(idx):
                 tails[k] -= icoeffs[k][idx] * value
         x[idx] = 0
 
-    descend(n - 1, 0)
+    if (hi if positive else -lo) >= 0:  # else even the zero vector is past the far end
+        descend(n - 1, 0)
     return found
 
 
@@ -201,9 +204,6 @@ def _hyperbolic_entry(gram) -> int:
 
 def _block_range(gram, forms, bound: int) -> tuple[int, int]:
     """An interval holding the value of every vector of the block in the box."""
-    if len(gram) == 1:
-        top = gram[0][0] * bound * bound
-        return min(0, top), max(0, top)
     c = _hyperbolic_entry(gram)
     if c:
         top = 2 * abs(c) * bound * bound
@@ -224,21 +224,11 @@ def _block_table(
 ) -> dict[int, list[RootVector]]:
     """The block's vectors in the box whose value lies in [lo, hi], keyed by
     that value."""
-    table: dict[int, list[RootVector]] = {}
-    if len(gram) == 1:
-        a = gram[0][0]
-        # |a| x^2 <= max(|lo|, |hi|) for every x in the window
-        top = min(bound, math.isqrt(max(-lo, hi) // abs(a)))
-        budget.spend(2 * top + 1)
-        for x in range(-top, top + 1):
-            v = a * x * x
-            if lo <= v <= hi:
-                table.setdefault(v, []).append((x,))
-        return table
     c = _hyperbolic_entry(gram)
     if c:
         # for each x the y with lo <= 2c*x*y <= hi form an interval; unless
         # the window holds 0, y != 0 and so 2|c x| <= max(|lo|, |hi|)
+        table: dict[int, list[RootVector]] = {}
         top = bound if lo <= 0 <= hi else min(bound, max(-lo, hi) // (2 * abs(c)))
         budget.spend(2 * top + 1)
         for x in range(-top, top + 1):
@@ -254,19 +244,12 @@ def _block_table(
                 table.setdefault(k * y, []).append((x, y))
         return table
     weights, icoeffs, scale = forms
-    n = len(gram)
+    search = _enumerate_box
     if _is_lower_unitriangular_support(icoeffs) and (
         all(w < 0 for w in weights) or all(w > 0 for w in weights)
     ):
-        # the triangular search wants negative weights: negate a positive block
-        sign = 1 if weights[0] < 0 else -1
-        found = _enumerate_definite(
-            [sign * w for w in weights], icoeffs,
-            min(sign * lo, sign * hi) * scale, max(sign * lo, sign * hi) * scale,
-            bound, n, budget,
-        )
-        return {sign * v // scale: vs for v, vs in found.items()}
-    found = _enumerate_box(weights, icoeffs, lo * scale, hi * scale, bound, n, budget)
+        search = _enumerate_definite
+    found = search(weights, icoeffs, lo * scale, hi * scale, bound, len(gram), budget)
     return {v // scale: vs for v, vs in found.items()}
 
 
@@ -321,11 +304,12 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     of its nonzero pattern; their coordinates may interleave), and Q is the
     sum of the blocks' values. Each block gets a table from its value to its
     vectors in the box, restricted to the window of values the other blocks
-    can still complete to -2: a·x² for rank 1, the y-interval of each x for
-    [[0, c], [c, 0]], the triangular completed-squares search for other
-    definite blocks and a pruned box scan for the rest. A join over the
-    blocks' values then visits only nodes that extend to a root, so the
-    cost is the tables plus O(rank · roots). All of it is exact.
+    can still complete to -2: the y-interval of each x for [[0, c], [c, 0]],
+    the triangular completed-squares search for definite blocks (a rank-1
+    [[a]] is the one square a·x²) and a pruned box scan for the rest. A
+    join over the blocks' values then visits only nodes that extend to a
+    root, so the cost is the tables plus O(rank · roots). All of it is
+    exact.
 
     Raises BudgetExceeded once the tables, searches, join and roots together
     need more than ROOT_NODE_BUDGET nodes.
@@ -335,10 +319,7 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     budget = _Budget()
     blocks = _orthogonal_blocks(l.gram)
     grams = [[[l.gram[i][j] for j in block] for i in block] for block in blocks]
-    forms = [
-        None if len(g) == 1 or _hyperbolic_entry(g) else _integer_square_forms(g)
-        for g in grams
-    ]
+    forms = [None if _hyperbolic_entry(g) else _integer_square_forms(g) for g in grams]
     ranges = [_block_range(g, f, bound) for g, f in zip(grams, forms)]
     tables = []
     for k, (g, f) in enumerate(zip(grams, forms)):

@@ -5,7 +5,9 @@ in integers: the symmetric elimination, the row elimination with the
 kernel, span, intersection and complement on top of it, the matrix
 inverse, the rotation walk with the parameter search on top of it, the
 restricted inertia of a subspace, and the image of a vector under an
-isometry. Tests compare the integer paths against them.
+isometry. Tests compare the integer paths against them. rotation_power,
+the Fraction view of the integer rotation walk, lives here too: only tests
+read powers of a rotation as Fractions.
 """
 
 import math
@@ -13,7 +15,14 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
-from geocycle.arrangement import MAX_BOOST_POWER, TANGENT_SCAN, boost_power, rotation_from_tangent
+from geocycle.arrangement import (
+    MAX_BOOST_POWER,
+    TANGENT_SCAN,
+    RotationPair,
+    _rotation_powers,
+    boost_power,
+    rotation_from_tangent,
+)
 from geocycle.errors import NotSquare, SearchExhausted
 from geocycle.lattices import cleared
 from geocycle.linalg import (
@@ -182,6 +191,14 @@ def inverse_square_forms(gram):
         weights.append(diag[k] / (mult * mult))
     scale = math.lcm(*(w.denominator for w in weights))
     return [int(w * scale) for w in weights], icoeffs, scale
+
+
+def rotation_power(r, k):
+    """r^k as a RotationPair of Fractions, read off the library's integer walk."""
+    if k < 0:
+        raise ValueError("rotation power wants a nonnegative exponent")
+    dk = math.lcm(r.c.denominator, r.s.denominator) ** k
+    return RotationPair(*(Fraction(x, dk) for x in next(islice(_rotation_powers(r), k, None))))
 
 
 def fraction_rotation_powers(r):

@@ -21,7 +21,6 @@ from geocycle.arrangement import (
     intersection_matrix,
     rotation_from_tangent,
     rotation_isometry,
-    rotation_power,
     search_parameters,
     standard_flat,
 )
@@ -29,7 +28,12 @@ from geocycle.errors import SearchExhausted
 from geocycle.grassmann import hyperplane_new, intersect_flat_hyperplane, translate
 from geocycle.lattices import eval_form
 from geocycle.linalg import perp, span
-from oracles import fraction_negative_tangents, fraction_rotation_powers, fraction_search_parameters
+from oracles import (
+    fraction_negative_tangents,
+    fraction_rotation_powers,
+    fraction_search_parameters,
+    rotation_power,
+)
 
 
 def boost_matrix_power_oracle(base: BoostParams, m: int):

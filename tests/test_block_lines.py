@@ -36,7 +36,6 @@ from geocycle.arrangement import (
     base_hyperplane_normal,
     build_family,
     rotation_isometry,
-    rotation_power,
     search_parameters,
     standard_flat,
 )
@@ -65,7 +64,7 @@ from geocycle.linalg import (
     span,
     transpose,
 )
-from oracles import mat_vec, oracle_apply, oracle_matrix_inverse
+from oracles import mat_vec, oracle_apply, oracle_matrix_inverse, rotation_power
 
 
 def oracle(flat, normal):

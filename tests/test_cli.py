@@ -184,7 +184,7 @@ def test_spinor_factors_once(capsys, monkeypatch):
 def test_matrix_is_coerced_once(capsys, monkeypatch):
     # --matrix keeps its JSON shape checks in the CLI; isometry_from_matrix
     # clears the rows of denominators, once; the later calls of
-    # linalg.cleared clear the Gram matrix and the reflection vectors
+    # linalg.cleared clear the reflection vectors
     import geocycle.linalg as linalg
 
     calls = []
@@ -218,6 +218,24 @@ def test_arrange_past_its_caps_exits_2_at_once(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "error: arrange takes" in err
+
+
+@pytest.mark.parametrize("command", ["lattice", "roots", "spinor", "congruence", "signs"])
+@pytest.mark.parametrize("p,q", [(10**6, 1), (1, 10**6)])
+def test_a_rank_past_the_cap_exits_2_at_once(capsys, command, p, q):
+    # the rank is checked before the Gram matrix is built or --v is padded
+    argv = {
+        "lattice": ["lattice", "--kind", "bpq"],
+        "roots": ["roots", "--lattice", "bpq", "--bound", "1"],
+        "spinor": ["spinor", "--lattice", "bpq", "--matrix", "[[1]]"],
+        "congruence": ["congruence", "--lattice", "bpq", "--matrix", "[[1]]", "--modulus", "2"],
+        "signs": ["signs", "--v", "1" + ",0" * (min(p, q) - 1)],
+    }[command]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--p", str(p), "--q", str(q))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "error: ranks p + q <= 64 are supported" in err
 
 
 @pytest.mark.parametrize(
@@ -416,3 +434,21 @@ def test_arrange_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
     code, out, _ = run_cli(capsys, "arrange", *args.split(), "--auto-params")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ARRANGE[args]
+
+
+# sha256 of stdout for the benchmark's three `roots` argvs and B(3,5) at
+# bound 3 (202,880 roots), recorded before every definite block went through
+# the one triangular search: the enumerator must print the same bytes.
+GOLDEN_ROOTS = {
+    "--lattice e8_neg --bound 6": "4bfc021485c1a8264cff62cf5e9e8ca15f2f1d14185211103cf15e3ce7b8e363",
+    "--lattice k3 --bound 6 --block e8:1": "0627c56af502416cf171fb7b9a721536c815a40cace38379f2250c9f71414659",
+    "--lattice bpq --p 2 --q 4 --bound 3": "f4fcefd5f708a1165bfa2c5abd1e506179d089c90578a95004a39291d66bcb09",
+    "--lattice bpq --p 3 --q 5 --bound 3": "0fd9cbe88437ef4a8c204cc207ac80abc4aaecf7c88b86df122751136737e016",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_ROOTS))
+def test_roots_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
+    code, out, _ = run_cli(capsys, "roots", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROOTS[args]

@@ -8,6 +8,7 @@ shapes the targeted tests do not reach.
 import itertools
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -114,7 +115,8 @@ def test_translate_point_through_rotation():
     l = standard_lattice("bpq", 2, 2)
     spec = arrangement_spec(2, 2, 1, DEFAULT_BOOST, 3, F(1, 10))
     from geocycle.grassmann import intersect_flat_hyperplane
-    from geocycle.arrangement import build_family, rotation_power
+    from geocycle.arrangement import build_family
+    from oracles import rotation_power
 
     flats, hypers = build_family(spec)
     point = intersect_flat_hyperplane(flats[0], hypers[0]).point
@@ -284,6 +286,14 @@ def _fuzz_int(rng, lo, hi):
     return str(rng.randint(lo, hi)) if rng.random() < 0.9 else rng.choice(["", "x", "1.5", "1e3"])
 
 
+# ranks far past lattices.MAX_RANK, refused before any allocation
+HUGE_SIZES = ("1000000", "1000000000")
+
+
+def _fuzz_size(rng, lo, hi):
+    return rng.choice(HUGE_SIZES) if rng.random() < 0.1 else _fuzz_int(rng, lo, hi)
+
+
 def _signs_argv(rng):
     p, q = rng.randint(-1, 6), rng.randint(-1, 6)
     if 1 <= p <= q and rng.random() < 0.6:
@@ -291,7 +301,10 @@ def _signs_argv(rng):
         v = ",".join(str(x) for x in coords)
     else:
         v = ",".join(_fuzz_rational(rng) for _ in range(rng.randint(0, 7)))
-    return ["signs", "--p", str(p), "--q", str(q), "--v", v]
+    p, q = str(p), str(q)
+    if rng.random() < 0.1:  # with --v of p coordinates, a huge q would be padded
+        p, q = (p, rng.choice(HUGE_SIZES)) if rng.random() < 0.5 else (rng.choice(HUGE_SIZES), q)
+    return ["signs", "--p", p, "--q", q, "--v", v]
 
 
 def _lattice_options(rng, flag):
@@ -299,7 +312,7 @@ def _lattice_options(rng, flag):
     argv = [flag, kind]
     for name in ("--p", "--q"):
         if rng.random() < 0.8:
-            argv += [name, _fuzz_int(rng, -1, 4)]
+            argv += [name, _fuzz_size(rng, -1, 4)]
     return argv
 
 
@@ -408,11 +421,15 @@ def test_command_line_argv_fuzz(capsys):
     argvs = [rng.choice(makers)(rng) for _ in range(160)]
     argvs += [["verify-all", "--seed", "7"], ["--seed", "8", "verify-all"]]
     codes = set()
-    non_integer = 0
+    non_integer = huge = 0
     for argv in argvs:
         if rng.random() < 0.2 and argv[0] != "arrange":
             argv = ["--csv", *argv] if rng.random() < 0.5 else [*argv, "--json"]
+        start = time.perf_counter()
         code = main(argv)
+        if ("signs" in argv or "bpq" in argv) and any(x in HUGE_SIZES for x in argv):
+            huge += 1
+            assert code == 2 and time.perf_counter() - start < 1.0, argv
         out, err = capsys.readouterr()
         codes.add(code)
         assert code in (0, 1, 2), argv
@@ -427,3 +444,4 @@ def test_command_line_argv_fuzz(capsys):
             assert code == 2, argv
     assert {0, 2} <= codes
     assert non_integer >= 3
+    assert huge >= 3

@@ -203,7 +203,9 @@ def test_cartan_dieudonne_of_the_readme_boost():
 
 def test_orthogonal_basis_of_k3_is_the_fraction_oracles():
     _, t = fraction_diagonalize_symmetric(K3.gram)
-    assert tuple(b for b, _, _ in _orthogonal_basis(K3)) == t
+    basis = _orthogonal_basis(K3)
+    assert all(s > 0 and math.gcd(*row, s) == 1 for row, s in basis)
+    assert tuple(tuple(F(x, s) for x in row) for row, s in basis) == t
 
 
 def test_scaling_is_not_an_isometry():

@@ -4,8 +4,9 @@ from operator import mul
 import pytest
 import sympy
 
-from geocycle.errors import DegenerateGram
+from geocycle.errors import BudgetExceeded, DegenerateGram
 from geocycle.lattices import (
+    MAX_RANK,
     QuadLattice,
     classify,
     combine,
@@ -63,6 +64,14 @@ def test_bpq_requires_params():
         standard_lattice("bpq")
     with pytest.raises(ValueError):
         standard_lattice("bpq", 0, 3)
+
+
+def test_bpq_rank_cap_at_the_boundary():
+    assert standard_lattice("bpq", 32, 32).rank == MAX_RANK == 64
+    assert standard_lattice("bpq", 1, MAX_RANK - 1).rank == MAX_RANK
+    for p, q in ((33, 32), (1, MAX_RANK), (10**12, 1)):
+        with pytest.raises(BudgetExceeded, match=f"got p \\+ q = {p + q}"):
+            standard_lattice("bpq", p, q)
 
 
 def test_standard_lattices_are_built_once():

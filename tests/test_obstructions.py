@@ -20,6 +20,7 @@ from geocycle.obstructions import (
     enumerate_roots,
     plane_orthogonal_to,
 )
+from geocycle.verify import naive_roots
 from oracles import inverse_square_forms, oracle_matrix_inverse
 
 H = standard_lattice("hyperbolic")
@@ -27,18 +28,6 @@ B11 = standard_lattice("bpq", 1, 1)
 B23 = standard_lattice("bpq", 2, 3)
 E8_NEG = standard_lattice("e8_neg")
 K3 = standard_lattice("k3")
-
-
-def naive_roots(l, bound):
-    """Oracle: exhaust the whole coordinate box, summing g_ij v_i v_j over
-    the nonzero Gram entries in integers."""
-    entries = [(i, j, c) for i, row in enumerate(l.gram) for j, c in enumerate(row) if c]
-    out = [
-        v
-        for v in itertools.product(range(-bound, bound + 1), repeat=l.rank)
-        if sum(c * v[i] * v[j] for i, j, c in entries) == ROOT_NORM
-    ]
-    return sorted(out)
 
 
 class Unbounded:
@@ -205,7 +194,7 @@ def test_block_tables_are_exact_on_their_windows(gram):
     rng = random.Random(len(gram) * 1000 + gram[0][0])
     l = quad_lattice(gram)
     n = l.rank
-    forms = None if n == 1 or obstructions._hyperbolic_entry(gram) else _integer_square_forms(gram)
+    forms = None if obstructions._hyperbolic_entry(gram) else _integer_square_forms(gram)
     for bound in (1, 2, 3):
         if (2 * bound + 1) ** n > 3 ** 8:
             break
@@ -216,14 +205,15 @@ def test_block_tables_are_exact_on_their_windows(gram):
         for _ in range(6):
             lo = rng.randint(lo_all, hi_all)
             hi = rng.randint(lo, hi_all)
-            if forms is not None and all(w < 0 for w in forms[0]):
-                lo, hi = min(lo, 0), min(hi, 0)  # the definite search wants lo <= 0
             table = _block_table(gram, forms, lo, hi, bound, Unbounded())
             expected = {}
             for v in box:
                 if lo <= values[v] <= hi:
                     expected.setdefault(values[v], []).append(v)
             assert {k: sorted(vs) for k, vs in table.items()} == expected
+        # windows wholly past either end of the range, 0 included
+        for lo, hi in ((lo_all - 5, lo_all - 1), (hi_all + 1, hi_all + 5)):
+            assert _block_table(gram, forms, lo, hi, bound, Unbounded()) == {}
 
 
 SQUARE_FORM_GRAMS = {
