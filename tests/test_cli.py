@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -452,3 +453,56 @@ def test_roots_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
     code, out, _ = run_cli(capsys, "roots", *args.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROOTS[args]
+
+
+def k3_reflection_product(seed, count):
+    """A seeded product of `count` reflections of K3, as --matrix text: each
+    vector has one coordinate in {-1, 1} in each hyperbolic plane and one in
+    {-2, -1, 1, 2} in each -E8 block, and each reflection is applied as the
+    Fraction rank-one update z -> z - 2 B(z, w)/Q(w) w."""
+    from fractions import Fraction
+
+    from geocycle.lattices import standard_lattice
+
+    gram = standard_lattice("k3").gram
+    rng = random.Random(seed)
+    n = len(gram)
+    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(count):
+        w = [0] * n
+        for lo, hi in ((0, 2), (2, 4), (4, 6), (6, 14), (14, 22)):
+            w[rng.randrange(lo, hi)] = rng.choice((-2, -1, 1, 2) if hi - lo == 8 else (-1, 1))
+        gw = [sum(a * b for a, b in zip(row, w)) for row in gram]
+        scale = Fraction(-2, sum(a * b for a, b in zip(w, gw)))
+        c = [sum(gw[i] * mat[i][j] for i in range(n)) for j in range(n)]
+        mat = [[x + scale * wi * cj for x, cj in zip(row, c)] for wi, row in zip(w, mat)]
+    return json.dumps([[str(x) for x in row] for row in mat])
+
+
+K3_MINUS_ONE = json.dumps([[-int(i == j) for j in range(22)] for i in range(22)])
+
+# sha256 of stdout for the commands that read a lattice's congruence: the
+# determinant, the signature and the Cartan-Dieudonne walk, recorded before
+# the three read one cached congruence.
+GOLDEN_CONGRUENCE = {
+    "spinor --lattice bpq --p 1 --q 1 --matrix [[\"5/4\",\"3/4\"],[\"3/4\",\"5/4\"]]":
+        "2ac19750bea796eb0b226c620c2ebc7ea3a9673250f4685532f6ce9912d72194",
+    "spinor --lattice k3 --matrix K3_MINUS_ONE":
+        "310553406382e727966861ec025f14ebd030bf128e84edf9cc0995c5bab2e938",
+    "spinor --lattice k3 --matrix K3_FOUR_REFLECTIONS":
+        "4294d5247c503543f1cc46b2156dcd22620812a9ce31829f967d80815e4d634b",
+    "lattice --kind k3 --classify":
+        "4126d99972c77af50bde70728ca9025f60ac3f75941a80eaf32dfebeeb3241a8",
+    "lattice --kind bpq --p 3 --q 19 --classify":
+        "f0fff25b72ff790abe74e141d6a45bdae024d18a38709d90ae40d02ad2ae004c",
+    "verify-all --seed 101":
+        "a262bde6d03dc52bcab45c80d99f8737f979fd1cf0fed22a0f9dae8b836489ce",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_CONGRUENCE))
+def test_congruence_readers_print_the_recorded_bytes(capsys, args):
+    matrices = {"K3_MINUS_ONE": K3_MINUS_ONE, "K3_FOUR_REFLECTIONS": k3_reflection_product(17, 4)}
+    code, out, _ = run_cli(capsys, *(matrices.get(x, x) for x in args.split()))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CONGRUENCE[args]

@@ -1,10 +1,11 @@
 """The demos run and print the same stdout every time.
 
 Each demo runs twice in a fresh interpreter with the package imported from
-this checkout's `src`; it must exit 0 both times with byte-identical stdout.
-Wall times belong on stderr.
+this checkout's `src`; it must exit 0 both times with byte-identical stdout,
+whose sha256 is the one recorded below. Wall times belong on stderr.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of each demo's stdout: a change to what a demo prints is recorded here
+GOLDEN = {
+    "01_lattices_and_classification.py": "344a1b1133d0ba0848cca7a191ca73d45ae0d743036e8b2dbcd024181be7a019",
+    "02_exact_subspaces.py": "4765790dbec96ce132901a0ee4b925e4a0420cca8f1ea1cb8b2fe45034eddcc7",
+    "03_reflections_and_spinor_norms.py": "e52cf2d483008091333248cb93c458bb2337c2a6f11c93a662a779a662bcfed6",
+    "04_flats_hyperplanes_intersections.py": "3c154e28a7c570e088ecc4ddf18f4f342c4b5fb5e35a2840f395cc98dfaace53",
+    "05_arrangement_matrix.py": "5db0fec6154b242bd56a4be48ee637694ba8e7095c59f455b87b8d054a75efa9",
+    "06_orientation_signs.py": "5b17a0d7c111634f62793a68bad6d6b30f02e340d5a7caa485f4bed8610cb058",
+    "07_root_vectors.py": "c8d2db2c7ffbc0108890c2e0d759da27995b9d16003493f067f56e2686f9760f",
+}
 
 
 def run_demo(path):
@@ -38,3 +50,4 @@ def test_demo_stdout_is_deterministic(path):
     assert first.returncode == 0, first.stderr
     assert second.returncode == 0, second.stderr
     assert first.stdout == second.stdout
+    assert hashlib.sha256(first.stdout.encode()).hexdigest() == GOLDEN[path.name]
