@@ -24,7 +24,8 @@ print("reflection along e1:", reflection((1, 0), b11).matrix)
 print("its spinor class:", spinor_norm(reflection((1, 0), b11)))
 print("reflection along f1 spinor class:", spinor_norm(reflection((0, 1), b11)))
 
-# A hyperbolic boost with eigenvalues 2 and 1/2.
+# A hyperbolic boost with eigenvalues 2 and 1/2. Each factor is printed as the
+# primitive integer vector on its reflection's line.
 boost = isometry_from_matrix([[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]], b11)
 factors = cartan_dieudonne(boost)
 print("\nboost factors into", len(factors), "reflections:", factors)

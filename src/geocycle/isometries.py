@@ -21,8 +21,8 @@ from .errors import (
     NonIntegralMatrix,
     NotSquare,
 )
-from .lattices import QuadLattice, cleared, ray
-from .linalg import Mat, Vec
+from .lattices import QuadLattice, cleared, primitive, ray
+from .linalg import Mat
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -146,58 +146,38 @@ def reflection(x, l: QuadLattice) -> Isometry:
     return product_of_reflections([x], l)
 
 
-@lru_cache(maxsize=None)
-def _orthogonal_basis(l: QuadLattice) -> tuple[tuple[list[int], int], ...]:
-    """A basis of pairwise-orthogonal anisotropic vectors b = row/scale, each
-    as (row, scale) with row integer and scale > 0: b_k = T_k / p_{k-1} in
-    lowest terms, from the pivots p and rows T of the fraction-free
-    congruence (T.gram.T^T = diag(p_{k-1} p_k)). Cached per lattice.
-    """
-    pivots, t = linalg._congruence(l.gram)
-    if len(pivots) < l.rank:
-        raise CertificateFailed("diagonalized Gram matrix has a zero entry")
-    basis = []
-    for row, prev in zip(t, [1] + pivots):
-        g = math.gcd(*row, prev) if prev > 0 else -math.gcd(*row, prev)
-        basis.append(([x // g for x in row], prev // g))
-    return tuple(basis)
-
-
-def cartan_dieudonne(g: Isometry) -> list[Vec]:
+def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     """Factor g into reflections.
 
     Returns vectors x_1..x_k so that reflection(x_1) . ... . reflection(x_k)
     equals g exactly (matrix product in list order), with k <= 2*rank. The
-    empty list is returned exactly for the identity.
+    empty list is returned exactly for the identity. A reflection depends
+    only on its line, so each x_i is the primitive integer vector on it.
 
-    Walks an orthogonal basis b_1..b_n: at each step either one reflection
-    (along g(b)-b when that vector is anisotropic) or two (along g(b)+b and
-    then b, the classical workaround when g(b)-b is isotropic) restores b
-    without disturbing the vectors already fixed. With the current map A/D
-    and b = row/scale, g(b) -+ b = (A.row -+ D.row)/(D.scale): the walk runs
-    on the integer vectors A.row -+ D.row, and only the vectors returned
-    become Fractions.
+    Walks the primitive rows b of the lattice's congruence, an orthogonal
+    basis: either one reflection (along g(b)-b when that vector is
+    anisotropic) or two (along g(b)+b and then b, the classical workaround
+    when g(b)-b is isotropic) restores b without disturbing the vectors
+    already fixed. With the current map A/D, g(b) -+ b is on the line of
+    the integer vector A.b -+ D.b.
     """
     l = g.lattice
     num, den = g.num, g.den
-    vectors: list[Vec] = []
-    for row, s in _orthogonal_basis(l):
+    vectors = []
+    for row in map(primitive, l.congruence[1]):
         image = [sum(map(mul, r, row)) for r in num]
         fixed = [den * x for x in row]
         w = [a - f for a, f in zip(image, fixed)]
         if not any(w):
             continue
-        scale = den * s
         line = ray(w, l)
         if line[2] == 0:
             # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
-            w = [a + f for a, f in zip(image, fixed)]
-            vectors.append(tuple(Fraction(x, scale) for x in w))
-            num, den = _reflect(ray(w, l), num, den)
-            vectors.append(tuple(Fraction(x, s) for x in row))
+            plus = ray([a + f for a, f in zip(image, fixed)], l)
+            vectors.append(plus[0])
+            num, den = _reflect(plus, num, den)
             line = ray(row, l)
-        else:
-            vectors.append(tuple(Fraction(x, scale) for x in w))
+        vectors.append(line[0])
         num, den = _reflect(line, num, den)
     if den != 1 or num != _identity(l.rank):
         raise CertificateFailed("reflection factorization did not reach the identity")
@@ -270,7 +250,7 @@ def square_class(r: Fraction) -> SquareClass:
     return SquareClass(rep, 1 if rep > 0 else -1)
 
 
-def spinor_norm(g: Isometry, reflections: list[Vec] | None = None) -> SquareClass:
+def spinor_norm(g: Isometry, reflections: list | None = None) -> SquareClass:
     """Product of the self-pairings over a reflection factorization, mod squares.
 
     Independent of the factorization; the identity (empty product) gets the

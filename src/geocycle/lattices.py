@@ -1,6 +1,8 @@
 """Integral quadratic lattices: construction, direct sums, classification,
 and the integer-ray kernel: a rational vector cleared of denominators, the
-primitive integer vector on its line, and that vector's pairing and Q."""
+primitive integer vector on its line, and that vector's pairing and Q.
+A lattice's nondegeneracy, determinant, signature and orthogonal basis are
+read off one fraction-free congruence of its Gram matrix."""
 
 from __future__ import annotations
 
@@ -35,18 +37,22 @@ class QuadLattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError("Gram entries must be integers")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        if n and linalg._bareiss_int([list(r) for r in self.gram]) == 0:
+        if any(len(row) != n for row in self.gram):
+            raise ValueError("Gram matrix must be square")
+        if any(type(x) is not int for row in self.gram for x in row):
+            raise TypeError("Gram entries must be integers")
+        if tuple(map(tuple, self.gram)) != tuple(zip(*self.gram)):
+            raise ValueError("Gram matrix must be symmetric")
+        if len(self.congruence[0]) < n:
             raise DegenerateGram("Gram matrix has determinant 0")
+
+    @cached_property
+    def congruence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """linalg._congruence of the Gram matrix as tuples: pivots p_0..p_{n-1},
+        p_{n-1} the determinant, and rows T_k on the lines of an orthogonal
+        basis, T.gram.T^T = diag(p_{k-1} p_k)."""
+        pivots, t = linalg._congruence(self.gram)
+        return tuple(pivots), tuple(map(tuple, t))
 
     @property
     def rank(self) -> int:
@@ -60,7 +66,12 @@ class QuadLattice:
 
 
 def quad_lattice(rows: Iterable[Iterable[int]], name: str | None = None) -> QuadLattice:
-    return QuadLattice(tuple(tuple(int(x) for x in row) for row in rows), name)
+    """The lattice with these Gram rows, entries taken by linalg.cleared:
+    floats and booleans are a TypeError, a non-integral entry a ValueError."""
+    gram, s = linalg.cleared(rows)
+    if s > 1:
+        raise ValueError("Gram entries must be integers")
+    return QuadLattice(tuple(map(tuple, gram)), name)
 
 
 @dataclass(frozen=True)
@@ -173,12 +184,13 @@ def ray(x, l: QuadLattice) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def determinant(l: QuadLattice) -> int:
-    return linalg._bareiss_int([list(r) for r in l.gram])
+    """The last pivot of the lattice's congruence (1 at rank 0)."""
+    return (l.congruence[0] or (1,))[-1]
 
 
 def classify(l: QuadLattice) -> LatticeClass:
-    """Signature by exact congruence diagonalization, parity, determinant."""
+    """Signature and determinant read off the lattice's congruence, and parity."""
     d = determinant(l)
-    plus, minus, _ = linalg.inertia(l.gram)
+    plus, minus = linalg.pivot_signature(l.congruence[0])
     parity = "even" if all(l.gram[i][i] % 2 == 0 for i in range(l.rank)) else "odd"
     return LatticeClass((plus, minus), parity, d, abs(d) == 1)

@@ -208,8 +208,7 @@ def _bareiss_int(rows: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix (Bareiss elimination).
 
     All intermediate divisions are exact, which keeps entry growth polynomial
-    instead of exponential -- this is what makes rank-22 Gram determinants
-    cheap.
+    instead of exponential.
     """
     n = len(rows)
     if n == 0:
@@ -247,7 +246,8 @@ def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int
     (p.x - f.y) // p_prev is exact, every entry being a minor. A zero pivot
     is repaired by swapping in a later nonzero diagonal entry, else by adding
     row and column j onto i for the first a[i][j] != 0; it stops when the
-    rest vanishes."""
+    rest vanishes. Both repairs are congruences of determinant +-1, so when
+    the rank is n the last pivot p_{n-1} is det(a)."""
     a = [list(r) for r in rows]
     n = len(a)
     t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
@@ -299,12 +299,18 @@ def diagonalize_symmetric(m: Mat) -> tuple[tuple[Fraction, ...], Mat]:
     return tuple(diag), tuple(tuple(Fraction(x, prev) for x in row) for row, prev in zip(t, prevs))
 
 
+def pivot_signature(pivots) -> tuple[int, int]:
+    """Counts (n_plus, n_minus) of the diagonal entries d_k = p_k / p_{k-1}
+    read off _congruence's pivots: d_k is positive iff p_k p_{k-1} is."""
+    plus = sum(1 for p, prev in zip(pivots, [1, *pivots]) if (p > 0) == (prev > 0))
+    return plus, len(pivots) - plus
+
+
 def inertia(m) -> tuple[int, int, int]:
     """Counts (n_plus, n_minus, n_zero) of a symmetric matrix of ints or
-    Fractions; d_k = p_k / p_{k-1} is positive iff p_k p_{k-1} is."""
+    Fractions."""
     pivots, _ = _congruence(cleared(m)[0])
-    plus = sum(1 for p, prev in zip(pivots, [1] + pivots) if (p > 0) == (prev > 0))
-    return plus, len(pivots) - plus, len(m) - len(pivots)
+    return *pivot_signature(pivots), len(m) - len(pivots)
 
 
 def _unit_pivot(row: list[int], c: int) -> Vec:

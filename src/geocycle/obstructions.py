@@ -103,7 +103,7 @@ def _enumerate_definite(
         w = weights[idx]
         r = math.isqrt((hi - running if positive else running - lo) // abs(w))
         values = range(max(-bound, -((r + tail) // lead)), min(bound, (r - tail) // lead) + 1)
-        budget.spend(len(values))
+        budget.spend(max(0, values.stop - values.start))  # len() stops at sys.maxsize
         for value in values:
             m = lead * value + tail
             x[idx] = value
@@ -239,7 +239,7 @@ def _block_table(
                 ys = range(max(-bound, -(-lo // k)), min(bound, hi // k) + 1)
             else:
                 ys = range(max(-bound, -(-hi // k)), min(bound, lo // k) + 1)
-            budget.spend(len(ys))
+            budget.spend(max(0, ys.stop - ys.start))  # len() stops at sys.maxsize
             for y in ys:
                 table.setdefault(k * y, []).append((x, y))
         return table

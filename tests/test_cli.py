@@ -141,6 +141,19 @@ def test_roots_over_budget_exits_2_quickly(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "p,q,bound", [(1, 1, "99999999999999999999"), (1, 2, str(2**62)), (1, 1, "9999999999")]
+)
+def test_a_bound_past_sys_maxsize_exits_2_on_the_node_budget(capsys, p, q, bound):
+    # a coordinate range longer than sys.maxsize is charged by its ends, as
+    # len() of it overflows
+    code, out, err = run_cli(
+        capsys, "roots", "--lattice", "bpq", "--p", str(p), "--q", str(q), "--bound", bound
+    )
+    assert (code, out) == (2, "")
+    assert "error: root enumeration needs more than 500000 nodes" in err
+
+
 def test_roots_block_requires_k3(capsys):
     code, _, err = run_cli(
         capsys, "roots", "--lattice", "hyperbolic", "--bound", "1", "--block", "e8:1"
@@ -485,7 +498,7 @@ K3_MINUS_ONE = json.dumps([[-int(i == j) for j in range(22)] for i in range(22)]
 # determinant, the signature and the Cartan-Dieudonne walk, recorded before
 # the three read one cached congruence.
 GOLDEN_CONGRUENCE = {
-    "spinor --lattice bpq --p 1 --q 1 --matrix [[\"5/4\",\"3/4\"],[\"3/4\",\"5/4\"]]":
+    "spinor --lattice bpq --p 1 --q 1 --matrix BOOST":
         "2ac19750bea796eb0b226c620c2ebc7ea3a9673250f4685532f6ce9912d72194",
     "spinor --lattice k3 --matrix K3_MINUS_ONE":
         "310553406382e727966861ec025f14ebd030bf128e84edf9cc0995c5bab2e938",
@@ -502,7 +515,11 @@ GOLDEN_CONGRUENCE = {
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_CONGRUENCE))
 def test_congruence_readers_print_the_recorded_bytes(capsys, args):
-    matrices = {"K3_MINUS_ONE": K3_MINUS_ONE, "K3_FOUR_REFLECTIONS": k3_reflection_product(17, 4)}
+    matrices = {
+        "BOOST": '[["5/4","3/4"],["3/4","5/4"]]',
+        "K3_MINUS_ONE": K3_MINUS_ONE,
+        "K3_FOUR_REFLECTIONS": k3_reflection_product(17, 4),
+    }
     code, out, _ = run_cli(capsys, *(matrices.get(x, x) for x in args.split()))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CONGRUENCE[args]

@@ -20,7 +20,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = {
     "01_lattices_and_classification.py": "344a1b1133d0ba0848cca7a191ca73d45ae0d743036e8b2dbcd024181be7a019",
     "02_exact_subspaces.py": "4765790dbec96ce132901a0ee4b925e4a0420cca8f1ea1cb8b2fe45034eddcc7",
-    "03_reflections_and_spinor_norms.py": "e52cf2d483008091333248cb93c458bb2337c2a6f11c93a662a779a662bcfed6",
+    "03_reflections_and_spinor_norms.py": "76d9604dd85b9e20c48003ac3f95b585c273f52f5bbb0e3fa66b2a67f4d227e2",
     "04_flats_hyperplanes_intersections.py": "3c154e28a7c570e088ecc4ddf18f4f342c4b5fb5e35a2840f395cc98dfaace53",
     "05_arrangement_matrix.py": "5db0fec6154b242bd56a4be48ee637694ba8e7095c59f455b87b8d054a75efa9",
     "06_orientation_signs.py": "5b17a0d7c111634f62793a68bad6d6b30f02e340d5a7caa485f4bed8610cb058",

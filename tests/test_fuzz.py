@@ -294,6 +294,15 @@ def _fuzz_size(rng, lo, hi):
     return rng.choice(HUGE_SIZES) if rng.random() < 0.1 else _fuzz_int(rng, lo, hi)
 
 
+# root bounds whose coordinate ranges are longer than sys.maxsize (the second
+# is 2^62): on B(p,q) the node budget refuses them before any node is visited
+HUGE_BOUNDS = ("99999999999999999999", "4611686018427387904")
+
+
+def _fuzz_bound(rng, lo, hi):
+    return rng.choice(HUGE_BOUNDS) if rng.random() < 0.25 else _fuzz_int(rng, lo, hi)
+
+
 def _signs_argv(rng):
     p, q = rng.randint(-1, 6), rng.randint(-1, 6)
     if 1 <= p <= q and rng.random() < 0.6:
@@ -320,8 +329,8 @@ def _roots_argv(rng):
     if rng.random() < 0.2:
         block = rng.choice(["h:1", "h:3", "e8:1", "e8:2", "e8:3", "x"])
         return ["roots", "--lattice", rng.choice(["k3", "k3", "bpq"]), "--bound",
-                _fuzz_int(rng, -1, 2), "--block", block]
-    argv = ["roots", *_lattice_options(rng, "--lattice"), "--bound", _fuzz_int(rng, -2, 2)]
+                _fuzz_bound(rng, -1, 2), "--block", block]
+    argv = ["roots", *_lattice_options(rng, "--lattice"), "--bound", _fuzz_bound(rng, -2, 2)]
     if "k3" in argv:  # k3 at bound 1 already exits 2 on the node budget, slowly
         argv[argv.index("--bound") + 1] = "0"
     return argv
@@ -413,15 +422,18 @@ def test_command_line_argv_fuzz(capsys):
     # seeded argv for every subcommand but spinor/congruence (their --matrix
     # is fuzzed above): exit 0, 1 or 2 without a traceback; 0/1 print
     # exactly one JSON document and 2 prints nothing on stdout; a spec whose
-    # p, q, n or m is a float or a boolean exits 2
+    # p, q, n or m is a float or a boolean exits 2, and so does a root bound
+    # past sys.maxsize on B(p,q)
     from geocycle.cli import main
 
     rng = random.Random(239)
     makers = [_signs_argv, _roots_argv, _lattice_argv, _arrange_argv]
     argvs = [rng.choice(makers)(rng) for _ in range(160)]
     argvs += [["verify-all", "--seed", "7"], ["--seed", "8", "verify-all"]]
+    argvs += [["roots", "--lattice", "bpq", "--p", "1", "--q", str(q), "--bound", bound]
+              for q, bound in zip((1, 2), HUGE_BOUNDS)]
     codes = set()
-    non_integer = huge = 0
+    non_integer = huge = huge_bound = 0
     for argv in argvs:
         if rng.random() < 0.2 and argv[0] != "arrange":
             argv = ["--csv", *argv] if rng.random() < 0.5 else [*argv, "--json"]
@@ -442,6 +454,10 @@ def test_command_line_argv_fuzz(capsys):
         if argv[:2] == ["arrange", "--spec-json"] and _has_non_integer_size(argv[2]):
             non_integer += 1
             assert code == 2, argv
+        if any(x in HUGE_BOUNDS for x in argv):
+            huge_bound += 1
+            assert code == 2 or "bpq" not in argv, argv
     assert {0, 2} <= codes
     assert non_integer >= 3
     assert huge >= 3
+    assert huge_bound >= 3

@@ -4,11 +4,11 @@ Independent oracles sit next to the unit tests. Two Cartan-Dieudonne walks
 hold the current map as a Fraction matrix: the dense one builds every
 reflection as a full matrix and multiplies it in, the other applies it as a
 Fraction rank-one update. The integer kernel, which holds an isometry as an
-integer matrix over one denominator, must return the same vectors and the
-same matrices as both. The Zassenhaus spinor norm (H. Zassenhaus, "On the
-spinor norm", Arch. Math. 13, 1962) is the square class of
-det[2 B((1-g)e_i, e_j)] over the pivot columns i, j of 1-g, with no
-factorization at all; `spinor_norm` must agree with it.
+integer matrix over one denominator, must return the same reflection lines,
+as primitive integer vectors, and the same matrices as both. The Zassenhaus
+spinor norm (H. Zassenhaus, "On the spinor norm", Arch. Math. 13, 1962) is
+the square class of det[2 B((1-g)e_i, e_j)] over the pivot columns i, j of
+1-g, with no factorization at all; `spinor_norm` must agree with it.
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ from geocycle.errors import (
 from geocycle.isometries import (
     Isometry,
     SquareClass,
-    _orthogonal_basis,
     cartan_dieudonne,
     compose,
     identity_isometry,
@@ -43,9 +42,10 @@ from geocycle.isometries import (
     square_class,
     squarefree_part,
 )
-from geocycle.lattices import eval_form, standard_lattice
+from geocycle.lattices import eval_form, primitive, standard_lattice
 from geocycle.linalg import (
     as_vector,
+    cleared,
     det,
     diagonalize_symmetric,
     identity_matrix,
@@ -197,15 +197,18 @@ def test_boost_is_isometry():
 
 
 def test_cartan_dieudonne_of_the_readme_boost():
-    # the factors demo 03 prints; they come from the orthogonal basis
-    assert cartan_dieudonne(isometry_from_matrix(BOOST, B11)) == [(F(1, 4), F(3, 4)), (F(0), F(-2))]
+    # the factors demo 03 prints: the primitive vectors on the lines of
+    # (1/4, 3/4) and (0, -2)
+    assert cartan_dieudonne(isometry_from_matrix(BOOST, B11)) == [(1, 3), (0, 1)]
 
 
 def test_orthogonal_basis_of_k3_is_the_fraction_oracles():
+    # the primitive rows of the congruence span the oracle's basis lines, in order
     _, t = fraction_diagonalize_symmetric(K3.gram)
-    basis = _orthogonal_basis(K3)
-    assert all(s > 0 and math.gcd(*row, s) == 1 for row, s in basis)
-    assert tuple(tuple(F(x, s) for x in row) for row, s in basis) == t
+    rows = [primitive(row) for row in K3.congruence[1]]
+    assert len(rows) == len(t) == K3.rank
+    for row, b in zip(rows, t):
+        assert row == primitive(cleared([b])[0][0])
 
 
 def test_scaling_is_not_an_isometry():
@@ -414,8 +417,9 @@ def oracle_isometries():
 def test_rank_one_factorization_matches_oracles(g):
     l = g.lattice
     vectors = cartan_dieudonne(g)
-    assert vectors == dense_cartan_dieudonne(g)
-    assert vectors == fraction_cartan_dieudonne(g)
+    for oracle in (dense_cartan_dieudonne(g), fraction_cartan_dieudonne(g)):
+        assert vectors == [primitive(cleared([x])[0][0]) for x in oracle]
+    assert all(type(c) is int for x in vectors for c in x)
     # one isometry reached two ways: from its reflections and from its matrix
     oracle = fraction_product(vectors, l)
     h = product_of_reflections(vectors, l)

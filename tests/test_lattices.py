@@ -1,15 +1,18 @@
 import random
+from fractions import Fraction
 from operator import mul
 
 import pytest
 import sympy
 
+from geocycle import isometries, lattices, linalg
 from geocycle.errors import BudgetExceeded, DegenerateGram
 from geocycle.lattices import (
     MAX_RANK,
     QuadLattice,
     classify,
     combine,
+    determinant,
     eval_form,
     quad_lattice,
     ray,
@@ -197,6 +200,107 @@ def test_gram_must_be_nondegenerate():
 def test_gram_entries_must_be_integers():
     with pytest.raises(TypeError):
         QuadLattice(((1.0, 0.0), (0.0, 1.0)))
+
+
+def test_boolean_gram_entries_are_rejected():
+    with pytest.raises(TypeError):
+        QuadLattice(((True, 0), (0, -1)))
+
+
+@pytest.mark.parametrize(
+    "rows,error",
+    [
+        ([[1.7, 0], [0, -1]], TypeError),
+        ([[1.0, 0], [0, -1]], TypeError),
+        ([[True, 0], [0, -1]], TypeError),
+        ([[Fraction(5, 2), 0], [0, -1]], ValueError),
+        ([["1/3", 0], [0, -1]], ValueError),
+    ],
+)
+def test_quad_lattice_does_not_truncate(rows, error):
+    # entries enter through linalg.cleared: each of these used to be
+    # truncated to an integer Gram matrix
+    with pytest.raises(error):
+        quad_lattice(rows)
+
+
+def test_quad_lattice_takes_integral_fractions_as_ints():
+    l = quad_lattice([[Fraction(4, 2), "3"], [3, Fraction(-1)]])
+    assert l.gram == ((2, 3), (3, -1))
+    assert all(type(x) is int for row in l.gram for x in row)
+
+
+def random_symmetric(rng, n):
+    """A symmetric integer n x n matrix, mostly zeros so that leading
+    minors vanish; a third of them have a zero diagonal, so that only the
+    add repair of the congruence can find a pivot."""
+    rows = [[0] * n for _ in range(n)]
+    zero_diagonal = rng.random() < 1 / 3
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 0, -2, -1, 1, 2, 3))
+    return rows
+
+
+def descartes_signature(m):
+    """Independent oracle: (positive, negative) eigenvalue counts of a
+    nonsingular symmetric matrix, as the sign changes of the coefficients
+    of its characteristic polynomial p(x) and of p(-x). Descartes' count is
+    exact here, as every root of p is real."""
+    coeffs = m.charpoly().all_coeffs()
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    flipped = [c * (-1) ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs)]
+    return changes(coeffs), changes(flipped)
+
+
+def test_classify_matches_sympy_determinant_and_descartes_signature():
+    rng = random.Random(1709)
+    singular = repaired = zero_diagonal = 0
+    for _ in range(240):
+        n = rng.randint(1, 6)
+        rows = random_symmetric(rng, n)
+        m = sympy.Matrix(rows)
+        d = m.det()
+        if d == 0:
+            singular += 1
+            with pytest.raises(DegenerateGram):
+                quad_lattice(rows)
+            continue
+        c = classify(quad_lattice(rows))
+        assert c.det == d, rows
+        assert c.signature == descartes_signature(m), rows
+        repaired += any(m[:k, :k].det() == 0 for k in range(1, n))
+        zero_diagonal += n > 1 and not any(rows[i][i] for i in range(n))
+    assert singular >= 30 and repaired >= 30 and zero_diagonal >= 20
+
+
+def test_the_last_pivot_is_the_determinant():
+    # on singular matrices too: fewer pivots than the rank there
+    rng = random.Random(1710)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = random_symmetric(rng, n)
+        pivots, _ = linalg._congruence(rows)
+        last = pivots[-1] if len(pivots) == n else 0
+        assert last == sympy.Matrix(rows).det(), rows
+
+
+def test_one_congruence_serves_the_check_determinant_signature_and_walk(monkeypatch):
+    calls = []
+    original = linalg._congruence
+    monkeypatch.setattr(linalg, "_congruence", lambda rows: calls.append(rows) or original(rows))
+    monkeypatch.setattr(linalg, "_bareiss_int", None)
+    l = quad_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+    assert determinant(l) == 2
+    assert classify(l) == lattices.LatticeClass((1, 2), "even", 2, False)
+    g = isometries.isometry_from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], l)
+    assert isometries.cartan_dieudonne(g) == [(1, -1, 0)]
+    assert len(calls) == 1
 
 
 def test_classify_sylvester_invariance_integer_congruence():
