@@ -21,7 +21,7 @@ from .errors import (
     NonIntegralMatrix,
     NotSquare,
 )
-from .lattices import QuadLattice, cleared, primitive, ray
+from .lattices import QuadLattice, cleared, ray
 from .linalg import Mat
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -154,29 +154,32 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     empty list is returned exactly for the identity. A reflection depends
     only on its line, so each x_i is the primitive integer vector on it.
 
-    Walks the primitive rows b of the lattice's congruence, an orthogonal
-    basis: either one reflection (along g(b)-b when that vector is
+    Walks the lattice's `orthogonal_rays`, the primitive rows b of its
+    congruence: either one reflection (along g(b)-b when that vector is
     anisotropic) or two (along g(b)+b and then b, the classical workaround
     when g(b)-b is isotropic) restores b without disturbing the vectors
     already fixed. With the current map A/D, g(b) -+ b is on the line of
-    the integer vector A.b -+ D.b.
+    the integer vector A.b -+ D.b, and A.b reads A at b's nonzero terms.
     """
     l = g.lattice
     num, den = g.num, g.den
     vectors = []
-    for row in map(primitive, l.congruence[1]):
-        image = [sum(map(mul, r, row)) for r in num]
-        fixed = [den * x for x in row]
-        w = [a - f for a, f in zip(image, fixed)]
+    for b_ray, terms in l.orthogonal_rays:
+        image = linalg.times_terms(num, terms)
+        w = image[:]
+        for j, v in terms:
+            w[j] -= den * v
         if not any(w):
             continue
         line = ray(w, l)
         if line[2] == 0:
             # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
-            plus = ray([a + f for a, f in zip(image, fixed)], l)
+            for j, v in terms:
+                image[j] += den * v
+            plus = ray(image, l)
             vectors.append(plus[0])
             num, den = _reflect(plus, num, den)
-            line = ray(row, l)
+            line = b_ray
         vectors.append(line[0])
         num, den = _reflect(line, num, den)
     if den != 1 or num != _identity(l.rank):

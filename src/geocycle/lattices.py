@@ -23,6 +23,11 @@ MAX_RANK = 64
 # 1-3-4-5-6-7-8 with node 2 hanging off node 4.
 _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
+_HYPERBOLIC = ((0, 1), (1, 0))
+
+# a primitive integer vector x, its pairing gram.x and its self-pairing Q(x)
+Ray = tuple[tuple[int, ...], tuple[int, ...], int]
+
 
 @dataclass(frozen=True)
 class QuadLattice:
@@ -64,6 +69,14 @@ class QuadLattice:
         matrix reads these (B(p,q) has one per row, K3 at most four)."""
         return linalg.nonzero_terms(self.gram)
 
+    @cached_property
+    def orthogonal_rays(self) -> tuple[tuple[Ray, tuple[tuple[int, int], ...]], ...]:
+        """Per row T_k of the congruence, ray(primitive(T_k)) and the
+        nonzero terms of that primitive row: the orthogonal basis that the
+        Cartan-Dieudonne walk steps over (K3's rows have 1-8 terms of 22)."""
+        rays = [ray(row, self) for row in self.congruence[1]]
+        return tuple(zip(rays, linalg.nonzero_terms(x for x, _, _ in rays)))
+
 
 def quad_lattice(rows: Iterable[Iterable[int]], name: str | None = None) -> QuadLattice:
     """The lattice with these Gram rows, entries taken by linalg.cleared:
@@ -90,6 +103,10 @@ def _e8_gram() -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _negated(gram) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(-x for x in row) for row in gram)
+
+
 def check_rank(p: int, q: int) -> None:
     """Raise BudgetExceeded unless p + q <= MAX_RANK: checked before a dense
     Gram matrix of that rank is built."""
@@ -114,32 +131,34 @@ def standard_lattice(kind: str, p: int | None = None, q: int | None = None) -> Q
             name=f"B({p},{q})",
         )
     if kind == "hyperbolic":
-        return quad_lattice([[0, 1], [1, 0]], name="H")
+        return QuadLattice(_HYPERBOLIC, name="H")
     if kind == "e8_pos":
         return QuadLattice(_e8_gram(), name="E8")
     if kind == "e8_neg":
-        return quad_lattice([[-x for x in row] for row in _e8_gram()], name="-E8")
+        return QuadLattice(_negated(_e8_gram()), name="-E8")
     if kind == "k3":
-        h = standard_lattice("hyperbolic")
-        e8n = standard_lattice("e8_neg")
-        out = combine(combine(h, h), h)
-        out = combine(combine(out, e8n), e8n)
-        return QuadLattice(out.gram, name="K3")
+        e8n = _negated(_e8_gram())
+        return QuadLattice(_block_diagonal(_HYPERBOLIC, _HYPERBOLIC, _HYPERBOLIC, e8n, e8n), "K3")
     raise ValueError(f"unknown lattice kind: {kind!r}")
+
+
+def _block_diagonal(*grams) -> tuple[tuple[int, ...], ...]:
+    """The block-diagonal Gram matrix of the given square blocks, in order."""
+    n = sum(map(len, grams))
+    rows = []
+    at = 0
+    for gram in grams:
+        for row in gram:
+            rows.append((0,) * at + tuple(row) + (0,) * (n - at - len(row)))
+        at += len(gram)
+    return tuple(rows)
 
 
 def combine(a: QuadLattice, b: QuadLattice, negate_b: bool = False) -> QuadLattice:
     """Orthogonal direct sum of two lattices, optionally negating b's form."""
     if b.rank == 0:
         return a
-    sign = -1 if negate_b else 1
-    n, m = a.rank, b.rank
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a.gram[i]) + (0,) * m)
-    for i in range(m):
-        rows.append((0,) * n + tuple(sign * x for x in b.gram[i]))
-    return QuadLattice(tuple(rows))
+    return QuadLattice(_block_diagonal(a.gram, _negated(b.gram) if negate_b else b.gram))
 
 
 def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
@@ -170,12 +189,17 @@ def primitive(x) -> tuple[int, ...]:
     its first nonzero entry positive, so that equal lines give equal
     vectors. The zero vector stays zero."""
     g = math.gcd(*x)
-    if g and next(c for c in x if c) < 0:
+    if not g:
+        return tuple(x)
+    for lead in x:
+        if lead:
+            break
+    if lead < 0:
         g = -g
-    return tuple(c // g for c in x) if g else tuple(x)
+    return tuple(x) if g == 1 else tuple([c // g for c in x])
 
 
-def ray(x, l: QuadLattice) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def ray(x, l: QuadLattice) -> Ray:
     """primitive(x) for an integer vector x on l, with its pairing gram.x,
     i.e. z -> B(x, z), and its self-pairing Q."""
     x = primitive(x)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, itemgetter, mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import AmbientMismatch, NotSquare
@@ -46,6 +46,8 @@ _value = itemgetter(1)  # of a (column, value) pair
 # decimal exponent of a string is capped before Fraction sees it.
 MAX_DECIMAL_EXPONENT = 1000
 _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# the strings cleared reads without frac: an ASCII integer or "n/d"
+_PLAIN_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def frac(x) -> Fraction:
@@ -118,19 +120,61 @@ def terms_times(terms: Terms, x) -> tuple[int, ...]:
     return tuple(out)
 
 
+def times_terms(rows, terms) -> list[int]:
+    """M.x for the integer vector x held as its nonzero (column, value)
+    terms: each row of M is read at those columns only."""
+    out = []
+    for row in rows:
+        total = 0
+        for j, v in terms:
+            total += row[j] * v
+        out.append(total)
+    return out
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(n, d) with x = n/d in lowest terms, d > 0. Ints and Fractions are
+    read as they are and a plain ASCII "n" or "n/d" string by one match and
+    one gcd; any other entry goes through :func:`frac`, which keeps its
+    errors and its exponent cap."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    if type(x) is str and _PLAIN_RATIONAL.fullmatch(x):
+        n, _, d = x.partition("/")
+        n, d = int(n), int(d or 1)
+        if d:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    return frac(x).as_integer_ratio()
+
+
 def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """(s.rows, s) for rows of ints, Fractions or strings, s > 0 the lcm of
-    all their denominators: int rows pass through with s = 1. Entries go
-    through :func:`frac`, so floats and booleans are a TypeError, and
-    ragged rows are a ValueError."""
+    all their denominators: int rows pass through with s = 1. Entries are
+    read by :func:`_ratio`, each distinct string once, so floats and
+    booleans are a TypeError, and ragged rows are a ValueError."""
     rows = [list(row) for row in rows]
     if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows, 1
-    rows = [[frac(x) for x in row] for row in rows]
-    s = math.lcm(*map(attrgetter("denominator"), chain.from_iterable(rows)))
-    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+    memo: dict[str, tuple[int, int]] = {}
+    ratios = []
+    for row in rows:
+        out = []
+        for x in row:
+            if type(x) is str:
+                r = memo.get(x)
+                if r is None:
+                    r = memo[x] = _ratio(x)
+            else:
+                r = _ratio(x)
+            out.append(r)
+        ratios.append(out)
+    s = math.lcm(*(d for row in ratios for _, d in row))
+    return [[n * (s // d) for n, d in row] for row in ratios], s
 
 
 def gram_of(rows: Iterable[Iterable[int]], lattice: "QuadLattice") -> list[list[int]]:

@@ -4,15 +4,17 @@ These are the computations the library made over Fraction before they ran
 in integers: the symmetric elimination, the row elimination with the
 kernel, span, intersection and complement on top of it, the matrix
 inverse, the rotation walk with the parameter search on top of it, the
-restricted inertia of a subspace, and the image of a vector under an
-isometry. Tests compare the integer paths against them. rotation_power,
+restricted inertia of a subspace, the image of a vector under an
+isometry, the clearing of rational rows through frac and the primitive
+vector on a line by a generator. Tests compare the integer paths against
+them. rotation_power,
 the Fraction view of the integer rotation walk, lives here too: only tests
 read powers of a rotation as Fractions.
 """
 
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import mul
 
 from geocycle.arrangement import (
@@ -47,6 +49,26 @@ def oracle_apply(g, v):
     row, s = cleared(v, g.lattice)
     den = g.den * s
     return tuple(Fraction(sum(map(mul, r, row)), den) for r in g.num)
+
+
+def frac_cleared(rows):
+    """(s.rows, s) for rows of ints, Fractions or strings, every entry
+    coerced by frac to a Fraction and s the lcm of their denominators."""
+    rows = [list(row) for row in rows]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("ragged matrix")
+    rows = [[frac(x) for x in row] for row in rows]
+    s = math.lcm(*(x.denominator for x in chain.from_iterable(rows)))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in rows], s
+
+
+def generator_primitive(x):
+    """The primitive integer vector on x's line, first nonzero entry
+    positive, found by a generator; the zero vector stays zero."""
+    g = math.gcd(*x)
+    if g and next(c for c in x if c) < 0:
+        g = -g
+    return tuple(c // g for c in x) if g else tuple(x)
 
 
 def fraction_rref(m):

@@ -213,6 +213,34 @@ def test_matrix_is_coerced_once(capsys, monkeypatch):
         assert calls[0] == rows and rows not in calls[1:]
 
 
+# The README boost and -1 on B(1,1), each with spellings that the plain
+# "n" / "n/d" match leaves to frac: unreduced, spaced, decimal, exponent.
+RESPELLED_MATRICES = [
+    ([["5/4", "3/4"], ["3/4", "5/4"]],
+     [[["10/8", "6/8"], ["9/12", "15/12"]],
+      [[" 5/4", "3/4 "], ["\t3/4", "5/4\n"]],
+      [["1.25", "0.75"], ["0.75", "1.25"]],
+      [["125e-2", "75E-2"], ["0.075e1", "1.25e0"]]]),
+    ([["-1", "0"], ["0", "-1"]],
+     [[["-2/2", "0/7"], [" 0", "-3/3"]],
+      [["-1.0", "0.0"], ["-0.0", "-1.00"]],
+      [["-1e0", "0e5"], ["0E-3", "-10e-1"]]]),
+]
+
+
+@pytest.mark.parametrize("canonical, spellings", RESPELLED_MATRICES)
+@pytest.mark.parametrize("command", [["spinor"], ["congruence", "--modulus", "2"]])
+def test_respelled_matrix_prints_the_same_bytes(capsys, command, canonical, spellings):
+    def run(rows):
+        code, out, _ = run_cli(capsys, *command, "--lattice", "bpq", "--p", "1", "--q", "1",
+                               "--matrix", json.dumps(rows))
+        return code, out
+
+    expected = run(canonical)
+    for rows in spellings:
+        assert run(rows) == expected, rows
+
+
 @pytest.mark.parametrize(
     "argv",
     [

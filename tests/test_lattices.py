@@ -14,11 +14,13 @@ from geocycle.lattices import (
     combine,
     determinant,
     eval_form,
+    primitive,
     quad_lattice,
     ray,
     standard_lattice,
 )
-from geocycle.linalg import terms_times
+from geocycle.linalg import nonzero_terms, terms_times
+from oracles import generator_primitive
 
 
 def sympy_signature(gram):
@@ -48,6 +50,45 @@ def test_k3_is_rank_22_even_unimodular_3_19():
     assert c.signature == (3, 19)
     assert c.parity == "even"
     assert c.unimodular
+
+
+def test_k3_is_built_as_one_block_diagonal_lattice(monkeypatch):
+    # the Gram matrix the chain of combines gave, from one congruence
+    h, e8n = standard_lattice("hyperbolic"), standard_lattice("e8_neg")
+    chained = combine(combine(combine(combine(h, h), h), e8n), e8n).gram
+    calls = []
+    original = linalg._congruence
+    monkeypatch.setattr(linalg, "_congruence", lambda rows: calls.append(rows) or original(rows))
+    k3 = lattices.standard_lattice.__wrapped__("k3")  # past the cache
+    assert k3.gram == chained and k3.name == "K3"
+    assert len(calls) == 1
+
+
+def test_orthogonal_rays_are_the_primitive_congruence_rows():
+    for l in (standard_lattice("k3"), standard_lattice("bpq", 2, 3),
+              quad_lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])):
+        rows = [primitive(row) for row in l.congruence[1]]
+        assert [r for r, _ in l.orthogonal_rays] == [ray(row, l) for row in rows]
+        assert [t for _, t in l.orthogonal_rays] == list(nonzero_terms(rows))
+        gram = linalg.gram_of(rows, l)
+        assert all(gram[i][j] == 0 for i in range(l.rank) for j in range(l.rank) if i != j)
+    sizes = [len(t) for _, t in standard_lattice("k3").orthogonal_rays]
+    assert (min(sizes), max(sizes)) == (1, 8)
+
+
+def test_primitive_matches_the_generator_oracle():
+    rng = random.Random(1802)
+    vectors = [(), (0,), (0, 0, 0), (0, 0, -4, 6), (0, -1, 5), (3,), (-7,), (6, -9, 0, 12)]
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        lead = rng.randint(0, n - 1)
+        scale = rng.choice((1, 1, -1, 2, -3, 12, -2**70))
+        vectors.append(tuple([0] * lead + [scale * rng.randint(-9, 9) for _ in range(n - lead)]))
+    for x in vectors:
+        got = primitive(x)
+        assert got == generator_primitive(x), x
+        assert all(type(c) is int for c in got)
+    assert primitive([0, -2, 4]) == (0, 1, -2) and primitive([0, 0]) == (0, 0)
 
 
 def test_e8_positive_even_unimodular():

@@ -23,6 +23,7 @@ from geocycle.linalg import (
 )
 from geocycle.verify import random_subspace
 from oracles import (
+    frac_cleared,
     fraction_diagonalize_symmetric,
     fraction_inertia,
     fraction_intersect,
@@ -496,6 +497,42 @@ def test_cleared_writes_rows_over_the_lcm_of_all_denominators():
         assert [[F(x, s) for x in row] for row in rows] == [[frac(x) for x in row] for row in m]
     with pytest.raises(ValueError):
         linalg.cleared([[1, 2], [3]])
+
+
+# Strings cleared reads by one match (reduced, signed, zero) next to strings
+# it leaves to frac (spaces, underscores, decimals, exponents, a non-ASCII
+# digit, zero denominators, an exponent past the cap), and rows that mix
+# ints, bools, floats, Fractions and strings.
+PARSE_CORPUS = [
+    [["6/8"]], [["-0"]], [["+3/9"]], [["0/5", "-12/4"]], [["007/014"]],
+    [[" 3 / 4 "]], [["1_000/3"]], [["1.25"]], [["5e-1"]], [["\u0663"]], [[" 3/4 "]],
+    [["1/0"]], [["0/0"]], [["1e100000"]], [["3/-4"]], [["/4"]], [[""]],
+    [[1, True]], [["1", 1.0]], [[F(1, 2), "1/2"]], [["1/2", 1.5, "1/0"]], [["1/0", 1.5]],
+    [["6/8", "6/8", F(3, 4)], ["3/4", 2, "-2/8"]],
+]
+
+
+@pytest.mark.parametrize("rows", PARSE_CORPUS, ids=repr)
+def test_cleared_matches_the_frac_oracle(rows):
+    # the one-match string path gives what frac gives, or the same error
+    try:
+        expected = frac_cleared(rows)
+    except (TypeError, ValueError) as e:
+        with pytest.raises(type(e)):
+            linalg.cleared(rows)
+    else:
+        assert linalg.cleared(rows) == expected
+
+
+def test_cleared_matches_the_frac_oracle_on_seeded_strings():
+    rng = random.Random(1818)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [[rng.choice((f"{rng.randint(-99, 99)}/{rng.randint(1, 60)}",
+                             str(rng.randint(-9, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)),
+                             rng.randint(-5, 5)))
+                 for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        assert linalg.cleared(rows) == frac_cleared(rows), rows
 
 
 @pytest.mark.parametrize("bad", [1.5, True, False])
