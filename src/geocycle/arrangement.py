@@ -36,7 +36,7 @@ TANGENT_SCAN = tuple(
     Fraction(1, d) for d in (10, 16, 20, 32, 50, 64, 100, 128, 256, 512, 1024)
 )
 MAX_BOOST_POWER = 64
-# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 4.8 s, (32,32) at n = 256 17 s
+# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 2.3 s, (32,32) at n = 256 8.4 s
 MAX_FAMILY_SIZE = 256
 MAX_Q = 32
 

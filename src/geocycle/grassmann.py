@@ -18,6 +18,18 @@ Q(w) by c^2, so no verdict depends on the vector chosen on the line; a block
 keeps (Q(x), B(x,y), Q(y)) over its positive gcd, and w is formed only for a
 Point cell. The RREF subspaces of a flat are derived on demand.
 
+A verdict reads Q(w) only for its sign, and a and b reach thousands of bits
+in a large family, so Q(w) is not formed on a *split* block, one whose
+discriminant B(x,y)^2 - Q(x)Q(y) (positive, by the certificate) is a square.
+Such a block has two rational isotropic lines u, u'; w lies on the line of
+B(v,u')*u - B(v,u)*u', so Q(w) has the sign of -B(u,u') B(v,u) B(v,u'). With
+u' oriented so that B(u,u') < 0 that is sign B(v,u) * sign B(v,u'), and
+B(v, alpha*x + beta*y) = alpha*a + beta*b costs two small-by-large products.
+A flat holds each block's (alpha, beta, alpha', beta') once, at the end of
+its `block_terms`; the searched triple (1, 0, -1) has the lines x + y and
+y - x, so its verdict is sign(b^2 - a^2). A non-split block keeps the
+product form.
+
 A matrix or row that is multiplied many times is read through its nonzero
 terms only: a flat's `block_terms` are its block rows as (column, value)
 pairs, an isometry's `num_terms` and a lattice's `gram_terms` are the same
@@ -55,6 +67,7 @@ from .linalg import (
 )
 
 IntVec = tuple[int, ...]
+IsotropicLines = tuple[int, int, int, int] | None  # see _isotropic_lines
 
 
 @dataclass(frozen=True)
@@ -92,11 +105,14 @@ class Flat:
         return span(self.int_rest, ambient=self.lattice.rank)
 
     @cached_property
-    def block_terms(self) -> tuple[tuple[Terms, Terms, int, int, int], ...]:
-        """int_blocks with x and y as their nonzero (column, value) terms:
-        the verdicts read these (a rotated block row has at most two)."""
+    def block_terms(self) -> tuple[tuple[Terms, Terms, int, int, int, IsotropicLines], ...]:
+        """int_blocks with x and y as their nonzero (column, value) terms
+        (a rotated block row has at most two), and last the block's
+        isotropic lines from :func:`_isotropic_lines`: the verdicts read
+        these."""
         return tuple(
-            (*nonzero_terms((x, y)), qx, bxy, qy) for x, y, qx, bxy, qy in self.int_blocks
+            (*nonzero_terms((x, y)), qx, bxy, qy, _isotropic_lines(qx, bxy, qy))
+            for x, y, qx, bxy, qy in self.int_blocks
         )
 
     @property
@@ -110,6 +126,27 @@ class Flat:
 
     def __hash__(self):
         return hash((self.lattice, self.blocks, self.rest))
+
+
+def _isotropic_lines(qx: int, bxy: int, qy: int) -> IsotropicLines:
+    """The two rational isotropic lines u = alpha*x + beta*y and
+    u' = alpha'*x + beta'*y of a block <x, y> of Gram triple (qx, bxy, qy),
+    whose discriminant d = bxy^2 - qx*qy is positive, as (alpha, beta,
+    alpha', beta') with B(u, u') < 0; None when d is not a square s^2.
+
+    With beta = qx, Q(alpha*x + beta*y) = qx*(alpha^2 + 2*alpha*bxy + qx*qy)
+    vanishes at alpha = -bxy +- s, and then B(u, u') = -2*qx*d, so u' is
+    negated when qx < 0. When qx = 0, u = x and u' = qy*x - 2*bxy*y, with
+    B(u, u') = -2*bxy^2.
+    """
+    d = bxy * bxy - qx * qy
+    s = math.isqrt(d)
+    if s * s != d:
+        return None
+    if not qx:
+        return 1, 0, qy, -2 * bxy
+    sign = 1 if qx > 0 else -1
+    return -bxy + s, qx, -sign * (bxy + s), sign * qx
 
 
 @dataclass(frozen=True)
@@ -211,20 +248,37 @@ def _check_same_lattice(a, b) -> None:
         raise LatticeMismatch("objects live over different lattices")
 
 
-def _block_lines(flat: Flat, hyper: Hyperplane) -> list[tuple[int, int, int] | None]:
-    """Per block <x, y>: None when the block lies inside the hyperplane's
-    complement (a = b = 0), else (a, b, Q(w)) for the cut line through
-    w = b*x - a*y, which is not formed here (see the module docstring)."""
+def _block_lines(flat: Flat, hyper: Hyperplane) -> tuple[list[tuple[int, int] | None], bool]:
+    """One pass over the blocks: per block <x, y>, None when it lies inside
+    the hyperplane's complement (a = b = 0), else (a, b), the cut line
+    being the one through w = b*x - a*y, which is not formed here; and
+    whether every cut line is positive, i.e. Q(w) > 0 on every block that
+    is not None. No sign is read past the first line that is not positive.
+    A split block reads Q(w)'s sign off its isotropic lines as
+    sign(alpha*a + beta*b) * sign(alpha'*a + beta'*b); a non-split block
+    forms Q(w) (see the module docstring)."""
     phi = hyper.functional
-    out: list[tuple[int, int, int] | None] = []
-    for xt, yt, qx, bxy, qy in flat.block_terms:
+    pairs: list[tuple[int, int] | None] = []
+    positive = True
+    for xt, yt, qx, bxy, qy, lines in flat.block_terms:
         a = b = 0
         for j, v in xt:
             a += v * phi[j]
         for j, v in yt:
             b += v * phi[j]
-        out.append((a, b, b * (b * qx - 2 * a * bxy) + a * a * qy) if a or b else None)
-    return out
+        if not (a or b):
+            pairs.append(None)
+            continue
+        pairs.append((a, b))
+        if not positive:
+            continue
+        if lines is None:
+            positive = b * (b * qx - 2 * a * bxy) + a * a * qy > 0
+        else:
+            al, be, al2, be2 = lines
+            bu, bu2 = al * a + be * b, al2 * a + be2 * b
+            positive = (bu > 0 and bu2 > 0) or (bu < 0 and bu2 < 0)
+    return pairs, positive
 
 
 def _rest_clause_holds(flat: Flat, hyper: Hyperplane) -> bool:
@@ -246,7 +300,7 @@ def general_position(
     weak: every complement-block intersection is a line, and the hyperplane's
     line meets the rest's orthogonal complement trivially (B(v, r) != 0 for
     some rest basis vector r). strong: weak, and every such line is positive
-    (Q(w) > 0 in the closed form of :func:`_block_lines`).
+    (Q(w) > 0, read as a sign by :func:`_block_lines`).
 
     When the rest is zero-dimensional its orthogonal complement is the whole
     space, so the rest clause fails as stated; `skip_rest_clause_when_empty`
@@ -255,41 +309,43 @@ def general_position(
     if mode not in ("weak", "strong"):
         raise ValueError(f"mode must be 'weak' or 'strong', got {mode!r}")
     _check_same_lattice(flat, hyper)
-    lines = _block_lines(flat, hyper)
-    if any(line is None for line in lines):
+    pairs, positive = _block_lines(flat, hyper)
+    if None in pairs:
         return False
     if not (skip_rest_clause_when_empty and not flat.int_rest):
         if not _rest_clause_holds(flat, hyper):
             return False
     if mode == "strong":
-        return all(q > 0 for *_, q in lines)
+        return positive
     return True
 
 
 def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerdict:
-    """Certified flat-hyperplane intersection verdict.
+    """Certified flat-hyperplane intersection verdict, in one pass over the
+    blocks.
 
     The hyperplane's complement cuts each hyperbolic block <x, y> in the
     line through w = B(v,y)*x - B(v,x)*y, whose sign is that of
-    Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y).
+    Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y),
+    read by :func:`_block_lines` without forming Q(w) on a split block.
     All lines positive: the unique intersection point is their direct sum
     (certified positive definite). Some line negative or isotropic: the
     intersection is empty. A block with a = b = 0 lies inside the
     complement and is degenerate (the criterion's hypothesis fails); the
-    first such block is reported. The rest clause of weak general position
-    plays no role in the criterion; :func:`general_position` checks it.
+    first such block is reported, even after a negative one. The rest
+    clause of weak general position plays no role in the criterion;
+    :func:`general_position` checks it.
     """
     _check_same_lattice(flat, hyper)
-    lines = _block_lines(flat, hyper)
-    for i, line in enumerate(lines):
-        if line is None:
-            return IntersectionVerdict("Degenerate", reason=f"dim_not_one({i})")
-    if all(q > 0 for *_, q in lines):
-        pairs = zip(flat.int_blocks, lines)
-        cuts = [[b * xi - a * yi for xi, yi in zip(x, y)] for (x, y, *_), (a, b, _) in pairs]
-        plane = span(cuts, ambient=flat.lattice.rank)
-        return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
-    return _EMPTY
+    pairs, positive = _block_lines(flat, hyper)
+    if None in pairs:
+        return IntersectionVerdict("Degenerate", reason=f"dim_not_one({pairs.index(None)})")
+    if not positive:
+        return _EMPTY
+    blocks = zip(flat.int_blocks, pairs)
+    cuts = [[b * xi - a * yi for xi, yi in zip(x, y)] for (x, y, *_), (a, b) in blocks]
+    plane = span(cuts, ambient=flat.lattice.rank)
+    return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
 
 
 def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, ...]]:
@@ -304,7 +360,7 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
     exactly the all-ones pattern; degenerate normals admit more.
     """
     _check_same_lattice(flat, hyper)
-    orthogonal = [line is None for line in _block_lines(flat, hyper)]  # v has no block component
+    orthogonal = [pair is None for pair in _block_lines(flat, hyper)[0]]  # v has no block component
     no_rest = not _rest_clause_holds(flat, hyper)
     return [
         signs

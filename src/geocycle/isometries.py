@@ -79,7 +79,7 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
         g = -g
     if g == 1:
         return tuple(map(tuple, num)), den
-    return tuple(tuple(a // g for a in row) for row in num), den // g
+    return tuple(tuple([a // g for a in row]) for row in num), den // g
 
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
@@ -116,16 +116,30 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
 def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)).
 
-    The rank-one update in integers: R_x.(A/D) = (Q.A - 2.x.((gram.x)^T.A))
-    / (Q.D), normalized by its gcd. Rows where x is zero are only scaled.
+    The rank-one update in integers: R_x.(A/D) = (Q.A - x.c^T) / (Q.D) with
+    c = 2.(gram.x)^T.A. Q and c are first divided by their gcd, taken with
+    Q's sign; with q that quotient of Q, rows where x is zero are only
+    scaled by q, and kept as they are when q = 1. The result is normalized
+    by its full gcd only when its denominator q.D exceeds 1.
     """
     x, pairing, q = x_ray
     c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
-    out = [
-        [q * a - xi * ck for a, ck in zip(row, c)] if xi else [q * a for a in row]
-        for xi, row in zip(x, num)
-    ]
-    return _normalized(out, q * den)
+    g = math.gcd(q, *c)
+    if q < 0:
+        g = -g
+    if g != 1:
+        q //= g
+        c = [ck // g for ck in c]
+    if q != 1:
+        out = [
+            [q * a - xi * ck for a, ck in zip(row, c)] if xi else [q * a for a in row]
+            for xi, row in zip(x, num)
+        ]
+        return _normalized(out, q * den)
+    out = [[a - xi * ck for a, ck in zip(row, c)] if xi else row for xi, row in zip(x, num)]
+    if den > 1:
+        return _normalized(out, den)
+    return tuple(map(tuple, out)), 1
 
 
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:

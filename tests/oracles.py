@@ -9,7 +9,8 @@ isometry, the clearing of rational rows through frac and the primitive
 vector on a line by a generator. Tests compare the integer paths against
 them. rotation_power,
 the Fraction view of the integer rotation walk, lives here too: only tests
-read powers of a rotation as Fractions.
+read powers of a rotation as Fractions. So does the product form of a cut
+line's Q(w), which the verdicts read as a sign without forming it.
 """
 
 import math
@@ -262,3 +263,25 @@ def mat_mul_restricted_definiteness(a, lattice):
     """Inertia of the form restricted to a subspace, from the Fraction
     product basis . gram . basis^T of its RREF rows."""
     return inertia(mat_mul(mat_mul(a.basis, lattice.gram), transpose(a.basis)))
+
+
+def product_form_cut_lines(flat, hyper):
+    """Per block <x, y> of the flat, None when a = B(v,x) and b = B(v,y)
+    both vanish, else (a, b, Q(w)) with Q(w) = b^2 Q(x) - 2ab B(x,y) +
+    a^2 Q(y) formed in full over the dense rows: the block-line kernel as it
+    was before the verdicts were read as signs."""
+    phi = hyper.functional
+    out = []
+    for x, y, qx, bxy, qy in flat.int_blocks:
+        a, b = sum(map(mul, phi, x)), sum(map(mul, phi, y))
+        out.append((a, b, b * b * qx - 2 * a * b * bxy + a * a * qy) if a or b else None)
+    return out
+
+
+def product_form_tag(flat, hyper):
+    """The verdict's tag from product_form_cut_lines: Degenerate at any
+    vanishing block, else Point iff every Q(w) > 0."""
+    lines = product_form_cut_lines(flat, hyper)
+    if None in lines:
+        return "Degenerate"
+    return "Point" if all(q > 0 for *_, q in lines) else "Empty"

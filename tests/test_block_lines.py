@@ -405,12 +405,13 @@ def test_random_small_normals_match_oracle():
 
 def assert_block_terms(flat):
     """block_terms holds each block row's nonzero entries, and with them
-    rebuilds int_blocks."""
+    rebuilds int_blocks (its last entry, the block's isotropic lines, is
+    checked in tests/test_cut_signs.py)."""
     n = flat.lattice.rank
     assert all(v for xt, yt, *_ in flat.block_terms for _, v in xt + yt)
     rebuilt = tuple(
         (*(tuple(dict(terms).get(j, 0) for j in range(n)) for terms in (xt, yt)), *triple)
-        for xt, yt, *triple in flat.block_terms
+        for xt, yt, *triple, _ in flat.block_terms
     )
     assert rebuilt == flat.int_blocks
 

@@ -478,6 +478,22 @@ def test_arrange_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ARRANGE[args]
 
 
+# sha256 of stdout at paper scale, n = 128, recorded before the verdicts
+# were read as signs of isotropic-line pairings: about 1.4 s together.
+GOLDEN_ARRANGE_PAPER_SCALE = {
+    "--p 3 --q 4 --n 128": "cc05907c37369dcc38ed53deed24a2d2b16d130390ed60dcb039475ef61882b4",
+    "--p 8 --q 8 --n 128": "93752de8dac8a5cc3ec9de4b4cb92aa1eca2a5caa37cd411b508d703d01c2f1a",
+    "--p 3 --q 19 --n 128": "16fb6e52c9676e7a47d028a7f6f139cc4d9b6e6d537bbbe3e1be937bac2d6c23",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_ARRANGE_PAPER_SCALE))
+def test_paper_scale_arrange_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
+    code, out, _ = run_cli(capsys, "arrange", *args.split(), "--auto-params")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ARRANGE_PAPER_SCALE[args]
+
+
 # sha256 of stdout for the benchmark's three `roots` argvs and B(3,5) at
 # bound 3 (202,880 roots), recorded before every definite block went through
 # the one triangular search: the enumerator must print the same bytes.
