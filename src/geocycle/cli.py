@@ -44,10 +44,6 @@ def _parse_matrix(text: str) -> list:
     return raw  # isometry_from_matrix coerces the rows
 
 
-def _parse_vector(text: str):
-    return tuple(frac(part) for part in text.split(","))
-
-
 def _json_number(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
@@ -89,9 +85,10 @@ def _cmd_congruence(args):
 
 def _cmd_signs(args):
     check_rank(args.p, args.q)
-    coords = list(_parse_vector(args.v))
-    if len(coords) == args.p and args.p < args.q:
-        coords += [Fraction(0)] * (args.q - args.p)
+    signmod.check_signature(args.p, args.q)
+    coords = args.v.split(",")
+    if len(coords) == args.p:
+        coords += [0] * (args.q - args.p)
     v = signmod.admissible_v(args.p, coords)
     mat = signmod.pi_k_matrix(args.p, args.q, v)
     d = det(mat)

@@ -10,7 +10,9 @@ vector on a line by a generator. Tests compare the integer paths against
 them. rotation_power,
 the Fraction view of the integer rotation walk, lives here too: only tests
 read powers of a rotation as Fractions. So does the product form of a cut
-line's Q(w), which the verdicts read as a sign without forming it.
+line's Q(w), which the verdicts read as a sign without forming it. So
+does the sign layer over Fraction coordinates: stereographic points, the
+admissibility checks, the seeded sampler and the diagonal-summand action.
 """
 
 import math
@@ -26,12 +28,13 @@ from geocycle.arrangement import (
     boost_power,
     rotation_from_tangent,
 )
-from geocycle.errors import NotSquare, SearchExhausted
+from geocycle.errors import InadmissibleV, NotSquare, SearchExhausted
 from geocycle.lattices import cleared
 from geocycle.linalg import (
     ONE,
     ZERO,
     as_matrix,
+    as_vector,
     frac,
     identity_matrix,
     inertia,
@@ -285,3 +288,57 @@ def product_form_tag(flat, hyper):
     if None in lines:
         return "Degenerate"
     return "Point" if all(q > 0 for *_, q in lines) else "Empty"
+
+
+def fraction_admissible_v(p, coords):
+    """The coordinates of admissible_v(p, coords), checked over Fractions:
+    each failed condition raises the library's InadmissibleV message."""
+    v = as_vector(coords)
+    q = len(v)
+    if not 1 <= p <= q:
+        raise InadmissibleV(f"need 1 <= p <= q, got p={p}, q={q}")
+    if sum(x * x for x in v) != 1:
+        raise InadmissibleV("coordinates must have sum of squares exactly 1")
+    for j in range(p):
+        if v[j] == 0:
+            raise InadmissibleV(f"coordinate {j + 1} vanishes but lies in the first p slots")
+    for j in range(p, q):
+        if v[j] != 0:
+            raise InadmissibleV(f"coordinate {j + 1} must vanish beyond the first p slots")
+    return v
+
+
+def fraction_stereographic_unit_vector(u):
+    """(2u_1, ..., 2u_{d-1}, 1 - |u|^2) / (1 + |u|^2) over Fractions."""
+    us = as_vector(u)
+    norm = sum((x * x for x in us), ZERO)
+    den = 1 + norm
+    return tuple(2 * x / den for x in us) + ((1 - norm) / den,)
+
+
+def fraction_random_admissible_v(p, q, rng):
+    """The coordinates random_admissible_v(p, q, rng) draws, with the same
+    calls on rng in the same order: randint(-9, 9) then randint(1, 9) per
+    coordinate of u, the zero-coordinate rejection, then random() < 0.5 for
+    the sign flip."""
+    while True:
+        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p - 1)]
+        point = fraction_stereographic_unit_vector(u)
+        if any(x == 0 for x in point):
+            continue
+        if rng.random() < 0.5:
+            point = tuple(-x for x in point)
+        return fraction_admissible_v(p, point + (ZERO,) * (q - p))
+
+
+def fraction_pi_k_matrix(p, coords):
+    """pi_k_matrix over the Fraction coordinates v: entry (k, k) is
+    diamond_kk s_k / v_k with diamond diag(1, ..., 1, -1) and s = v -
+    2(v.v) v, every other entry Fraction(0)."""
+    vv = sum(x * x for x in coords)
+    s = [x - 2 * vv * x for x in coords[:p]]
+    diamond = [ONE] * (p - 1) + [-ONE]
+    return tuple(
+        tuple(diamond[k] * s[k] / coords[k] if i == k else Fraction(0) for i in range(p))
+        for k in range(p)
+    )

@@ -56,6 +56,50 @@ def test_signs_inadmissible_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--p", "0", "--q", "0", "--v", "1"], "need 1 <= p <= q, got p=0, q=0"),
+        (["--p", "2", "--q", "1", "--v", "1,0"], "need 1 <= p <= q, got p=2, q=1"),
+    ],
+)
+def test_signs_checks_the_signature_of_the_argv(capsys, argv, message):
+    # p and q are the argv's, not len(--v), and p > q is refused before --v
+    # is read
+    code, out, err = run_cli(capsys, "signs", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+# sha256 of stdout for `signs` and for `verify-all` at two seeds, recorded
+# before admissible vectors were kept as integers (X, D): the sign layer
+# must print the same bytes. argparse reads a leading "-" as an option, so
+# a negative --v is spelled --v=.
+GOLDEN_SIGNS = {
+    "signs --p 1 --q 1 --v 1":
+        "596f60608e828335e4100ae257015e68f354d5bf737e801c0de3348c167cd6e9",
+    "signs --p 2 --q 4 --v 3/5,4/5":
+        "d51f73728f0f186e5e212b1e055c5718ef203b2ddb87bb8d35c23540d59a9563",
+    "signs --p 3 --q 3 --v 1/3,2/3,2/3":
+        "6508a6b1aa3c19465f5f2a658522e7dcd2d4d6998689972ae30fce05d48cedf3",
+    "signs --p 2 --q 2 --v=-3/5,-4/5":
+        "d51f73728f0f186e5e212b1e055c5718ef203b2ddb87bb8d35c23540d59a9563",
+    "signs --p 2 --q 2 --v 0.6,0.8":
+        "d51f73728f0f186e5e212b1e055c5718ef203b2ddb87bb8d35c23540d59a9563",
+    "verify-all --seed 101":
+        "a262bde6d03dc52bcab45c80d99f8737f979fd1cf0fed22a0f9dae8b836489ce",
+    "verify-all --seed 424242":
+        "a262bde6d03dc52bcab45c80d99f8737f979fd1cf0fed22a0f9dae8b836489ce",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_SIGNS))
+def test_sign_layer_prints_the_recorded_bytes(capsys, args):
+    code, out, _ = run_cli(capsys, *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SIGNS[args]
+
+
 def test_arrange_csv(capsys):
     code, out, _ = run_cli(
         capsys, "--csv", "arrange", "--p", "2", "--q", "3", "--n", "5", "--auto-params"

@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
+from geocycle import signs, verify
 from geocycle.errors import CertificateFailed, InadmissibleV, NotOrthogonalPair
 from geocycle.isometries import isometry_from_matrix
 from geocycle.lattices import standard_lattice
-from geocycle.linalg import as_matrix, det, identity_matrix, mat_mul, transpose
+from geocycle.linalg import ZERO, as_matrix, det, identity_matrix, mat_mul, transpose
 from geocycle.signs import (
     AdmissibleV,
     action_on_diagonal,
@@ -18,6 +20,12 @@ from geocycle.signs import (
     random_admissible_v,
     reflection_blocks,
     stereographic_unit_vector,
+)
+from oracles import (
+    fraction_admissible_v,
+    fraction_pi_k_matrix,
+    fraction_random_admissible_v,
+    fraction_stereographic_unit_vector,
 )
 
 V22 = admissible_v(2, [F(3, 5), F(4, 5)])
@@ -272,7 +280,7 @@ def test_pi_k_sweep_small():
 def test_pi_k_matrix_computes_v_dot_v():
     # built around the validation, v.v = 2: a closed form that assumed
     # v.v = 1 would disagree with the dense star here
-    v = AdmissibleV(2, (F(1), F(1), F(0)))
+    v = AdmissibleV(2, (1, 1, 0), 1)
     assert pi_k_matrix(2, 3, v) == action_on_diagonal(*reflection_blocks(2, 3, v), v)
     assert pi_k_matrix(2, 3, v) != expected_diagonal(2)
 
@@ -371,3 +379,105 @@ def test_epsilon_rejects_det_product_minus_one():
     v = admissible_v(2, [F(3, 5), F(4, 5)])
     with pytest.raises(NotOrthogonalPair):
         epsilon_general(as_matrix([[-1, 0], [0, 1]]), identity_matrix(2), v)
+
+
+# ------------------------------------------------- integers against Fractions
+
+SIGNATURES = [(p, q) for p in range(1, 7) for q in range(p, 7)]
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 101, 424242])
+def test_sampler_and_pi_k_match_the_fraction_oracles(seed):
+    # the draws of check_sign_claim: one rng, 25 vectors per signature
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for p, q in SIGNATURES:
+        for _ in range(25):
+            v = random_admissible_v(p, q, rng)
+            coords = fraction_random_admissible_v(p, q, oracle_rng)
+            assert rng.getstate() == oracle_rng.getstate()
+            assert v.coords == coords
+            assert v.den > 0 and math.gcd(v.den, *v.num) == 1
+            assert sum(x * x for x in v.num) == v.den**2
+            assert repr(pi_k_matrix(p, q, v)) == repr(fraction_pi_k_matrix(p, coords))
+
+
+def test_stereographic_unit_vector_matches_the_fraction_oracle():
+    rng = random.Random(29)
+    for _ in range(200):
+        u = [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(rng.randint(0, 6))]
+        assert repr(stereographic_unit_vector(u)) == repr(fraction_stereographic_unit_vector(u))
+    for u in ([], [0], [1], ["3/4", 2, F(-1, 3)], ["0.5", "1e2"]):
+        assert repr(stereographic_unit_vector(u)) == repr(fraction_stereographic_unit_vector(u))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as e:  # the type and the message are compared
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "p,coords",
+    [
+        (2, [0.6, 0.8]),
+        (2, [F(3, 5), 0.8]),
+        (1, [True]),
+        (2, [True, False]),
+        (1, [1, False]),
+        (2, "3/5"),
+        (1, "1"),
+        (2, ["3/5", "4/5"]),
+        (2, ["-6/10", "0.8", "0"]),
+        (2, ["3/5", "3/5"]),
+        (2, [F(3, 5), F(3, 5), 0]),
+        (1, [2]),
+        (2, [1, 0]),
+        (3, [F(1, 3), F(2, 3), F(2, 3)]),
+        (3, [F(1, 3), 0, F(2, 3), F(2, 3)]),
+        (2, [F(3, 5), F(4, 5), 0, 0]),
+        (1, [F(3, 5), F(4, 5)]),
+        (1, [0, 1]),
+        (0, [1]),
+        (3, [F(3, 5), F(4, 5)]),
+        (1, []),
+        (2, ["1/0", "1"]),
+        (1, ["1e10000000"]),
+        (1, ["x"]),
+    ],
+)
+def test_admissible_v_matches_the_fraction_oracle(p, coords):
+    got = _outcome(lambda: admissible_v(p, coords).coords)
+    assert got == _outcome(fraction_admissible_v, p, coords)
+
+
+def test_equal_vectors_have_equal_fields():
+    v = admissible_v(2, ["6/10", F(-8, 10), 0])
+    assert (v.p, v.num, v.den) == (2, (3, -4, 0), 5)
+    assert v == admissible_v(2, ["0.6", "-0.8", "0"]) == AdmissibleV(2, (3, -4, 0), 5)
+    assert hash(v) == hash(AdmissibleV(2, (3, -4, 0), 5))
+    assert v.coords == (F(3, 5), F(-4, 5), F(0))
+
+
+def test_pi_k_matrix_zeros_are_the_shared_zero():
+    mat = pi_k_matrix(3, 4, random_admissible_v(3, 4, random.Random(2)))
+    assert all(mat[i][j] is ZERO for i in range(3) for j in range(3) if i != j)
+
+
+# ---------------------------------------------------------------- tooling guard
+
+
+def test_check_sign_claim_calls_pi_k_matrix_525_times(monkeypatch):
+    # the traced benchmark times the sign layer through signs.pi_k_matrix
+    calls = []
+    pi_k = signs.pi_k_matrix
+
+    def counted(p, q, v):
+        calls.append((p, q))
+        return pi_k(p, q, v)
+
+    monkeypatch.setattr(signs, "pi_k_matrix", counted)
+    result = verify.check_sign_claim(5)
+    assert result.ok and result.detail == {"cases": 525, "failures": 0}
+    assert len(calls) == 525
+    assert calls == [pq for pq in SIGNATURES for _ in range(25)]
