@@ -91,7 +91,9 @@ def stereographic_unit_vector(u) -> Vec:
 def random_admissible_v(p: int, q: int, rng: random.Random) -> AdmissibleV:
     """Seeded rejection sampler: stereographic rational sphere points over
     u_i = randint(-9, 9) / randint(1, 9), with a random sign flip, rejecting
-    any zero coordinate; all in integers."""
+    any zero coordinate; all in integers. Raises InadmissibleV unless
+    1 <= p <= q, before the first draw."""
+    check_signature(p, q)
     while True:
         num, den = _stereographic([(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p - 1)])
         if 0 in num:

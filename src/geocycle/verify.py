@@ -71,14 +71,17 @@ def random_subspace(ambient: int, rng: random.Random, max_rows: int | None = Non
     )
 
 
-def _random_strong_position_pair(p: int, q: int, rng: random.Random):
-    """A flat/hyperplane pair in strong general position over diag(+-1):
-    block components dominated by the negative coordinate (positive cut
-    lines), a nonzero rest component (rest clause), then a random isometry
-    applied to both. The rest clause needs a nonzero rest, so q > p."""
+def _random_strong_position_pair(base: gr.Flat, rng: random.Random):
+    """A flat/hyperplane pair in strong general position over diag(+-1),
+    base the standard flat of signature (p, q): block components dominated
+    by the negative coordinate (positive cut lines), a nonzero rest
+    component (rest clause), then a random isometry applied to both. The
+    rest clause needs a nonzero rest, so q > p."""
+    l = base.lattice
+    p = base.block_count
+    q = l.rank - p
     if q <= p:
         raise ValueError(f"a strong-position pair needs a nonzero rest, so q > p; got p={p}, q={q}")
-    l = standard_lattice("bpq", p, q)
     coords = [0] * (p + q)
     for i in range(p):
         y = rng.choice([-1, 1]) * rng.randint(2, 6)
@@ -89,7 +92,7 @@ def _random_strong_position_pair(p: int, q: int, rng: random.Random):
         tail = [rng.randint(-3, 3) for _ in range(q - p)]
     coords[2 * p:] = tail
     g = random_isometry(l, rng, reflections=rng.randint(0, 3))
-    flat = gr.translate(g, arr.standard_flat(p, q, l))
+    flat = gr.translate(g, base)
     hyper = gr.translate(g, gr.hyperplane_new(coords, l))
     return flat, hyper
 
@@ -155,14 +158,17 @@ def check_inequality_implies_empty() -> CheckResult:
     flat/hyperplane intersection is empty (k = 1..12, 20 parameter combos)."""
     start = time.perf_counter()
     combos = hits = violations = 0
+    flats = {}  # tangent -> F_0..F_12: the flats depend on the rotation alone
     for boost, m, t in _inequality_grid():
         combos += 1
         spec = arr.ArrangementSpec(2, 3, boost, m, arr.rotation_from_tangent(t), 12)
-        flats, hypers = arr.build_family(spec)
+        if t not in flats:
+            flats[t] = arr.build_family(spec)[0]
+        h0 = gr.hyperplane_new(arr.base_hyperplane_normal(spec), spec.lattice())
         for k, detail in enumerate(arr.inequality_details(spec, 12), start=1):
             if detail.holds:
                 hits += 1
-                if gr.intersect_flat_hyperplane(flats[k], hypers[0]).tag != "Empty":
+                if gr.intersect_flat_hyperplane(flats[t][k], h0).tag != "Empty":
                     violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and combos >= 20 and hits > 0
@@ -180,9 +186,11 @@ def check_stabilizer_claim(seed: int = DEFAULT_SEED) -> CheckResult:
     start = time.perf_counter()
     rng = random.Random(seed)
     strong_cases = strong_failures = 0
+    bases = {}
     for p, q in ((2, 3), (3, 4)):
+        bases[p, q] = base = arr.standard_flat(p, q)
         for _ in range(50):
-            flat, hyper = _random_strong_position_pair(p, q, rng)
+            flat, hyper = _random_strong_position_pair(base, rng)
             strong_cases += 1
             if not gr.general_position(flat, hyper, "strong"):
                 strong_failures += 1
@@ -190,8 +198,8 @@ def check_stabilizer_claim(seed: int = DEFAULT_SEED) -> CheckResult:
             if gr.stabilizer_sign_patterns(flat, hyper) != [(1,) * p]:
                 strong_failures += 1
     degenerate_cases = degenerate_failures = 0
-    l = standard_lattice("bpq", 2, 3)
-    flat = arr.standard_flat(2, 3, l)
+    flat = bases[2, 3]
+    l = flat.lattice
     for y in range(1, 6):
         # no component in the first block: the (-1, +1, ...) pattern survives
         coords = [0, 0, 0, y, rng.randint(0, 2)]
@@ -340,16 +348,16 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
             a = random_subspace(l.rank, rng)
             if linalg.perp(linalg.perp(a, l), l) != a:
                 failures += 1
-    grams = [standard_lattice("bpq", 2, 3), rank4]
+    grams = [(l, linalg.inertia(l.gram)) for l in (standard_lattice("bpq", 2, 3), rank4)]
     for i in range(100):
-        l = grams[i % len(grams)]
+        l, inertia = grams[i % len(grams)]
         n = l.rank
         while True:
             gm = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
             if linalg.det(gm) != 0:
                 break
         congruent = linalg.gram_of(zip(*gm), l)  # gm^T.G.gm, over gm's columns
-        if linalg.inertia(congruent) != linalg.inertia(l.gram):
+        if linalg.inertia(congruent) != inertia:
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 5.0

@@ -13,6 +13,8 @@ read powers of a rotation as Fractions. So does the product form of a cut
 line's Q(w), which the verdicts read as a sign without forming it. So
 does the sign layer over Fraction coordinates: stereographic points, the
 admissibility checks, the seeded sampler and the diagonal-summand action.
+So does verify's inequality check as it ran before it kept one flat family
+per rotation: a whole family per parameter combo, read at H_0.
 """
 
 import math
@@ -23,12 +25,16 @@ from operator import mul
 from geocycle.arrangement import (
     MAX_BOOST_POWER,
     TANGENT_SCAN,
+    ArrangementSpec,
     RotationPair,
     _rotation_powers,
     boost_power,
+    build_family,
+    inequality_details,
     rotation_from_tangent,
 )
 from geocycle.errors import InadmissibleV, NotSquare, SearchExhausted
+from geocycle.grassmann import intersect_flat_hyperplane
 from geocycle.lattices import cleared
 from geocycle.linalg import (
     ONE,
@@ -342,3 +348,19 @@ def fraction_pi_k_matrix(p, coords):
         tuple(diamond[k] * s[k] / coords[k] if i == k else Fraction(0) for i in range(p))
         for k in range(p)
     )
+
+
+def per_combo_inequality_detail(grid):
+    """check_inequality_implies_empty's detail with a whole family built
+    for every (boost, m, t) of grid and each F_k cut with that family's H_0."""
+    combos = hits = violations = 0
+    for boost, m, t in grid:
+        combos += 1
+        spec = ArrangementSpec(2, 3, boost, m, rotation_from_tangent(t), 12)
+        flats, hypers = build_family(spec)
+        for k, detail in enumerate(inequality_details(spec, 12), start=1):
+            if detail.holds:
+                hits += 1
+                if intersect_flat_hyperplane(flats[k], hypers[0]).tag != "Empty":
+                    violations += 1
+    return {"combos": combos, "inequality_hits": hits, "violations": violations}

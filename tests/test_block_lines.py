@@ -367,17 +367,17 @@ def test_non_primitive_pairing_lattice_reaches_every_verdict():
 
 def test_random_strong_position_pairs_match_oracle():
     rng = random.Random(2024)
+    bases = [standard_flat(p, q) for p, q in ((2, 3), (3, 4))]
     for i in range(100):
-        p, q = ((2, 3), (3, 4))[i % 2]
-        flat, hyper = verify._random_strong_position_pair(p, q, rng)
+        flat, hyper = verify._random_strong_position_pair(bases[i % 2], rng)
         _, v = assert_hyperplane_new_matches_oracle(hyper.normal, flat.lattice)
         assert_matches_oracle(flat, hyper, v)
         assert general_position(flat, hyper, "strong")
 
 
 def test_random_strong_position_pair_needs_a_rest():
-    with pytest.raises(ValueError):
-        verify._random_strong_position_pair(2, 2, random.Random(1))
+    with pytest.raises(ValueError, match=r"nonzero rest, so q > p; got p=2, q=2$"):
+        verify._random_strong_position_pair(standard_flat(2, 2), random.Random(1))
 
 
 def test_random_small_normals_match_oracle():

@@ -19,6 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from geocycle import verify
 from geocycle.errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -593,4 +594,33 @@ def test_squarefree_part_of_three_large_primes_exceeds_the_budget():
         squarefree_part(1000000007 * 1000000009 * 998244353)
     assert squarefree_part(-1000000007 * 1000000009) == -1000000007 * 1000000009
     assert squarefree_part(1000000007**2 * 998244353**2 * 6) == 6
+
+
+# Q of the four reflections cartan_dieudonne returns at iteration 63 of
+# check_spinor_norm's products under seed 2 (verify-all --seed 2)
+SEED_2_QS = (-110277913680, 135656111372068192752, -116709091622575414166, -3495411457)
+
+
+def test_spinor_norm_of_a_product_whose_factor_is_past_the_budget():
+    # the third Q alone is past the trial-division budget, yet the product's
+    # large primes pair up into squares: a per-Q square class must refine
+    # the Qs over a coprime base first, or this class is lost
+    with pytest.raises(BudgetExceeded):
+        squarefree_part(SEED_2_QS[2])
+    assert square_class(F(math.prod(SEED_2_QS))) == SquareClass(-1330, -1)
+
+
+def test_seed_2_spinor_check_meets_the_product_past_the_budget():
+    rng = random.Random(2)
+    l = standard_lattice("bpq", 2, 3)
+    for _ in range(100):
+        verify.random_anisotropic_vector(l, rng)
+    for _ in range(64):
+        g = verify.random_isometry(l, rng, reflections=rng.randint(1, 3))
+        h = verify.random_isometry(l, rng, reflections=rng.randint(1, 3))
+    gh = compose(g, h)
+    factors = cartan_dieudonne(gh)
+    rows = [primitive(cleared([x])[0][0]) for x in factors]
+    assert tuple(eval_form(l, v, v) for v in rows) == SEED_2_QS
+    assert spinor_norm(gh, factors) == SquareClass(-1330, -1)
 

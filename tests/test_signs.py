@@ -170,6 +170,17 @@ def test_random_admissible_v_is_admissible():
         assert all(v.coords[j] == 0 for j in range(p, q))
 
 
+@pytest.mark.parametrize("p,q", [(3, 2), (2, 1), (0, 3)])
+def test_random_admissible_v_checks_the_signature_before_drawing(p, q):
+    # with p > q the padding (0,) * (q - p) is empty, so the vector would be
+    # shaped for (p, p); the sampler refuses as check_signature does
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InadmissibleV, match=rf"^need 1 <= p <= q, got p={p}, q={q}$"):
+        random_admissible_v(p, q, rng)
+    assert rng.getstate() == state
+
+
 # ---------------------------------------------------------------- the blocks
 
 
