@@ -36,9 +36,14 @@ TANGENT_SCAN = tuple(
     Fraction(1, d) for d in (10, 16, 20, 32, 50, 64, 100, 128, 256, 512, 1024)
 )
 MAX_BOOST_POWER = 64
-# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 2.3 s, (32,32) at n = 256 8.4 s
+# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 2.2 s, (32,32) at n = 256 7.6 s
 MAX_FAMILY_SIZE = 256
 MAX_Q = 32
+# Budget on entry_bits. A diagonal Point's printed RREF entries reach about
+# twice the estimate, so this keeps them far below CPython's 4300-digit
+# (14284-bit) limit on int-to-str; every searched family stays under it
+# ((m, t) = (8, 1/512) at n = 256 gives 4888).
+MAX_ENTRY_BITS = 5120
 
 
 def check_family_size(q: int, n: int, m: int = 0) -> None:
@@ -46,6 +51,27 @@ def check_family_size(q: int, n: int, m: int = 0) -> None:
     for name, value, cap in (("n", n, MAX_FAMILY_SIZE), ("q", q, MAX_Q), ("m", m, MAX_BOOST_POWER)):
         if value > cap:
             raise BudgetExceeded(f"arrange takes {name} <= {cap}, got {name} = {value}")
+
+
+def entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> int:
+    """n * bits(D) + m * bits(boost), an estimate of the bit length of a
+    family's entries: F_n's rows carry the n-th rotation power, an integer
+    matrix over D^n with D the rotation's common denominator, and the
+    normal's a_m, b_m grow by about bits(boost), the longest numerator or
+    denominator of a and b, per power."""
+    h = max(x.bit_length() for f in (boost.a, boost.b) for x in f.as_integer_ratio())
+    return n * rotation.den.bit_length() + m * h
+
+
+def check_entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> None:
+    """Raise BudgetExceeded unless entry_bits(...) <= MAX_ENTRY_BITS: checked
+    before any power of the boost or the rotation is formed."""
+    bits = entry_bits(n, m, boost, rotation)
+    if bits > MAX_ENTRY_BITS:
+        raise BudgetExceeded(
+            f"arrange takes n*bits(rotation denominator) + m*bits(boost) <= {MAX_ENTRY_BITS}, "
+            f"got {bits}"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,6 +119,11 @@ class RotationPair:
         if self.c * self.c + self.s * self.s != 1:
             raise ValueError(f"rotation needs c^2 + s^2 = 1, got ({self.c}, {self.s})")
 
+    @property
+    def den(self) -> int:
+        """The common denominator of c and s."""
+        return math.lcm(self.c.denominator, self.s.denominator)
+
 
 def rotation_from_tangent(t) -> RotationPair:
     """Rational rotation with tan(angle/2) = -t, i.e. ((1-t^2)/(1+t^2), -2t/(1+t^2))."""
@@ -104,7 +135,7 @@ def rotation_from_tangent(t) -> RotationPair:
 def _rotation_powers(r: RotationPair):
     """(re, im) with r^k = (re + im*i) / D^k for k = 0, 1, 2, ..., D the
     common denominator of c and s: one walk, one Gaussian product a step."""
-    d = math.lcm(r.c.denominator, r.s.denominator)
+    d = r.den
     c, s = int(r.c * d), int(r.s * d)
     re, im = 1, 0
     while True:
@@ -133,6 +164,7 @@ class ArrangementSpec:
         if not self.rotation.s < 0:
             raise ValueError("the family generator needs s < 0")
         check_family_size(self.q, self.n, self.m)
+        check_entry_bits(self.n, self.m, self.boost, self.rotation)
 
     def lattice(self) -> QuadLattice:
         return standard_lattice("bpq", self.p, self.q)

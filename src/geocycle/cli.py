@@ -111,6 +111,8 @@ def _cmd_arrange(args):
         boost = arr.BoostParams(frac(args.boost_a), frac(args.boost_b))
         if args.auto_params:
             arr.check_family_size(args.q, args.n)
+            # the search's cheapest outcome, m = 1 and the first scan tangent
+            arr.check_entry_bits(args.n, 1, boost, arr.rotation_from_tangent(arr.TANGENT_SCAN[0]))
             m, t = arr.search_parameters(args.p, args.q, args.n, boost)
         else:
             if args.m is None or args.t is None:

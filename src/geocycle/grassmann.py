@@ -11,8 +11,9 @@ a hyperbolic block <x, y> in the line through w = B(v,y)*x - B(v,x)*y (the
 whole block when B(v,x) = B(v,y) = 0), and the line's sign is that of
 Q(w) = b^2 Q(x) - 2ab B(x,y) + a^2 Q(y) with a = B(v,x), b = B(v,y). Lines
 and normals are projective, so a flat is held as the primitive integer rows
-of its blocks and its rest, certified once on their integer Gram matrix, and
-a hyperplane as the primitive integer vector on its normal line: every
+of its blocks and its rest, certified once on their integer Gram matrix
+(a translate carries the certificate through the isometry), and a
+hyperplane as the primitive integer vector on its normal line: every
 verdict is integer arithmetic. Scaling v by c scales a, b and w by c and
 Q(w) by c^2, so no verdict depends on the vector chosen on the line; a block
 keeps (Q(x), B(x,y), Q(y)) over its positive gcd, and w is formed only for a
@@ -55,7 +56,7 @@ from .errors import (
     WrongInertia,
 )
 from .isometries import Isometry
-from .lattices import QuadLattice, cleared, primitive, ray
+from .lattices import QuadLattice, cleared, primitive, primitive_content, ray
 from .linalg import (
     Subspace,
     Terms,
@@ -370,25 +371,48 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
     ]
 
 
+def _translated_flat(g: Isometry, flat: Flat) -> Flat:
+    """The image of a flat under a certified isometry g = A/D, built
+    without a new certificate: g preserves the form, so it keeps the blocks'
+    inertia, the rest's definiteness, the orthogonality and the span.
+
+    A row x goes to primitive(A.x) = A.x / cx, cx its signed content, and
+    B(A.x, A.y) = D^2 B(x, y). So the image block's Gram triple is a
+    positive multiple of (qx cy^2, bxy cx cy, qy cx^2), read over its
+    positive gcd, with (qx, bxy, qy) the block's own.
+    """
+    terms = g.num_terms
+    blocks = []
+    for x, y, qx, bxy, qy in flat.int_blocks:
+        x, cx = primitive_content(terms_times(terms, x))
+        y, cy = primitive_content(terms_times(terms, y))
+        t = (qx * cy * cy, bxy * cx * cy, qy * cx * cx)
+        d = math.gcd(*t)
+        blocks.append((x, y, t[0] // d, t[1] // d, t[2] // d))
+    rest = tuple(primitive(terms_times(terms, r)) for r in flat.int_rest)
+    return Flat(flat.lattice, tuple(blocks), rest)
+
+
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
     A flat's integer rows, a point's plane rows and a hyperplane's integer
     normal are mapped through g's integer matrix and taken primitive (g's
-    denominator only rescales them); the image flat is re-certified on its
-    integer Gram matrix, the image normal's Q < 0 is checked again, and the
-    image point goes through its validating constructor.
+    denominator only rescales them). A flat needs g certified
+    (:meth:`Isometry.certify`, once per g; FormNotPreserved if not) and
+    carries its certificate through g (:func:`_translated_flat`); the image
+    normal's Q < 0 is checked again, and the image point goes through its
+    validating constructor.
     """
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
     _check_same_lattice(g, obj)
+    if isinstance(obj, Flat):
+        return _translated_flat(g.certify(), obj)
 
     def image(x):
         return primitive(terms_times(g.num_terms, x))
 
-    if isinstance(obj, Flat):
-        parts = [[image(x), image(y)] for x, y, *_ in obj.int_blocks]
-        return _certified_flat(parts + [[image(r) for r in obj.int_rest]], obj.lattice)
     if isinstance(obj, Hyperplane):
         return _certified_hyperplane(image(obj.normal), obj.lattice)
     plane = span([image(x) for x in obj.plane.rows], ambient=obj.lattice.rank)

@@ -34,19 +34,42 @@ FACTOR_TRIAL_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class Isometry:
-    """A rational matrix g = num/den with g^T.gram.g = gram, certified at
-    construction.
+    """A rational matrix g = num/den meant to satisfy g^T.gram.g = gram.
 
     num is an integer matrix and den a positive integer with
     gcd(num, den) = 1, so equal isometries have equal fields and compare
     and hash equal. Reflections, products and images are computed from
     (num, den) in integers; `matrix` is the same map as Fractions, and
     `det` is read off num when first asked for.
+
+    The form is checked by :meth:`certify`, at most once per object:
+    :func:`isometry_from_matrix` returns certified isometries, while a
+    product of reflections, a composite or a hand-built ``Isometry(...)``
+    is checked when first certified (a flat's translate certifies it).
     """
 
     num: IntMat
     den: int
     lattice: QuadLattice
+
+    @cached_property
+    def preserves_form(self) -> bool:
+        """Whether num is rank x rank and num^T.gram.num = den^2.gram, in
+        integers: the Gram matrix of num's columns against den^2 times the
+        lattice's. Computed once per object."""
+        n = self.lattice.rank
+        if len(self.num) != n or any(len(row) != n for row in self.num):
+            return False
+        d2 = self.den * self.den
+        return linalg.gram_of(zip(*self.num), self.lattice) == [
+            [d2 * x for x in row] for row in self.lattice.gram
+        ]
+
+    def certify(self) -> Isometry:
+        """self, once :attr:`preserves_form` holds; FormNotPreserved if not."""
+        if not self.preserves_form:
+            raise FormNotPreserved("matrix does not preserve the bilinear form")
+        return self
 
     @cached_property
     def matrix(self) -> Mat:
@@ -85,19 +108,15 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
     """Validate m^T.gram.m = gram exactly and package the result.
 
-    The check runs in integers: with D the lcm of the denominators and
-    A = D.m, m preserves the form iff the Gram matrix of A's columns,
-    A^T.gram.A, is D^2.gram. (A, D) is the isometry: gcd(A, D) = 1
-    already, as D is an lcm of the reduced denominators.
+    With D the lcm of the denominators and A = D.m, (A, D) is the
+    isometry: gcd(A, D) = 1 already, as D is an lcm of the reduced
+    denominators. It is returned certified (:meth:`Isometry.certify`).
     """
     a, d = linalg.cleared(m)
     n = l.rank
     if len(a) != n or any(len(r) != n for r in a):
         raise NotSquare(f"expected a {n}x{n} matrix")
-    d2 = d * d
-    if linalg.gram_of(zip(*a), l) != [[d2 * x for x in row] for row in l.gram]:
-        raise FormNotPreserved("matrix does not preserve the bilinear form")
-    return Isometry(tuple(map(tuple, a)), d, l)
+    return Isometry(tuple(map(tuple, a)), d, l).certify()
 
 
 def identity_isometry(l: QuadLattice) -> Isometry:
@@ -105,7 +124,8 @@ def identity_isometry(l: QuadLattice) -> Isometry:
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
-    """g after h. Products of certified isometries need no re-validation."""
+    """g after h, from (num, den) in integers; the product is certified
+    when first asked (see :class:`Isometry`)."""
     if g.lattice != h.lattice:
         raise AmbientMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))

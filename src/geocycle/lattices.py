@@ -184,19 +184,25 @@ def cleared(v, l: QuadLattice) -> tuple[list[int], int]:
     return row, s
 
 
-def primitive(x) -> tuple[int, ...]:
-    """The primitive integer vector on the line of the integer vector x,
-    its first nonzero entry positive, so that equal lines give equal
-    vectors. The zero vector stays zero."""
+def primitive_content(x) -> tuple[tuple[int, ...], int]:
+    """(primitive(x), c) with x = c * primitive(x): c is the gcd of x with
+    the sign of x's first nonzero entry, 0 for the zero vector."""
     g = math.gcd(*x)
     if not g:
-        return tuple(x)
+        return tuple(x), 0
     for lead in x:
         if lead:
             break
     if lead < 0:
         g = -g
-    return tuple(x) if g == 1 else tuple([c // g for c in x])
+    return (tuple(x) if g == 1 else tuple([c // g for c in x])), g
+
+
+def primitive(x) -> tuple[int, ...]:
+    """The primitive integer vector on the line of the integer vector x,
+    its first nonzero entry positive, so that equal lines give equal
+    vectors. The zero vector stays zero."""
+    return primitive_content(x)[0]
 
 
 def ray(x, l: QuadLattice) -> Ray:

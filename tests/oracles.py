@@ -14,7 +14,9 @@ line's Q(w), which the verdicts read as a sign without forming it. So
 does the sign layer over Fraction coordinates: stereographic points, the
 admissibility checks, the seeded sampler and the diagonal-summand action.
 So does verify's inequality check as it ran before it kept one flat family
-per rotation: a whole family per parameter combo, read at H_0.
+per rotation: a whole family per parameter combo, read at H_0. So does a
+flat's translate as it ran before it carried the certificate through the
+isometry: the image rows re-certified on their integer Gram matrix.
 """
 
 import math
@@ -34,8 +36,8 @@ from geocycle.arrangement import (
     rotation_from_tangent,
 )
 from geocycle.errors import InadmissibleV, NotSquare, SearchExhausted
-from geocycle.grassmann import intersect_flat_hyperplane
-from geocycle.lattices import cleared
+from geocycle.grassmann import _certified_flat, intersect_flat_hyperplane
+from geocycle.lattices import cleared, primitive
 from geocycle.linalg import (
     ONE,
     ZERO,
@@ -45,6 +47,7 @@ from geocycle.linalg import (
     identity_matrix,
     inertia,
     mat_mul,
+    terms_times,
     transpose,
 )
 
@@ -364,3 +367,14 @@ def per_combo_inequality_detail(grid):
                 if intersect_flat_hyperplane(flats[k], hypers[0]).tag != "Empty":
                     violations += 1
     return {"combos": combos, "inequality_hits": hits, "violations": violations}
+
+
+def recertified_translate(g, flat):
+    """The image of a flat under g, each row's image taken primitive and
+    the whole image certified again from its integer Gram matrix by
+    _certified_flat."""
+    def image(x):
+        return primitive(terms_times(g.num_terms, x))
+
+    parts = [[image(x), image(y)] for x, y, *_ in flat.int_blocks]
+    return _certified_flat(parts + [[image(r) for r in flat.int_rest]], flat.lattice)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -310,6 +311,56 @@ def test_arrange_past_its_caps_exits_2_at_once(capsys, monkeypatch, argv):
     assert "error: arrange takes" in err
 
 
+def _decimal_tangent(digits):
+    return "1/1" + "0" * digits
+
+
+_HUGE_S = 10**300  # the boost ((s^2 + 1)/2s, (s^2 - 1)/2s)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arrange", "--p", "2", "--q", "3", "--m", "1", "--n", "32", "--t", _decimal_tangent(40)],
+        ["arrange", "--p", "2", "--q", "3", "--m", "1", "--n", "64", "--t", _decimal_tangent(40)],
+        ["arrange", "--p", "2", "--q", "3", "--m", "1", "--n", "64", "--t", _decimal_tangent(200)],
+        ["arrange", "--spec-json", json.dumps({
+            "p": 2, "q": 3, "n": 256, "m": 64, "t": "1/10",
+            "boost": [f"{_HUGE_S**2 + 1}/{2 * _HUGE_S}", f"{_HUGE_S**2 - 1}/{2 * _HUGE_S}"],
+        })],
+        ["arrange", "--p", "2", "--q", "3", "--n", "4", "--auto-params",
+         "--boost-a", f"{_HUGE_S**6 + 1}/{2 * _HUGE_S**3}",
+         "--boost-b", f"{_HUGE_S**6 - 1}/{2 * _HUGE_S**3}"],
+    ],
+    ids=["n32_t1e-40", "n64_t1e-40", "n64_t1e-200", "spec_boost_1e300", "auto_boost_1e900"],
+)
+def test_arrange_past_its_entry_bit_budget_exits_2_at_once(capsys, monkeypatch, argv):
+    # n * bits(rotation denominator) + m * bits(boost) is checked before the
+    # parameter search and before any family is built; unchecked, these
+    # argvs ran for seconds to minutes, and then a Point entry past 4300
+    # digits could not be printed
+    monkeypatch.setattr(cli.arr, "search_parameters", None)
+    monkeypatch.setattr(cli.arr, "build_family", None)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arrange takes n*bits(rotation denominator) + m*bits(boost) <= ")
+
+
+def test_arrange_just_under_its_entry_bit_budget_prints_its_whole_table(capsys):
+    # 16 * 266 + 1 * 3 bits: the table is not lower triangular (exit 1), and
+    # its largest printed Point entry has about twice the estimate's bits
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "arrange", "--p", "2", "--q", "3", "--m", "1", "--n", "16",
+                           "--t", _decimal_tangent(40))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    payload = json.loads(out)
+    assert len(payload["matrix"]) == 17 and not payload["lower_triangular"]
+    assert 2000 < max(map(len, re.findall(r"\d+", out))) < 4300
+
+
 @pytest.mark.parametrize("command", ["lattice", "roots", "spinor", "congruence", "signs"])
 @pytest.mark.parametrize("p,q", [(10**6, 1), (1, 10**6)])
 def test_a_rank_past_the_cap_exits_2_at_once(capsys, command, p, q):
@@ -533,6 +584,23 @@ GOLDEN_ARRANGE_PAPER_SCALE = {
     "--p 8 --q 8 --n 128": "93752de8dac8a5cc3ec9de4b4cb92aa1eca2a5caa37cd411b508d703d01c2f1a",
     "--p 3 --q 19 --n 128": "16fb6e52c9676e7a47d028a7f6f139cc4d9b6e6d537bbbe3e1be937bac2d6c23",
 }
+
+
+# sha256 of stdout and the exit code at high rank and at a tangent the
+# search never picks, recorded before a flat's translate carried its
+# certificate through the isometry
+GOLDEN_ARRANGE_HIGH_RANK = {
+    ("--p", "32", "--q", "32", "--n", "32", "--auto-params"): (
+        0, "54f2cb224b2d709e07ecda5ac68e65cf7d9197ed85752650ee1fae4361c70a95"),
+    ("--spec-json", '{"p": 3, "q": 5, "n": 8, "m": 2, "boost": ["5/4", "3/4"], "t": "3/7"}'): (
+        1, "ce67f3689efbe0fecf8530e14891caa9a80ced33a863136e699f926668b3df7d"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_ARRANGE_HIGH_RANK))
+def test_high_rank_and_unsearched_arrange_stdout_is_byte_identical(capsys, args):
+    code, out, _ = run_cli(capsys, "arrange", *args)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_ARRANGE_HIGH_RANK[args]
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN_ARRANGE_PAPER_SCALE))

@@ -410,6 +410,91 @@ def test_arrangement_caps_at_the_boundary(key, cap):
                     make()
 
 
+def test_entry_bit_budget_at_the_boundary():
+    # n * bits(D) + m * bits(boost) at the cap is accepted and past it
+    # refused, from a --spec-json document and from the flags' constructor
+    # alike: t = 1/2^254 has D = 4^254 + 1 of 509 bits, and the default
+    # boost's longest numerator or denominator (5/4, 3/4) has 3 bits
+    from geocycle.arrangement import MAX_ENTRY_BITS, arrangement_spec_from_dict, entry_bits
+    from geocycle.errors import BudgetExceeded
+
+    t = F(1, 2**254)
+    for m, bits in ((10, 5120), (11, 5123)):
+        doc = {"p": 2, "q": 3, "n": 10, "m": m, "boost": ["5/4", "3/4"], "t": str(t)}
+        makes = (lambda: arrangement_spec_from_dict(doc),
+                 lambda: arrangement_spec(2, 3, 10, DEFAULT_BOOST, m, t))
+        for make in makes:
+            if bits <= MAX_ENTRY_BITS:
+                spec = make()
+                assert entry_bits(spec.n, spec.m, spec.boost, spec.rotation) == bits
+            else:
+                with pytest.raises(BudgetExceeded, match=f"<= {MAX_ENTRY_BITS}, got {bits}$"):
+                    make()
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_every_searched_family_is_within_the_entry_bit_budget(n):
+    # the paper-scale families, (g, g) and (3,19) up to n = 256, stay runnable
+    from geocycle.arrangement import MAX_ENTRY_BITS, entry_bits
+
+    m, t = search_parameters(3, 4, n, DEFAULT_BOOST)
+    assert entry_bits(n, m, DEFAULT_BOOST, rotation_from_tangent(t)) <= MAX_ENTRY_BITS
+
+
+def _large_tangent(rng):
+    bits = rng.choice([40, 200, 1000, 5000])
+    return f"{rng.getrandbits(bits) + 1}/{rng.getrandbits(bits) + 1}"
+
+
+def _large_boost(rng):
+    """(a, b) = ((s^2 + 1)/2s, (s^2 - 1)/2s), a boost for any s > 1; now and
+    then b is off by one and the pair is no boost."""
+    s = rng.getrandbits(rng.choice([40, 200, 1000, 3000])) + 2
+    a, b = F(s * s + 1, 2 * s), F(s * s - 1, 2 * s)
+    if rng.random() < 0.1:
+        b += 1
+    return str(a), str(b)
+
+
+def test_large_bit_arrange_argv_fuzz(capsys):
+    # large-bit --t and boost draws, from the flags and from --spec-json:
+    # exit 0, 1 or 2 without a traceback, and a family past the entry-bit
+    # budget exits 2 with the budget's message before any work
+    from geocycle.arrangement import MAX_ENTRY_BITS, BoostParams, entry_bits
+    from geocycle.cli import main
+
+    rng = random.Random(241)
+    refused = ran = 0
+    for _ in range(60):
+        p, q = rng.choice([(2, 3), (3, 4)])
+        n, m = rng.choice([1, 2, 8, 16]), rng.choice([1, 2, 8, 64])
+        t = _large_tangent(rng) if rng.random() < 0.7 else "1/10"
+        boost = _large_boost(rng) if rng.random() < 0.5 else ("5/4", "3/4")
+        if rng.random() < 0.5:
+            doc = {"p": p, "q": q, "n": n, "m": m, "boost": list(boost), "t": t}
+            argv = ["arrange", "--spec-json", json.dumps(doc)]
+        else:
+            argv = ["arrange", "--p", str(p), "--q", str(q), "--n", str(n), "--m", str(m),
+                    "--t", t, "--boost-a", boost[0], "--boost-b", boost[1]]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        assert (out == "") == (code == 2), argv
+        a, b = map(F, boost)
+        if a * a - b * b != 1:
+            assert code == 2, argv
+            continue
+        bits = entry_bits(n, m, BoostParams(a, b), rotation_from_tangent(F(t)))
+        if bits > MAX_ENTRY_BITS:
+            refused += 1
+            assert code == 2 and "arrange takes n*bits" in err and elapsed < 1.0, argv
+        else:
+            ran += code in (0, 1)
+    assert refused >= 10 and ran >= 10
+
+
 def _has_non_integer_size(spec_json):
     """A --spec-json object whose p, q, n or m is a JSON float or boolean."""
     doc = json.loads(spec_json)

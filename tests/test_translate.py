@@ -1,0 +1,166 @@
+"""A flat's translate carries its certificate through a certified isometry.
+
+The oracle is recertified_translate: the same primitive image rows, with
+the whole image certified again on its integer Gram matrix. translate must
+give the same int_blocks and int_rest on every flat below, including blocks
+whose image rows' contents have opposite signs, where the sign of the
+carried B(x,y) is the only thing that tells the two triples apart.
+"""
+
+import random
+
+import pytest
+
+from geocycle import grassmann, linalg, verify
+from geocycle.arrangement import (
+    DEFAULT_BOOST,
+    arrangement_spec,
+    build_family,
+    rotation_isometry,
+    search_parameters,
+    standard_flat,
+)
+from geocycle.errors import FormNotPreserved, NotOrthogonal, WrongInertia
+from geocycle.grassmann import _certified_flat, flat_new, translate
+from geocycle.isometries import Isometry, reflection
+from geocycle.lattices import primitive_content, standard_lattice
+from geocycle.linalg import terms_times
+from oracles import recertified_translate
+
+
+def assert_matches_oracle(g, flat):
+    image = translate(g, flat)
+    expected = recertified_translate(g, flat)
+    assert (image.int_blocks, image.int_rest) == (expected.int_blocks, expected.int_rest)
+    return image
+
+
+def opposite_content_blocks(g, flat):
+    """How many blocks with B(x,y) != 0 have image rows whose signed
+    contents cx, cy satisfy cx * cy < 0."""
+    count = 0
+    for x, y, _, bxy, _ in flat.int_blocks:
+        cx = primitive_content(terms_times(g.num_terms, x))[1]
+        cy = primitive_content(terms_times(g.num_terms, y))[1]
+        count += bool(bxy) and cx * cy < 0
+    return count
+
+
+@pytest.mark.parametrize("p,q", [(3, 4), (8, 8), (3, 19)])
+def test_every_flat_of_an_auto_params_family_matches_the_oracle(p, q):
+    n = 64
+    m, t = search_parameters(p, q, n, DEFAULT_BOOST)
+    spec = arrangement_spec(p, q, n, DEFAULT_BOOST, m, t)
+    flats, _ = build_family(spec)
+    r = rotation_isometry(spec.rotation, p, q, spec.lattice())
+    for before, after in zip(flats, flats[1:]):
+        expected = recertified_translate(r, before)
+        assert (after.int_blocks, after.int_rest) == (expected.int_blocks, expected.int_rest)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (3, 19)])
+def test_seeded_reflection_products_applied_twice_match_the_oracle(p, q):
+    l = standard_lattice("bpq", p, q)
+    base = standard_flat(p, q, l)
+    rng = random.Random(2221 + 100 * p + q)
+    opposite = 0
+    for reflections in range(5):
+        for _ in range(3):
+            g = verify.random_isometry(l, rng, reflections=reflections)
+            once = assert_matches_oracle(g, base)
+            assert_matches_oracle(g, once)
+            # the RREF rows of the image's subspaces pair their blocks'
+            # rows nontrivially, B(x,y) != 0, unlike the coordinate rows
+            sheared = flat_new([b.basis for b in once.blocks], once.rest.basis, l)
+            h = verify.random_isometry(l, rng, reflections=rng.randint(1, 4))
+            opposite += opposite_content_blocks(h, sheared)
+            assert_matches_oracle(h, assert_matches_oracle(h, sheared))
+    assert opposite >= 3
+
+
+def test_opposite_contents_flip_the_sign_of_the_block_pairing():
+    # x = e + f, y = f over B(1,1): (Q(x), B(x,y), Q(y)) = (0, -1, -1). The
+    # reflection along e sends x to -e + f, content -1 on the line of e - f,
+    # and y to itself, content +1: B(e - f, f) = +1
+    l = standard_lattice("bpq", 1, 1)
+    flat = _certified_flat([[(1, 1), (0, 1)], []], l)
+    assert flat.int_blocks == (((1, 1), (0, 1), 0, -1, -1),)
+    r = reflection((1, 0), l)
+    assert opposite_content_blocks(r, flat) == 1
+    image = assert_matches_oracle(r, flat)
+    assert image.int_blocks == (((1, -1), (0, 1), 0, 1, -1),)
+    assert image == flat  # the same splitting of the plane
+
+
+def _permutation(l, i, j):
+    n = l.rank
+    swap = {i: j, j: i}
+    return Isometry(
+        tuple(tuple(int(swap.get(c, c) == r) for c in range(n)) for r in range(n)), 1, l
+    )
+
+
+def _shear(l, into, source):
+    # e_source -> e_source + e_into
+    n = l.rank
+    return Isometry(
+        tuple(tuple(int(r == c or (r, c) == (into, source)) for c in range(n)) for r in range(n)),
+        1,
+        l,
+    )
+
+
+@pytest.mark.parametrize(
+    "make,recertified",
+    [
+        (lambda l: _permutation(l, 0, 3), WrongInertia),  # e1 <-> f2: <f2, f1> is negative
+        (lambda l: _shear(l, 1, 0), NotOrthogonal),  # e1 -> e1 + e2 pairs with e2
+    ],
+    ids=["swap_e1_f2", "shear_e1_into_e2"],
+)
+def test_an_uncertified_matrix_on_a_flat_raises_form_not_preserved(make, recertified):
+    # re-certifying the image caught these by its inertia or orthogonality
+    # check; translate now refuses the matrix itself
+    l = standard_lattice("bpq", 2, 3)
+    flat = standard_flat(2, 3, l)
+    g = make(l)
+    with pytest.raises(recertified):
+        recertified_translate(g, flat)
+    with pytest.raises(FormNotPreserved, match="does not preserve the bilinear form"):
+        translate(g, flat)
+    assert g.preserves_form is False
+
+
+def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
+    l = standard_lattice("bpq", 2, 3)
+    for num in (((1, 0), (0, 1)), ((1, 0, 0, 0, 0),) * 4 + ((0, 0, 0, 0),)):
+        g = Isometry(num, 1, l)
+        with pytest.raises(FormNotPreserved):
+            translate(g, standard_flat(2, 3, l))
+
+
+def test_the_form_is_checked_once_per_isometry(monkeypatch):
+    # isometry_from_matrix returns its result certified; a product of
+    # reflections is checked on its first flat translate and never again,
+    # and translating a flat forms no Gram matrix of the image rows
+    l = standard_lattice("bpq", 3, 4)
+    spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
+    r = rotation_isometry(spec.rotation, 3, 4, l)
+    assert vars(r)["preserves_form"] is True
+    g = verify.random_isometry(l, random.Random(22), reflections=3)
+    assert "preserves_form" not in vars(g)
+    calls = []
+
+    def counted(rows, lattice):
+        calls.append(lattice)
+        return real(rows, lattice)
+
+    real = linalg.gram_of
+    monkeypatch.setattr(linalg, "gram_of", counted)
+    monkeypatch.setattr(grassmann, "gram_of", counted)
+    flat = standard_flat(3, 4, l)
+    calls.clear()
+    image = translate(g, translate(g, flat))
+    assert len(calls) == 1 and vars(g)["preserves_form"] is True
+    translate(r, image)
+    assert len(calls) == 1
