@@ -19,7 +19,13 @@ from . import obstructions as obs
 from . import signs as signmod
 from . import verify
 from .errors import GeocycleError
-from .isometries import cartan_dieudonne, in_congruence_subgroup, isometry_from_matrix, spinor_norm
+from .isometries import (
+    _matrix_isometry,
+    cartan_dieudonne,
+    in_congruence_subgroup,
+    isometry_from_matrix,
+    spinor_norm,
+)
 from .lattices import check_rank, classify, standard_lattice
 from .linalg import det, frac
 
@@ -41,7 +47,7 @@ def _parse_matrix(text: str) -> list:
     # a string or an object would iterate as its characters or keys
     if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
         raise ValueError("matrix must be a JSON list of rows")
-    return raw  # isometry_from_matrix coerces the rows
+    return raw  # the isometry reader coerces the rows
 
 
 def _json_number(x: Fraction):
@@ -69,7 +75,8 @@ def _cmd_lattice(args):
 
 def _cmd_spinor(args):
     l = _lattice_from_args(args)
-    g = isometry_from_matrix(_parse_matrix(args.matrix), l)
+    # the walk certifies the form itself (cartan_dieudonne)
+    g = _matrix_isometry(_parse_matrix(args.matrix), l)
     reflections = cartan_dieudonne(g)
     payload = dict(spinor_norm(g, reflections).to_dict())
     payload["reflections"] = len(reflections)
@@ -142,7 +149,7 @@ def _cmd_arrange(args):
         }
     )
     status = "ok" if matrix.lower_triangular and matrix.shift_consistent else "fail"
-    return status, payload, matrix.to_csv()
+    return status, payload, matrix.to_csv() if args.csv else None
 
 
 def _cmd_roots(args):

@@ -31,6 +31,11 @@ IntMat = tuple[tuple[int, ...], ...]
 # is tried, so any integer below 8*10^18 is factored in full.
 FACTOR_TRIAL_BUDGET = 1_000_000
 
+# The entry cap of a Cartan-Dieudonne walk on a matrix not yet certified:
+# WALK_CAP_FACTOR times the input's bit length plus WALK_CAP_SLACK bits.
+WALK_CAP_FACTOR = 2
+WALK_CAP_SLACK = 64
+
 
 @dataclass(frozen=True)
 class Isometry:
@@ -42,10 +47,18 @@ class Isometry:
     (num, den) in integers; `matrix` is the same map as Fractions, and
     `det` is read off num when first asked for.
 
-    The form is checked by :meth:`certify`, at most once per object:
-    :func:`isometry_from_matrix` returns certified isometries, while a
-    product of reflections, a composite or a hand-built ``Isometry(...)``
-    is checked when first certified (a flat's translate certifies it).
+    Whether g preserves the form is :attr:`preserves_form`, set at most
+    once per object by one of three certificates:
+
+    - the Gram check, run by :meth:`certify` on an isometry not yet
+      certified: :func:`isometry_from_matrix` returns its result certified
+      this way, and a hand-built ``Isometry(...)`` is checked on its first
+      flat translate;
+    - construction from exact reflections: :func:`product_of_reflections`
+      (and so :func:`reflection`) returns certified isometries, and
+      :func:`compose` of two certified factors a certified product;
+    - a completed walk: :func:`cartan_dieudonne` on an isometry not yet
+      certified, when its walk ends at the identity.
     """
 
     num: IntMat
@@ -56,9 +69,9 @@ class Isometry:
     def preserves_form(self) -> bool:
         """Whether num is rank x rank and num^T.gram.num = den^2.gram, in
         integers: the Gram matrix of num's columns against den^2 times the
-        lattice's. Computed once per object."""
-        n = self.lattice.rank
-        if len(self.num) != n or any(len(row) != n for row in self.num):
+        lattice's. Computed at most once per object, and not at all when
+        construction or a completed walk has set it (see the class)."""
+        if not _has_shape(self.num, self.lattice.rank):
             return False
         d2 = self.den * self.den
         return linalg.gram_of(zip(*self.num), self.lattice) == [
@@ -90,6 +103,11 @@ class Isometry:
         return linalg.nonzero_terms(self.num)
 
 
+def _has_shape(num, n: int) -> bool:
+    """Whether num is n x n."""
+    return len(num) == n and all(len(row) == n for row in num)
+
+
 @lru_cache(maxsize=None)
 def _identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -105,44 +123,56 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
     return tuple(tuple([a // g for a in row]) for row in num), den // g
 
 
-def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
-    """Validate m^T.gram.m = gram exactly and package the result.
+def _matrix_isometry(m, l: QuadLattice) -> Isometry:
+    """The rational matrix m as an isometry not yet certified.
 
     With D the lcm of the denominators and A = D.m, (A, D) is the
     isometry: gcd(A, D) = 1 already, as D is an lcm of the reduced
-    denominators. It is returned certified (:meth:`Isometry.certify`).
+    denominators.
     """
     a, d = linalg.cleared(m)
-    n = l.rank
-    if len(a) != n or any(len(r) != n for r in a):
-        raise NotSquare(f"expected a {n}x{n} matrix")
-    return Isometry(tuple(map(tuple, a)), d, l).certify()
+    if not _has_shape(a, l.rank):
+        raise NotSquare(f"expected a {l.rank}x{l.rank} matrix")
+    return Isometry(tuple(map(tuple, a)), d, l)
+
+
+def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
+    """Validate m^T.gram.m = gram exactly and package the result, certified
+    by the Gram check (:meth:`Isometry.certify`)."""
+    return _matrix_isometry(m, l).certify()
+
+
+def _certified(num: IntMat, den: int, l: QuadLattice) -> Isometry:
+    """Isometry(num, den, l) certified by construction: the caller built
+    num/den from maps that preserve the form."""
+    g = Isometry(num, den, l)
+    vars(g)["preserves_form"] = True
+    return g
 
 
 def identity_isometry(l: QuadLattice) -> Isometry:
-    return Isometry(_identity(l.rank), 1, l)
+    """The identity, certified as the empty product of reflections."""
+    return _certified(_identity(l.rank), 1, l)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
-    """g after h, from (num, den) in integers; the product is certified
-    when first asked (see :class:`Isometry`)."""
+    """g after h, from (num, den) in integers; certified when both factors
+    are (see :class:`Isometry`)."""
     if g.lattice != h.lattice:
         raise AmbientMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))
     num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
-    return Isometry(*_normalized(num, g.den * h.den), g.lattice)
+    num, den = _normalized(num, g.den * h.den)
+    if vars(g).get("preserves_form") and vars(h).get("preserves_form"):
+        return _certified(num, den, g.lattice)
+    return Isometry(num, den, g.lattice)
 
 
-def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
-    """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)).
-
-    The rank-one update in integers: R_x.(A/D) = (Q.A - x.c^T) / (Q.D) with
-    c = 2.(gram.x)^T.A. Q and c are first divided by their gcd, taken with
-    Q's sign; with q that quotient of Q, rows where x is zero are only
-    scaled by q, and kept as they are when q = 1. The result is normalized
-    by its full gcd only when its denominator q.D exceeds 1.
-    """
-    x, pairing, q = x_ray
+def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
+    """(q, c) with R_x.(A/D) = (q.A - x.c^T) / (q.D) for the reflection R_x
+    along a ray (x, gram.x, Q(x)): c = 2.(gram.x)^T.A and q = Q, first
+    divided by their gcd taken with Q's sign, so q > 0."""
+    _, pairing, q = x_ray
     c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
     g = math.gcd(q, *c)
     if q < 0:
@@ -150,6 +180,13 @@ def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     if g != 1:
         q //= g
         c = [ck // g for ck in c]
+    return q, c
+
+
+def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMat, int]:
+    """(q.A - x.c^T) / (q.D) for A/D = num/den. Rows where x is zero are only
+    scaled by q, and kept as they are when q = 1. The result is normalized
+    by its full gcd only when its denominator q.D exceeds 1."""
     if q != 1:
         out = [
             [q * a - xi * ck for a, ck in zip(row, c)] if xi else [q * a for a in row]
@@ -162,9 +199,16 @@ def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     return tuple(map(tuple, out)), 1
 
 
+def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
+    """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)),
+    as the rank-one update in integers."""
+    q, c = _reflection_update(x_ray, num)
+    return _apply_update(x_ray[0], q, c, num, den)
+
+
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
     """reflection(x_1) . ... . reflection(x_k), applied right to left; each
-    x_i must be anisotropic."""
+    x_i must be anisotropic. The product is certified by construction."""
     vectors = list(vectors)
     num, den = _identity(l.rank), 1
     for v in reversed(vectors):
@@ -172,7 +216,7 @@ def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
         if x_ray[2] == 0:
             raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
         num, den = _reflect(x_ray, num, den)
-    return Isometry(num, den, l)
+    return _certified(num, den, l)
 
 
 def reflection(x, l: QuadLattice) -> Isometry:
@@ -194,10 +238,47 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     when g(b)-b is isotropic) restores b without disturbing the vectors
     already fixed. With the current map A/D, g(b) -+ b is on the line of
     the integer vector A.b -+ D.b, and A.b reads A at b's nonzero terms.
+
+    A g not yet certified is certified by its own walk: a walk that ends at
+    the identity has written g as a product of exact reflections. That walk
+    runs under the entry cap of :func:`_walk`; if it stops or misses the
+    identity, g is certified by the Gram check instead (FormNotPreserved if
+    it fails) and walked again uncapped, so every verdict is the Gram
+    check's.
+    """
+    l = g.lattice
+    vectors = None
+    if "preserves_form" not in vars(g) and g.den > 0 and _has_shape(g.num, l.rank):
+        vectors = _walk(g, capped=True)
+        if vectors is not None:
+            vars(g)["preserves_form"] = True
+    if vectors is None:
+        g.certify()
+        vectors = _walk(g, capped=False)
+    if vectors is None:
+        raise CertificateFailed("reflection factorization did not reach the identity")
+    if len(vectors) > 2 * l.rank:
+        raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
+    return vectors
+
+
+def _walk(g: Isometry, capped: bool) -> list[tuple[int, ...]] | None:
+    """The reflection vectors of :func:`cartan_dieudonne`'s walk on g, or
+    None when the walk does not end at the identity.
+
+    capped (g not yet known to preserve the form): the walk also stops, with
+    None, at an isotropic plus-ray, which only a non-isometry meets, and
+    once an entry of its running map num/den outgrows the cap of
+    WALK_CAP_FACTOR times the input's bit length plus WALK_CAP_SLACK bits.
+    num's entries are followed by the O(rank) bound of :func:`_entry_bound`;
+    only a bound past the cap is checked against the entries themselves.
     """
     l = g.lattice
     num, den = g.num, g.den
     vectors = []
+    if capped:
+        bound = max(map(abs, chain.from_iterable(num)), default=0)
+        cap = 1 << (WALK_CAP_FACTOR * max(bound, den).bit_length() + WALK_CAP_SLACK)
     for b_ray, terms in l.orthogonal_rays:
         image = linalg.times_terms(num, terms)
         w = image[:]
@@ -206,21 +287,37 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
         if not any(w):
             continue
         line = ray(w, l)
-        if line[2] == 0:
-            # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
+        if line[2]:
+            steps = (line,)
+        else:
+            # for an isometry q(u+b) = 4 q(b) != 0 when q(u-b) = 0, and
+            # R^{u+b} sends u to -b
             for j, v in terms:
                 image[j] += den * v
             plus = ray(image, l)
-            vectors.append(plus[0])
-            num, den = _reflect(plus, num, den)
-            line = b_ray
-        vectors.append(line[0])
-        num, den = _reflect(line, num, den)
-    if den != 1 or num != _identity(l.rank):
-        raise CertificateFailed("reflection factorization did not reach the identity")
-    if len(vectors) > 2 * l.rank:
-        raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
-    return vectors
+            if not plus[2]:
+                return None
+            steps = (plus, b_ray)
+        for x_ray in steps:
+            q, c = _reflection_update(x_ray, num)
+            new_num, new_den = _apply_update(x_ray[0], q, c, num, den)
+            if capped:
+                bound = _entry_bound(bound, x_ray[0], q, c, den, new_den)
+                if bound > cap or new_den > cap:
+                    bound = max(map(abs, chain.from_iterable(new_num)))
+                    if bound > cap or new_den > cap:
+                        return None
+            num, den = new_num, new_den
+            vectors.append(x_ray[0])
+    return vectors if den == 1 and num == _identity(l.rank) else None
+
+
+def _entry_bound(bound: int, x, q: int, c: list[int], den: int, new_den: int) -> int:
+    """A bound on the entries of the num that _apply_update(x, q, c, num,
+    den) returns over new_den, from a bound on num's: each entry of
+    q.num - x.c^T is at most q.bound + |x|.|c|, and the result is that
+    divided by the gcd q.den / new_den."""
+    return (q * bound + max(map(abs, x)) * max(map(abs, c))) * new_den // (q * den)
 
 
 @dataclass(frozen=True)

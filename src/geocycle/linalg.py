@@ -275,12 +275,28 @@ def _bareiss_int(rows: list[list[int]]) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix: the product of the
+    diagonal when the matrix is triangular and holds ints and Fractions
+    only, else Bareiss on its cleared rows."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}")
+    if _is_triangular(m):
+        return math.prod((m[i][i] for i in range(n)), start=ONE)
     a, s = cleared(m)
     return Fraction(_bareiss_int(a), s**n)
+
+
+def _is_triangular(m: Mat) -> bool:
+    """Whether the square matrix m holds ints and Fractions only (strings,
+    floats and booleans are left to cleared) and is zero below or above
+    its diagonal."""
+    if not set(map(type, chain.from_iterable(m))) <= {int, Fraction}:
+        return False
+    n = len(m)
+    return not any(m[i][j] for i in range(1, n) for j in range(i)) or not any(
+        m[i][j] for i in range(n - 1) for j in range(i + 1, n)
+    )
 
 
 def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:

@@ -16,7 +16,9 @@ admissibility checks, the seeded sampler and the diagonal-summand action.
 So does verify's inequality check as it ran before it kept one flat family
 per rotation: a whole family per parameter combo, read at H_0. So does a
 flat's translate as it ran before it carried the certificate through the
-isometry: the image rows re-certified on their integer Gram matrix.
+isometry: the image rows re-certified on their integer Gram matrix. So
+does the spinor command as it ran before the Cartan-Dieudonne walk
+certified the form: the Gram check on every matrix, then the walk.
 """
 
 import math
@@ -35,9 +37,17 @@ from geocycle.arrangement import (
     inequality_details,
     rotation_from_tangent,
 )
-from geocycle.errors import InadmissibleV, NotSquare, SearchExhausted
+from geocycle.cli import _lattice_from_args, _parse_matrix
+from geocycle.errors import (
+    CertificateFailed,
+    FormNotPreserved,
+    InadmissibleV,
+    NotSquare,
+    SearchExhausted,
+)
 from geocycle.grassmann import _certified_flat, intersect_flat_hyperplane
-from geocycle.lattices import cleared, primitive
+from geocycle.isometries import Isometry, _identity, _reflect, isometry_from_matrix, spinor_norm
+from geocycle.lattices import cleared, primitive, ray
 from geocycle.linalg import (
     ONE,
     ZERO,
@@ -48,6 +58,7 @@ from geocycle.linalg import (
     inertia,
     mat_mul,
     terms_times,
+    times_terms,
     transpose,
 )
 
@@ -378,3 +389,54 @@ def recertified_translate(g, flat):
 
     parts = [[image(x), image(y)] for x, y, *_ in flat.int_blocks]
     return _certified_flat(parts + [[image(r) for r in flat.int_rest]], flat.lattice)
+
+
+def gram_preserves_form(g):
+    """The Gram check num^T.gram.num = den^2.gram on a fresh copy of g, so
+    that a certificate g already carries is not read."""
+    return Isometry(g.num, g.den, g.lattice).preserves_form
+
+
+def eager_cartan_dieudonne(g):
+    """cartan_dieudonne as it ran before its walk certified the form: the
+    Gram check first (FormNotPreserved), then the walk to the identity with
+    no entry cap."""
+    if not gram_preserves_form(g):
+        raise FormNotPreserved("matrix does not preserve the bilinear form")
+    l = g.lattice
+    num, den = g.num, g.den
+    vectors = []
+    for b_ray, terms in l.orthogonal_rays:
+        image = times_terms(num, terms)
+        w = image[:]
+        for j, v in terms:
+            w[j] -= den * v
+        if not any(w):
+            continue
+        line = ray(w, l)
+        if line[2] == 0:
+            # q(u+b) = 4 q(b) != 0 when q(u-b) = 0; R^{u+b} sends u to -b
+            for j, v in terms:
+                image[j] += den * v
+            plus = ray(image, l)
+            vectors.append(plus[0])
+            num, den = _reflect(plus, num, den)
+            line = b_ray
+        vectors.append(line[0])
+        num, den = _reflect(line, num, den)
+    if den != 1 or num != _identity(l.rank):
+        raise CertificateFailed("reflection factorization did not reach the identity")
+    if len(vectors) > 2 * l.rank:
+        raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
+    return vectors
+
+
+def eager_cmd_spinor(args):
+    """The spinor command's handler as it ran before: isometry_from_matrix's
+    Gram check, then the eager walk."""
+    l = _lattice_from_args(args)
+    g = isometry_from_matrix(_parse_matrix(args.matrix), l)
+    reflections = eager_cartan_dieudonne(g)
+    payload = dict(spinor_norm(g, reflections).to_dict())
+    payload["reflections"] = len(reflections)
+    return "ok", payload, None

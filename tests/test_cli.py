@@ -119,6 +119,20 @@ def test_arrange_csv(capsys):
             assert grid[i][j] == "E"
 
 
+def test_arrange_builds_its_csv_only_under_the_flag(capsys, monkeypatch):
+    from geocycle.arrangement import IntersectionMatrix
+
+    built = []
+    real = IntersectionMatrix.to_csv
+    monkeypatch.setattr(IntersectionMatrix, "to_csv", lambda self: built.append(1) or real(self))
+    args = ("arrange", "--p", "2", "--q", "3", "--n", "5", "--auto-params")
+    plain = run_cli(capsys, *args)
+    assert built == []
+    flagged = run_cli(capsys, *args, "--csv")
+    assert built == [1] and flagged[1].count("\n") == 6
+    assert run_cli(capsys, *args)[:2] == plain[:2]
+
+
 def test_arrange_json_and_determinism(capsys):
     args = ("arrange", "--p", "2", "--q", "3", "--n", "3", "--auto-params")
     code1, out1, _ = run_cli(capsys, *args)

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from geocycle import linalg
-from geocycle.errors import AmbientMismatch
+from geocycle.errors import AmbientMismatch, NotSquare
 from geocycle.lattices import standard_lattice
 from geocycle.linalg import (
     as_matrix,
@@ -250,6 +250,50 @@ def test_det_against_sympy():
 
 def test_det_of_empty_matrix_is_one():
     assert det(()) == 1
+
+
+def bareiss_det(m):
+    """The determinant through cleared rows and Bareiss, the path every
+    matrix took before triangular ones read their diagonal."""
+    a, s = linalg.cleared(m)
+    return F(linalg._bareiss_int(a), s ** len(m))
+
+
+def test_det_of_triangular_matrices_matches_bareiss():
+    rng = random.Random(2306)
+
+    def entry(zero_share):
+        if rng.random() < zero_share:
+            return rng.choice((0, F(0)))
+        return rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))))
+
+    shapes = 0
+    for n in range(1, 8):
+        for _ in range(30):
+            rows = [[entry(0.2) for _ in range(n)] for _ in range(n)]
+            kind = rng.choice(("lower", "upper", "diagonal", "dense"))
+            for i in range(n):
+                for j in range(n):
+                    if (kind == "lower" and j > i) or (kind == "upper" and j < i) or (
+                        kind == "diagonal" and i != j
+                    ):
+                        rows[i][j] = rng.choice((0, F(0)))
+            m = tuple(map(tuple, rows))
+            shapes += kind != "dense" and any(not m[i][i] for i in range(n))
+            value = det(m)
+            assert type(value) is F and value == bareiss_det(m), m
+    assert shapes > 10  # triangular matrices with a zero on the diagonal
+
+
+def test_det_of_a_triangular_matrix_keeps_its_input_checks():
+    # strings, floats and booleans still go through cleared, which reads a
+    # string and refuses a float or a boolean; the shape check comes first
+    assert det((("3/4", 0), (0, 2))) == F(3, 2)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            det(((bad, 0), (0, 1)))
+    with pytest.raises(NotSquare, match="matrix is 2x1"):
+        det(((1,), (0,)))
 
 
 def test_kernel_annihilates():

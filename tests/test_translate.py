@@ -140,15 +140,18 @@ def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
 
 
 def test_the_form_is_checked_once_per_isometry(monkeypatch):
-    # isometry_from_matrix returns its result certified; a product of
-    # reflections is checked on its first flat translate and never again,
-    # and translating a flat forms no Gram matrix of the image rows
+    # isometry_from_matrix returns its result certified, and a product of
+    # reflections arrives certified by construction: translating a flat by
+    # either forms no Gram matrix. A hand-built Isometry(...) is checked on
+    # its first flat translate and never again
     l = standard_lattice("bpq", 3, 4)
     spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
     r = rotation_isometry(spec.rotation, 3, 4, l)
     assert vars(r)["preserves_form"] is True
     g = verify.random_isometry(l, random.Random(22), reflections=3)
-    assert "preserves_form" not in vars(g)
+    assert vars(g)["preserves_form"] is True
+    hand_built = Isometry(g.num, g.den, l)
+    assert "preserves_form" not in vars(hand_built)
     calls = []
 
     def counted(rows, lattice):
@@ -161,6 +164,8 @@ def test_the_form_is_checked_once_per_isometry(monkeypatch):
     flat = standard_flat(3, 4, l)
     calls.clear()
     image = translate(g, translate(g, flat))
-    assert len(calls) == 1 and vars(g)["preserves_form"] is True
+    assert len(calls) == 0
+    assert translate(hand_built, translate(hand_built, flat)) == image
+    assert len(calls) == 1 and vars(hand_built)["preserves_form"] is True
     translate(r, image)
     assert len(calls) == 1
