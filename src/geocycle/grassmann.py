@@ -343,8 +343,11 @@ def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerd
         return IntersectionVerdict("Degenerate", reason=f"dim_not_one({pairs.index(None)})")
     if not positive:
         return _EMPTY
-    blocks = zip(flat.int_blocks, pairs)
-    cuts = [[b * xi - a * yi for xi, yi in zip(x, y)] for (x, y, *_), (a, b) in blocks]
+    cuts = []
+    for (x, y, *_), (a, b) in zip(flat.int_blocks, pairs):
+        g = math.gcd(a, b)  # w over gcd(a, b): the same line, with smaller rows
+        a, b = a // g, b // g
+        cuts.append([b * xi - a * yi for xi, yi in zip(x, y)])
     plane = span(cuts, ambient=flat.lattice.rank)
     return IntersectionVerdict("Point", point=gr_point(plane, flat.lattice))
 

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -519,6 +523,28 @@ def test_verify_all(capsys):
     for line in err.strip().split("\n"):
         if ":" in line and "elapsed" not in line:
             assert "PASS" in line
+
+
+def test_verify_all_writes_its_bytes_on_fd_1_once():
+    # capsys sees sys.stdout only; a forked check that wrote to fd 1 would
+    # show only in a real process's stdout, unbuffered so that a child's
+    # write is not lost with its buffer
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "geocycle.cli", "verify-all", "--seed", "101"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SIGNS["verify-all --seed 101"]
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 9
+    for (name, _), line in zip(verify.ALL_CHECKS, lines):
+        assert re.fullmatch(rf"{name}: PASS \(\d+ ms\)", line), line
+    assert re.fullmatch(r"elapsed_ms=\d+", lines[8])
 
 
 def test_timings_go_to_stderr_not_stdout(capsys):
