@@ -281,7 +281,8 @@ def main(argv=None) -> int:
     if args.csv and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        sys.stdout.write(json.dumps(payload) + "\n")
+        # every payload is a fresh tree of dicts, lists and tuples: no cycle to check
+        sys.stdout.write(json.dumps(payload, check_circular=False) + "\n")
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return 0 if status == "ok" else 1
 

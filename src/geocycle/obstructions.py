@@ -3,7 +3,6 @@ geometric obstruction classes."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from typing import Optional, Sequence
@@ -90,6 +89,8 @@ def _enumerate_definite(
     found: dict[int, list[RootVector]] = {}
     x = [0] * n
     tails = [0] * n  # known part of each form from already-assigned coordinates
+    # the earlier forms that involve each coordinate, as (k, coefficient)
+    columns = [[(k, icoeffs[k][idx]) for k in range(idx) if icoeffs[k][idx]] for idx in range(n)]
 
     def descend(idx: int, running: int) -> None:
         if idx < 0:
@@ -104,14 +105,15 @@ def _enumerate_definite(
         r = math.isqrt((hi - running if positive else running - lo) // abs(w))
         values = range(max(-bound, -((r + tail) // lead)), min(bound, (r - tail) // lead) + 1)
         budget.spend(max(0, values.stop - values.start))  # len() stops at sys.maxsize
+        column = columns[idx]
         for value in values:
             m = lead * value + tail
             x[idx] = value
-            for k in range(idx):
-                tails[k] += icoeffs[k][idx] * value
+            for k, c in column:
+                tails[k] += c * value
             descend(idx - 1, running + w * m * m)
-            for k in range(idx):
-                tails[k] -= icoeffs[k][idx] * value
+            for k, c in column:
+                tails[k] -= c * value
         x[idx] = 0
 
     if (hi if positive else -lo) >= 0:  # else even the zero vector is past the far end
@@ -259,19 +261,29 @@ def _join(blocks, tables, target: int, n: int, budget: _Budget) -> list[RootVect
     A depth-first search over the blocks' values keeps only the values that
     the later blocks can complete to the target (suffix[k] is the set of
     sums the blocks k.. can reach), so every node it visits leads to at
-    least one root; the roots are the products of the chosen values' lists.
+    least one root. At a leaf the roots are charged first, then built block
+    by block: each partial root is extended by every vector of the next
+    chosen list, by tuple concatenation.
     """
     suffix = [{0}]
     for table in reversed(tables):
         budget.spend(len(table) * len(suffix[0]))
         suffix.insert(0, {v + s for v in table for s in suffix[0]})
-    products: list[list[list[RootVector]]] = []
+    order = [i for block in blocks for i in block]
+    # blocks whose coordinates interleave: put each coordinate back in place
+    scatter = None
+    if order != list(range(n)):
+        scatter = operator.itemgetter(*sorted(range(n), key=order.__getitem__))
+    found: list[RootVector] = []
     chosen: list[list[RootVector]] = []
 
     def descend(k: int, remaining: int) -> None:
         if k == len(tables):
             budget.spend(math.prod(len(vs) for vs in chosen))
-            products.append(list(chosen))
+            roots = chosen[0]
+            for vs in chosen[1:]:
+                roots = [p + x for p in roots for x in vs]
+            found.extend(map(scatter, roots) if scatter else roots)
             return
         for v, vs in tables[k].items():
             if remaining - v in suffix[k + 1]:
@@ -282,16 +294,6 @@ def _join(blocks, tables, target: int, n: int, budget: _Budget) -> list[RootVect
 
     if target in suffix[0]:
         descend(0, target)
-    order = [i for block in blocks for i in block]
-    # blocks whose coordinates interleave: put each coordinate back in place
-    scatter = None
-    if order != list(range(n)):
-        scatter = operator.itemgetter(*sorted(range(n), key=order.__getitem__))
-    found = []
-    for lists in products:
-        for parts in itertools.product(*lists):
-            flat = tuple(itertools.chain.from_iterable(parts))
-            found.append(scatter(flat) if scatter else flat)
     found.sort()
     return found
 
@@ -308,8 +310,8 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     the triangular completed-squares search for definite blocks (a rank-1
     [[a]] is the one square a·x²) and a pruned box scan for the rest. A
     join over the blocks' values then visits only nodes that extend to a
-    root, so the cost is the tables plus O(rank · roots). All of it is
-    exact.
+    root and concatenates one vector of each chosen block into each root,
+    so the cost is the tables plus O(rank · roots). All of it is exact.
 
     Raises BudgetExceeded once the tables, searches, join and roots together
     need more than ROOT_NODE_BUDGET nodes.

@@ -18,13 +18,15 @@ per rotation: a whole family per parameter combo, read at H_0. So does a
 flat's translate as it ran before it carried the certificate through the
 isometry: the image rows re-certified on their integer Gram matrix. So
 does the spinor command as it ran before the Cartan-Dieudonne walk
-certified the form: the Gram check on every matrix, then the walk.
+certified the form: the Gram check on every matrix, then the walk. So
+does the root join as it ran before it built roots by concatenation: the
+chosen lists of every leaf kept, then expanded by itertools.product.
 """
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
-from operator import mul
+from itertools import chain, islice, product
+from operator import itemgetter, mul
 
 from geocycle.arrangement import (
     MAX_BOOST_POWER,
@@ -440,3 +442,41 @@ def eager_cmd_spinor(args):
     payload = dict(spinor_norm(g, reflections).to_dict())
     payload["reflections"] = len(reflections)
     return "ok", payload, None
+
+
+def product_join(blocks, tables, target, n, budget):
+    """obstructions._join as it ran before it concatenated roots at the
+    leaves: the same search and charges, every leaf's chosen lists kept,
+    then each root flattened from one itertools.product choice."""
+    suffix = [{0}]
+    for table in reversed(tables):
+        budget.spend(len(table) * len(suffix[0]))
+        suffix.insert(0, {v + s for v in table for s in suffix[0]})
+    products = []
+    chosen = []
+
+    def descend(k, remaining):
+        if k == len(tables):
+            budget.spend(math.prod(len(vs) for vs in chosen))
+            products.append(list(chosen))
+            return
+        for v, vs in tables[k].items():
+            if remaining - v in suffix[k + 1]:
+                budget.spend()
+                chosen.append(vs)
+                descend(k + 1, remaining - v)
+                chosen.pop()
+
+    if target in suffix[0]:
+        descend(0, target)
+    order = [i for block in blocks for i in block]
+    scatter = None
+    if order != list(range(n)):
+        scatter = itemgetter(*sorted(range(n), key=order.__getitem__))
+    found = []
+    for lists in products:
+        for parts in product(*lists):
+            flat = tuple(chain.from_iterable(parts))
+            found.append(scatter(flat) if scatter else flat)
+    found.sort()
+    return found

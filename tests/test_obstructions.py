@@ -21,7 +21,7 @@ from geocycle.obstructions import (
     plane_orthogonal_to,
 )
 from geocycle.verify import naive_roots
-from oracles import inverse_square_forms, oracle_matrix_inverse
+from oracles import inverse_square_forms, oracle_matrix_inverse, product_join
 
 H = standard_lattice("hyperbolic")
 B11 = standard_lattice("bpq", 1, 1)
@@ -259,6 +259,50 @@ def test_budget_stops_the_box_search_on_an_irreducible_indefinite_block(monkeypa
     with pytest.raises(BudgetExceeded, match="more than 50 nodes") as excinfo:
         enumerate_roots(l, 3)
     assert any(entry.name == "_enumerate_box" for entry in excinfo.traceback)
+
+
+def counted_roots(l, bound):
+    """enumerate_roots(l, bound) with the nodes its budget spent."""
+    budgets = []
+
+    class Counted(obstructions._Budget):
+        def __init__(self):
+            super().__init__()
+            budgets.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(obstructions, "_Budget", Counted)
+        roots = enumerate_roots(l, bound)
+    (budget,) = budgets
+    return roots, budget.nodes
+
+
+def test_join_matches_the_product_join_in_roots_and_nodes(monkeypatch):
+    # the random sums of the interleaved-block test, then -E8 and B(2,4)
+    rng = random.Random(20261018)
+    cases = [(random_block_sum(rng, 5), rng.randint(1, 2)) for _ in range(150)]
+    b24 = standard_lattice("bpq", 2, 4)
+    cases += [(E8_NEG, 6), (b24, 3), (b24, 4)]
+    expected = [counted_roots(l, bound) for l, bound in cases]
+    monkeypatch.setattr(obstructions, "_join", product_join)
+    assert [counted_roots(l, bound) for l, bound in cases] == expected
+    assert [(len(roots), nodes) for roots, nodes in expected[-3:]] == [
+        (240, 992), (4792, 5690), (12376, 14336),
+    ]
+    interleaved = hyperbolic = 0
+    for l, _ in cases:
+        blocks = obstructions._orthogonal_blocks(l.gram)
+        interleaved += [i for b in blocks for i in b] != list(range(l.rank))
+        hyperbolic += any(
+            obstructions._hyperbolic_entry([[l.gram[i][j] for j in b] for i in b]) for b in blocks
+        )
+    assert sum(bool(roots) for roots, _ in expected) >= 100
+    assert interleaved >= 50 and hyperbolic >= 50
+
+
+@pytest.mark.parametrize("p,q,bound,nodes", [(2, 4, 4, 14_336), (3, 5, 3, 210_237)])
+def test_node_counts_quoted_in_the_readme(p, q, bound, nodes):
+    assert counted_roots(standard_lattice("bpq", p, q), bound)[1] == nodes
 
 
 def test_budget_counts_the_roots_before_building_them(monkeypatch):
