@@ -21,7 +21,7 @@ from .errors import (
     NonIntegralMatrix,
     NotSquare,
 )
-from .lattices import QuadLattice, cleared, ray
+from .lattices import QuadLattice, Ray, cleared, ray
 from .linalg import Mat
 
 IntMat = tuple[tuple[int, ...], ...]
@@ -67,11 +67,12 @@ class Isometry:
 
     @cached_property
     def preserves_form(self) -> bool:
-        """Whether num is rank x rank and num^T.gram.num = den^2.gram, in
-        integers: the Gram matrix of num's columns against den^2 times the
-        lattice's. Computed at most once per object, and not at all when
+        """Whether den != 0, num is rank x rank and num^T.gram.num =
+        den^2.gram, in integers: the Gram matrix of num's columns against
+        den^2 times the lattice's (den = 0 would pass it with num = 0).
+        Computed at most once per object, and not at all when
         construction or a completed walk has set it (see the class)."""
-        if not _has_shape(self.num, self.lattice.rank):
+        if not self.den or not _has_shape(self.num, self.lattice.rank):
             return False
         d2 = self.den * self.den
         return linalg.gram_of(zip(*self.num), self.lattice) == [
@@ -168,12 +169,8 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     return Isometry(num, den, g.lattice)
 
 
-def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
-    """(q, c) with R_x.(A/D) = (q.A - x.c^T) / (q.D) for the reflection R_x
-    along a ray (x, gram.x, Q(x)): c = 2.(gram.x)^T.A and q = Q, first
-    divided by their gcd taken with Q's sign, so q > 0."""
-    _, pairing, q = x_ray
-    c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
+def _reduced_update(q: int, c: list[int]) -> tuple[int, list[int]]:
+    """(q, c) divided by their gcd taken with q's sign, so q > 0."""
     g = math.gcd(q, *c)
     if q < 0:
         g = -g
@@ -181,6 +178,14 @@ def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
         q //= g
         c = [ck // g for ck in c]
     return q, c
+
+
+def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
+    """(q, c) with R_x.(A/D) = (q.A - x.c^T) / (q.D) for the reflection R_x
+    along a ray (x, gram.x, Q(x)): c = 2.(gram.x)^T.A and q = Q, first
+    divided by their gcd taken with Q's sign, so q > 0."""
+    _, pairing, q = x_ray
+    return _reduced_update(q, [2 * sum(map(mul, pairing, col)) for col in zip(*num)])
 
 
 def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMat, int]:
@@ -206,16 +211,31 @@ def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
     return _apply_update(x_ray[0], q, c, num, den)
 
 
+def _reflection_matrix(x_ray) -> tuple[IntMat, int]:
+    """R_x = (q.I - x.c^T) / q along a ray (x, gram.x, Q(x)), with
+    (q, c) = (Q, 2.gram.x) over their gcd: already in lowest terms, as x is
+    primitive and gcd(q, c) = 1."""
+    x, pairing, q = x_ray
+    q, c = _reduced_update(q, [2 * p for p in pairing])
+    rows = []
+    for i, xi in enumerate(x):
+        row = [-xi * ck for ck in c] if xi else [0] * len(c)
+        row[i] += q
+        rows.append(tuple(row))
+    return tuple(rows), q
+
+
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
     """reflection(x_1) . ... . reflection(x_k), applied right to left; each
-    x_i must be anisotropic. The product is certified by construction."""
-    vectors = list(vectors)
+    x_i must be anisotropic. The rightmost factor R_{x_k} is written down
+    directly (:func:`_reflection_matrix`) and each other one applied as a
+    rank-one update. The product is certified by construction."""
     num, den = _identity(l.rank), 1
-    for v in reversed(vectors):
+    for k, v in enumerate(reversed(list(vectors))):
         x_ray = ray(cleared(v, l)[0], l)
         if x_ray[2] == 0:
             raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
-        num, den = _reflect(x_ray, num, den)
+        num, den = _reflect(x_ray, num, den) if k else _reflection_matrix(x_ray)
     return _certified(num, den, l)
 
 
@@ -238,33 +258,48 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     when g(b)-b is isotropic) restores b without disturbing the vectors
     already fixed. With the current map A/D, g(b) -+ b is on the line of
     the integer vector A.b -+ D.b, and A.b reads A at b's nonzero terms.
+    The walk stops once its map is the identity, since every later ray
+    would add no reflection.
 
     A g not yet certified is certified by its own walk: a walk that ends at
     the identity has written g as a product of exact reflections. That walk
     runs under the entry cap of :func:`_walk`; if it stops or misses the
     identity, g is certified by the Gram check instead (FormNotPreserved if
     it fails) and walked again uncapped, so every verdict is the Gram
-    check's.
+    check's. An uncapped walk that misses the identity is run once more on
+    (num, den) in lowest terms with den > 0.
     """
+    return [x for x, _, _ in _factor(g)]
+
+
+def _factor(g: Isometry) -> list[Ray]:
+    """The rays (x, gram.x, Q(x)) of :func:`cartan_dieudonne`'s reflections,
+    certifying g as it describes."""
     l = g.lattice
-    vectors = None
+    rays = None
     if "preserves_form" not in vars(g) and g.den > 0 and _has_shape(g.num, l.rank):
-        vectors = _walk(g, capped=True)
-        if vectors is not None:
+        rays = _walk(g, capped=True)
+        if rays is not None:
             vars(g)["preserves_form"] = True
-    if vectors is None:
+    if rays is None:
         g.certify()
-        vectors = _walk(g, capped=False)
-    if vectors is None:
+        rays = _walk(g, capped=False)
+        if rays is None:
+            # from (num, den) not in lowest terms the walk can end at the
+            # identity written as (c.I, c), c != 1: (2I, 2) or (-I, -1)
+            rays = _walk(Isometry(*_normalized(g.num, g.den), l), capped=False)
+    if rays is None:
         raise CertificateFailed("reflection factorization did not reach the identity")
-    if len(vectors) > 2 * l.rank:
-        raise CertificateFailed(f"{len(vectors)} reflections exceed 2 * rank = {2 * l.rank}")
-    return vectors
+    if len(rays) > 2 * l.rank:
+        raise CertificateFailed(f"{len(rays)} reflections exceed 2 * rank = {2 * l.rank}")
+    return rays
 
 
-def _walk(g: Isometry, capped: bool) -> list[tuple[int, ...]] | None:
-    """The reflection vectors of :func:`cartan_dieudonne`'s walk on g, or
-    None when the walk does not end at the identity.
+def _walk(g: Isometry, capped: bool) -> list[Ray] | None:
+    """The rays (x, gram.x, Q(x)) of :func:`cartan_dieudonne`'s walk on g,
+    in order, or None when the walk does not end at the identity. The walk
+    stops at the first ray that finds its running map num/den already the
+    identity.
 
     capped (g not yet known to preserve the form): the walk also stops, with
     None, at an isotropic plus-ray, which only a non-isometry meets, and
@@ -275,11 +310,14 @@ def _walk(g: Isometry, capped: bool) -> list[tuple[int, ...]] | None:
     """
     l = g.lattice
     num, den = g.num, g.den
-    vectors = []
+    identity = _identity(l.rank)
+    rays = []
     if capped:
         bound = max(map(abs, chain.from_iterable(num)), default=0)
         cap = 1 << (WALK_CAP_FACTOR * max(bound, den).bit_length() + WALK_CAP_SLACK)
     for b_ray, terms in l.orthogonal_rays:
+        if den == 1 and num == identity:
+            break
         image = linalg.times_terms(num, terms)
         w = image[:]
         for j, v in terms:
@@ -308,8 +346,8 @@ def _walk(g: Isometry, capped: bool) -> list[tuple[int, ...]] | None:
                     if bound > cap or new_den > cap:
                         return None
             num, den = new_num, new_den
-            vectors.append(x_ray[0])
-    return vectors if den == 1 and num == _identity(l.rank) else None
+            rays.append(x_ray)
+    return rays if den == 1 and num == identity else None
 
 
 def _entry_bound(bound: int, x, q: int, c: list[int], den: int, new_den: int) -> int:
@@ -389,15 +427,18 @@ def spinor_norm(g: Isometry, reflections: list | None = None) -> SquareClass:
 
     Independent of the factorization; the identity (empty product) gets the
     trivial class (+1, +1). `reflections` reuses a factorization of g that
-    :func:`cartan_dieudonne` already returned; by default g is factored here.
-    Q of a vector and Q of the primitive integer vector on its line differ
-    by a rational square, so the product runs over the integer Qs.
+    :func:`cartan_dieudonne` already returned; by default g is factored here,
+    and the Qs are those its walk's rays carry. Q of a vector and Q of the
+    primitive integer vector on its line differ by a rational square, so the
+    product runs over the integer Qs.
     """
     if reflections is None:
-        reflections = cartan_dieudonne(g)
+        rays = _factor(g)
+    else:
+        rays = [ray(cleared(x, g.lattice)[0], g.lattice) for x in reflections]
     total = 1
-    for x in reflections:
-        total *= ray(cleared(x, g.lattice)[0], g.lattice)[2]
+    for _, _, q in rays:
+        total *= q
     return square_class(Fraction(total))
 
 

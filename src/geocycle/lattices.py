@@ -177,8 +177,11 @@ def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
 def cleared(v, l: QuadLattice) -> tuple[list[int], int]:
     """(row, s) with row an integer vector and s > 0 the lcm of the
     denominators of the rational vector v = row/s on l: linalg.cleared
-    of the one row, checked against l's rank."""
-    (row,), s = linalg.cleared([v])
+    of the one row, checked against l's rank. A row of ints (bools are not
+    taken) is copied as it is, with s = 1."""
+    row, s = list(v), 1
+    if not all(type(a) is int for a in row):
+        (row,), s = linalg.cleared([row])
     if len(row) != l.rank:
         raise AmbientMismatch(f"vector of length {len(row)} on rank {l.rank}")
     return row, s

@@ -153,28 +153,27 @@ def _ratio(x) -> tuple[int, int]:
 def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """(s.rows, s) for rows of ints, Fractions or strings, s > 0 the lcm of
     all their denominators: int rows pass through with s = 1. Entries are
-    read by :func:`_ratio`, each distinct string once, so floats and
-    booleans are a TypeError, and ragged rows are a ValueError."""
+    read by :func:`_ratio` in row order, each distinct string once, so
+    floats and booleans are a TypeError, and ragged rows are a ValueError.
+    The lcm runs over the distinct denominators, and each distinct string
+    is scaled once. Only strings share a memo: True == 1 and 1.0 == 1 hash
+    alike, so a memo keyed on other entries would let them through."""
     rows = [list(row) for row in rows]
     if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows, 1
     memo: dict[str, tuple[int, int]] = {}
-    ratios = []
-    for row in rows:
-        out = []
-        for x in row:
-            if type(x) is str:
-                r = memo.get(x)
-                if r is None:
-                    r = memo[x] = _ratio(x)
-            else:
-                r = _ratio(x)
-            out.append(r)
-        ratios.append(out)
-    s = math.lcm(*(d for row in ratios for _, d in row))
-    return [[n * (s // d) for n, d in row] for row in ratios], s
+    others = []  # the (n, d) of each entry that is not a string, in order
+    for x in chain.from_iterable(rows):
+        if type(x) is not str:
+            others.append(_ratio(x))
+        elif x not in memo:
+            memo[x] = _ratio(x)
+    s = math.lcm(*{d for _, d in chain(memo.values(), others)})
+    scaled = {x: n * (s // d) for x, (n, d) in memo.items()}
+    rest = iter([n * (s // d) for n, d in others])
+    return [[scaled[x] if type(x) is str else next(rest) for x in row] for row in rows], s
 
 
 def gram_of(rows: Iterable[Iterable[int]], lattice: "QuadLattice") -> list[list[int]]:

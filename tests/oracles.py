@@ -48,7 +48,14 @@ from geocycle.errors import (
     SearchExhausted,
 )
 from geocycle.grassmann import _certified_flat, intersect_flat_hyperplane
-from geocycle.isometries import Isometry, _identity, _reflect, isometry_from_matrix, spinor_norm
+from geocycle.isometries import (
+    Isometry,
+    _identity,
+    _normalized,
+    _reflect,
+    isometry_from_matrix,
+    spinor_norm,
+)
 from geocycle.lattices import cleared, primitive, ray
 from geocycle.linalg import (
     ONE,
@@ -402,11 +409,13 @@ def gram_preserves_form(g):
 def eager_cartan_dieudonne(g):
     """cartan_dieudonne as it ran before its walk certified the form: the
     Gram check first (FormNotPreserved), then the walk to the identity with
-    no entry cap."""
+    no entry cap and no early stop, over (num, den) in lowest terms with
+    den > 0, so that the identity written as (2I, 2) or (-I, -1) is the
+    empty product."""
     if not gram_preserves_form(g):
         raise FormNotPreserved("matrix does not preserve the bilinear form")
     l = g.lattice
-    num, den = g.num, g.den
+    num, den = _normalized(g.num, g.den)
     vectors = []
     for b_ray, terms in l.orthogonal_rays:
         image = times_terms(num, terms)
