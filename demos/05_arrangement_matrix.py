@@ -11,7 +11,7 @@ from geocycle import (
     intersection_matrix,
     search_parameters,
 )
-from geocycle.arrangement import DEFAULT_BOOST, boost_power, inequality_detail
+from geocycle.arrangement import DEFAULT_BOOST, boost_power, inequality_details
 
 p, q, n = 2, 3, 5
 m, t = search_parameters(p, q, n, DEFAULT_BOOST)
@@ -21,8 +21,7 @@ bp = boost_power(DEFAULT_BOOST, m)
 print(f"inequality window: [{-(bp.a + bp.b)}, {-(bp.a - bp.b)}]")
 
 spec = arrangement_spec(p, q, n, DEFAULT_BOOST, m, t)
-for k in range(1, n + 1):
-    d = inequality_detail(spec, k)
+for k, d in enumerate(inequality_details(spec, n), start=1):
     print(f"  k={k}: tan = {d.tangent}  in window: {d.holds}")
 
 matrix = intersection_matrix(spec)

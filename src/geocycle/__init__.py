@@ -33,7 +33,6 @@ from .isometries import (
     SquareClass,
     cartan_dieudonne,
     compose,
-    identity_isometry,
     in_congruence_subgroup,
     isometry_from_matrix,
     product_of_reflections,
@@ -73,7 +72,6 @@ from .signs import (
     epsilon_general,
     pi_k_matrix,
     random_admissible_v,
-    stereographic_unit_vector,
 )
 
 __version__ = "0.1.0"

@@ -243,13 +243,6 @@ def inequality_details(spec: ArrangementSpec, n: int) -> list[InequalityDetail]:
     ]
 
 
-def inequality_detail(spec: ArrangementSpec, k: int) -> InequalityDetail:
-    """The emptiness inequality for the k-th rotated flat alone."""
-    if k < 1:
-        raise ValueError("the inequality is stated for k >= 1")
-    return inequality_details(spec, k)[-1]
-
-
 @dataclass(frozen=True)
 class IntersectionMatrix:
     """Verdict table: rows indexed by hyperplanes, columns by flats."""

@@ -39,9 +39,17 @@ _K3_BLOCKS = {
 }
 
 
+def _loads(text: str, what: str):
+    """json.loads, with a document nested past the recursion limit as bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def _parse_matrix(text: str) -> list:
     try:
-        raw = json.loads(text)
+        raw = _loads(text, "matrix")
     except json.JSONDecodeError as e:
         raise ValueError(f"matrix must be JSON: {e}") from e
     # a string or an object would iterate as its characters or keys
@@ -110,7 +118,7 @@ def _cmd_signs(args):
 
 def _cmd_arrange(args):
     if args.spec_json:
-        spec = arr.arrangement_spec_from_dict(json.loads(args.spec_json))
+        spec = arr.arrangement_spec_from_dict(_loads(args.spec_json, "spec JSON"))
         m, t = spec.m, None
     else:
         if args.p is None or args.q is None or args.n is None:

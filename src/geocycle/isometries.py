@@ -151,11 +151,6 @@ def _certified(num: IntMat, den: int, l: QuadLattice) -> Isometry:
     return g
 
 
-def identity_isometry(l: QuadLattice) -> Isometry:
-    """The identity, certified as the empty product of reflections."""
-    return _certified(_identity(l.rank), 1, l)
-
-
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """g after h, from (num, den) in integers; certified when both factors
     are (see :class:`Isometry`)."""

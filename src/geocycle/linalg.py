@@ -79,23 +79,8 @@ def as_vector(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def as_matrix(rows: Iterable[Iterable]) -> Mat:
-    m = tuple(as_vector(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
-    return m
-
-
-def identity_matrix(n: int) -> Mat:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
+    bt = tuple(zip(*b))
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col) if x and y), ZERO) for col in bt)
         for row in a
@@ -274,28 +259,13 @@ def _bareiss_int(rows: list[list[int]]) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant of a square rational matrix: the product of the
-    diagonal when the matrix is triangular and holds ints and Fractions
-    only, else Bareiss on its cleared rows."""
+    """Exact determinant of a square rational matrix: Bareiss on its
+    cleared rows."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"matrix is {len(m)}x{len(m[0]) if m else 0}")
-    if _is_triangular(m):
-        return math.prod((m[i][i] for i in range(n)), start=ONE)
     a, s = cleared(m)
     return Fraction(_bareiss_int(a), s**n)
-
-
-def _is_triangular(m: Mat) -> bool:
-    """Whether the square matrix m holds ints and Fractions only (strings,
-    floats and booleans are left to cleared) and is zero below or above
-    its diagonal."""
-    if not set(map(type, chain.from_iterable(m))) <= {int, Fraction}:
-        return False
-    n = len(m)
-    return not any(m[i][j] for i in range(1, n) for j in range(i)) or not any(
-        m[i][j] for i in range(n - 1) for j in range(i + 1, n)
-    )
 
 
 def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:

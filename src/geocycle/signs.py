@@ -4,7 +4,9 @@ The tangent space at the base point is the space of p x q rational matrices.
 It splits as (diagonal matrices) + (matrices annihilating a fixed unit
 vector v). A compact-factor pair (diamond, star) acts by C -> diamond . C .
 star^{-1}; the sign of interest is the determinant sign of that action
-projected back onto the diagonal summand.
+projected back onto the diagonal summand. That action has a closed form,
+whose sign :func:`epsilon_general` reads in integers off the pair's cleared
+rows; Fractions appear only in coordinates and matrices built for output.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .errors import InadmissibleV, NotOrthogonalPair
@@ -80,14 +83,6 @@ def _stereographic(ratios) -> tuple[list[int], int]:
     return [x // g for x in num], den // g
 
 
-def stereographic_unit_vector(u) -> Vec:
-    """Rational point on the unit sphere from u in Q^(d-1):
-    (2u_1, ..., 2u_{d-1}, 1 - |u|^2) / (1 + |u|^2)."""
-    (us,), scale = linalg.cleared([u])
-    num, den = _stereographic([(a, scale) for a in us])
-    return tuple(Fraction(x, den) for x in num)
-
-
 def random_admissible_v(p: int, q: int, rng: random.Random) -> AdmissibleV:
     """Seeded rejection sampler: stereographic rational sphere points over
     u_i = randint(-9, 9) / randint(1, 9), with a random sign flip, rejecting
@@ -133,23 +128,6 @@ def build_k(p: int, q: int, v: AdmissibleV) -> Isometry:
     return product_of_reflections([e_p, (0,) * p + v.num], standard_lattice("bpq", p, q))
 
 
-def action_on_diagonal(diamond: Mat, star: Mat, v: AdmissibleV) -> Mat:
-    """Matrix of the induced map on the diagonal summand (diamond p x p and
-    star q x q, shaped for v).
-
-    Column i is the diagonal part of diamond . E_ii . star^T = a.b^T (a, b
-    column i of diamond and of star). Row k of a.b^T is A_k e_k plus a row
-    that annihilates v, so A_k v_k = a_k (b.v): entry (k, i) is
-    diamond[k][i] s_i / v_k with s = star^T v, and no p x q matrix is built.
-    """
-    p = len(diamond)
-    s = [sum(row[i] * x for row, x in zip(star, v.coords)) for i in range(p)]
-    return tuple(
-        tuple(d * si / vk if d else d for d, si in zip(row, s))
-        for row, vk in zip(diamond, v.coords)
-    )
-
-
 def pi_k_matrix(p: int, q: int, v: AdmissibleV) -> Mat:
     """The diagonal-summand action of the canonical compact element, diag(-1,
     ..., -1, +1) for every admissible v = X/D: its star has star^T v = v -
@@ -165,21 +143,33 @@ def expected_pi_k_matrix(p: int) -> Mat:
     return _diagonal([-ONE] * (p - 1) + [ONE])
 
 
+def _orthogonal(rows: list[list[int]], scale: int) -> bool:
+    """Whether rows/scale is orthogonal: its column Gram matrix is scale^2 I."""
+    n, cols = len(rows), list(zip(*rows))
+    unit = [[scale * scale * (i == j) for j in range(n)] for i in range(n)]
+    return [[sum(map(mul, x, y)) for y in cols] for x in cols] == unit
+
+
 def epsilon_general(diamond, star, v: AdmissibleV) -> int:
     """Orientation sign of an S(O(p) x O(q)) pair acting on the tangent
     splitting: +1, -1, or 0 when the wedge degenerates.
 
-    Computed as the determinant sign of the projected diagonal action, which
+    It is the determinant sign of the projected diagonal action, which
     equals the full top-wedge comparison of (transported diagonal basis +
-    fixed complement basis) against the untransported one.
+    fixed complement basis) against the untransported one. Row k of
+    diamond . E_ii . star^T is A_k e_k plus a row annihilating v, so the
+    action's entry (k, i) is diamond[k][i] s_i / v_k with s = star^T v, and
+    its determinant is det(diamond) prod(s_i) / prod(v_k) over i, k < p.
+    With star = B/t and v = X/D, s has the signs of B^T X: all in integers.
     """
-    dm, st = linalg.as_matrix(diamond), linalg.as_matrix(star)
-    if len(dm) != v.p or len(st) != v.q:
+    (a, a_scale), (b, b_scale) = linalg.cleared(diamond), linalg.cleared(star)
+    if len(a) != v.p or len(b) != v.q:
         raise NotOrthogonalPair(f"expected sizes {v.p} and {v.q}")
-    for mat in (dm, st):
-        if linalg.mat_mul(linalg.transpose(mat), mat) != linalg.identity_matrix(len(mat)):
-            raise NotOrthogonalPair("both factors must be exactly orthogonal")
-    if linalg.det(dm) * linalg.det(st) != 1:
+    if not (_orthogonal(a, a_scale) and _orthogonal(b, b_scale)):
+        raise NotOrthogonalPair("both factors must be exactly orthogonal")
+    det_a, det_b = linalg._bareiss_int(a), linalg._bareiss_int(b)
+    if (det_a > 0) != (det_b > 0):
         raise NotOrthogonalPair("determinants must multiply to +1")
-    d = linalg.det(action_on_diagonal(dm, st, v))
-    return 0 if d == 0 else (1 if d > 0 else -1)
+    s = [sum(row[i] * x for row, x in zip(b, v.num)) for i in range(v.p)]
+    sign = det_a * math.prod(map(mul, s, v.num))
+    return (sign > 0) - (sign < 0)

@@ -53,9 +53,9 @@ class CheckResult:
 # ---------------------------------------------------------------- generators
 
 
-def random_anisotropic_vector(l: QuadLattice, rng: random.Random, lo=-5, hi=5):
+def random_anisotropic_vector(l: QuadLattice, rng: random.Random):
     while True:
-        v = tuple(rng.randint(lo, hi) for _ in range(l.rank))
+        v = tuple(rng.randint(-5, 5) for _ in range(l.rank))
         if ray(v, l)[2] != 0:
             return v
 

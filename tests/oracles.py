@@ -21,6 +21,9 @@ does the spinor command as it ran before the Cartan-Dieudonne walk
 certified the form: the Gram check on every matrix, then the walk. So
 does the root join as it ran before it built roots by concatenation: the
 chosen lists of every leaf kept, then expanded by itertools.product.
+So do the dense Fraction matrix helpers the tests build with (as_matrix,
+identity_matrix and transpose), which the library dropped once the sign
+layer ran in integers.
 """
 
 import math
@@ -60,16 +63,28 @@ from geocycle.lattices import cleared, primitive, ray
 from geocycle.linalg import (
     ONE,
     ZERO,
-    as_matrix,
     as_vector,
     frac,
-    identity_matrix,
     inertia,
     mat_mul,
     terms_times,
     times_terms,
-    transpose,
 )
+
+
+def as_matrix(rows):
+    m = tuple(as_vector(r) for r in rows)
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return m
+
+
+def identity_matrix(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
 
 
 def mat_vec(m, v):

@@ -16,7 +16,6 @@ from geocycle.arrangement import (
     base_hyperplane_normal,
     boost_power,
     build_family,
-    inequality_detail,
     inequality_details,
     intersection_matrix,
     rotation_from_tangent,
@@ -167,7 +166,7 @@ def test_spec_validation():
 
 def test_inequality_first_power_holds():
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))
-    detail = inequality_detail(spec, 1)
+    detail = inequality_details(spec, 1)[-1]
     assert detail.holds
     assert detail.tangent == F(-20, 99)
     assert detail.lower == -8 and detail.upper == F(-1, 8)
@@ -177,7 +176,7 @@ def test_inequality_first_power_holds():
 
 def test_inequality_fails_past_quarter_turn():
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))
-    detail = inequality_detail(spec, 8)
+    detail = inequality_details(spec, 8)[-1]
     assert not detail.holds
     assert detail.tangent is not None and detail.tangent > 0
 
@@ -185,12 +184,12 @@ def test_inequality_fails_past_quarter_turn():
 def test_inequality_fails_at_zero_rotation_tangent():
     # a boost interval never contains 0, so a zero tangent always fails
     spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, 3, F(1, 10))
-    assert all(inequality_detail(spec, k).upper < 0 for k in (1, 2, 3))
+    assert all(inequality_details(spec, k)[-1].upper < 0 for k in (1, 2, 3))
 
 
 def test_inequality_pole_is_false_with_flag():
     spec = ArrangementSpec(2, 3, DEFAULT_BOOST, 3, RotationPair(F(0), F(-1)), 1)
-    detail = inequality_detail(spec, 1)
+    detail = inequality_details(spec, 1)[-1]
     assert not detail.holds and detail.pole and detail.tangent is None
 
 
@@ -199,10 +198,10 @@ def test_inequality_details_match_tangent_addition():
     # never multiplies rotation pairs (Pythagorean angles hit no pole)
     for t in (F(1, 10), F(1, 4), F(1, 2)):
         spec = arrangement_spec(2, 3, 0, DEFAULT_BOOST, 3, t)
-        first = inequality_detail(spec, 1).tangent
+        first = inequality_details(spec, 1)[-1].tangent
         tan = first
         for k, detail in enumerate(inequality_details(spec, 24), start=1):
-            assert detail == inequality_detail(spec, k)
+            assert detail == inequality_details(spec, k)[-1]
             assert detail.tangent == tan and not detail.pole
             assert detail.holds == (detail.lower <= tan <= detail.upper)
             tan = (tan + first) / (1 - tan * first)
@@ -237,7 +236,7 @@ def test_plot_data_cost_is_linear_in_n(monkeypatch, tmp_path, capsys):
         assert len(steps) == n + 1
         rows = path.read_text(encoding="utf-8").splitlines()
         assert len(rows) == n + 1
-        d = inequality_detail(arrangement_spec(2, 3, n, DEFAULT_BOOST, 3, F(1, 10)), n)
+        d = inequality_details(arrangement_spec(2, 3, n, DEFAULT_BOOST, 3, F(1, 10)), n)[-1]
         assert rows[-1] == f"{n},{d.tangent},{d.lower},{d.upper}"
 
 

@@ -56,15 +56,13 @@ from geocycle.grassmann import (
 )
 from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import (
-    as_matrix,
     as_vector,
     intersect,
     perp,
     restricted_definiteness,
     span,
-    transpose,
 )
-from oracles import mat_vec, oracle_apply, oracle_matrix_inverse, rotation_power
+from oracles import as_matrix, mat_vec, oracle_apply, oracle_matrix_inverse, rotation_power, transpose
 
 
 def oracle(flat, normal):

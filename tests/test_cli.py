@@ -419,6 +419,27 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+DEEP = 10 * sys.getrecursionlimit()
+
+
+@pytest.mark.parametrize("text", ["[" * DEEP, "[" * DEEP + "]" * DEEP], ids=["unbalanced", "balanced"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spinor", "--lattice", "bpq", "--p", "1", "--q", "1", "--matrix"],
+        ["congruence", "--lattice", "bpq", "--p", "1", "--q", "1", "--modulus", "3", "--matrix"],
+        ["arrange", "--spec-json"],
+    ],
+    ids=["spinor", "congruence", "arrange"],
+)
+def test_deeply_nested_json_exits_2_without_traceback(capsys, argv, text):
+    # the JSON decoder recurses once per bracket, so past the recursion
+    # limit it raises RecursionError, which is bad input like any other
+    code, out, err = run_cli(capsys, *argv, text)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_spec_json_names_missing_keys(capsys):
     code, _, err = run_cli(capsys, "arrange", "--spec-json", '{"p": 2, "q": 3, "n": 2}')
     assert code == 2

@@ -29,7 +29,7 @@ from geocycle.grassmann import (
     stabilizer_sign_patterns,
     translate,
 )
-from geocycle.isometries import Isometry, compose, identity_isometry, reflection
+from geocycle.isometries import Isometry, compose, product_of_reflections, reflection
 from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import intersect, perp, restricted_definiteness, span
 from oracles import oracle_apply
@@ -56,7 +56,7 @@ def complement(h):
 
 
 def random_isometry(l, rng, k=3):
-    g = identity_isometry(l)
+    g = product_of_reflections([], l)
     for _ in range(k):
         while True:
             v = tuple(rng.randint(-4, 4) for _ in range(l.rank))
@@ -358,8 +358,8 @@ def test_stabilizer_always_contains_all_ones():
 
 def test_translate_by_identity():
     f, h = arrangement_pair(2, 3, 1)
-    assert translate(identity_isometry(B23), f) == f
-    assert translate(identity_isometry(B23), h) == h
+    assert translate(product_of_reflections([], B23), f) == f
+    assert translate(product_of_reflections([], B23), h) == h
 
 
 def test_translate_moves_blocks():
@@ -392,7 +392,7 @@ def test_translate_hyperplane_keeps_line():
 def test_translate_lattice_mismatch():
     f = standard_flat(2, 3, B23)
     with pytest.raises(LatticeMismatch):
-        translate(identity_isometry(B11), f)
+        translate(product_of_reflections([], B11), f)
 
 
 def test_an_equal_lattice_object_is_the_same_lattice():

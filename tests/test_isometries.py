@@ -34,7 +34,6 @@ from geocycle.isometries import (
     SquareClass,
     cartan_dieudonne,
     compose,
-    identity_isometry,
     in_congruence_subgroup,
     isometry_from_matrix,
     product_of_reflections,
@@ -49,12 +48,17 @@ from geocycle.linalg import (
     cleared,
     det,
     diagonalize_symmetric,
-    identity_matrix,
     mat_mul,
     rref,
     terms_times,
 )
-from oracles import fraction_diagonalize_symmetric, mat_vec, oracle_apply, oracle_matrix_inverse
+from oracles import (
+    fraction_diagonalize_symmetric,
+    identity_matrix,
+    mat_vec,
+    oracle_apply,
+    oracle_matrix_inverse,
+)
 
 B11 = standard_lattice("bpq", 1, 1)
 B14 = standard_lattice("bpq", 1, 4)
@@ -189,7 +193,7 @@ def random_anisotropic(l, rng):
 
 def test_identity_is_isometry():
     g = isometry_from_matrix(identity_matrix(5), B23)
-    assert g.det == 1 and g == identity_isometry(B23)
+    assert g.det == 1 and g == product_of_reflections([], B23)
 
 
 def test_boost_is_isometry():
@@ -241,7 +245,7 @@ def test_reflection_properties():
         x = random_anisotropic(B23, rng)
         r = reflection(x, B23)
         assert r.det == -1
-        assert compose(r, r) == identity_isometry(B23)
+        assert compose(r, r) == product_of_reflections([], B23)
         # scale invariance
         c = rng.choice([2, -3, F(1, 2), F(-5, 7)])
         assert reflection([c * xi for xi in x], B23).matrix == r.matrix
@@ -261,7 +265,7 @@ def test_reflection_fixes_orthogonal_complement():
 
 
 def test_cartan_dieudonne_identity_is_empty():
-    assert cartan_dieudonne(identity_isometry(B23)) == []
+    assert cartan_dieudonne(product_of_reflections([], B23)) == []
 
 
 def test_cartan_dieudonne_single_reflection():
@@ -305,7 +309,7 @@ def test_cartan_dieudonne_isotropic_difference_branch():
 def test_cartan_dieudonne_reconstructs_random_products():
     rng = random.Random(53)
     for _ in range(50):
-        g = identity_isometry(B23)
+        g = product_of_reflections([], B23)
         for _ in range(rng.randint(1, 6)):
             g = compose(g, reflection(random_anisotropic(B23, rng), B23))
         factors = cartan_dieudonne(g)
@@ -371,7 +375,7 @@ def test_squarefree_part():
 
 
 def test_congruence_identity():
-    assert in_congruence_subgroup(identity_isometry(B23), 8)
+    assert in_congruence_subgroup(product_of_reflections([], B23), 8)
 
 
 def test_congruence_minus_one_block():

@@ -10,7 +10,6 @@ from geocycle import linalg
 from geocycle.errors import AmbientMismatch, NotSquare
 from geocycle.lattices import standard_lattice
 from geocycle.linalg import (
-    as_matrix,
     det,
     frac,
     inertia,
@@ -23,6 +22,7 @@ from geocycle.linalg import (
 )
 from geocycle.verify import random_subspace
 from oracles import (
+    as_matrix,
     frac_cleared,
     fraction_diagonalize_symmetric,
     fraction_inertia,
@@ -30,9 +30,11 @@ from oracles import (
     fraction_kernel,
     fraction_perp,
     fraction_rref,
+    identity_matrix,
     mat_mul_restricted_definiteness,
     mat_vec,
     oracle_matrix_inverse,
+    transpose,
 )
 
 B11 = standard_lattice("bpq", 1, 1)
@@ -285,6 +287,24 @@ def test_det_of_triangular_matrices_matches_bareiss():
     assert shapes > 10  # triangular matrices with a zero on the diagonal
 
 
+def test_det_of_triangular_matrices_is_the_diagonal_product():
+    # the product of the diagonal, which det returned for triangular
+    # matrices of ints and Fractions before every matrix went through Bareiss
+    rng = random.Random(2307)
+    for n in range(1, 8):
+        for _ in range(20):
+            diagonal = [rng.choice((0, rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9)))) for _ in range(n)]
+            lower = rng.random() < 0.5
+
+            def entry(i, j):
+                if i == j:
+                    return diagonal[i]
+                return F(rng.randint(-9, 9), rng.randint(1, 9)) if (j < i) == lower else 0
+
+            m = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+            assert det(m) == math.prod(diagonal, start=F(1)), m
+
+
 def test_det_of_a_triangular_matrix_keeps_its_input_checks():
     # strings, floats and booleans still go through cleared, which reads a
     # string and refuses a float or a boolean; the shape check comes first
@@ -307,7 +327,7 @@ def test_kernel_annihilates():
 
 
 def test_kernel_of_no_constraints():
-    assert kernel((), ncols=3) == linalg.identity_matrix(3)
+    assert kernel((), ncols=3) == identity_matrix(3)
 
 
 def test_matrix_inverse_round_trip():
@@ -317,7 +337,7 @@ def test_matrix_inverse_round_trip():
             rows = as_matrix([[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
             if det(rows) != 0:
                 break
-        assert linalg.mat_mul(rows, oracle_matrix_inverse(rows)) == linalg.identity_matrix(4)
+        assert linalg.mat_mul(rows, oracle_matrix_inverse(rows)) == identity_matrix(4)
 
 
 def test_sylvester_invariance_rational_congruence():
@@ -329,7 +349,7 @@ def test_sylvester_invariance_rational_congruence():
             m = as_matrix([[F(rng.randint(-3, 3)) for _ in range(5)] for _ in range(5)])
             if det(m) != 0:
                 break
-        assert inertia(linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), g), m)) == base
+        assert inertia(linalg.mat_mul(linalg.mat_mul(transpose(m), g), m)) == base
 
 
 def test_inertia_matches_sympy_root_counts():

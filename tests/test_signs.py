@@ -9,23 +9,24 @@ from geocycle import signs, verify
 from geocycle.errors import CertificateFailed, InadmissibleV, NotOrthogonalPair
 from geocycle.isometries import isometry_from_matrix
 from geocycle.lattices import standard_lattice
-from geocycle.linalg import ZERO, as_matrix, det, identity_matrix, mat_mul, transpose
+from geocycle.linalg import ZERO, det, mat_mul
 from geocycle.signs import (
     AdmissibleV,
-    action_on_diagonal,
     admissible_v,
     build_k,
     epsilon_general,
     pi_k_matrix,
     random_admissible_v,
     reflection_blocks,
-    stereographic_unit_vector,
 )
 from oracles import (
+    as_matrix,
     fraction_admissible_v,
     fraction_pi_k_matrix,
     fraction_random_admissible_v,
     fraction_stereographic_unit_vector,
+    identity_matrix,
+    transpose,
 )
 
 V22 = admissible_v(2, [F(3, 5), F(4, 5)])
@@ -156,7 +157,7 @@ def test_stereographic_points_are_unit_vectors():
     rng = random.Random(3)
     for _ in range(25):
         u = [F(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(rng.randint(0, 4))]
-        point = stereographic_unit_vector(u)
+        point = fraction_stereographic_unit_vector(u)
         assert sum(x * x for x in point) == 1
 
 
@@ -245,7 +246,7 @@ def test_projection_worked_example():
     # transported diag(1, 0): first row (7/25, -24/25), second row zero
     x = as_matrix([[F(7, 25), F(-24, 25)], [0, 0]])
     assert oracle_project_p1(x, V22) == (F(-1), F(0))
-    action = action_on_diagonal(*reflection_blocks(2, 2, V22), V22)
+    action = oracle_action_on_diagonal(*reflection_blocks(2, 2, V22), V22)
     assert tuple(row[0] for row in action) == (F(-1), F(0))
 
 
@@ -285,14 +286,14 @@ def test_pi_k_sweep_small():
                 assert mat == expected_diagonal(p)
                 assert det(mat) == F(-1) ** (p - 1)
                 # pi_k_matrix reads star^T v off v.v instead of building the star
-                assert mat == action_on_diagonal(*reflection_blocks(p, q, v), v)
+                assert mat == oracle_action_on_diagonal(*reflection_blocks(p, q, v), v)
 
 
 def test_pi_k_matrix_computes_v_dot_v():
     # built around the validation, v.v = 2: a closed form that assumed
     # v.v = 1 would disagree with the dense star here
     v = AdmissibleV(2, (1, 1, 0), 1)
-    assert pi_k_matrix(2, 3, v) == action_on_diagonal(*reflection_blocks(2, 3, v), v)
+    assert pi_k_matrix(2, 3, v) == oracle_action_on_diagonal(*reflection_blocks(2, 3, v), v)
     assert pi_k_matrix(2, 3, v) != expected_diagonal(2)
 
 
@@ -326,8 +327,15 @@ def test_epsilon_against_full_determinant_oracle():
 def householder(n, rng):
     """I - 2uu^T along a random rational unit vector u: orthogonal, det -1,
     with dense rational entries."""
-    u = stereographic_unit_vector([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n - 1)])
+    u = fraction_stereographic_unit_vector([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n - 1)])
     return tuple(tuple(F(int(i == j)) - 2 * u[i] * u[j] for j in range(n)) for i in range(n))
+
+
+def householder_along(x):
+    """I - 2xx^T/(x.x) for a nonzero rational x: orthogonal, det -1, and it
+    swaps the unit vectors v and w when x = v - w."""
+    xx = sum(a * a for a in x)
+    return tuple(tuple(F(int(i == j)) - 2 * a * b / xx for j, b in enumerate(x)) for i, a in enumerate(x))
 
 
 def random_orthogonal_pairs(p, q, rng):
@@ -347,11 +355,12 @@ def test_action_on_diagonal_matches_projection_oracle():
         for q in range(p, 7):
             v, pairs = random_orthogonal_pairs(p, q, rng)
             for diamond, star in pairs:
-                assert action_on_diagonal(diamond, star, v) == oracle_action_on_diagonal(diamond, star, v)
-                epsilon_general(diamond, star, v)  # accepted as an S(O(p) x O(q)) pair
+                d = det(oracle_action_on_diagonal(diamond, star, v))
+                assert epsilon_general(diamond, star, v) == (d > 0) - (d < 0)
     v = admissible_v(1, [F(1), F(0)])
     quarter_turn = (identity_matrix(1), as_matrix([[0, -1], [1, 0]]))
-    assert action_on_diagonal(*quarter_turn, v) == oracle_action_on_diagonal(*quarter_turn, v) == ((F(0),),)
+    assert oracle_action_on_diagonal(*quarter_turn, v) == ((F(0),),)
+    assert epsilon_general(*quarter_turn, v) == 0
 
 
 def test_epsilon_of_dense_pairs_against_full_determinant_oracle():
@@ -363,6 +372,24 @@ def test_epsilon_of_dense_pairs_against_full_determinant_oracle():
             assert epsilon_general(diamond, star, v) == epsilon_full_determinant_oracle(
                 diamond, star, v
             )
+    # three Householder factors each (det -1 and -1), a star sending v to a
+    # unit w with w_i = 0 for some i < p (so s_i = 0 and the sign is 0), and
+    # both pairs again with their entries as "n/d" strings
+    rng = random.Random(31)
+    for p, q in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (2, 4)):
+        for _ in range(3):
+            v = random_admissible_v(p, q, rng)
+            w = list(fraction_stereographic_unit_vector([F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(q - 2)]))
+            w.insert(rng.randrange(p), F(0))
+            odd = [mat_mul(householder(n, rng), mat_mul(householder(n, rng), householder(n, rng))) for n in (p, q)]
+            killing = (householder(p, rng), householder_along([a - b for a, b in zip(v.coords, w)]))
+            for diamond, star in (odd, killing):
+                assert det(diamond) == det(star) == -1
+                expected = epsilon_full_determinant_oracle(diamond, star, v)
+                assert epsilon_general(diamond, star, v) == expected
+                strings = [[[str(x) for x in row] for row in m] for m in (diamond, star)]
+                assert epsilon_general(*strings, v) == expected
+            assert epsilon_general(*killing, v) == 0
 
 
 def test_epsilon_degenerate_wedge_is_zero():
@@ -412,20 +439,28 @@ def test_sampler_and_pi_k_match_the_fraction_oracles(seed):
             assert repr(pi_k_matrix(p, q, v)) == repr(fraction_pi_k_matrix(p, coords))
 
 
-def test_stereographic_unit_vector_matches_the_fraction_oracle():
-    rng = random.Random(29)
-    for _ in range(200):
-        u = [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(rng.randint(0, 6))]
-        assert repr(stereographic_unit_vector(u)) == repr(fraction_stereographic_unit_vector(u))
-    for u in ([], [0], [1], ["3/4", 2, F(-1, 3)], ["0.5", "1e2"]):
-        assert repr(stereographic_unit_vector(u)) == repr(fraction_stereographic_unit_vector(u))
-
-
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
     except Exception as e:  # the type and the message are compared
         return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "diamond,star,outcome",
+    [
+        ([[1, 0], [0]], [[1, 0], [0, 1]], (ValueError, "ragged matrix")),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1.0]], (TypeError, "cannot use float in exact arithmetic: 1.0")),
+        ([[True, 0], [0, 1]], [[1, 0], [0, 1]], (TypeError, "cannot use bool in exact arithmetic: True")),
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]], (NotOrthogonalPair, "both factors must be exactly orthogonal")),
+        ([[1]], [[1, 0], [0, 1]], (NotOrthogonalPair, "expected sizes 2 and 2")),
+        ([[1, 0], [0, 1]], [["3/5", "4/5"], ["4/5", "3/5"]], (NotOrthogonalPair, "both factors must be exactly orthogonal")),
+        ([[1, 0], [0, 1]], [["3/5", "4/5"], ["4/5", "-3/5"]], (NotOrthogonalPair, "determinants must multiply to +1")),
+    ],
+    ids=["ragged", "float", "bool", "non-square", "wrong-size", "non-orthogonal", "det-minus-one"],
+)
+def test_epsilon_input_errors_keep_their_type_and_message(diamond, star, outcome):
+    assert _outcome(epsilon_general, diamond, star, V22) == outcome
 
 
 @pytest.mark.parametrize(

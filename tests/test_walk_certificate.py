@@ -23,7 +23,7 @@ from geocycle.isometries import (
     _reflection_update,
     cartan_dieudonne,
     compose,
-    identity_isometry,
+    product_of_reflections,
     reflection,
     spinor_norm,
 )
@@ -221,7 +221,7 @@ def test_a_large_non_isometry_stops_at_the_cap(capsys, walks):
 def test_carried_certificates_agree_with_the_gram_check(p, q):
     l = standard_lattice("bpq", p, q)
     rng = random.Random(2302 + p * q)
-    identity = identity_isometry(l)
+    identity = product_of_reflections([], l)
     certified = [identity]
     for _ in range(12):
         certified.append(verify.random_isometry(l, rng, reflections=rng.randint(0, 5)))
