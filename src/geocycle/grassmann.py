@@ -359,19 +359,18 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
     s is an involution, so it fixes <v> only by sending v to +v or to -v:
     to +v iff v has no component in any flipped block (a = b = 0 there), to
     -v iff v has no component in any unflipped block nor in the rest.
-    Enumerates all 2^p candidates; the all-ones pattern is always present.
-    Under strong general position (with the rest clause) the result is
-    exactly the all-ones pattern; degenerate normals admit more.
+    Builds only those patterns, in itertools.product((1, -1))'s order; the
+    all-ones pattern is always present. Under strong general position (with
+    the rest clause) the result is exactly the all-ones pattern; degenerate
+    normals admit more.
     """
     _check_same_lattice(flat, hyper)
     orthogonal = [pair is None for pair in _block_lines(flat, hyper)[0]]  # v has no block component
-    no_rest = not _rest_clause_holds(flat, hyper)
-    return [
-        signs
-        for signs in itertools.product((1, -1), repeat=flat.block_count)
-        if all(o for o, s in zip(orthogonal, signs) if s == -1)
-        or (no_rest and all(o for o, s in zip(orthogonal, signs) if s == 1))
-    ]
+    fixed = [(1,)] if _rest_clause_holds(flat, hyper) else [(1,), (-1,)]
+    return sorted(
+        {s for f in fixed for s in itertools.product(*[(1, -1) if o else f for o in orthogonal])},
+        reverse=True,
+    )
 
 
 def _translated_flat(g: Isometry, flat: Flat) -> Flat:

@@ -44,8 +44,8 @@ class Isometry:
     num is an integer matrix and den a positive integer with
     gcd(num, den) = 1, so equal isometries have equal fields and compare
     and hash equal. Reflections, products and images are computed from
-    (num, den) in integers; `matrix` is the same map as Fractions, and
-    `det` is read off num when first asked for.
+    (num, den) in integers; `matrix` is the same map as Fractions, `det`
+    is read off num and `reflection_rays` walked when first asked for.
 
     Whether g preserves the form is :attr:`preserves_form`, set at most
     once per object by one of three certificates:
@@ -102,6 +102,30 @@ class Isometry:
         """The nonzero terms of each row of num: images read these (a
         rotation of two coordinate planes has at most two per row)."""
         return linalg.nonzero_terms(self.num)
+
+    @cached_property
+    def reflection_rays(self) -> tuple[Ray, ...]:
+        """The rays (x, gram.x, Q(x)) of the reflections whose product is
+        self, in order, found at most once per object by the walk of
+        :func:`cartan_dieudonne`, which certifies self as it describes."""
+        l = self.lattice
+        rays = None
+        if "preserves_form" not in vars(self) and self.den > 0 and _has_shape(self.num, l.rank):
+            rays = _walk(self, capped=True)
+            if rays is not None:
+                vars(self)["preserves_form"] = True
+        if rays is None:
+            self.certify()
+            rays = _walk(self, capped=False)
+            if rays is None:
+                # from (num, den) not in lowest terms the walk can end at the
+                # identity written as (c.I, c), c != 1: (2I, 2) or (-I, -1)
+                rays = _walk(Isometry(*_normalized(self.num, self.den), l), capped=False)
+        if rays is None:
+            raise CertificateFailed("reflection factorization did not reach the identity")
+        if len(rays) > 2 * l.rank:
+            raise CertificateFailed(f"{len(rays)} reflections exceed 2 * rank = {2 * l.rank}")
+        return tuple(rays)
 
 
 def _has_shape(num, n: int) -> bool:
@@ -262,32 +286,11 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     identity, g is certified by the Gram check instead (FormNotPreserved if
     it fails) and walked again uncapped, so every verdict is the Gram
     check's. An uncapped walk that misses the identity is run once more on
-    (num, den) in lowest terms with den > 0.
+    (num, den) in lowest terms with den > 0. The walk runs at most once per
+    object: its rays are :attr:`Isometry.reflection_rays`, which
+    :func:`spinor_norm` reads too.
     """
-    return [x for x, _, _ in _factor(g)]
-
-
-def _factor(g: Isometry) -> list[Ray]:
-    """The rays (x, gram.x, Q(x)) of :func:`cartan_dieudonne`'s reflections,
-    certifying g as it describes."""
-    l = g.lattice
-    rays = None
-    if "preserves_form" not in vars(g) and g.den > 0 and _has_shape(g.num, l.rank):
-        rays = _walk(g, capped=True)
-        if rays is not None:
-            vars(g)["preserves_form"] = True
-    if rays is None:
-        g.certify()
-        rays = _walk(g, capped=False)
-        if rays is None:
-            # from (num, den) not in lowest terms the walk can end at the
-            # identity written as (c.I, c), c != 1: (2I, 2) or (-I, -1)
-            rays = _walk(Isometry(*_normalized(g.num, g.den), l), capped=False)
-    if rays is None:
-        raise CertificateFailed("reflection factorization did not reach the identity")
-    if len(rays) > 2 * l.rank:
-        raise CertificateFailed(f"{len(rays)} reflections exceed 2 * rank = {2 * l.rank}")
-    return rays
+    return [x for x, _, _ in g.reflection_rays]
 
 
 def _walk(g: Isometry, capped: bool) -> list[Ray] | None:
@@ -417,28 +420,23 @@ def square_class(r: Fraction) -> SquareClass:
     return SquareClass(rep, 1 if rep > 0 else -1)
 
 
-def spinor_norm(g: Isometry, reflections: list | None = None) -> SquareClass:
-    """Product of the self-pairings over a reflection factorization, mod squares.
+def spinor_norm(g: Isometry) -> SquareClass:
+    """Product of the self-pairings over g's reflection factorization, mod
+    squares: the Qs of :attr:`Isometry.reflection_rays`, the walk of
+    :func:`cartan_dieudonne` (run here if it has not run on g yet).
 
     Independent of the factorization; the identity (empty product) gets the
-    trivial class (+1, +1). `reflections` reuses a factorization of g that
-    :func:`cartan_dieudonne` already returned; by default g is factored here,
-    and the Qs are those its walk's rays carry. Q of a vector and Q of the
-    primitive integer vector on its line differ by a rational square, so the
-    product runs over the integer Qs.
+    trivial class (+1, +1). Q of a vector and Q of the primitive integer
+    vector on its line differ by a rational square, so the product runs
+    over the integer Qs.
     """
-    if reflections is None:
-        rays = _factor(g)
-    else:
-        rays = [ray(cleared(x, g.lattice)[0], g.lattice) for x in reflections]
-    total = 1
-    for _, _, q in rays:
-        total *= q
-    return square_class(Fraction(total))
+    return square_class(Fraction(math.prod(q for _, _, q in g.reflection_rays)))
 
 
 def in_congruence_subgroup(g: Isometry, modulus: int) -> bool:
-    """True iff g is integral, det +1, and congruent to the identity mod modulus."""
+    """True iff g is integral, det +1, and congruent to the identity mod
+    modulus; FormNotPreserved if g fails its certificate (:meth:`Isometry.certify`)."""
+    g.certify()
     if modulus < 1:
         raise ValueError("modulus must be a positive integer")
     if g.den != 1:

@@ -65,8 +65,8 @@ def random_isometry(l: QuadLattice, rng: random.Random, reflections: int = 4) ->
     return product_of_reflections(vectors, l)
 
 
-def random_subspace(ambient: int, rng: random.Random, max_rows: int | None = None):
-    rows = rng.randint(0, max_rows if max_rows is not None else ambient)
+def random_subspace(ambient: int, rng: random.Random):
+    rows = rng.randint(0, ambient)
     return span(
         [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(rows)],
         ambient=ambient,
@@ -103,7 +103,7 @@ def _random_strong_position_pair(base: gr.Flat, rng: random.Random):
 
 
 def check_sign_claim(seed: int = DEFAULT_SEED) -> CheckResult:
-    """diag(-1,...,-1,+1) with determinant (-1)^(p-1), exactly, for every
+    """diag(-1,...,-1,+1), and so determinant (-1)^(p-1), exactly, for every
     signature 1 <= p <= q <= 6 and 25 seeded admissible vectors each."""
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -115,7 +115,7 @@ def check_sign_claim(seed: int = DEFAULT_SEED) -> CheckResult:
                 v = signs.random_admissible_v(p, q, rng)
                 mat = signs.pi_k_matrix(p, q, v)
                 cases += 1
-                if mat != expected or linalg.det(mat) != Fraction(-1) ** (p - 1):
+                if mat != expected:
                     failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 10.0
@@ -243,7 +243,7 @@ def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
         gh = compose(g, h)
         tg, th = spinor_norm(g), spinor_norm(h)
         factors = cartan_dieudonne(gh)
-        if spinor_norm(gh, factors) != square_class(Fraction(tg.representative * th.representative)):
+        if spinor_norm(gh) != square_class(Fraction(tg.representative * th.representative)):
             failures += 1
         if len(factors) > 2 * l.rank:
             failures += 1

@@ -18,12 +18,14 @@ per rotation: a whole family per parameter combo, read at H_0. So does a
 flat's translate as it ran before it carried the certificate through the
 isometry: the image rows re-certified on their integer Gram matrix. So
 does the spinor command as it ran before the Cartan-Dieudonne walk
-certified the form: the Gram check on every matrix, then the walk. So
-does the root join as it ran before it built roots by concatenation: the
+certified the form: the Gram check on every matrix, then the walk, its
+spinor class the product of its own factors' Qs. So does the root join as it ran before it built roots by concatenation: the
 chosen lists of every leaf kept, then expanded by itertools.product.
 So do the dense Fraction matrix helpers the tests build with (as_matrix,
 identity_matrix and transpose), which the library dropped once the sign
-layer ran in integers.
+layer ran in integers. So do the stabilizer's sign patterns as they were
+found before only the admissible ones were built: a filter over all 2^p
+candidates. The determinant is checked against a Fraction elimination.
 """
 
 import math
@@ -50,14 +52,19 @@ from geocycle.errors import (
     NotSquare,
     SearchExhausted,
 )
-from geocycle.grassmann import _certified_flat, intersect_flat_hyperplane
+from geocycle.grassmann import (
+    _block_lines,
+    _certified_flat,
+    _rest_clause_holds,
+    intersect_flat_hyperplane,
+)
 from geocycle.isometries import (
     Isometry,
     _identity,
     _normalized,
     _reflect,
     isometry_from_matrix,
-    spinor_norm,
+    square_class,
 )
 from geocycle.lattices import cleared, primitive, ray
 from geocycle.linalg import (
@@ -144,6 +151,25 @@ def fraction_rref(m):
         if r == nrows:
             break
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+
+
+def fraction_det(m):
+    """The determinant by Gaussian elimination over Fraction: the product of
+    the pivots, negated at each row swap, and 0 at a column with no pivot."""
+    rows = [list(r) for r in as_matrix(m)]
+    out = ONE
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return out
 
 
 def fraction_kernel(m, ncols):
@@ -404,6 +430,21 @@ def per_combo_inequality_detail(grid):
     return {"combos": combos, "inequality_hits": hits, "violations": violations}
 
 
+def filtered_stabilizer_sign_patterns(flat, hyper):
+    """grassmann.stabilizer_sign_patterns as it ran before it built only the
+    admissible patterns: all 2^p candidates, kept when every flipped block
+    is orthogonal to the normal, or when the rest clause fails and every
+    unflipped block is."""
+    orthogonal = [pair is None for pair in _block_lines(flat, hyper)[0]]
+    no_rest = not _rest_clause_holds(flat, hyper)
+    return [
+        signs
+        for signs in product((1, -1), repeat=flat.block_count)
+        if all(o for o, s in zip(orthogonal, signs) if s == -1)
+        or (no_rest and all(o for o, s in zip(orthogonal, signs) if s == 1))
+    ]
+
+
 def recertified_translate(g, flat):
     """The image of a flat under g, each row's image taken primitive and
     the whole image certified again from its integer Gram matrix by
@@ -457,13 +498,19 @@ def eager_cartan_dieudonne(g):
     return vectors
 
 
+def factorization_spinor_norm(vectors, l):
+    """The square class of the product of Q(x) over reflection vectors x,
+    each Q read off the primitive integer vector on x's line."""
+    return square_class(Fraction(math.prod(ray(cleared(x, l)[0], l)[2] for x in vectors)))
+
+
 def eager_cmd_spinor(args):
     """The spinor command's handler as it ran before: isometry_from_matrix's
-    Gram check, then the eager walk."""
+    Gram check, then the eager walk, whose factors give the class."""
     l = _lattice_from_args(args)
     g = isometry_from_matrix(_parse_matrix(args.matrix), l)
     reflections = eager_cartan_dieudonne(g)
-    payload = dict(spinor_norm(g, reflections).to_dict())
+    payload = dict(factorization_spinor_norm(reflections, l).to_dict())
     payload["reflections"] = len(reflections)
     return "ok", payload, None
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +33,8 @@ from geocycle.grassmann import (
 from geocycle.isometries import Isometry, compose, product_of_reflections, reflection
 from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import intersect, perp, restricted_definiteness, span
-from oracles import oracle_apply
+from geocycle.verify import _random_strong_position_pair
+from oracles import filtered_stabilizer_sign_patterns, oracle_apply
 
 B11 = standard_lattice("bpq", 1, 1)
 B12 = standard_lattice("bpq", 1, 2)
@@ -351,6 +353,49 @@ def test_stabilizer_always_contains_all_ones():
         if eval_form(B23, lam, lam) >= 0:
             continue
         assert (1, 1) in stabilizer_sign_patterns(f, hyperplane_new(lam, B23))
+
+
+def random_normal(p, q, rng):
+    """A negative normal over B(p, q): each block left out with chance 2/5,
+    else its negative coordinate dominant, and the rest left out half the
+    time, so normals orthogonal to some blocks or to the rest are common."""
+    while True:
+        coords = [0] * (p + q)
+        for i in range(p):
+            if rng.random() < 0.4:
+                continue
+            coords[i] = rng.randint(-3, 3)
+            coords[p + i] = rng.choice((-1, 1)) * rng.randint(abs(coords[i]) + 1, 5)
+        if rng.random() < 0.5:
+            coords[2 * p:] = [rng.randint(-2, 2) for _ in range(q - p)]
+        if any(coords):
+            return coords
+
+
+def test_stabilizer_matches_the_filter_over_all_patterns():
+    rng = random.Random(2801)
+    kinds = set()
+    for p in range(1, 9):
+        for q in (p, p + 1, p + 3):
+            l = standard_lattice("bpq", p, q)
+            for _ in range(6):
+                g = random_isometry(l, rng, rng.randint(0, 2))
+                f = translate(g, standard_flat(p, q, l))
+                h = translate(g, hyperplane_new(random_normal(p, q, rng), l))
+                patterns = stabilizer_sign_patterns(f, h)
+                assert patterns == filtered_stabilizer_sign_patterns(f, h), (p, q)
+                kinds.add(len(patterns) > 1)
+    assert kinds == {True, False}
+
+
+def test_stabilizer_of_a_strong_pair_at_the_rank_cap_is_quick():
+    # 31 blocks and a nonzero rest at rank 64, the largest rank supported:
+    # a filter over all 2^31 patterns would take hours
+    f, h = _random_strong_position_pair(standard_flat(31, 33), random.Random(2802))
+    assert general_position(f, h, "strong")
+    start = time.perf_counter()
+    assert stabilizer_sign_patterns(f, h) == [(1,) * 31]
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- translate

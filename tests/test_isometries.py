@@ -53,6 +53,7 @@ from geocycle.linalg import (
     terms_times,
 )
 from oracles import (
+    factorization_spinor_norm,
     fraction_diagonalize_symmetric,
     identity_matrix,
     mat_vec,
@@ -392,6 +393,14 @@ def test_congruence_rejects_rationals():
         in_congruence_subgroup(isometry_from_matrix(BOOST, B11), 4)
 
 
+def test_congruence_certifies_the_map_first():
+    # a shear of B(1,1) is integral with det +1 and congruent to 1 mod 1,
+    # yet it does not preserve the form
+    shear = Isometry(((1, 1), (0, 1)), 1, B11)
+    with pytest.raises(FormNotPreserved, match="^matrix does not preserve the bilinear form$"):
+        in_congruence_subgroup(shear, 1)
+
+
 def test_congruence_rejects_det_minus_one():
     g = reflection((1, 0), B11)  # integral, det -1
     with pytest.raises(DetMinusOne):
@@ -422,7 +431,8 @@ def oracle_isometries():
 def test_rank_one_factorization_matches_oracles(g):
     l = g.lattice
     vectors = cartan_dieudonne(g)
-    for oracle in (dense_cartan_dieudonne(g), fraction_cartan_dieudonne(g)):
+    fraction_vectors = fraction_cartan_dieudonne(g)
+    for oracle in (dense_cartan_dieudonne(g), fraction_vectors):
         assert vectors == [primitive(cleared([x])[0][0]) for x in oracle]
     assert all(type(c) is int for x in vectors for c in x)
     # one isometry reached two ways: from its reflections and from its matrix
@@ -446,7 +456,7 @@ def test_rank_one_factorization_matches_oracles(g):
     for v in basis[:3] + (tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(l.rank)),):
         assert oracle_apply(g, v) == mat_vec(g.matrix, v)
     assert spinor_norm(g) == zassenhaus_spinor_norm(g)
-    assert spinor_norm(g, vectors) == zassenhaus_spinor_norm(g)
+    assert factorization_spinor_norm(fraction_vectors, l) == spinor_norm(g)
 
 
 def term_isometries():
@@ -626,5 +636,5 @@ def test_seed_2_spinor_check_meets_the_product_past_the_budget():
     factors = cartan_dieudonne(gh)
     rows = [primitive(cleared([x])[0][0]) for x in factors]
     assert tuple(eval_form(l, v, v) for v in rows) == SEED_2_QS
-    assert spinor_norm(gh, factors) == SquareClass(-1330, -1)
+    assert spinor_norm(gh) == SquareClass(-1330, -1)
 

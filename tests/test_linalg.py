@@ -20,10 +20,10 @@ from geocycle.linalg import (
     span,
     subspace_sum,
 )
-from geocycle.verify import random_subspace
 from oracles import (
     as_matrix,
     frac_cleared,
+    fraction_det,
     fraction_diagonalize_symmetric,
     fraction_inertia,
     fraction_intersect,
@@ -188,6 +188,12 @@ def degenerate_span(l, u, rng, rows):
                        for cs in combos])
 
 
+def small_subspace(ambient, rng, max_rows):
+    """The span of up to max_rows random rows with entries in [-4, 4]."""
+    rows = rng.randint(0, max_rows)
+    return span([[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(rows)], ambient=ambient)
+
+
 def unit(n, *ones):
     return [1 if i in ones else 0 for i in range(n)]
 
@@ -207,9 +213,9 @@ def test_restricted_definiteness_matches_the_fraction_product(l, u, v):
     # every space through it is indefinite
     rng = random.Random(l.rank)
     spaces = [span((), ambient=l.rank)]
-    spaces += [random_subspace(l.rank, rng, max_rows=6) for _ in range(40)]
+    spaces += [small_subspace(l.rank, rng, 6) for _ in range(40)]
     spaces += [degenerate_span(l, u, rng, rng.randint(0, 4)) for _ in range(15)]
-    spaces += [span([u, v, *random_subspace(l.rank, rng, max_rows=3).basis]) for _ in range(5)]
+    spaces += [span([u, v, *small_subspace(l.rank, rng, 3).basis]) for _ in range(5)]
     kinds = set()
     for a in spaces:
         sig = restricted_definiteness(a, l)
@@ -254,14 +260,7 @@ def test_det_of_empty_matrix_is_one():
     assert det(()) == 1
 
 
-def bareiss_det(m):
-    """The determinant through cleared rows and Bareiss, the path every
-    matrix took before triangular ones read their diagonal."""
-    a, s = linalg.cleared(m)
-    return F(linalg._bareiss_int(a), s ** len(m))
-
-
-def test_det_of_triangular_matrices_matches_bareiss():
+def test_det_of_triangular_matrices_matches_fraction_elimination():
     rng = random.Random(2306)
 
     def entry(zero_share):
@@ -283,7 +282,7 @@ def test_det_of_triangular_matrices_matches_bareiss():
             m = tuple(map(tuple, rows))
             shapes += kind != "dense" and any(not m[i][i] for i in range(n))
             value = det(m)
-            assert type(value) is F and value == bareiss_det(m), m
+            assert type(value) is F and value == fraction_det(m), m
     assert shapes > 10  # triangular matrices with a zero on the diagonal
 
 

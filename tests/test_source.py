@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import geocycle
@@ -18,6 +19,15 @@ UNCALLED_ALLOWED = {
     # settled to stay (ROADMAP): it runs on integer rows, and the tests
     # check subspace membership with it
     "linalg.Subspace.contains",
+}
+# optional parameters of public functions and methods that no call in the
+# package, the demos or the benchmark passes, each kept for the reason given
+UNSET_ALLOWED = {
+    # the paper's main signature (g, g) gives flats with an empty rest,
+    # where the rest clause fails as stated
+    "grassmann.general_position(skip_rest_clause_when_empty)",
+    # the kernel of an empty constraint matrix needs its width
+    "linalg.kernel(ncols)",
 }
 
 
@@ -81,26 +91,75 @@ def _names_used(paths):
     return names
 
 
+def _caller_paths():
+    """The package's modules but __init__.py, and with them the demos and
+    the benchmark: the files whose uses and calls count."""
+    modules = sorted(path for path in SOURCE.glob("*.py") if path.name != "__init__.py")
+    others = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    return modules, modules + others
+
+
+def _public_definitions(path):
+    """(qualname, node, in_class) of each public function and class of a
+    module, and of each public method of its public classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node, False
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    yield f"{node.name}.{f.name}", f, True
+
+
 def test_every_public_helper_has_a_caller():
     # a public helper that only the tests call is dead code in the package:
     # it goes, or its test copy moves to tests/oracles.py. Exports in
     # __init__.py do not count as callers; a name used anywhere counts, so
     # this finds names used nowhere rather than proving a call
-    modules = sorted(path for path in SOURCE.glob("*.py") if path.name != "__init__.py")
-    used = _names_used(
-        modules + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    )
-    uncalled = set()
-    for path in modules:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            defs = [(node.name, node.name)]
-            if isinstance(node, ast.ClassDef):
-                defs += [
-                    (f"{node.name}.{f.name}", f.name)
-                    for f in node.body
-                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
-                ]
-            uncalled |= {f"{path.stem}.{qualname}" for qualname, name in defs if name not in used}
+    modules, callers = _caller_paths()
+    used = _names_used(callers)
+    uncalled = {
+        f"{path.stem}.{qualname}"
+        for path in modules
+        for qualname, node, _ in _public_definitions(path)
+        if node.name not in used
+    }
     assert uncalled == UNCALLED_ALLOWED
+
+
+def _optional_parameters(f, method):
+    """(name, position or None) of each optional parameter of a function
+    definition; a method's positions do not count self."""
+    positional = f.args.posonlyargs + f.args.args
+    first = len(positional) - len(f.args.defaults)
+    out = [(a.arg, i - method) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+
+
+def test_every_optional_parameter_is_set_by_the_program():
+    # an optional parameter that no caller passes is a knob that changes
+    # nothing: it goes, or is listed with its reason. A call is matched to a
+    # definition by the called name alone, as for the helpers above; *args
+    # passes every position and **kwargs every keyword
+    modules, callers = _caller_paths()
+    positions, keywords = {}, {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = math.inf if starred else len(node.args)
+                positions[name] = max(positions.get(name, 0), count)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unset = set()
+    for path in modules:
+        for qualname, f, method in _public_definitions(path):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            passed = keywords.get(f.name, set())
+            for arg, position in _optional_parameters(f, method):
+                by_position = position is not None and positions.get(f.name, 0) > position
+                if not by_position and arg not in passed and None not in passed:
+                    unset.add(f"{path.stem}.{qualname}({arg})")
+    assert unset == UNSET_ALLOWED

@@ -19,6 +19,7 @@ from geocycle.errors import GeocycleError
 from geocycle.isometries import (
     Isometry,
     _apply_update,
+    _matrix_isometry,
     _entry_bound,
     _reflection_update,
     cartan_dieudonne,
@@ -28,7 +29,12 @@ from geocycle.isometries import (
     spinor_norm,
 )
 from geocycle.lattices import ray, standard_lattice
-from oracles import eager_cartan_dieudonne, eager_cmd_spinor, gram_preserves_form
+from oracles import (
+    eager_cartan_dieudonne,
+    eager_cmd_spinor,
+    factorization_spinor_norm,
+    gram_preserves_form,
+)
 from test_cli import K3_MINUS_ONE, RESPELLED_MATRICES, k3_reflection_product
 from test_fuzz import _matrix_texts
 
@@ -134,6 +140,16 @@ def test_no_valid_input_falls_back_to_the_gram_check(capsys, walks):
         assert walks == {"walks": [True], "gram": 0}, argv
 
 
+def test_the_factors_and_the_spinor_norm_share_one_walk(walks):
+    # the rays are held by the isometry: spinor_norm after cartan_dieudonne
+    # neither walks again nor runs the Gram check
+    g = _matrix_isometry(json.loads(k3_reflection_product(5, 4)), standard_lattice("k3"))
+    factors = cartan_dieudonne(g)
+    norm = spinor_norm(g)
+    assert walks == {"walks": [True], "gram": 0}
+    assert norm == factorization_spinor_norm(factors, g.lattice)
+
+
 def test_a_swap_of_signs_meets_an_isotropic_plus_ray(capsys, walks):
     # [[0,1],[1,0]] on B(1,1) sends e to f: g(e) - e and g(e) + e are both
     # isotropic, and a reflection along the plus-ray would divide by Q = 0
@@ -196,7 +212,7 @@ def test_non_isometries_raise_what_the_oracle_raises():
         fresh = Isometry(g.num, g.den, g.lattice)
         assert outcome(cartan_dieudonne, fresh) == expected
         assert outcome(spinor_norm, Isometry(g.num, g.den, g.lattice)) == outcome(
-            lambda h: spinor_norm(h, eager_cartan_dieudonne(h)), g
+            lambda h: factorization_spinor_norm(eager_cartan_dieudonne(h), h.lattice), g
         )
         if isinstance(expected, tuple) and expected[0] is isometries.FormNotPreserved:
             raised += 1

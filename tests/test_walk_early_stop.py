@@ -29,7 +29,7 @@ from geocycle.isometries import (
     spinor_norm,
 )
 from geocycle.lattices import ray, standard_lattice
-from oracles import eager_cartan_dieudonne, frac_cleared
+from oracles import eager_cartan_dieudonne, factorization_spinor_norm, frac_cleared
 from test_cli import K3_MINUS_ONE, k3_reflection_product
 
 K3 = standard_lattice("k3")
@@ -69,7 +69,7 @@ def assert_matches_oracle(g):
     assert cartan_dieudonne(g) == expected
     assert cartan_dieudonne(fresh) == expected
     norm = spinor_norm(Isometry(g.num, g.den, g.lattice))
-    assert norm == spinor_norm(g, expected) == spinor_norm(g)
+    assert norm == factorization_spinor_norm(expected, g.lattice) == spinor_norm(g)
     return expected
 
 
