@@ -131,7 +131,7 @@ def _ratio(x) -> tuple[int, int]:
         n, d = int(n), int(d or 1)
         if d:
             g = math.gcd(n, d)
-            return n // g, d // g
+            return (n, d) if g == 1 else (n // g, d // g)
     return frac(x).as_integer_ratio()
 
 

@@ -54,9 +54,12 @@ class CheckResult:
 
 
 def random_anisotropic_vector(l: QuadLattice, rng: random.Random):
+    """A vector with entries in [-5, 5] and Q(v) != 0, drawn until one is:
+    Q(v) sums g_ij v_i v_j over the nonzero Gram entries."""
+    terms = l.gram_terms
     while True:
-        v = tuple(rng.randint(-5, 5) for _ in range(l.rank))
-        if ray(v, l)[2] != 0:
+        v = tuple([rng.randint(-5, 5) for _ in terms])
+        if sum(c * v[i] * v[j] for i, row in enumerate(terms) for j, c in row):
             return v
 
 
@@ -225,33 +228,54 @@ def check_stabilizer_claim(seed: int = DEFAULT_SEED) -> CheckResult:
     )
 
 
-def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Reflection signs, multiplicativity modulo squares, and exact
-    reconstruction of 200 random reflection products."""
-    start = time.perf_counter()
+def spinor_cases(seed: int = DEFAULT_SEED) -> tuple[QuadLattice, list]:
+    """The spinor check's lattice B(2,3) and its 300 inputs, in the order
+    one rng draws them: 100 cases (x,) of one anisotropic vector, then 200
+    cases (gs, hs) of two lists of one to three, each list's length drawn
+    just before its vectors."""
     rng = random.Random(seed)
     l = standard_lattice("bpq", 2, 3)
-    failures = 0
-    for _ in range(100):
-        x = random_anisotropic_vector(l, rng)
-        sign = 1 if ray(x, l)[2] > 0 else -1
-        if spinor_norm(reflection(x, l)).real_sign != sign:
-            failures += 1
+    cases = [(random_anisotropic_vector(l, rng),) for _ in range(100)]
     for _ in range(200):
-        g = random_isometry(l, rng, reflections=rng.randint(1, 3))
-        h = random_isometry(l, rng, reflections=rng.randint(1, 3))
-        gh = compose(g, h)
-        tg, th = spinor_norm(g), spinor_norm(h)
-        factors = cartan_dieudonne(gh)
-        if spinor_norm(gh) != square_class(Fraction(tg.representative * th.representative)):
-            failures += 1
-        if len(factors) > 2 * l.rank:
-            failures += 1
-        if product_of_reflections(factors, l) != gh:
-            failures += 1
-    elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 10.0
-    return CheckResult("spinor_norm", ok, elapsed, {"failures": failures})
+        gs = [random_anisotropic_vector(l, rng) for _ in range(rng.randint(1, 3))]
+        hs = [random_anisotropic_vector(l, rng) for _ in range(rng.randint(1, 3))]
+        cases.append((gs, hs))
+    return l, cases
+
+
+def spinor_case(l: QuadLattice, case) -> int:
+    """The failures of one spinor-check input. (x,): the reflection in x
+    has the sign of Q(x). (gs, hs): for the products g and h of those
+    reflections, spinor_norm(gh) is the class of the product of theirs,
+    and gh has at most 2 * rank Cartan-Dieudonne factors, whose product
+    is gh."""
+    if len(case) == 1:
+        (x,) = case
+        sign = 1 if ray(x, l)[2] > 0 else -1
+        return int(spinor_norm(reflection(x, l)).real_sign != sign)
+    g, h = (product_of_reflections(vectors, l) for vectors in case)
+    gh = compose(g, h)
+    tg, th = spinor_norm(g), spinor_norm(h)
+    factors = cartan_dieudonne(gh)
+    failures = spinor_norm(gh) != square_class(Fraction(tg.representative * th.representative))
+    failures += len(factors) > 2 * l.rank
+    failures += product_of_reflections(factors, l) != gh
+    return failures
+
+
+def _spinor_result(failures: int, elapsed: float) -> CheckResult:
+    return CheckResult("spinor_norm", failures == 0 and elapsed < 10.0, elapsed,
+                       {"failures": failures})
+
+
+def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Reflection signs, multiplicativity modulo squares, and exact
+    reconstruction of 200 random reflection products: spinor_cases'
+    inputs, each through spinor_case."""
+    start = time.perf_counter()
+    l, cases = spinor_cases(seed)
+    failures = sum(spinor_case(l, case) for case in cases)
+    return _spinor_result(failures, time.perf_counter() - start)
 
 
 def _self_pairing(l: QuadLattice):
@@ -378,7 +402,7 @@ ALL_CHECKS = (
 )
 
 
-FORKED_CHECK = "spinor_norm"  # the largest of the eight, more than half the suite
+SPINOR_CHUNK = 4  # spinor cases per token: 75 tokens, each a few hundred microseconds
 
 
 def _can_fork() -> bool:
@@ -392,57 +416,91 @@ def _can_fork() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
+def _claim_spinor_cases(l: QuadLattice, cases: list, tokens: int):
+    """(failures, seconds, raised) over the spinor cases of the chunks this
+    process claims: token byte k read from the fd tokens is chunk k, and
+    claiming stops at EOF or at the first case that raises, with raised
+    (its index, the exception), else None."""
+    start = time.perf_counter()
+    failures = 0
+    while token := os.read(tokens, 1):
+        first = token[0] * SPINOR_CHUNK
+        for i in range(first, min(first + SPINOR_CHUNK, len(cases))):
+            try:
+                failures += spinor_case(l, cases[i])
+            except Exception as e:  # raised again by run_all, lowest index first
+                return failures, time.perf_counter() - start, (i, e)
+    return failures, time.perf_counter() - start, None
+
+
 def _run_forked(seed: int) -> list[CheckResult] | None:
-    """ALL_CHECKS' results with FORKED_CHECK run in a forked child, or None
-    when fork fails. The child pickles (True, result) or (False, exception)
-    into a pipe, prints nothing and never returns into the caller. The
-    child is waited for before this returns or raises."""
+    """ALL_CHECKS' results with the spinor check's cases shared by this
+    process and a forked child, or None when fork fails.
+
+    The cases are drawn first and one token byte per chunk of
+    SPINOR_CHUNK cases (at most 256 chunks) goes into a pipe whose write
+    end is closed, so an empty pipe reads as EOF. The child claims chunks
+    from the start; this process runs the seven other checks, then claims
+    what is left. The child pickles its (failures, seconds, raised) into a
+    second pipe, prints nothing and never returns into the caller. The
+    spinor result's elapsed is the draw plus both sides' case time, and of
+    the cases that raised, the lowest index's exception is raised here,
+    the one the inline check raises. The child is waited for before this
+    returns or raises."""
     import pickle
 
+    start = time.perf_counter()
+    l, cases = spinor_cases(seed)
+    drawn = time.perf_counter() - start
+    tokens, tokens_end = os.pipe()
+    os.write(tokens_end, bytes(range(-(-len(cases) // SPINOR_CHUNK))))
+    os.close(tokens_end)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (tokens, read_fd, write_fd):
+            os.close(fd)
         return None
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                outcome = (True, dict(ALL_CHECKS)[FORKED_CHECK](seed))
-            except BaseException as e:  # raised again in the parent
-                outcome = (False, e)
+            outcome = _claim_spinor_cases(l, cases, tokens)
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(outcome))
         finally:
             os._exit(0)  # no atexit, no flush of stdio buffers copied from the parent
     os.close(write_fd)
     try:
-        results = [None if name == FORKED_CHECK else fn(seed) for name, fn in ALL_CHECKS]
+        results = [None if name == "spinor_norm" else fn(seed) for name, fn in ALL_CHECKS]
+        mine = _claim_spinor_cases(l, cases, tokens)
     finally:
+        os.close(tokens)
         with open(read_fd, "rb") as pipe:
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
     if not data:
         code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"the {FORKED_CHECK} check's process ended with code {code} "
+        raise ChildProcessError(f"the spinor check's process ended with code {code} "
                                 "and no result")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return [value if r is None else r for r in results]
+    theirs = pickle.loads(data)
+    raised = [side[2] for side in (mine, theirs) if side[2]]
+    if raised:
+        raise min(raised, key=lambda r: r[0])[1]
+    spinor = _spinor_result(mine[0] + theirs[0], drawn + mine[1] + theirs[1])
+    return [spinor if r is None else r for r in results]
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The eight checks' results, in ALL_CHECKS order.
 
-    On a host with more than one CPU, check 5 (spinor_norm) runs in a
-    forked child while this process runs the other seven in order; an
-    exception the child raised is raised here with the same type and
-    message. Without fork, on one CPU or with other threads running, the
-    eight run here one after another. Each result's elapsed is its own
-    check's wall time, so with the child the eight overlap.
+    On a host with more than one CPU, a forked child starts on check 5's
+    (spinor_norm) cases while this process runs the other seven in order
+    and then shares the cases left (_run_forked); an exception a case
+    raised in the child is raised here with the same type and message.
+    Without fork, on one CPU or with other threads running, the eight run
+    here one after another. Each result's elapsed is its own check's time;
+    the spinor check's counts both processes' case time.
     """
     if _can_fork():
         results = _run_forked(seed)

@@ -26,9 +26,13 @@ identity_matrix and transpose), which the library dropped once the sign
 layer ran in integers. So do the stabilizer's sign patterns as they were
 found before only the admissible ones were built: a filter over all 2^p
 candidates. The determinant is checked against a Fraction elimination.
+So do the spinor check's draws as they ran inside its loop: each vector
+kept when its ray's Q is nonzero, 100 single vectors, then 200 pairs of
+lists whose lengths are drawn just before their vectors.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import chain, islice, product
 from operator import itemgetter, mul
@@ -66,7 +70,7 @@ from geocycle.isometries import (
     isometry_from_matrix,
     square_class,
 )
-from geocycle.lattices import cleared, primitive, ray
+from geocycle.lattices import cleared, primitive, ray, standard_lattice
 from geocycle.linalg import (
     ONE,
     ZERO,
@@ -551,3 +555,26 @@ def product_join(blocks, tables, target, n, budget):
             found.append(scatter(flat) if scatter else flat)
     found.sort()
     return found
+
+
+def looped_spinor_draws(seed):
+    """The vectors check_spinor_norm drew as it ran its cases in one loop:
+    a vector in [-5, 5]^5 kept when ray(v)'s Q is nonzero, 100 of them for
+    the reflection signs, then per product g's list and h's list, each
+    after its own randint(1, 3)."""
+    rng = random.Random(seed)
+    l = standard_lattice("bpq", 2, 3)
+
+    def anisotropic():
+        while True:
+            v = tuple(rng.randint(-5, 5) for _ in range(l.rank))
+            if ray(v, l)[2] != 0:
+                return v
+
+    singles = [anisotropic() for _ in range(100)]
+    pairs = []
+    for _ in range(200):
+        g = [anisotropic() for _ in range(rng.randint(1, 3))]
+        h = [anisotropic() for _ in range(rng.randint(1, 3))]
+        pairs.append((g, h))
+    return singles, pairs

@@ -546,19 +546,23 @@ def test_verify_all(capsys):
             assert "PASS" in line
 
 
-def test_verify_all_writes_its_bytes_on_fd_1_once():
-    # capsys sees sys.stdout only; a forked check that wrote to fd 1 would
-    # show only in a real process's stdout, unbuffered so that a child's
-    # write is not lost with its buffer
+def cli_process(*argv, **kwargs):
+    """geocycle.cli run in a fresh, unbuffered interpreter on this source
+    tree, so that a forked child's write to fd 1 would not be lost with
+    its buffer."""
     src = str(Path(verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "geocycle.cli", "verify-all", "--seed", "101"],
-        capture_output=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "geocycle.cli", *argv],
+                          capture_output=True, env=env, timeout=120, **kwargs)
+
+
+def test_verify_all_writes_its_bytes_on_fd_1_once():
+    # capsys sees sys.stdout only; a forked child that wrote to fd 1 would
+    # show only in a real process's stdout
+    proc = cli_process("verify-all", "--seed", "101")
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SIGNS["verify-all --seed 101"]
     lines = proc.stderr.decode().splitlines()
@@ -566,6 +570,18 @@ def test_verify_all_writes_its_bytes_on_fd_1_once():
     for (name, _), line in zip(verify.ALL_CHECKS, lines):
         assert re.fullmatch(rf"{name}: PASS \(\d+ ms\)", line), line
     assert re.fullmatch(r"elapsed_ms=\d+", lines[8])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+def test_verify_all_on_one_cpu_writes_the_same_bytes_on_fd_1():
+    # on one CPU run_all forks nothing and runs the eight checks inline
+    proc = cli_process(
+        "verify-all", "--seed", "101",
+        preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+    )
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN_SIGNS["verify-all --seed 101"]
+    assert len(proc.stderr.decode().splitlines()) == 9
 
 
 def test_timings_go_to_stderr_not_stdout(capsys):

@@ -5,13 +5,15 @@ it with each combo's H_0; check_stabilizer_claim builds one standard flat
 per signature. The oracle is the per-combo loop the check ran before, and
 the counters guard that the reuse stays in place.
 
-run_all runs the spinor check in a forked child: its results, its
-exceptions and its exit codes are those of the checks run one by one, and
-no child outlives it.
+run_all shares the spinor check's cases with a forked child: its results,
+its exceptions and its exit codes are those of the checks run one by one,
+every case runs once, and no child or pipe outlives it. The cases are
+drawn in the order the check drew them when it ran them in one loop.
 """
 
 import os
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,8 +23,9 @@ from geocycle import verify
 from geocycle.cli import main
 from geocycle.errors import BudgetExceeded
 from geocycle.grassmann import hyperplane_new
+from geocycle.lattices import standard_lattice
 
-from oracles import per_combo_inequality_detail
+from oracles import looped_spinor_draws, per_combo_inequality_detail
 
 
 def grid_specs():
@@ -92,9 +95,9 @@ def test_stabilizer_check_builds_one_standard_flat_per_signature(monkeypatch):
 
 # ------------------------------------------------------- the forked check
 #
-# run_all runs FORKED_CHECK in a forked child on a multi-CPU host. The
-# forked fixture makes that path run whatever the host (and counts the
-# forks); the inline fixture shuts it.
+# run_all shares the spinor check's cases with a forked child on a
+# multi-CPU host. The forked fixture makes that path run whatever the host
+# (and counts the forks); the inline fixture shuts it.
 
 
 @pytest.fixture
@@ -156,14 +159,14 @@ def test_a_failing_fork_runs_the_checks_inline_and_closes_its_pipe(monkeypatch):
     assert open_fds() == fds
 
 
-def spinor_budget_exceeded(seed):
+def spinor_budget_exceeded(l, case):
     raise BudgetExceeded("spinor check: 3 reflections past the budget")
 
 
 @pytest.mark.parametrize("path", ["forked", "inline"])
 def test_an_exception_in_the_spinor_check_exits_2(request, monkeypatch, capsys, path):
     forks = request.getfixturevalue(path)
-    monkeypatch.setattr(verify, "check_spinor_norm", spinor_budget_exceeded)
+    monkeypatch.setattr(verify, "spinor_case", spinor_budget_exceeded)
     code = main(["verify-all", "--seed", "2"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
@@ -186,12 +189,12 @@ def test_the_child_is_waited_for_when_a_check_in_the_parent_raises(forked, monke
 def test_a_child_that_ends_without_a_result_is_an_error(forked, monkeypatch):
     parent = os.getpid()
 
-    def dies(seed):
+    def dies(l, case):
         if os.getpid() == parent:
-            raise AssertionError("the spinor check ran in the parent")
+            return 0  # the parent takes the cases the child left
         os._exit(3)
 
-    monkeypatch.setattr(verify, "check_spinor_norm", dies)
+    monkeypatch.setattr(verify, "spinor_case", dies)
     with pytest.raises(ChildProcessError, match="no result"):
         verify.run_all(2)
     assert_no_child_left()
@@ -208,3 +211,80 @@ def test_other_threads_keep_the_checks_inline(forked):
         thread.join()
     assert [r.name for r in results] == [name for name, _ in verify.ALL_CHECKS]
     assert forked == []
+
+
+# ------------------------------------------------------ the spinor cases
+
+
+@pytest.mark.parametrize("seed", [1, 2, 101])
+def test_the_spinor_cases_are_drawn_in_the_looped_order(seed):
+    l, cases = verify.spinor_cases(seed)
+    singles, pairs = looped_spinor_draws(seed)
+    assert l == standard_lattice("bpq", 2, 3)
+    assert cases == [(x,) for x in singles] + pairs
+
+
+def numbered_cases(monkeypatch, fails=(), raises=()):
+    """Hand spinor_case (index, case) pairs: index i raises ValueError
+    "case i" when in raises, else adds one failure when in fails to the
+    real case's count."""
+    draw, evaluate = verify.spinor_cases, verify.spinor_case
+
+    def numbered(seed):
+        l, cases = draw(seed)
+        return l, list(enumerate(cases))
+
+    def faulty(l, case):
+        i, case = case
+        if i in raises:
+            raise ValueError(f"case {i}")
+        return evaluate(l, case) + (i in fails)
+
+    monkeypatch.setattr(verify, "spinor_cases", numbered)
+    monkeypatch.setattr(verify, "spinor_case", faulty)
+
+
+CHUNK_EDGES = {3, 4, 99, 100, 299}
+
+
+@pytest.mark.parametrize("path", ["forked", "inline"])
+@pytest.mark.parametrize("fails", [set(), {0}, {299}, CHUNK_EDGES, set(range(300))],
+                         ids=["none", "first", "last", "chunk_edges", "all"])
+def test_each_spinor_case_counts_once_on_both_paths(request, monkeypatch, path, fails):
+    forks = request.getfixturevalue(path)
+    numbered_cases(monkeypatch, fails=fails)
+    fds = open_fds()
+    spinor = verify.run_all(2)[4]
+    assert (spinor.name, spinor.ok, spinor.detail) == ("spinor_norm", not fails,
+                                                       {"failures": len(fails)})
+    assert len(forks or ()) == (1 if path == "forked" else 0)
+    assert open_fds() == fds
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("path", ["forked", "inline"])
+@pytest.mark.parametrize("raises", [(37, 262), (4, 5), (0, 299), (150, 151)])
+def test_of_two_raising_cases_the_lower_index_is_raised(request, monkeypatch, path, raises):
+    request.getfixturevalue(path)
+    numbered_cases(monkeypatch, raises=set(raises))
+    fds = open_fds()
+    with pytest.raises(ValueError, match=f"^case {min(raises)}$"):
+        verify.run_all(2)
+    assert open_fds() == fds
+    assert_no_child_left()
+
+
+def test_the_parent_takes_the_cases_a_slow_child_leaves(forked, monkeypatch):
+    # one failure per case the parent runs; the child's cases pass, slowly
+    parent = os.getpid()
+
+    def whose(l, case):
+        if os.getpid() == parent:
+            return 1
+        time.sleep(0.002)
+        return 0
+
+    monkeypatch.setattr(verify, "spinor_case", whose)
+    spinor = verify.run_all(2)[4]
+    assert 0 < spinor.detail["failures"] < 300
+    assert_no_child_left()
