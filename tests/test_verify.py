@@ -274,15 +274,14 @@ def test_of_two_raising_cases_the_lower_index_is_raised(request, monkeypatch, pa
     assert_no_child_left()
 
 
-def test_the_parent_takes_the_cases_a_slow_child_leaves(forked, monkeypatch):
-    # one failure per case the parent runs; the child's cases pass, slowly
+def test_both_processes_take_a_share_of_the_spinor_cases(forked, monkeypatch):
+    # one failure per case the parent runs; at 1 ms a case, neither side
+    # can take all 300 before the other starts claiming
     parent = os.getpid()
 
     def whose(l, case):
-        if os.getpid() == parent:
-            return 1
-        time.sleep(0.002)
-        return 0
+        time.sleep(0.001)
+        return int(os.getpid() == parent)
 
     monkeypatch.setattr(verify, "spinor_case", whose)
     spinor = verify.run_all(2)[4]
