@@ -54,7 +54,6 @@ from .linalg import (
     frac,
     inertia,
     intersect,
-    kernel,
     perp,
     restricted_definiteness,
     span,

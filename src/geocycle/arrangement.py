@@ -359,9 +359,9 @@ def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
     else:
         rotation = rotation_from_tangent(frac(d["t"]))
     p, q, m, n = (d[key] for key in ("p", "q", "m", "n"))
-    if any(isinstance(x, (bool, float)) for x in (p, q, m, n)):  # int() would truncate them
+    if any(type(x) is not int for x in (p, q, m, n)):  # JSON integers only: no bool, float or string
         raise ValueError(f"arrangement spec p, q, m and n must be integers, got {[p, q, m, n]}")
-    return ArrangementSpec(int(p), int(q), boost, int(m), rotation, int(n))
+    return ArrangementSpec(p, q, boost, m, rotation, n)
 
 
 DEFAULT_BOOST = BoostParams(Fraction(5, 4), Fraction(3, 4))

@@ -10,8 +10,9 @@ nonzero terms.
 
 Both eliminations run in integers, with Fractions only at their edge: the
 symmetric one behind inertia and congruence diagonalization is
-fraction-free Bareiss, and the row one behind rref, kernel and subspaces is
-a Gauss-Jordan that divides each row by its content after every operation.
+fraction-free Bareiss, and the row one behind rref, the integer null space
+and subspaces is a Gauss-Jordan that divides each row by its content after
+every operation.
 A subspace is stored by its primitive integer RREF rows, which makes
 subspace equality a bit-exact comparison of integer tuples.
 """
@@ -220,16 +221,6 @@ def rref(m) -> tuple[Mat, tuple[int, ...]]:
     dropped: the canonical basis of the row space, read off _echelon."""
     rows, pivots = _echelon(cleared(m)[0])
     return tuple(map(_unit_pivot, rows, pivots)), tuple(pivots)
-
-
-def kernel(m, ncols: int | None = None) -> Mat:
-    """Basis of the right null space {x : m.x = 0}, one vector per row,
-    each 1 on its free column and -rref(m)[r][f] on the r-th pivot column."""
-    if m:
-        ncols = len(m[0])
-    elif ncols is None:
-        raise ValueError("empty constraint matrix needs an explicit column count")
-    return tuple(_unit_pivot(x, f) for f, x in _null_space(cleared(m)[0], ncols))
 
 
 def _bareiss_int(rows: list[list[int]]) -> int:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import AmbientMismatch, BudgetExceeded
-from .lattices import QuadLattice, cleared, primitive
+from .lattices import QuadLattice, cleared, primitive_content
 from .linalg import Subspace
 
 # A root vector is an integer coordinate tuple with self-pairing -2.
@@ -46,29 +46,19 @@ def _integer_square_forms(gram):
     """Rewrite the form as an integer-weighted sum of squares of integer
     linear forms: W_k * M_k(x)^2 summing to scale * Q(x).
 
-    With the pivots p_k and transform T of the fraction-free congruence,
-    U = T.gram gives gram = U^T diag(1 / (p_{k-1} p_k)) U: M_k is U_k / g_k,
-    primitive with its first nonzero entry positive, and W_k / scale is
-    g_k^2 / (p_{k-1} p_k). Returns (weights, coeff_rows, scale), all integral.
+    Over the lattice's orthogonal basis b_k, Q(x) = sum B(b_k, x)^2 / Q(b_k):
+    M_k is primitive(G.b_k), G.b_k = g_k M_k, and W_k / scale is
+    g_k^2 / Q(b_k). Returns (weights, coeff_rows, scale), all integral.
     """
-    pivots, t = linalg._congruence(gram)
-    forms = [[sum(map(operator.mul, row, col)) for col in zip(*gram)] for row in t]
-    weights = []  # g_k^2 / (p_{k-1} p_k) in lowest terms, as (numerator, denominator)
-    for u, p, prev in zip(forms, pivots, [1] + pivots):
-        num, den = math.gcd(*u) ** 2, prev * p
-        h = math.gcd(num, den)
-        weights.append((num // h, den // h))
+    weights = []  # g_k^2 / Q(b_k) in lowest terms, as (numerator, denominator)
+    rows = []
+    for (_, pairing, q), _ in QuadLattice(tuple(map(tuple, gram))).orthogonal_rays:
+        row, g = primitive_content(pairing)
+        h = math.gcd(g * g, q)
+        weights.append((g * g // h, q // h))
+        rows.append(list(row))
     scale = math.lcm(*(den for _, den in weights))
-    return [num * scale // den for num, den in weights], [list(primitive(u)) for u in forms], scale
-
-
-def _is_lower_unitriangular_support(icoeffs: list[list[int]]) -> bool:
-    # form k may only involve coordinates k..n-1, with a positive leading one
-    n = len(icoeffs)
-    return all(
-        icoeffs[k][k] > 0 and all(icoeffs[k][j] == 0 for j in range(k))
-        for k in range(n)
-    )
+    return [num * scale // den for num, den in weights], rows, scale
 
 
 def _enumerate_definite(
@@ -246,11 +236,10 @@ def _block_table(
                 table.setdefault(k * y, []).append((x, y))
         return table
     weights, icoeffs, scale = forms
-    search = _enumerate_box
-    if _is_lower_unitriangular_support(icoeffs) and (
-        all(w < 0 for w in weights) or all(w > 0 for w in weights)
-    ):
-        search = _enumerate_definite
+    # weights of one sign mean a definite block, whose congruence takes no
+    # repair: form k starts at coordinate k with a positive entry
+    definite = all(w < 0 for w in weights) or all(w > 0 for w in weights)
+    search = _enumerate_definite if definite else _enumerate_box
     found = search(weights, icoeffs, lo * scale, hi * scale, bound, len(gram), budget)
     return {v // scale: vs for v, vs in found.items()}
 

@@ -12,7 +12,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import arrangement as arr
@@ -342,12 +342,12 @@ def check_lattice_classification() -> CheckResult:
     failures = {}
     k3 = classify(standard_lattice("k3"))
     if not (k3.signature == (3, 19) and k3.parity == "even" and k3.unimodular):
-        failures["k3"] = k3
+        failures["k3"] = asdict(k3)
     for p in range(1, 11):
         for q in range(1, 11):
             got = classify(standard_lattice("bpq", p, q))
             if not (got.signature == (p, q) and got.parity == "odd" and got.unimodular):
-                failures[f"b{p}{q}"] = got
+                failures[f"b{p}{q}"] = asdict(got)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0
     return CheckResult("lattice_classification", ok, elapsed, {"failures": failures})

@@ -21,6 +21,8 @@ does the spinor command as it ran before the Cartan-Dieudonne walk
 certified the form: the Gram check on every matrix, then the walk, its
 spinor class the product of its own factors' Qs. So does the root join as it ran before it built roots by concatenation: the
 chosen lists of every leaf kept, then expanded by itertools.product.
+So does the triangular-support guard the root search ran before it read
+its square forms off the lattice's orthogonal basis.
 So do the dense Fraction matrix helpers the tests build with (as_matrix,
 identity_matrix and transpose), which the library dropped once the sign
 layer ran in integers. So do the stabilizer's sign patterns as they were
@@ -291,6 +293,18 @@ def inverse_square_forms(gram):
         weights.append(diag[k] / (mult * mult))
     scale = math.lcm(*(w.denominator for w in weights))
     return [int(w * scale) for w in weights], icoeffs, scale
+
+
+def is_lower_unitriangular_support(icoeffs):
+    """Form k involves only coordinates k..n-1, with a positive entry at k:
+    the shape the definite root search steps down. The enumerator dropped
+    this guard once its forms came off the lattice's orthogonal basis,
+    where every definite block has that shape."""
+    n = len(icoeffs)
+    return all(
+        icoeffs[k][k] > 0 and all(icoeffs[k][j] == 0 for j in range(k))
+        for k in range(n)
+    )
 
 
 def rotation_power(r, k):

@@ -409,6 +409,8 @@ def test_a_rank_past_the_cap_exits_2_at_once(capsys, command, p, q):
          '{"p": 2.9, "q": 3.5, "n": 2, "m": 3, "boost": ["5/4","3/4"], "t": "1/10"}'],
         ["arrange", "--spec-json",
          '{"p": 2, "q": 3, "n": 2, "m": true, "boost": ["5/4","3/4"], "t": "1/10"}'],
+        ["arrange", "--spec-json",
+         '{"p": "2", "q": 3, "n": 2, "m": 3, "boost": ["5/4","3/4"], "t": "1/10"}'],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -444,6 +446,35 @@ def test_spec_json_names_missing_keys(capsys):
     code, _, err = run_cli(capsys, "arrange", "--spec-json", '{"p": 2, "q": 3, "n": 2}')
     assert code == 2
     assert "m, boost, rotation or t" in err
+
+
+SPEC = {"p": 2, "q": 3, "n": 2, "m": 3, "boost": ["5/4", "3/4"], "t": "1/10"}
+
+
+def test_spec_json_rotation_prints_the_bytes_of_its_tangent(capsys):
+    # t = 1/10 is the rotation ((1 - t^2) / (1 + t^2), -2t / (1 + t^2))
+    rotation = {key: v for key, v in SPEC.items() if key != "t"}
+    rotation["rotation"] = ["99/101", "-20/101"]
+    expected = run_cli(capsys, "arrange", "--spec-json", json.dumps(SPEC))
+    assert expected[0] == 0
+    assert run_cli(capsys, "arrange", "--spec-json", json.dumps(rotation))[:2] == expected[:2]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"p": " 2 "}, "p, q, m and n must be integers, got [' 2 ', 3, 3, 2]"),
+        ({"n": "\u0662"}, "p, q, m and n must be integers"),
+        ({"m": -1}, "m and n must be nonnegative"),
+        ({"n": -1}, "m and n must be nonnegative"),
+        ({"boost": ["1", "0"]}, "the family generator needs a nontrivial boost (b > 0)"),
+    ],
+    ids=["spaced_string", "arabic_indic_digit", "negative_m", "negative_n", "trivial_boost"],
+)
+def test_spec_json_refusals_exit_2_with_their_message(capsys, change, message):
+    code, out, err = run_cli(capsys, "arrange", "--spec-json", json.dumps({**SPEC, **change}))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_spinor_of_a_reflection_with_a_large_prime_norm(capsys):

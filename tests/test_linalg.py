@@ -14,7 +14,6 @@ from geocycle.linalg import (
     frac,
     inertia,
     intersect,
-    kernel,
     perp,
     restricted_definiteness,
     span,
@@ -315,18 +314,26 @@ def test_det_of_a_triangular_matrix_keeps_its_input_checks():
         det(((1,), (0,)))
 
 
+def null_space(m, ncols):
+    """linalg._null_space of m's cleared rows, each vector scaled to 1 on its
+    free column: the Fraction kernel's normalisation."""
+    basis = linalg._null_space(linalg.cleared(m)[0], ncols)
+    return tuple(tuple(F(x, v[f]) for x in v) for f, v in basis)
+
+
 def test_kernel_annihilates():
     rng = random.Random(17)
     for _ in range(30):
-        m = as_matrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)])
-        for v in kernel(m):
-            assert all(x == 0 for x in mat_vec(m, v))
+        m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
+        basis = linalg._null_space(m, 5)
+        for f, v in basis:
+            assert v[f] > 0 and all(x == 0 for x in mat_vec(m, v))
         rank = len(linalg.rref(m)[0])
-        assert len(kernel(m)) == 5 - rank
+        assert len(basis) == 5 - rank
 
 
 def test_kernel_of_no_constraints():
-    assert kernel((), ncols=3) == identity_matrix(3)
+    assert [v for _, v in linalg._null_space([], 3)] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_matrix_inverse_round_trip():
@@ -510,11 +517,11 @@ def test_row_elimination_matches_the_fraction_oracle_and_sympy():
         expected = fraction_rref(m)
         assert linalg.rref(m) == expected, m
         assert span(m, ambient=width).basis == expected[0], m
-        assert kernel(m, ncols=width) == fraction_kernel(m, width), m
+        assert null_space(m, width) == fraction_kernel(m, width), m
         if m and i % 4 == 0:
             assert expected == sympy_rref(m), m
-            assert kernel(m) == tuple(tuple(F(int(x.p), int(x.q)) for x in v)
-                                      for v in sympy.Matrix(m).nullspace()), m
+            assert null_space(m, width) == tuple(tuple(F(int(x.p), int(x.q)) for x in v)
+                                                 for v in sympy.Matrix(m).nullspace()), m
 
 
 def test_meet_and_complement_match_the_fraction_oracle():

@@ -15,13 +15,17 @@ from geocycle.obstructions import (
     _enumerate_box,
     _enumerate_definite,
     _integer_square_forms,
-    _is_lower_unitriangular_support,
     any_root_orthogonal,
     enumerate_roots,
     plane_orthogonal_to,
 )
 from geocycle.verify import naive_roots
-from oracles import inverse_square_forms, oracle_matrix_inverse, product_join
+from oracles import (
+    inverse_square_forms,
+    is_lower_unitriangular_support,
+    oracle_matrix_inverse,
+    product_join,
+)
 
 H = standard_lattice("hyperbolic")
 B11 = standard_lattice("bpq", 1, 1)
@@ -46,7 +50,7 @@ def box_enumerate_roots(l, bound):
     if all(w > 0 for w in weights):
         return []
     target = ROOT_NORM * scale
-    if all(w < 0 for w in weights) and _is_lower_unitriangular_support(icoeffs):
+    if all(w < 0 for w in weights) and is_lower_unitriangular_support(icoeffs):
         search = _enumerate_definite
     else:
         search = _enumerate_box
@@ -236,7 +240,7 @@ def test_square_forms_sum_to_scale_times_q(name):
         squares = sum(w * sum(c * xi for c, xi in zip(row, x)) ** 2 for w, row in zip(weights, icoeffs))
         assert squares == scale * q
     oracle = inverse_square_forms(gram)
-    if _is_lower_unitriangular_support(oracle[1]):
+    if is_lower_unitriangular_support(oracle[1]):
         assert (weights, icoeffs, scale) == oracle
 
 

@@ -9,21 +9,28 @@ run_all shares the spinor check's cases with a forked child: its results,
 its exceptions and its exit codes are those of the checks run one by one,
 every case runs once, and no child or pipe outlives it. The cases are
 drawn in the order the check drew them when it ran them in one loop.
+
+Each check can fail: with its subject patched to a wrong answer it counts
+the failures, and verify-all then exits 1.
 """
 
+import dataclasses
+import json
 import os
 import threading
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
 from geocycle import arrangement as arr
-from geocycle import verify
+from geocycle import signs, verify
 from geocycle.cli import main
 from geocycle.errors import BudgetExceeded
-from geocycle.grassmann import hyperplane_new
-from geocycle.lattices import standard_lattice
+from geocycle.grassmann import IntersectionVerdict, hyperplane_new
+from geocycle.lattices import LatticeClass, standard_lattice
+from geocycle.linalg import span
 
 from oracles import looped_spinor_draws, per_combo_inequality_detail
 
@@ -276,14 +283,103 @@ def test_of_two_raising_cases_the_lower_index_is_raised(request, monkeypatch, pa
 
 def test_both_processes_take_a_share_of_the_spinor_cases(forked, monkeypatch):
     # one failure per case the parent runs; at 1 ms a case, neither side
-    # can take all 300 before the other starts claiming
+    # can take all 300 before the other starts claiming. The seven other
+    # checks are stubbed, so the parent starts claiming at once however
+    # slowly the real ones would run
     parent = os.getpid()
 
     def whose(l, case):
         time.sleep(0.001)
         return int(os.getpid() == parent)
 
+    def passing(name):
+        return lambda seed: verify.CheckResult(name, True, 0.0, {})
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(
+        (name, fn if name == "spinor_norm" else passing(name)) for name, fn in verify.ALL_CHECKS
+    ))
     monkeypatch.setattr(verify, "spinor_case", whose)
     spinor = verify.run_all(2)[4]
     assert 0 < spinor.detail["failures"] < 300
+    assert_no_child_left()
+
+
+# -------------------------------------------------- each check can fail
+#
+# Each check's subject is patched in geocycle.verify's namespace to a wrong
+# answer, so the check's failure-counting lines run: a check that always
+# passed would go unnoticed.
+
+
+def patch_module(monkeypatch, name, **fns):
+    """Replace verify's module attribute name by a copy with these functions."""
+    module = getattr(verify, name)
+    monkeypatch.setattr(verify, name, types.SimpleNamespace(**{**vars(module), **fns}))
+
+
+def negated_expected_pi_k_matrix(p, q, v):
+    return tuple(tuple(-x for x in row) for row in signs.expected_pi_k_matrix(p))
+
+
+def no_intersection_point(flat, hyper):
+    return IntersectionVerdict("Point")
+
+
+ORACLE_MISMATCH = "pruned != naive"
+
+
+@pytest.mark.parametrize(
+    "check,module,fns,detail",
+    [
+        ("sign_claim", "signs", {"pi_k_matrix": negated_expected_pi_k_matrix},
+         {"cases": 525, "failures": 525}),
+        ("inequality_implies_empty", "gr", {"intersect_flat_hyperplane": no_intersection_point},
+         {"combos": 20, "inequality_hits": 170, "violations": 170}),
+        ("stabilizer_claim", "gr", {"general_position": lambda flat, hyper, kind: False},
+         {"strong_cases": 100, "strong_failures": 100,
+          "degenerate_cases": 5, "degenerate_failures": 0}),
+        ("stabilizer_claim", "gr", {"stabilizer_sign_patterns": lambda flat, hyper: []},
+         {"strong_cases": 100, "strong_failures": 100,
+          "degenerate_cases": 5, "degenerate_failures": 5}),
+        ("root_enumeration", "obs", {"enumerate_roots": lambda l, bound: [(0,) * l.rank]},
+         {"e8_count": 1, "failures": {
+             "hyperbolic_bound_1": [(0, 0)], "b11_bound_10": "expected no roots",
+             "e8_neg_bound_6": 1, "e8_neg_norms": "bad self-pairing",
+             "oracle_rank2_bound3": ORACLE_MISMATCH, "oracle_rank4_bound2": ORACLE_MISMATCH,
+             "oracle_rank3_bound2": ORACLE_MISMATCH,
+         }}),
+        ("exact_linear_algebra", "linalg", {"intersect": lambda a, b: a}, {"failures": 72}),
+        ("exact_linear_algebra", "linalg", {"perp": lambda a, l: span([], ambient=l.rank)},
+         {"failures": 30}),
+        ("exact_linear_algebra", "linalg",
+         {"gram_of": lambda rows, l: [[-x for x in row] for row in l.gram]}, {"failures": 50}),
+    ],
+    ids=["sign_pi_k_matrix", "inequality_intersect", "stabilizer_general_position",
+         "stabilizer_sign_patterns", "roots_enumerate", "algebra_intersect", "algebra_perp",
+         "algebra_gram_of"],
+)
+def test_a_wrong_subject_fails_its_check(monkeypatch, check, module, fns, detail):
+    patch_module(monkeypatch, module, **fns)
+    result = dict(verify.ALL_CHECKS)[check](verify.DEFAULT_SEED)
+    assert (result.name, result.ok, result.detail) == (check, False, detail)
+
+
+def test_a_wrong_classification_fails_its_check(monkeypatch):
+    wrong = LatticeClass((0, 0), "odd", 1, True)
+    monkeypatch.setattr(verify, "classify", lambda l: wrong)
+    result = verify.check_lattice_classification()
+    # the detail holds each wrong class as a dict, so verify-all can print it
+    shown = dataclasses.asdict(wrong)
+    expected = {"k3": shown, **{f"b{p}{q}": shown for p in range(1, 11) for q in range(1, 11)}}
+    assert (result.ok, result.detail) == (False, {"failures": expected})
+
+
+def test_verify_all_with_a_failing_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "classify", lambda l: LatticeClass((0, 0), "odd", 1, True))
+    code = main(["verify-all", "--seed", "2"])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (code, payload["all_ok"]) == (1, False)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["lattice_classification"]
+    assert "lattice_classification: FAIL" in captured.err
     assert_no_child_left()
