@@ -345,7 +345,7 @@ def _spec_pair(d: dict, key: str) -> tuple[Fraction, Fraction]:
 
 
 def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
-    """Accepts either an explicit rotation pair or a tangent parameter t."""
+    """Takes an explicit rotation pair or a tangent parameter t, not both."""
     if not isinstance(d, dict):
         raise ValueError("an arrangement spec must be a JSON object")
     missing = [key for key in ("p", "q", "n", "m", "boost") if key not in d]
@@ -353,6 +353,11 @@ def arrangement_spec_from_dict(d: dict) -> ArrangementSpec:
         missing.append("rotation or t")
     if missing:
         raise ValueError(f"arrangement spec is missing {', '.join(missing)}")
+    if "rotation" in d and "t" in d:
+        raise ValueError("arrangement spec gives both rotation and t; give one")
+    unknown = sorted(set(d) - {"p", "q", "n", "m", "boost", "rotation", "t"})
+    if unknown:
+        raise ValueError(f"arrangement spec has unknown keys {', '.join(unknown)}")
     boost = BoostParams(*_spec_pair(d, "boost"))
     if "rotation" in d:
         rotation = RotationPair(*_spec_pair(d, "rotation"))

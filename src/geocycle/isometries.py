@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 from operator import mul
 
@@ -22,7 +22,7 @@ from .errors import (
     NotSquare,
 )
 from .lattices import QuadLattice, Ray, cleared, ray
-from .linalg import Mat
+from .linalg import Mat, _identity
 
 IntMat = tuple[tuple[int, ...], ...]
 
@@ -41,11 +41,11 @@ WALK_CAP_SLACK = 64
 class Isometry:
     """A rational matrix g = num/den meant to satisfy g^T.gram.g = gram.
 
-    num is an integer matrix and den a positive integer with
-    gcd(num, den) = 1, so equal isometries have equal fields and compare
-    and hash equal. Reflections, products and images are computed from
-    (num, den) in integers; `matrix` is the same map as Fractions, `det`
-    is read off num and `reflection_rays` walked when first asked for.
+    num is an integer matrix and den > 0 with gcd(num, den) = 1, put so
+    by construction (den = 0 aside), so equal isometries compare and hash
+    equal. Reflections, products and images are computed from (num, den)
+    in integers; `matrix` is the same map as Fractions, `det` is read off
+    num and `reflection_rays` walked when first asked for.
 
     Whether g preserves the form is :attr:`preserves_form`, set at most
     once per object by one of three certificates:
@@ -64,6 +64,12 @@ class Isometry:
     num: IntMat
     den: int
     lattice: QuadLattice
+
+    def __post_init__(self):
+        if self.den:  # a zero den is left to fail the Gram check
+            num, den = _normalized(self.num, self.den)
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
 
     @cached_property
     def preserves_form(self) -> bool:
@@ -117,10 +123,6 @@ class Isometry:
         if rays is None:
             self.certify()
             rays = _walk(self, capped=False)
-            if rays is None:
-                # from (num, den) not in lowest terms the walk can end at the
-                # identity written as (c.I, c), c != 1: (2I, 2) or (-I, -1)
-                rays = _walk(Isometry(*_normalized(self.num, self.den), l), capped=False)
         if rays is None:
             raise CertificateFailed("reflection factorization did not reach the identity")
         if len(rays) > 2 * l.rank:
@@ -131,11 +133,6 @@ class Isometry:
 def _has_shape(num, n: int) -> bool:
     """Whether num is n x n."""
     return len(num) == n and all(len(row) == n for row in num)
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> IntMat:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _normalized(num, den: int) -> tuple[IntMat, int]:
@@ -149,16 +146,12 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
 
 
 def _matrix_isometry(m, l: QuadLattice) -> Isometry:
-    """The rational matrix m as an isometry not yet certified.
-
-    With D the lcm of the denominators and A = D.m, (A, D) is the
-    isometry: gcd(A, D) = 1 already, as D is an lcm of the reduced
-    denominators.
-    """
+    """The rational matrix m as an isometry not yet certified: (D.m, D)
+    with D the lcm of the denominators."""
     a, d = linalg.cleared(m)
     if not _has_shape(a, l.rank):
         raise NotSquare(f"expected a {l.rank}x{l.rank} matrix")
-    return Isometry(tuple(map(tuple, a)), d, l)
+    return Isometry(a, d, l)
 
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
@@ -182,10 +175,9 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
         raise AmbientMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))
     num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
-    num, den = _normalized(num, g.den * h.den)
     if vars(g).get("preserves_form") and vars(h).get("preserves_form"):
-        return _certified(num, den, g.lattice)
-    return Isometry(num, den, g.lattice)
+        return _certified(num, g.den * h.den, g.lattice)
+    return Isometry(num, g.den * h.den, g.lattice)
 
 
 def _reduced_update(q: int, c: list[int]) -> tuple[int, list[int]]:

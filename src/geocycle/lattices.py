@@ -53,10 +53,11 @@ class QuadLattice:
 
     @cached_property
     def congruence(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """linalg._congruence of the Gram matrix as tuples: pivots p_0..p_{n-1},
+        """linalg._congruence of [gram | I] as tuples: pivots p_0..p_{n-1},
         p_{n-1} the determinant, and rows T_k on the lines of an orthogonal
-        basis, T.gram.T^T = diag(p_{k-1} p_k)."""
-        pivots, t = linalg._congruence(self.gram)
+        basis, T.gram.T^T = diag(p_{k-1} p_k), read off columns n and up."""
+        unit = linalg._identity(self.rank)
+        pivots, t = linalg._congruence([*row, *e] for row, e in zip(self.gram, unit))
         return tuple(pivots), tuple(map(tuple, t))
 
     @property

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable
@@ -259,18 +259,23 @@ def det(m: Mat) -> Fraction:
     return Fraction(_bareiss_int(a), s**n)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:
-    """Symmetric Bareiss elimination of an integer symmetric matrix a:
-    (pivots, t), p_0..p_{r-1} the pivots (r the rank), t integer with
-    t.a.t^T = diag(p_{k-1} p_k) (p_{-1} = 1) and 0 past r. Each update
-    (p.x - f.y) // p_prev is exact, every entry being a minor. A zero pivot
-    is repaired by swapping in a later nonzero diagonal entry, else by adding
-    row and column j onto i for the first a[i][j] != 0; it stops when the
-    rest vanishes. Both repairs are congruences of determinant +-1, so when
-    the rank is n the last pivot p_{n-1} is det(a)."""
+    """Symmetric Bareiss elimination of an integer symmetric n x n matrix a,
+    its rows perhaps run on past column n: (pivots, t), p_0..p_{r-1} the
+    pivots (r the rank) and t the columns past the n-th, which ride along
+    the row operations: from [a | I], t.a.t^T = diag(p_{k-1} p_k) (p_{-1} = 1)
+    and 0 past r. Each update (p.x - f.y) // p_prev is exact, every entry
+    being a minor. A zero pivot is repaired by swapping in a later nonzero
+    diagonal entry, else by adding row and column j onto i for the first
+    a[i][j] != 0; it stops when the rest vanishes. Both repairs are
+    congruences of determinant +-1, so at rank n, p_{n-1} is det(a)."""
     a = [list(r) for r in rows]
     n = len(a)
-    t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
     pivots: list[int] = []
     prev = 1
     for k in range(n):
@@ -286,33 +291,29 @@ def _congruence(rows: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int
                 for row in a[k:]:
                     row[i] += row[j]
                 a[i][k:] = [x + y for x, y in zip(a[i][k:], a[j][k:])]
-                t[i] = [x + y for x, y in zip(t[i], t[j])]
             if i != k:
                 a[k], a[i] = a[i], a[k]
                 for row in a[k:]:
                     row[k], row[i] = row[i], row[k]
-                t[k], t[i] = t[i], t[k]
         p = a[k][k]
         pivot_row = a[k][k + 1:]
         for i in range(k + 1, n):
             f = a[i][k]
             if f:
                 a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], pivot_row)]
-                t[i] = [(p * x - f * y) // prev for x, y in zip(t[i], t[k])]
             elif p != prev:  # a row clear of the pivot column is only rescaled
                 a[i][k + 1:] = [p * x // prev for x in a[i][k + 1:]]
-                t[i] = [p * x // prev for x in t[i]]
         pivots.append(p)
         prev = p
-    return pivots, t
+    return pivots, [row[n:] for row in a]
 
 
 def diagonalize_symmetric(m: Mat) -> tuple[tuple[Fraction, ...], Mat]:
     """(d, t) with t.m.t^T = diag(d) for a symmetric matrix m of ints or
-    Fractions, read off _congruence of s.m: d_k = p_k / (s p_{k-1}) and
-    t_k = T_k / p_{k-1}, and past the rank r, d_k = 0 over p_{r-1}."""
+    Fractions, read off _congruence of [s.m | I]: d_k = p_k / (s p_{k-1})
+    and t_k = T_k / p_{k-1}, and past the rank r, d_k = 0 over p_{r-1}."""
     a, s = cleared(m)
-    pivots, t = _congruence(a)
+    pivots, t = _congruence([*row, *e] for row, e in zip(a, _identity(len(a))))
     prevs = [1] + pivots
     prevs += prevs[-1:] * (len(t) - len(prevs))
     diag = (Fraction(p, prev * s) for p, prev in zip(pivots + [0] * (len(t) - len(pivots)), prevs))

@@ -23,6 +23,8 @@ spinor class the product of its own factors' Qs. So does the root join as it ran
 chosen lists of every leaf kept, then expanded by itertools.product.
 So does the triangular-support guard the root search ran before it read
 its square forms off the lattice's orthogonal basis.
+So does the symmetric elimination as it ran before the transform rode
+along as extra columns: a side matrix t, updated beside the Gram matrix.
 So do the dense Fraction matrix helpers the tests build with (as_matrix,
 identity_matrix and transpose), which the library dropped once the sign
 layer ran in integers. So do the stabilizer's sign patterns as they were
@@ -262,6 +264,49 @@ def fraction_inertia(m):
     plus = sum(1 for d in diag if d > 0)
     minus = sum(1 for d in diag if d < 0)
     return plus, minus, len(diag) - plus - minus
+
+
+def side_matrix_congruence(rows):
+    """Symmetric Bareiss elimination with the transform as a side matrix:
+    (pivots, t), t integer with t.a.t^T = diag(p_{k-1} p_k) (p_{-1} = 1)
+    and 0 past the rank, every row operation on a repeated on t."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    t = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    pivots = []
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is None:
+                pair = next(
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None
+                )
+                if pair is None:
+                    break  # the rest is identically zero
+                i, j = pair
+                for row in a[k:]:
+                    row[i] += row[j]
+                a[i][k:] = [x + y for x, y in zip(a[i][k:], a[j][k:])]
+                t[i] = [x + y for x, y in zip(t[i], t[j])]
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                for row in a[k:]:
+                    row[k], row[i] = row[i], row[k]
+                t[k], t[i] = t[i], t[k]
+        p = a[k][k]
+        pivot_row = a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            if f:
+                a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], pivot_row)]
+                t[i] = [(p * x - f * y) // prev for x, y in zip(t[i], t[k])]
+            elif p != prev:  # a row clear of the pivot column is only rescaled
+                a[i][k + 1:] = [p * x // prev for x in a[i][k + 1:]]
+                t[i] = [p * x // prev for x in t[i]]
+        pivots.append(p)
+        prev = p
+    return pivots, t
 
 
 def oracle_matrix_inverse(m):

@@ -441,3 +441,8 @@ def test_search_matches_the_fraction_search_at_the_scan_limit():
         expected = search_outcome(fraction_search_parameters, 3, 19, n, DEFAULT_BOOST)
         assert search_outcome(search_parameters, 3, 19, n, DEFAULT_BOOST) == expected
     assert expected is SearchExhausted
+
+
+def test_boost_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="boost power wants a nonnegative exponent"):
+        boost_power(DEFAULT_BOOST, -1)

@@ -468,8 +468,11 @@ def test_spec_json_rotation_prints_the_bytes_of_its_tangent(capsys):
         ({"m": -1}, "m and n must be nonnegative"),
         ({"n": -1}, "m and n must be nonnegative"),
         ({"boost": ["1", "0"]}, "the family generator needs a nontrivial boost (b > 0)"),
+        ({"rotation": ["99/101", "-20/101"]}, "arrangement spec gives both rotation and t"),
+        ({"rotaton": ["99/101", "-20/101"]}, "arrangement spec has unknown keys rotaton"),
     ],
-    ids=["spaced_string", "arabic_indic_digit", "negative_m", "negative_n", "trivial_boost"],
+    ids=["spaced_string", "arabic_indic_digit", "negative_m", "negative_n", "trivial_boost",
+         "rotation_and_t", "misspelled_key"],
 )
 def test_spec_json_refusals_exit_2_with_their_message(capsys, change, message):
     code, out, err = run_cli(capsys, "arrange", "--spec-json", json.dumps({**SPEC, **change}))

@@ -457,3 +457,14 @@ def test_an_equal_lattice_object_is_the_same_lattice():
 def test_gr_point_requires_positive_definite():
     with pytest.raises(WrongInertia):
         gr_point(span([(0, 0, 1, 0, 0)]), B23)
+
+
+def test_a_flat_compares_unequal_to_what_is_not_a_flat():
+    flat = standard_flat(1, 1, B11)
+    assert flat.__eq__(3) is NotImplemented
+    assert flat != 3
+
+
+def test_translate_refuses_what_is_not_a_flat_hyperplane_or_point():
+    with pytest.raises(TypeError, match="cannot translate object"):
+        translate(product_of_reflections([], B11), object())

@@ -638,3 +638,22 @@ def test_seed_2_spinor_check_meets_the_product_past_the_budget():
     assert tuple(eval_form(l, v, v) for v in rows) == SEED_2_QS
     assert spinor_norm(gh) == SquareClass(-1330, -1)
 
+
+@pytest.mark.parametrize("num,den", [(((2, 0), (0, 2)), 2), (((-1, 0), (0, -1)), -1)],
+                         ids=["2I_over_2", "minus_I_over_minus_1"])
+def test_a_hand_built_isometry_is_held_in_lowest_terms(num, den):
+    g = Isometry(num, den, B11)
+    assert (g.num, g.den) == (((1, 0), (0, 1)), 1)
+    assert in_congruence_subgroup(g, 3)
+    assert g == product_of_reflections([], B11)
+    assert Isometry(num, 0, B11).den == 0  # left to fail the Gram check
+
+
+def test_compose_refuses_isometries_over_different_lattices():
+    with pytest.raises(AmbientMismatch, match="isometries over different lattices"):
+        compose(product_of_reflections([], B11), product_of_reflections([], B23))
+
+
+def test_zero_has_no_square_class():
+    with pytest.raises(ValueError, match="0 has no square class"):
+        squarefree_part(0)

@@ -386,3 +386,8 @@ def test_gram_terms_products_equal_the_dense_products():
                     z, z_pairing, q = ray(x, l)
                     assert z_pairing == tuple(sum(map(mul, row, z)) for row in l.gram)
                     assert q == sum(map(mul, z, z_pairing))
+
+
+def test_quad_lattice_refuses_a_non_square_gram_matrix():
+    with pytest.raises(ValueError, match="Gram matrix must be square"):
+        quad_lattice([[1, 0]])

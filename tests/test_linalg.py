@@ -8,7 +8,7 @@ import sympy
 
 from geocycle import linalg
 from geocycle.errors import AmbientMismatch, NotSquare
-from geocycle.lattices import standard_lattice
+from geocycle.lattices import quad_lattice, standard_lattice
 from geocycle.linalg import (
     det,
     frac,
@@ -33,6 +33,7 @@ from oracles import (
     mat_mul_restricted_definiteness,
     mat_vec,
     oracle_matrix_inverse,
+    side_matrix_congruence,
     transpose,
 )
 
@@ -450,13 +451,138 @@ def test_congruence_certificate_in_integers():
     for m in seeded_symmetric_matrices():
         if any(isinstance(x, F) for row in m for x in row):
             continue
-        pivots, t = linalg._congruence(m)
+        pivots, t = linalg._congruence(beside_identity(m))
         n, r = len(m), len(pivots)
         product = [[sum(t[a][i] * m[i][j] * t[b][j] for i in range(n) for j in range(n))
                     for b in range(n)] for a in range(n)]
         weights = [p * q for p, q in zip(pivots, [1] + pivots)] + [0] * (n - r)
         assert product == [[weights[a] if a == b else 0 for b in range(n)] for a in range(n)]
         assert all(pivots)
+
+
+def beside_identity(m):
+    """The rows of a square matrix, each followed by the identity's row."""
+    return [[*row, *(int(i == j) for j in range(len(m)))] for i, row in enumerate(m)]
+
+
+def repair_matrices():
+    """Random symmetric integer matrices whose first diagonal entry is 0:
+    half of them have a later nonzero diagonal entry (the swap repair), the
+    other half a zero diagonal and a nonzero entry off it (the add repair).
+    Zero rows and repeated rows make some singular."""
+    rng = random.Random(3131)
+    out = []
+    for trial in range(400):
+        n = rng.randint(2, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i != j or trial % 2:
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, -2, -1, 1, 2, 3))
+        rows[0][0] = 0
+        if trial % 2:
+            k = rng.randrange(1, n)
+            rows[k][k] = rows[k][k] or 1
+        else:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] or rng.choice((-1, 1))
+        if trial % 7 == 0:
+            z = rng.randrange(n)
+            for k in range(n):
+                rows[z][k] = rows[k][z] = 0
+        out.append(rows)
+    return out
+
+
+def test_ride_along_transform_matches_the_side_matrix():
+    swapped = added = 0
+    for m in [frac_cleared(m)[0] for m in seeded_symmetric_matrices()] + repair_matrices():
+        expected = side_matrix_congruence(m)
+        assert linalg._congruence(beside_identity(m)) == expected, m
+        pivots, bare = linalg._congruence(m)
+        assert (pivots, bare) == (expected[0], [[] for _ in m]), m
+        if len(m) > 1 and m[0][0] == 0 and any(m[0]):
+            swapped += any(m[i][i] for i in range(len(m)))
+            added += not any(m[i][i] for i in range(len(m)))
+    assert swapped >= 150 and added >= 150
+
+
+def test_the_lattice_congruence_is_the_side_matrix_one():
+    for m in seeded_symmetric_matrices():
+        if all(type(x) is int for row in m for x in row) and sympy.Matrix(m).det():
+            l = quad_lattice(m)
+            pivots, t = side_matrix_congruence(m)
+            assert l.congruence == (tuple(pivots), tuple(map(tuple, t))), m
+
+
+def test_inertia_passes_bare_rows(monkeypatch):
+    widths = []
+    original = linalg._congruence
+    monkeypatch.setattr(linalg, "_congruence",
+                        lambda rows: widths.extend(map(len, rows)) or original(rows))
+    m = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+    assert inertia(m) == (1, 2, 0)
+    assert widths == [3, 3, 3]
+
+
+def sympy_inertia(m):
+    """(n_plus, n_minus, n_zero) from sympy: the rank, and the sign changes
+    of the characteristic polynomial's coefficients (Descartes' count is
+    exact, as every root is real; a root at 0 adds no change)."""
+    p = sympy.Matrix(m).charpoly().all_coeffs()
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    plus = changes(p)
+    minus = changes([c * (-1) ** k for k, c in enumerate(reversed(p))])
+    return plus, minus, len(m) - plus - minus
+
+
+def inertia_matrices():
+    """The matrix kinds of a Point cell's plane and beyond: permuted
+    block-diagonal ones, degenerate ones (zero rows, zero blocks and
+    singular blocks) and dense ones (a single component)."""
+    rng = random.Random(1031)
+    out = []
+    for trial in range(240):
+        kind = trial % 3
+        if kind == 2:
+            n = rng.randint(1, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice((-1, 1)) * rng.randint(1, 2**rng.randint(1, 40))
+            out.append(rows)
+            continue
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            b = rng.randint(1, 3)
+            v = [[rng.randint(-3, 3) for _ in range(b)] for _ in range(rng.randint(0 if kind else 1, b))]
+            d = [rng.choice((-2, -1, 1, 3)) for _ in v]
+            blocks.append([[sum(d[k] * v[k][i] * v[k][j] for k in range(len(v)))
+                            for j in range(b)] for i in range(b)])
+        if kind == 1:
+            blocks.append([[0] * 2 for _ in range(2)])
+        n = sum(map(len, blocks))
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                rows[at + i][at:at + len(b)] = row
+            at += len(b)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+    return out
+
+
+def test_inertia_matches_sympy_on_block_degenerate_and_dense_matrices():
+    kinds = inertia_matrices()
+    for m in kinds:
+        assert inertia(m) == sympy_inertia(m), m
+    assert sum(1 for m in kinds[1::3] if any(not any(row) for row in m)) >= 40
 
 
 def test_subspace_contains():
@@ -632,3 +758,21 @@ def test_gram_of_equals_the_dense_product():
                 dense = [[sum(map(mul, a, b)) for b in rows] for a in vg]
                 assert linalg.gram_of(rows, l) == dense
                 assert linalg.gram_of(map(tuple, rows), l) == dense
+
+
+def test_contains_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(AmbientMismatch, match="vector of length 2 in ambient 3"):
+        span([(1, 0, 1)]).contains((1, 0))
+
+
+def test_an_empty_span_needs_its_ambient():
+    with pytest.raises(ValueError, match="ambient dimension required for an empty span"):
+        span([])
+    assert span([], ambient=3).dim == 0
+
+
+def test_perp_and_restricted_definiteness_refuse_an_ambient_mismatch():
+    a = span([(1, 0, 0)])
+    for call in (perp, restricted_definiteness):
+        with pytest.raises(AmbientMismatch, match="subspace ambient 3, lattice rank 2"):
+            call(a, B11)

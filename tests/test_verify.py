@@ -383,3 +383,11 @@ def test_verify_all_with_a_failing_check_exits_1(monkeypatch, capsys):
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["lattice_classification"]
     assert "lattice_classification: FAIL" in captured.err
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus,expected", [(1, False), (2, True), (None, False)])
+def test_can_fork_counts_cpus_where_there_is_no_affinity(monkeypatch, cpus, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    assert verify._can_fork() is (expected and hasattr(os, "fork"))

@@ -184,11 +184,11 @@ def test_a_zero_denominator_does_not_preserve_the_form():
 def test_maps_not_in_lowest_terms_factor_as_in_lowest_terms(l):
     n = l.rank
     for scale in (2, -1, -3):
-        identity = Isometry(tuple(tuple(scale * int(i == j) for j in range(n))
-                                  for i in range(n)), scale, l)
+        raw = tuple(tuple(scale * int(i == j) for j in range(n)) for i in range(n))
+        identity = Isometry(raw, scale, l)
         assert identity.preserves_form
-        assert cartan_dieudonne(Isometry(identity.num, scale, l)) == []
-        assert spinor_norm(Isometry(identity.num, scale, l)) == SquareClass(1, 1)
+        assert cartan_dieudonne(Isometry(raw, scale, l)) == []
+        assert spinor_norm(Isometry(raw, scale, l)) == SquareClass(1, 1)
     rng = random.Random(2602)
     for _ in range(4):
         g = verify.random_isometry(l, rng, reflections=rng.randint(1, 4))
