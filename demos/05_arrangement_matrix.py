@@ -14,7 +14,7 @@ from geocycle import (
 from geocycle.arrangement import DEFAULT_BOOST, boost_power, inequality_details
 
 p, q, n = 2, 3, 5
-m, t = search_parameters(p, q, n, DEFAULT_BOOST)
+m, t = search_parameters(n, DEFAULT_BOOST)
 print(f"searched parameters: boost power m={m}, rotation tangent t={t}")
 
 bp = boost_power(DEFAULT_BOOST, m)

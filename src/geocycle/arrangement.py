@@ -36,7 +36,7 @@ TANGENT_SCAN = tuple(
     Fraction(1, d) for d in (10, 16, 20, 32, 50, 64, 100, 128, 256, 512, 1024)
 )
 MAX_BOOST_POWER = 64
-# arrange's work budget (2-vCPU host): (3,4) at n = 256 takes 2.2 s, (32,32) at n = 256 7.6 s
+# arrange's work budget; BENCH_arrange.json's paper_scale times its largest families
 MAX_FAMILY_SIZE = 256
 MAX_Q = 32
 # Budget on entry_bits. A diagonal Point's printed RREF entries reach about
@@ -294,14 +294,12 @@ def _negative_tangents(rotation: RotationPair, limit: int) -> list[tuple[int, in
     return out
 
 
-def search_parameters(
-    p: int, q: int, n: int, boost: BoostParams
-) -> tuple[int, Fraction]:
+def search_parameters(n: int, boost: BoostParams) -> tuple[int, Fraction]:
     """Smallest boost power m and first scan tangent t whose family satisfies
     the emptiness inequality for every k = 1..n. Deterministic; raises
     SearchExhausted when the bounded scan (m <= 64, fixed tangent list)
     contains no witness. The inequality lives in the rotated 2-plane, so
-    (m, t) depends only on n and the boost, never on p or q."""
+    (m, t) is the same for every signature (p, q)."""
     if n < 1:
         raise ValueError("family size n must be at least 1")
     # a walk shorter than n hit a pole or a nonnegative tangent at some k <= n

@@ -62,12 +62,8 @@ def _json_number(x: Fraction):
     return int(x) if x.denominator == 1 else str(x)
 
 
-def _lattice_from_args(args):
-    return standard_lattice(args.lattice, args.p, args.q)
-
-
 def _cmd_lattice(args):
-    l = _lattice_from_args(args)
+    l = standard_lattice(args.lattice, args.p, args.q)
     if args.classify:
         c = classify(l)
         payload = {
@@ -82,7 +78,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_spinor(args):
-    l = _lattice_from_args(args)
+    l = standard_lattice(args.lattice, args.p, args.q)
     # the walk certifies the form itself; spinor_norm reads the rays it keeps
     g = _matrix_isometry(_parse_matrix(args.matrix), l)
     reflections = cartan_dieudonne(g)
@@ -92,7 +88,7 @@ def _cmd_spinor(args):
 
 
 def _cmd_congruence(args):
-    l = _lattice_from_args(args)
+    l = standard_lattice(args.lattice, args.p, args.q)
     g = isometry_from_matrix(_parse_matrix(args.matrix), l)
     member = in_congruence_subgroup(g, args.modulus)
     return "ok", {"modulus": args.modulus, "member": member}, None
@@ -128,7 +124,7 @@ def _cmd_arrange(args):
             arr.check_family_size(args.q, args.n)
             # the search's cheapest outcome, m = 1 and the first scan tangent
             arr.check_entry_bits(args.n, 1, boost, arr.rotation_from_tangent(arr.TANGENT_SCAN[0]))
-            m, t = arr.search_parameters(args.p, args.q, args.n, boost)
+            m, t = arr.search_parameters(args.n, boost)
         else:
             if args.m is None or args.t is None:
                 raise ValueError("provide --m and --t, pass --auto-params, or use --spec-json")
@@ -175,7 +171,7 @@ def _cmd_roots(args):
         ]
         print(f"block={args.block} count={len(embedded)}", file=sys.stderr)
         return "ok", embedded, None
-    l = _lattice_from_args(args)
+    l = standard_lattice(args.lattice, args.p, args.q)
     roots = obs.enumerate_roots(l, args.bound)
     print(f"lattice={args.lattice} bound={args.bound} count={len(roots)}", file=sys.stderr)
     return "ok", roots, None

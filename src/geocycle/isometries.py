@@ -215,13 +215,6 @@ def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMa
     return tuple(map(tuple, out)), 1
 
 
-def _reflect(x_ray, num: IntMat, den: int) -> tuple[IntMat, int]:
-    """R_x.(num/den) for the reflection R_x along a ray (x, gram.x, Q(x)),
-    as the rank-one update in integers."""
-    q, c = _reflection_update(x_ray, num)
-    return _apply_update(x_ray[0], q, c, num, den)
-
-
 def _reflection_matrix(x_ray) -> tuple[IntMat, int]:
     """R_x = (q.I - x.c^T) / q along a ray (x, gram.x, Q(x)), with
     (q, c) = (Q, 2.gram.x) over their gcd: already in lowest terms, as x is
@@ -246,7 +239,11 @@ def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
         x_ray = ray(cleared(v, l)[0], l)
         if x_ray[2] == 0:
             raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
-        num, den = _reflect(x_ray, num, den) if k else _reflection_matrix(x_ray)
+        if k:
+            q, c = _reflection_update(x_ray, num)
+            num, den = _apply_update(x_ray[0], q, c, num, den)
+        else:
+            num, den = _reflection_matrix(x_ray)
     return _certified(num, den, l)
 
 
@@ -277,10 +274,8 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     runs under the entry cap of :func:`_walk`; if it stops or misses the
     identity, g is certified by the Gram check instead (FormNotPreserved if
     it fails) and walked again uncapped, so every verdict is the Gram
-    check's. An uncapped walk that misses the identity is run once more on
-    (num, den) in lowest terms with den > 0. The walk runs at most once per
-    object: its rays are :attr:`Isometry.reflection_rays`, which
-    :func:`spinor_norm` reads too.
+    check's. The walk runs at most once per object: its rays are
+    :attr:`Isometry.reflection_rays`, which :func:`spinor_norm` reads too.
     """
     return [x for x, _, _ in g.reflection_rays]
 

@@ -163,16 +163,10 @@ def combine(a: QuadLattice, b: QuadLattice, negate_b: bool = False) -> QuadLatti
 
 
 def eval_form(l: QuadLattice, x: Sequence, y: Sequence) -> Fraction:
-    """The pairing x^T . gram . y, computed exactly."""
-    xs = linalg.as_vector(x)
-    ys = linalg.as_vector(y)
-    if len(xs) != l.rank or len(ys) != l.rank:
-        raise AmbientMismatch(f"vectors of length {len(xs)},{len(ys)} on rank {l.rank}")
-    total = Fraction(0)
-    for xi, terms in zip(xs, l.gram_terms):
-        if xi:
-            total += xi * sum((v * ys[j] for j, v in terms if ys[j]), Fraction(0))
-    return total
+    """The pairing x^T . gram . y, computed exactly: the integer pairing of
+    the cleared rows, over the product of their denominators."""
+    (xs, s), (ys, t) = cleared(x, l), cleared(y, l)
+    return Fraction(sum(map(mul, xs, linalg.terms_times(l.gram_terms, ys))), s * t)
 
 
 def cleared(v, l: QuadLattice) -> tuple[list[int], int]:

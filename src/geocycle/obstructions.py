@@ -300,7 +300,8 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     [[a]] is the one square a·x²) and a pruned box scan for the rest. A
     join over the blocks' values then visits only nodes that extend to a
     root and concatenates one vector of each chosen block into each root,
-    so the cost is the tables plus O(rank · roots). All of it is exact.
+    so the cost is the tables plus O(rank · roots). All of it is exact. A
+    diagonal form that misses -2 mod 8 returns [] before any table.
 
     Raises BudgetExceeded once the tables, searches, join and roots together
     need more than ROOT_NODE_BUDGET nodes.
@@ -309,6 +310,13 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
         raise ValueError("bound must be a positive integer")
     budget = _Budget()
     blocks = _orthogonal_blocks(l.gram)
+    if all(len(block) == 1 for block in blocks):
+        # each x_i^2 is 0, 1 or 4 mod 8
+        residues = {0}
+        for (i,) in blocks:
+            residues = {(r + l.gram[i][i] * s) % 8 for r in residues for s in (0, 1, 4)}
+        if ROOT_NORM % 8 not in residues:
+            return []
     grams = [[[l.gram[i][j] for j in block] for i in block] for block in blocks]
     forms = [None if _hyperbolic_entry(g) else _integer_square_forms(g) for g in grams]
     ranges = [_block_range(g, f, bound) for g, f in zip(grams, forms)]

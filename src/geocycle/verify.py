@@ -29,7 +29,7 @@ from .isometries import (
     spinor_norm,
     square_class,
 )
-from .lattices import QuadLattice, classify, ray, standard_lattice
+from .lattices import QuadLattice, classify, combine, quad_lattice, ray, standard_lattice
 from .linalg import span
 
 DEFAULT_SEED = 101
@@ -131,9 +131,9 @@ def check_arrangement_pattern() -> CheckResult:
     start = time.perf_counter()
     ok = True
     per_case = {}
+    m, t = arr.search_parameters(5, arr.DEFAULT_BOOST)
     for p, q in ((2, 3), (3, 3), (3, 4)):
         case_start = time.perf_counter()
-        m, t = arr.search_parameters(p, q, 5, arr.DEFAULT_BOOST)
         spec = arr.arrangement_spec(p, q, 5, arr.DEFAULT_BOOST, m, t)
         matrix = arr.intersection_matrix(spec)
         case_elapsed = time.perf_counter() - case_start
@@ -271,7 +271,8 @@ def _spinor_result(failures: int, elapsed: float) -> CheckResult:
 def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
     """Reflection signs, multiplicativity modulo squares, and exact
     reconstruction of 200 random reflection products: spinor_cases'
-    inputs, each through spinor_case."""
+    inputs, each through spinor_case, in one loop. run_all shares the same
+    cases through a pipe instead; this is the reference it must equal."""
     start = time.perf_counter()
     l, cases = spinor_cases(seed)
     failures = sum(spinor_case(l, case) for case in cases)
@@ -312,8 +313,6 @@ def check_root_enumeration() -> CheckResult:
     e8_q = _self_pairing(standard_lattice("e8_neg"))
     if not all(e8_q(r) == -2 for r in e8_roots[:10]):
         failures["e8_neg_norms"] = "bad self-pairing"
-    from .lattices import combine, quad_lattice
-
     small = [
         (b11, 3),
         (h, 3),
@@ -355,8 +354,6 @@ def check_lattice_classification() -> CheckResult:
 
 def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
     """Dimension formula, perp involution, Sylvester invariance."""
-    from .lattices import combine
-
     start = time.perf_counter()
     rng = random.Random(seed)
     h = standard_lattice("hyperbolic")
@@ -433,34 +430,19 @@ def _claim_spinor_cases(l: QuadLattice, cases: list, tokens: int):
     return failures, time.perf_counter() - start, None
 
 
-def _run_forked(seed: int) -> list[CheckResult] | None:
-    """ALL_CHECKS' results with the spinor check's cases shared by this
-    process and a forked child, or None when fork fails.
-
-    The cases are drawn first and one token byte per chunk of
-    SPINOR_CHUNK cases (at most 256 chunks) goes into a pipe whose write
-    end is closed, so an empty pipe reads as EOF. The child claims chunks
-    from the start; this process runs the seven other checks, then claims
-    what is left. The child pickles its (failures, seconds, raised) into a
-    second pipe, prints nothing and never returns into the caller. The
-    spinor result's elapsed is the draw plus both sides' case time, and of
-    the cases that raised, the lowest index's exception is raised here,
-    the one the inline check raises. The child is waited for before this
-    returns or raises."""
+def _fork_claimer(l: QuadLattice, cases: list, tokens: int) -> tuple[int, int] | None:
+    """(pid, fd) of a forked child that claims spinor chunks from the fd
+    tokens and pickles its (failures, seconds, raised) into the pipe fd
+    reads, or None when fork fails. The child prints nothing and never
+    returns into the caller."""
     import pickle
 
-    start = time.perf_counter()
-    l, cases = spinor_cases(seed)
-    drawn = time.perf_counter() - start
-    tokens, tokens_end = os.pipe()
-    os.write(tokens_end, bytes(range(-(-len(cases) // SPINOR_CHUNK))))
-    os.close(tokens_end)
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (tokens, read_fd, write_fd):
-            os.close(fd)
+        os.close(read_fd)
+        os.close(write_fd)
         return None
     if pid == 0:
         try:
@@ -471,39 +453,50 @@ def _run_forked(seed: int) -> list[CheckResult] | None:
         finally:
             os._exit(0)  # no atexit, no flush of stdio buffers copied from the parent
     os.close(write_fd)
-    try:
-        results = [None if name == "spinor_norm" else fn(seed) for name, fn in ALL_CHECKS]
-        mine = _claim_spinor_cases(l, cases, tokens)
-    finally:
-        os.close(tokens)
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"the spinor check's process ended with code {code} "
-                                "and no result")
-    theirs = pickle.loads(data)
-    raised = [side[2] for side in (mine, theirs) if side[2]]
-    if raised:
-        raise min(raised, key=lambda r: r[0])[1]
-    spinor = _spinor_result(mine[0] + theirs[0], drawn + mine[1] + theirs[1])
-    return [spinor if r is None else r for r in results]
+    return pid, read_fd
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The eight checks' results, in ALL_CHECKS order.
 
-    On a host with more than one CPU, a forked child starts on check 5's
-    (spinor_norm) cases while this process runs the other seven in order
-    and then shares the cases left (_run_forked); an exception a case
-    raised in the child is raised here with the same type and message.
-    Without fork, on one CPU or with other threads running, the eight run
-    here one after another. Each result's elapsed is its own check's time;
-    the spinor check's counts both processes' case time.
+    Check 5's (spinor_norm) cases are drawn first, and one token byte per
+    chunk of SPINOR_CHUNK cases (at most 256 chunks) goes into a pipe whose
+    write end is closed, so an empty pipe reads as EOF. On a host where
+    _can_fork holds, a forked child claims chunks from the start
+    (_fork_claimer). This process runs the other seven checks in order,
+    then claims what is left: every chunk when no child runs. The child is
+    waited for before this returns or raises. Each result's elapsed is its
+    own check's time; the spinor check's is the draw plus both sides' case
+    time. Of the cases that raised, the lowest index's exception is raised
+    here, with the type and message check_spinor_norm would raise.
     """
-    if _can_fork():
-        results = _run_forked(seed)
-        if results is not None:
-            return results
-    return [fn(seed) for _, fn in ALL_CHECKS]
+    import pickle
+
+    start = time.perf_counter()
+    l, cases = spinor_cases(seed)
+    drawn = time.perf_counter() - start
+    tokens, tokens_end = os.pipe()
+    os.write(tokens_end, bytes(range(-(-len(cases) // SPINOR_CHUNK))))
+    os.close(tokens_end)
+    child = _fork_claimer(l, cases, tokens) if _can_fork() else None
+    try:
+        results = [None if name == "spinor_norm" else fn(seed) for name, fn in ALL_CHECKS]
+        sides = [_claim_spinor_cases(l, cases, tokens)]
+    finally:
+        os.close(tokens)
+        if child:
+            pid, read_fd = child
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+    if child:
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"the spinor check's process ended with code {code} "
+                                    "and no result")
+        sides.append(pickle.loads(data))
+    raised = [side[2] for side in sides if side[2]]
+    if raised:
+        raise min(raised, key=lambda r: r[0])[1]
+    spinor = _spinor_result(sum(side[0] for side in sides), drawn + sum(side[1] for side in sides))
+    return [spinor if r is None else r for r in results]

@@ -52,7 +52,7 @@ from geocycle.arrangement import (
     inequality_details,
     rotation_from_tangent,
 )
-from geocycle.cli import _lattice_from_args, _parse_matrix
+from geocycle.cli import _parse_matrix
 from geocycle.errors import (
     CertificateFailed,
     FormNotPreserved,
@@ -70,7 +70,8 @@ from geocycle.isometries import (
     Isometry,
     _identity,
     _normalized,
-    _reflect,
+    _apply_update,
+    _reflection_update,
     isometry_from_matrix,
     square_class,
 )
@@ -378,7 +379,7 @@ def fraction_negative_tangents(rotation, limit):
     return out
 
 
-def fraction_search_parameters(p, q, n, boost):
+def fraction_search_parameters(n, boost):
     """The parameter search with its tangents compared as Fractions."""
     if n < 1:
         raise ValueError("family size n must be at least 1")
@@ -525,6 +526,13 @@ def gram_preserves_form(g):
     return Isometry(g.num, g.den, g.lattice).preserves_form
 
 
+def reflect(x_ray, num, den):
+    """R_x.(num/den) for the reflection along a ray (x, gram.x, Q(x)):
+    the package's rank-one update in integers, as its walk applies it."""
+    q, c = _reflection_update(x_ray, num)
+    return _apply_update(x_ray[0], q, c, num, den)
+
+
 def eager_cartan_dieudonne(g):
     """cartan_dieudonne as it ran before its walk certified the form: the
     Gram check first (FormNotPreserved), then the walk to the identity with
@@ -550,10 +558,10 @@ def eager_cartan_dieudonne(g):
                 image[j] += den * v
             plus = ray(image, l)
             vectors.append(plus[0])
-            num, den = _reflect(plus, num, den)
+            num, den = reflect(plus, num, den)
             line = b_ray
         vectors.append(line[0])
-        num, den = _reflect(line, num, den)
+        num, den = reflect(line, num, den)
     if den != 1 or num != _identity(l.rank):
         raise CertificateFailed("reflection factorization did not reach the identity")
     if len(vectors) > 2 * l.rank:
@@ -570,7 +578,7 @@ def factorization_spinor_norm(vectors, l):
 def eager_cmd_spinor(args):
     """The spinor command's handler as it ran before: isometry_from_matrix's
     Gram check, then the eager walk, whose factors give the class."""
-    l = _lattice_from_args(args)
+    l = standard_lattice(args.lattice, args.p, args.q)
     g = isometry_from_matrix(_parse_matrix(args.matrix), l)
     reflections = eager_cartan_dieudonne(g)
     payload = dict(factorization_spinor_norm(reflections, l).to_dict())

@@ -283,7 +283,7 @@ def test_family_cost_is_linear_in_n(monkeypatch):
     seen = []
     for n in (5, 32):
         counts.clear()
-        m, t = search_parameters(3, 4, n, DEFAULT_BOOST)
+        m, t = search_parameters(n, DEFAULT_BOOST)
         flats, hypers = build_family(arrangement_spec(3, 4, n, DEFAULT_BOOST, m, t))
         assert len(flats) == len(hypers) == n + 1
         seen.append(dict(counts))
@@ -337,7 +337,7 @@ def test_complement_matches_explicit_spanning_set():
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 3), (3, 3)])
 def test_intersection_matrix_pattern(p, q):
-    m, t = search_parameters(p, q, 5, DEFAULT_BOOST)
+    m, t = search_parameters(5, DEFAULT_BOOST)
     matrix = intersection_matrix(arrangement_spec(p, q, 5, DEFAULT_BOOST, m, t))
     assert matrix.lower_triangular
     assert matrix.shift_consistent
@@ -348,7 +348,7 @@ def test_intersection_matrix_pattern(p, q):
 
 
 def test_matrix_csv_cells():
-    m, t = search_parameters(2, 3, 2, DEFAULT_BOOST)
+    m, t = search_parameters(2, DEFAULT_BOOST)
     matrix = intersection_matrix(arrangement_spec(2, 3, 2, DEFAULT_BOOST, m, t))
     lines = matrix.to_csv().strip().split("\n")
     assert len(lines) == 3
@@ -379,43 +379,35 @@ def test_inequality_implies_empty_on_grid():
 
 
 def test_search_parameters_2_3_5():
-    assert search_parameters(2, 3, 5, DEFAULT_BOOST) == (3, F(1, 10))
+    assert search_parameters(5, DEFAULT_BOOST) == (3, F(1, 10))
 
 
 def test_search_parameters_reusable_for_smaller_n():
-    assert search_parameters(2, 3, 1, DEFAULT_BOOST) == (3, F(1, 10))
+    assert search_parameters(1, DEFAULT_BOOST) == (3, F(1, 10))
 
 
 def test_search_exhausted_for_huge_family():
     with pytest.raises(SearchExhausted):
-        search_parameters(2, 3, 10**6, DEFAULT_BOOST)
+        search_parameters(10**6, DEFAULT_BOOST)
 
 
 def test_search_rejects_empty_family():
     with pytest.raises(ValueError):
-        search_parameters(2, 3, 0, DEFAULT_BOOST)
+        search_parameters(0, DEFAULT_BOOST)
 
 
 def test_searched_parameters_satisfy_all_inequalities():
     for n in (1, 3, 5, 8):
-        m, t = search_parameters(2, 3, n, DEFAULT_BOOST)
+        m, t = search_parameters(n, DEFAULT_BOOST)
         spec = arrangement_spec(2, 3, n, DEFAULT_BOOST, m, t)
         assert all(detail.holds for detail in inequality_details(spec, n))
         # deterministic: repeated searches agree
-        assert search_parameters(2, 3, n, DEFAULT_BOOST) == (m, t)
+        assert search_parameters(n, DEFAULT_BOOST) == (m, t)
 
 
-def test_search_parameters_do_not_depend_on_the_signature():
-    # the inequality lives in the rotated 2-plane, so (m, t) is a function
-    # of n and the boost alone
-    for n in (1, 2, 5, 12, 24, 32, 48, 64):
-        found = {search_parameters(p, q, n, DEFAULT_BOOST) for p, q in ((2, 3), (3, 19), (8, 8))}
-        assert len(found) == 1, (n, found)
-
-
-def search_outcome(search, p, q, n, boost):
+def search_outcome(search, n, boost):
     try:
-        return search(p, q, n, boost)
+        return search(n, boost)
     except SearchExhausted:
         return SearchExhausted
 
@@ -425,21 +417,17 @@ BOOSTS = [DEFAULT_BOOST, BoostParams(F(5, 3), F(4, 3)), BoostParams(F(17, 8), F(
 
 @pytest.mark.parametrize("boost", BOOSTS, ids=lambda b: f"{b.a},{b.b}")
 def test_search_matches_the_fraction_search(boost):
-    # the search reads only n and the boost; p and q vary all the same
-    for (p, q), n in zip([(2, 3), (3, 4), (3, 19), (8, 8)] * 6, range(1, 25)):
-        expected = search_outcome(fraction_search_parameters, p, q, n, boost)
-        assert search_outcome(search_parameters, p, q, n, boost) == expected
-    for n in (32, 64, 128, 256, 400, 500):
-        expected = search_outcome(fraction_search_parameters, 3, 4, n, boost)
-        assert search_outcome(search_parameters, 3, 4, n, boost) == expected
+    for n in [*range(1, 25), 32, 64, 128, 256, 400, 500]:
+        expected = search_outcome(fraction_search_parameters, n, boost)
+        assert search_outcome(search_parameters, n, boost) == expected
 
 
 def test_search_matches_the_fraction_search_at_the_scan_limit():
     # t = 1/1024 keeps its tangent negative for k <= 804 and no further
-    assert search_parameters(3, 19, 804, DEFAULT_BOOST) == (12, F(1, 1024))
+    assert search_parameters(804, DEFAULT_BOOST) == (12, F(1, 1024))
     for n in (804, 805):
-        expected = search_outcome(fraction_search_parameters, 3, 19, n, DEFAULT_BOOST)
-        assert search_outcome(search_parameters, 3, 19, n, DEFAULT_BOOST) == expected
+        expected = search_outcome(fraction_search_parameters, n, DEFAULT_BOOST)
+        assert search_outcome(search_parameters, n, DEFAULT_BOOST) == expected
     assert expected is SearchExhausted
 
 

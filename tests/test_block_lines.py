@@ -291,7 +291,7 @@ def assert_family_matches(spec):
     [(2, 3, 5), (3, 3, 5), (3, 4, 5), (3, 4, 12), (3, 4, 24), (3, 4, 32), (2, 5, 8), (4, 5, 8)],
 )
 def test_searched_family_matches_oracle(p, q, n):
-    m, t = search_parameters(p, q, n, DEFAULT_BOOST)
+    m, t = search_parameters(n, DEFAULT_BOOST)
     assert_family_matches(arrangement_spec(p, q, n, DEFAULT_BOOST, m, t))
 
 
@@ -419,7 +419,7 @@ def test_block_terms_of_sparse_and_dense_flats_match_oracle():
     # random isometry of B(3,4) every entry of every row is nonzero, so the
     # verdicts read full term lists, against the oracle on the moved normals
     # (Point diagonal) and on the unmoved ones
-    spec = arrangement_spec(3, 4, 4, DEFAULT_BOOST, *search_parameters(3, 4, 4, DEFAULT_BOOST))
+    spec = arrangement_spec(3, 4, 4, DEFAULT_BOOST, *search_parameters(4, DEFAULT_BOOST))
     l = spec.lattice()
     flats, hypers = build_family(spec)
     normals = family_normals(spec)

@@ -209,7 +209,7 @@ def test_roots_over_budget_exits_2_quickly(capsys):
 
 
 @pytest.mark.parametrize(
-    "p,q,bound", [(1, 1, "99999999999999999999"), (1, 2, str(2**62)), (1, 1, "9999999999")]
+    "p,q,bound", [(2, 1, "100000000000000000000"), (1, 2, str(2**62)), (1, 3, "10000000000")]
 )
 def test_a_bound_past_sys_maxsize_exits_2_on_the_node_budget(capsys, p, q, bound):
     # a coordinate range longer than sys.maxsize is charged by its ends, as
@@ -219,6 +219,14 @@ def test_a_bound_past_sys_maxsize_exits_2_on_the_node_budget(capsys, p, q, bound
     )
     assert (code, out) == (2, "")
     assert "error: root enumeration needs more than 500000 nodes" in err
+
+
+@pytest.mark.parametrize("bound", ["1000000000", "100000000000000000000"])
+def test_b11_has_no_roots_at_any_bound(capsys, bound):
+    # x^2 - y^2 is never 6 mod 8, so no table is built whatever the bound
+    code, out, _ = run_cli(capsys, "roots", "--lattice", "bpq", "--p", "1", "--q", "1",
+                           "--bound", bound)
+    assert (code, out) == (0, "[]\n")
 
 
 def test_roots_block_requires_k3(capsys):
@@ -608,7 +616,7 @@ def test_verify_all_writes_its_bytes_on_fd_1_once():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
 def test_verify_all_on_one_cpu_writes_the_same_bytes_on_fd_1():
-    # on one CPU run_all forks nothing and runs the eight checks inline
+    # on one CPU run_all forks nothing and claims every spinor chunk itself
     proc = cli_process(
         "verify-all", "--seed", "101",
         preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),

@@ -111,7 +111,7 @@ def test_isotropic_lines_of_every_small_triple():
 @pytest.mark.parametrize("p,q", [(3, 4), (3, 19), (8, 8)])
 def test_every_cell_of_a_searched_family_at_n64(p, q):
     n = 64
-    spec = arrangement_spec(p, q, n, DEFAULT_BOOST, *search_parameters(p, q, n, DEFAULT_BOOST))
+    spec = arrangement_spec(p, q, n, DEFAULT_BOOST, *search_parameters(n, DEFAULT_BOOST))
     flats, hypers = build_family(spec)
     assert {lines for flat in flats for lines in lines_of(flat)} == {(1, 1, -1, 1)}
     tags = [assert_signs_match_product_form(flat, hyper) for hyper in hypers for flat in flats]
@@ -121,7 +121,7 @@ def test_every_cell_of_a_searched_family_at_n64(p, q):
 def test_flats_moved_by_seeded_isometries_are_split_with_other_triples():
     # an isometry keeps a block's discriminant, so the moved standard flat
     # stays split, with the triples (Q(x), 0, Q(y)) of the moved rows
-    spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, *search_parameters(2, 3, 5, DEFAULT_BOOST))
+    spec = arrangement_spec(2, 3, 5, DEFAULT_BOOST, *search_parameters(5, DEFAULT_BOOST))
     flats, hypers = build_family(spec)
     orthogonal_to_blocks = hyperplane_new((0, 0, 0, 0, 1), B23)
     triples, tags = set(), set()

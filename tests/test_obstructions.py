@@ -323,6 +323,26 @@ def test_box_bound_is_respected():
     assert enumerate_roots(minus_two, 1) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
+DIAGONAL_WEIGHTS = (-6, -5, -3, -2, -1, 1, 2, 3, 5, 6)
+
+
+def test_diagonal_lattices_match_the_naive_oracle():
+    # Q mod 8 depends on each x_i mod 8 alone, so [0, 8)^rank gives every
+    # residue; a lattice that misses -2 there has no roots at any bound, and
+    # enumerate_roots answers it at once where its tables would overrun
+    unreachable = 0
+    for rank in (2, 3):
+        for weights in itertools.combinations_with_replacement(DIAGONAL_WEIGHTS, rank):
+            l = quad_lattice([[w if i == j else 0 for j in range(rank)] for i, w in enumerate(weights)])
+            assert enumerate_roots(l, 2) == naive_roots(l, 2), weights
+            values = {sum(w * x * x for w, x in zip(weights, xs)) % 8
+                      for xs in itertools.product(range(8), repeat=rank)}
+            if ROOT_NORM % 8 not in values:
+                unreachable += 1
+                assert enumerate_roots(l, 10**20) == [], weights
+    assert unreachable == 18
+
+
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         enumerate_roots(H, 0)

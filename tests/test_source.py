@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 import inspect
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import geocycle
@@ -53,6 +55,16 @@ def test_traced_functions_exist():
         if not inspect.isfunction(getattr(importlib.import_module(f"geocycle.{layer}"), fn, None))
     ]
     assert missing == []
+
+
+def test_the_benchmark_self_test_passes():
+    # the benchmark's checks read the program's output and its metric names;
+    # a change to the package that breaks them fails here, not only in a
+    # benchmark run
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, cwd=ROOT, timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert done.stderr.rstrip().endswith("OK")
 
 
 def test_no_uncompared_dataclass_fields():
@@ -184,3 +196,20 @@ def test_every_optional_parameter_is_set_by_the_program():
                 if not by_position and arg not in passed and None not in passed:
                     unset.add(f"{path.stem}.{qualname}({arg})")
     assert unset == UNSET_ALLOWED
+
+
+def test_every_parameter_is_read():
+    # a parameter its body never reads is a knob that changes nothing, and
+    # every caller passes it for no effect. A lambda is exempt: ALL_CHECKS'
+    # adapters take the seed whether their check reads it or not
+    unread = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = f.args
+            params = [x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x]
+            read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            unread += [f"{path.stem}.{f.name}({p})" for p in params if p not in read]
+    assert unread == []

@@ -49,7 +49,7 @@ def opposite_content_blocks(g, flat):
 @pytest.mark.parametrize("p,q", [(3, 4), (8, 8), (3, 19)])
 def test_every_flat_of_an_auto_params_family_matches_the_oracle(p, q):
     n = 64
-    m, t = search_parameters(p, q, n, DEFAULT_BOOST)
+    m, t = search_parameters(n, DEFAULT_BOOST)
     spec = arrangement_spec(p, q, n, DEFAULT_BOOST, m, t)
     flats, _ = build_family(spec)
     r = rotation_isometry(spec.rotation, p, q, spec.lattice())

@@ -158,6 +158,24 @@ def test_run_all_equals_the_checks_run_one_by_one(request, path):
     assert_no_child_left()
 
 
+@pytest.fixture
+def refused(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", refuse_fork)
+
+
+@pytest.mark.parametrize("path", ["forked", "inline", "refused"])
+def test_run_all_never_calls_the_inline_spinor_check(request, monkeypatch, path):
+    # one way to run check 5: the token pipe, with or without a child;
+    # check_spinor_norm is only the reference the tests compare with
+    request.getfixturevalue(path)
+    calls = []
+    monkeypatch.setattr(verify, "check_spinor_norm", lambda seed: calls.append(seed))
+    spinor = verify.run_all(2)[4]
+    assert (calls, spinor.name, spinor.ok) == ([], "spinor_norm", True)
+    assert_no_child_left()
+
+
 def test_a_failing_fork_runs_the_checks_inline_and_closes_its_pipe(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", refuse_fork)

@@ -15,7 +15,7 @@ from itertools import chain
 import pytest
 
 from geocycle import cli, isometries, linalg, verify
-from geocycle.errors import GeocycleError
+from geocycle.errors import CertificateFailed, GeocycleError
 from geocycle.isometries import (
     Isometry,
     _apply_update,
@@ -299,3 +299,13 @@ def test_a_valid_walk_past_the_cap_falls_back_to_the_same_factors(monkeypatch, w
     walks["gram"] = 0
     assert cartan_dieudonne(g) == expected
     assert walks == {"walks": [True, False], "gram": 1}
+
+
+def test_a_walk_of_more_than_twice_the_rank_rays_is_refused(monkeypatch):
+    # Cartan-Dieudonne bounds a factorization by 2 * rank reflections: a
+    # walk that returned more would certify nothing
+    l = standard_lattice("bpq", 1, 1)
+    too_many = [ray((1, 0), l)] * (2 * l.rank + 1)
+    monkeypatch.setattr(isometries, "_walk", lambda g, capped: too_many)
+    with pytest.raises(CertificateFailed, match=r"^5 reflections exceed 2 \* rank = 4$"):
+        cartan_dieudonne(Isometry(diagonal(2, 1), 1, l))
