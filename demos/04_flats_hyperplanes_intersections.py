@@ -18,7 +18,7 @@ from geocycle import (
 from geocycle.arrangement import boost_power, DEFAULT_BOOST
 
 b23 = standard_lattice("bpq", 2, 3)
-flat = standard_flat(2, 3, b23)
+flat = standard_flat(2, 3)
 
 # A hyperplane from a boosted negative vector b*e1 + a*f1 + f2.
 bp = boost_power(DEFAULT_BOOST, 3)

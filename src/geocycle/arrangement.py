@@ -170,9 +170,9 @@ class ArrangementSpec:
         return standard_lattice("bpq", self.p, self.q)
 
 
-def standard_flat(p: int, q: int, l: QuadLattice | None = None) -> Flat:
-    """The flat of the coordinate splitting: blocks <e_i, f_i>, rest <f_j>_{j>p}."""
-    l = l if l is not None else standard_lattice("bpq", p, q)
+def standard_flat(p: int, q: int) -> Flat:
+    """The flat of B(p,q)'s coordinate splitting: blocks <e_i, f_i>, rest <f_j>_{j>p}."""
+    l = standard_lattice("bpq", p, q)
     n = p + q
 
     def unit(i):
@@ -183,11 +183,11 @@ def standard_flat(p: int, q: int, l: QuadLattice | None = None) -> Flat:
     return flat_new(blocks, rest, l)
 
 
-def rotation_isometry(pair: RotationPair, p: int, q: int, l: QuadLattice | None = None) -> Isometry:
-    """The isometry rotating <e_1, e_2> and <f_1, f_2> by the same pair."""
+def rotation_isometry(pair: RotationPair, p: int, q: int) -> Isometry:
+    """The isometry of B(p,q) rotating <e_1, e_2> and <f_1, f_2> by the same pair."""
     if p < 2 or q < 2:
         raise ValueError("the rotation mixes two positive and two negative directions")
-    l = l if l is not None else standard_lattice("bpq", p, q)
+    l = standard_lattice("bpq", p, q)
     n = p + q
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for base in (0, p):  # e-block then f-block
@@ -210,10 +210,9 @@ def base_hyperplane_normal(spec: ArrangementSpec) -> tuple[Fraction, ...]:
 def build_family(spec: ArrangementSpec) -> tuple[list[Flat], list[Hyperplane]]:
     """Flats F_k and hyperplanes H_l for 0 <= k, l <= n: the base pair, then
     each next pair translated from the last by the generator rotation."""
-    l = spec.lattice()
-    r = rotation_isometry(spec.rotation, spec.p, spec.q, l)
-    flats = [standard_flat(spec.p, spec.q, l)]
-    hypers = [hyperplane_new(base_hyperplane_normal(spec), l)]
+    r = rotation_isometry(spec.rotation, spec.p, spec.q)
+    flats = [standard_flat(spec.p, spec.q)]
+    hypers = [hyperplane_new(base_hyperplane_normal(spec), spec.lattice())]
     for _ in range(spec.n):
         flats.append(translate(r, flats[-1]))
         hypers.append(translate(r, hypers[-1]))

@@ -26,18 +26,8 @@ from .isometries import (
     isometry_from_matrix,
     spinor_norm,
 )
-from .lattices import check_rank, classify, standard_lattice
+from .lattices import K3_BLOCKS, check_rank, classify, standard_lattice
 from .linalg import det, frac
-
-# K3 coordinate blocks for --block: label -> (offset, lattice kind)
-_K3_BLOCKS = {
-    "h:1": (0, "hyperbolic"),
-    "h:2": (2, "hyperbolic"),
-    "h:3": (4, "hyperbolic"),
-    "e8:1": (6, "e8_neg"),
-    "e8:2": (14, "e8_neg"),
-}
-
 
 def _loads(text: str, what: str):
     """json.loads, with a document nested past the recursion limit as bad input."""
@@ -160,10 +150,12 @@ def _cmd_roots(args):
     if args.block:
         if args.lattice != "k3":
             raise ValueError("--block only applies to the k3 lattice")
-        if args.block not in _K3_BLOCKS:
-            raise ValueError(f"unknown block {args.block!r}; choose from {sorted(_K3_BLOCKS)}")
-        offset, kind = _K3_BLOCKS[args.block]
-        sub = standard_lattice(kind)
+        labels = [label for label, _ in K3_BLOCKS]
+        if args.block not in labels:
+            raise ValueError(f"unknown block {args.block!r}; choose from {sorted(labels)}")
+        i = labels.index(args.block)
+        offset = sum(standard_lattice(kind).rank for _, kind in K3_BLOCKS[:i])
+        sub = standard_lattice(K3_BLOCKS[i][1])
         roots = obs.enumerate_roots(sub, args.bound)
         full_rank = standard_lattice("k3").rank
         embedded = [

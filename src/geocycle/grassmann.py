@@ -196,8 +196,7 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
     cuts = list(itertools.accumulate(map(len, parts), initial=0))
     *subs, rest_gram = [[row[a:b] for row in gram[a:b]] for a, b in zip(cuts, cuts[1:])]
     for i, g in enumerate(subs):
-        if len(g) != 2 or g[0][0] * g[1][1] - g[0][1] * g[1][0] >= 0:
-            sig = linalg.inertia(g)
+        if (sig := linalg.inertia(g)) != (1, 1, 0):
             raise WrongInertia(f"block {i} has restricted inertia {sig}, expected (1, 1, 0)")
     rest_sig = linalg.inertia(rest_gram)
     if rest_sig != (0, len(rest_gram), 0):
@@ -208,7 +207,7 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
             raise NotOrthogonal(f"components {part_of[a]} and {part_of[b]} are not orthogonal")
     if 2 * len(subs) + len(rest_gram) != l.rank:
         raise NotSpanning(f"components span only {len(rows)} of {l.rank} dimensions")
-    triples = [(g[0][0], g[0][1], g[1][1]) for g in subs]  # gcd > 0, as det < 0
+    triples = [(g[0][0], g[0][1], g[1][1]) for g in subs]  # gcd > 0, as det < 0 at (1,1,0)
     int_blocks = tuple((x, y, *(c // math.gcd(*t) for c in t)) for (x, y), t in zip(parts, triples))
     return Flat(l, int_blocks, tuple(parts[-1]))
 

@@ -12,12 +12,12 @@ from operator import mul
 
 from . import linalg
 from .errors import (
-    AmbientMismatch,
     BudgetExceeded,
     CertificateFailed,
     DetMinusOne,
     FormNotPreserved,
     IsotropicVector,
+    LatticeMismatch,
     NonIntegralMatrix,
     NotSquare,
 )
@@ -172,7 +172,7 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     """g after h, from (num, den) in integers; certified when both factors
     are (see :class:`Isometry`)."""
     if g.lattice != h.lattice:
-        raise AmbientMismatch("isometries over different lattices")
+        raise LatticeMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))
     num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
     if vars(g).get("preserves_form") and vars(h).get("preserves_form"):
@@ -180,8 +180,12 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
     return Isometry(num, g.den * h.den, g.lattice)
 
 
-def _reduced_update(q: int, c: list[int]) -> tuple[int, list[int]]:
-    """(q, c) divided by their gcd taken with q's sign, so q > 0."""
+def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
+    """(q, c) with R_x.(A/D) = (q.A - x.c^T) / (q.D) for the reflection R_x
+    along a ray (x, gram.x, Q(x)): c = 2.(gram.x)^T.A and q = Q, first
+    divided by their gcd taken with Q's sign, so q > 0."""
+    _, pairing, q = x_ray
+    c = [2 * sum(map(mul, pairing, col)) for col in zip(*num)]
     g = math.gcd(q, *c)
     if q < 0:
         g = -g
@@ -189,14 +193,6 @@ def _reduced_update(q: int, c: list[int]) -> tuple[int, list[int]]:
         q //= g
         c = [ck // g for ck in c]
     return q, c
-
-
-def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
-    """(q, c) with R_x.(A/D) = (q.A - x.c^T) / (q.D) for the reflection R_x
-    along a ray (x, gram.x, Q(x)): c = 2.(gram.x)^T.A and q = Q, first
-    divided by their gcd taken with Q's sign, so q > 0."""
-    _, pairing, q = x_ray
-    return _reduced_update(q, [2 * sum(map(mul, pairing, col)) for col in zip(*num)])
 
 
 def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMat, int]:
@@ -215,35 +211,17 @@ def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMa
     return tuple(map(tuple, out)), 1
 
 
-def _reflection_matrix(x_ray) -> tuple[IntMat, int]:
-    """R_x = (q.I - x.c^T) / q along a ray (x, gram.x, Q(x)), with
-    (q, c) = (Q, 2.gram.x) over their gcd: already in lowest terms, as x is
-    primitive and gcd(q, c) = 1."""
-    x, pairing, q = x_ray
-    q, c = _reduced_update(q, [2 * p for p in pairing])
-    rows = []
-    for i, xi in enumerate(x):
-        row = [-xi * ck for ck in c] if xi else [0] * len(c)
-        row[i] += q
-        rows.append(tuple(row))
-    return tuple(rows), q
-
-
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
-    """reflection(x_1) . ... . reflection(x_k), applied right to left; each
-    x_i must be anisotropic. The rightmost factor R_{x_k} is written down
-    directly (:func:`_reflection_matrix`) and each other one applied as a
-    rank-one update. The product is certified by construction."""
+    """reflection(x_1) . ... . reflection(x_k) for anisotropic x_i: from the
+    identity, each factor right to left is applied by the walk's two steps
+    (:func:`_reflection_update`, :func:`_apply_update`). Certified by construction."""
     num, den = _identity(l.rank), 1
-    for k, v in enumerate(reversed(list(vectors))):
+    for v in reversed(list(vectors)):
         x_ray = ray(cleared(v, l)[0], l)
         if x_ray[2] == 0:
             raise IsotropicVector(f"cannot reflect along isotropic vector {linalg.as_vector(v)}")
-        if k:
-            q, c = _reflection_update(x_ray, num)
-            num, den = _apply_update(x_ray[0], q, c, num, den)
-        else:
-            num, den = _reflection_matrix(x_ray)
+        q, c = _reflection_update(x_ray, num)
+        num, den = _apply_update(x_ray[0], q, c, num, den)
     return _certified(num, den, l)
 
 

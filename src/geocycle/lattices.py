@@ -25,6 +25,16 @@ _E8_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
 
 _HYPERBOLIC = ((0, 1), (1, 0))
 
+# K3's blocks as (label, lattice kind), in the order standard_lattice("k3")
+# stacks them: three hyperbolic planes, then two negated E8s
+K3_BLOCKS = (
+    ("h:1", "hyperbolic"),
+    ("h:2", "hyperbolic"),
+    ("h:3", "hyperbolic"),
+    ("e8:1", "e8_neg"),
+    ("e8:2", "e8_neg"),
+)
+
 # a primitive integer vector x, its pairing gram.x and its self-pairing Q(x)
 Ray = tuple[tuple[int, ...], tuple[int, ...], int]
 
@@ -138,8 +148,7 @@ def standard_lattice(kind: str, p: int | None = None, q: int | None = None) -> Q
     if kind == "e8_neg":
         return QuadLattice(_negated(_e8_gram()), name="-E8")
     if kind == "k3":
-        e8n = _negated(_e8_gram())
-        return QuadLattice(_block_diagonal(_HYPERBOLIC, _HYPERBOLIC, _HYPERBOLIC, e8n, e8n), "K3")
+        return QuadLattice(_block_diagonal(*(standard_lattice(b).gram for _, b in K3_BLOCKS)), "K3")
     raise ValueError(f"unknown lattice kind: {kind!r}")
 
 

@@ -54,12 +54,11 @@ class CheckResult:
 
 
 def random_anisotropic_vector(l: QuadLattice, rng: random.Random):
-    """A vector with entries in [-5, 5] and Q(v) != 0, drawn until one is:
-    Q(v) sums g_ij v_i v_j over the nonzero Gram entries."""
-    terms = l.gram_terms
+    """A vector with entries in [-5, 5] and Q(v) != 0, drawn until one is."""
+    q = _self_pairing(l)
     while True:
-        v = tuple([rng.randint(-5, 5) for _ in terms])
-        if sum(c * v[i] * v[j] for i, row in enumerate(terms) for j, c in row):
+        v = tuple([rng.randint(-5, 5) for _ in range(l.rank)])
+        if q(v):
             return v
 
 
@@ -282,7 +281,7 @@ def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
 def _self_pairing(l: QuadLattice):
     """v -> v.G.v for integer vectors, summing g_ij v_i v_j in integers over
     the nonzero Gram entries."""
-    entries = [(i, j, c) for i, row in enumerate(l.gram) for j, c in enumerate(row) if c]
+    entries = [(i, j, c) for i, row in enumerate(l.gram_terms) for j, c in row]
     return lambda v: sum(c * v[i] * v[j] for i, j, c in entries)
 
 

@@ -256,9 +256,9 @@ def test_family_hyperplanes_are_rotated_copies():
     l = spec.lattice()
     base = hyperplane_new(base_hyperplane_normal(spec), l)
     for k in range(4):
-        rk = rotation_isometry(rotation_power(spec.rotation, k), 2, 3, l)
+        rk = rotation_isometry(rotation_power(spec.rotation, k), 2, 3)
         assert hypers[k] == translate(rk, base)
-        assert flats[k] == translate(rk, standard_flat(2, 3, l))
+        assert flats[k] == translate(rk, standard_flat(2, 3))
 
 
 def test_family_cost_is_linear_in_n(monkeypatch):

@@ -255,12 +255,12 @@ def assert_family_flats_match_oracle(spec, flats):
     # the Fraction build_family: the k-th rotation power, built from k = 0,
     # applied to the standard flat's rows and certified by the Fraction oracle
     l = spec.lattice()
-    base = standard_flat(spec.p, spec.q, l)
+    base = standard_flat(spec.p, spec.q)
     assert (base.blocks, base.rest) == assert_flat_new_matches_oracle(
         [b.basis for b in base.blocks], base.rest.basis, l
     )
     for k, flat in enumerate(flats):
-        rk = rotation_isometry(rotation_power(spec.rotation, k), spec.p, spec.q, l)
+        rk = rotation_isometry(rotation_power(spec.rotation, k), spec.p, spec.q)
         u_bases = [[oracle_apply(rk, row) for row in b.basis] for b in base.blocks]
         n_basis = [oracle_apply(rk, row) for row in base.rest.basis]
         assert_integer_rows(flat)
@@ -271,7 +271,7 @@ def family_normals(spec):
     """The Fraction build_family's normals: the base normal, then each next
     one translated from the last by the generator rotation."""
     l = spec.lattice()
-    r = rotation_isometry(spec.rotation, spec.p, spec.q, l)
+    r = rotation_isometry(spec.rotation, spec.p, spec.q)
     normals = [fraction_hyperplane_new(base_hyperplane_normal(spec), l)]
     for _ in range(spec.n):
         normals.append(fraction_translate(r, normals[-1]))
@@ -318,7 +318,7 @@ def test_non_triangular_family_matches_oracle(p, q, n, m, t):
 )
 def test_special_normals_match_oracle(p, q, normal):
     l = standard_lattice("bpq", p, q)
-    flat = standard_flat(p, q, l)
+    flat = standard_flat(p, q)
     hyper, v = assert_hyperplane_new_matches_oracle(normal, l)
     assert_matches_oracle(flat, hyper, v)
     g = verify.random_isometry(l, random.Random(sum(normal)), reflections=3)
@@ -386,7 +386,7 @@ def test_random_small_normals_match_oracle():
     rejected = set()
     for p, q in ((1, 1), (1, 2), (2, 2), (2, 3), (2, 5)):
         l = standard_lattice("bpq", p, q)
-        flat = standard_flat(p, q, l)
+        flat = standard_flat(p, q)
         g = verify.random_isometry(l, rng, reflections=2)
         moved = assert_translate_matches_oracle(g, flat)
         for _ in range(40):
@@ -597,7 +597,7 @@ def test_translated_flat_equals_flat_new_of_its_subspaces():
     # translate keeps the images of the integer rows, flat_new the primitive
     # RREF rows: different rows, the same flat
     l = standard_lattice("bpq", 2, 3)
-    flat = standard_flat(2, 3, l)
+    flat = standard_flat(2, 3)
     g = verify.random_isometry(l, random.Random(5), reflections=3)
     image = translate(g, flat)
     rebuilt = flat_new([b.basis for b in image.blocks], image.rest.basis, l)

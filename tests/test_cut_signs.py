@@ -137,7 +137,7 @@ def test_flats_moved_by_seeded_isometries_are_split_with_other_triples():
         tags.add(assert_signs_match_product_form(moved[0], translate(g, orthogonal_to_blocks)))
     assert (1, 0, -25) in triples and len(triples) > 5
     assert translate(
-        verify.random_isometry(B23, random.Random(5), reflections=3), standard_flat(2, 3, B23)
+        verify.random_isometry(B23, random.Random(5), reflections=3), standard_flat(2, 3)
     ).int_blocks[1][2:] == (1, 0, -25)
     assert tags == {"Point", "Empty", "Degenerate"}
 
@@ -188,7 +188,7 @@ def test_block_with_an_isotropic_row():
 def test_isotropic_cut_line_stays_empty(sign):
     # B(v, e1) = c and B(v, f1) = -sign*c: |a| = |b| on the (1, 0, -1) block
     # <e1, f1>, whose cut line w = b*e1 - a*f1 is isotropic
-    flat = standard_flat(2, 3, B23)
+    flat = standard_flat(2, 3)
     rng = random.Random(31 + sign)
     seen = 0
     for _ in range(200):

@@ -96,7 +96,7 @@ def test_general_position_is_isometry_invariant():
     l = standard_lattice("bpq", 2, 3)
     from geocycle.arrangement import standard_flat
 
-    flat = standard_flat(2, 3, l)
+    flat = standard_flat(2, 3)
     normals = [
         (F(1), F(0), F(2), F(1), F(1)),
         (F(2), F(0), F(1), F(1), F(3)),
@@ -112,7 +112,6 @@ def test_general_position_is_isometry_invariant():
 
 
 def test_translate_point_through_rotation():
-    l = standard_lattice("bpq", 2, 2)
     spec = arrangement_spec(2, 2, 1, DEFAULT_BOOST, 3, F(1, 10))
     from geocycle.grassmann import intersect_flat_hyperplane
     from geocycle.arrangement import build_family
@@ -120,7 +119,7 @@ def test_translate_point_through_rotation():
 
     flats, hypers = build_family(spec)
     point = intersect_flat_hyperplane(flats[0], hypers[0]).point
-    r = rotation_isometry(rotation_power(spec.rotation, 1), 2, 2, l)
+    r = rotation_isometry(rotation_power(spec.rotation, 1), 2, 2)
     moved = translate(r, point)
     target = intersect_flat_hyperplane(flats[1], hypers[1]).point
     assert moved.plane == target.plane

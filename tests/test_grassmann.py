@@ -72,7 +72,7 @@ def random_isometry(l, rng, k=3):
 
 
 def test_standard_flat_in_b23():
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     assert f.block_count == 2
     assert f.rest.dim == 1
     assert f.blocks[0] == span([unit(0, 5), unit(2, 5)])
@@ -165,7 +165,7 @@ def test_hyperplane_normal_is_primitive_with_positive_lead():
 
 
 def test_general_position_fails_when_normal_lies_in_rest():
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new(unit(4, 5), B23)  # the rest direction itself
     assert not general_position(f, h, "weak")
 
@@ -173,7 +173,7 @@ def test_general_position_fails_when_normal_lies_in_rest():
 def test_general_position_b12_example():
     # complement of f_1 meets the block in the positive line <e_1>, but the
     # normal pairs to zero with the rest, so the rest clause fails
-    f = standard_flat(1, 2, B12)
+    f = standard_flat(1, 2)
     h = hyperplane_new((0, 1, 0), B12)
     line = intersect(complement(h), f.blocks[0])
     assert line == span([(1, 0, 0)])
@@ -194,7 +194,7 @@ def test_general_position_boosted_normal_fails_rest_clause():
 def test_general_position_strong_with_rest_component():
     bp = boost_power(BOOST, 1)
     lam = (bp.b, F(0), bp.a, F(1), F(1))  # boosted normal plus a rest part
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new(lam, B23)
     assert general_position(f, h, "weak")
     assert general_position(f, h, "strong")
@@ -205,7 +205,7 @@ def test_general_position_strong_vs_weak():
     # line is negative, so weak holds but strong fails
     lam = (F(2), F(0), F(1), F(1), F(3))
     assert eval_form(B23, lam, lam) < 0
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new(lam, B23)
     assert general_position(f, h, "weak")
     assert not general_position(f, h, "strong")
@@ -213,7 +213,7 @@ def test_general_position_strong_vs_weak():
 
 def test_general_position_rest_clause_skip_flag():
     b22 = standard_lattice("bpq", 2, 2)
-    f = standard_flat(2, 2, b22)
+    f = standard_flat(2, 2)
     bp = boost_power(BOOST, 3)
     h = hyperplane_new((bp.b, F(0), bp.a, F(1)), b22)
     # dim-0 rest: the clause fails as stated, the flag opts out
@@ -250,13 +250,13 @@ def test_intersection_point_p1q1():
 
 def test_intersection_empty_when_line_not_positive():
     lam = (F(2), F(0), F(1), F(1), F(3))  # negative cut line in the first block
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new(lam, B23)
     assert intersect_flat_hyperplane(f, h).tag == "Empty"
 
 
 def test_intersection_degenerate_when_block_inside_complement():
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new(unit(4, 5), B23)  # whole first block lies in f_3-perp
     verdict = intersect_flat_hyperplane(f, h)
     assert verdict.tag == "Degenerate"
@@ -302,7 +302,7 @@ def test_empty_verdict_confirmed_by_brute_force():
         (F(5), F(0), F(4), F(1), F(4)),
         (F(2), F(0), F(1), F(2), F(1)),
     ]
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     for lam in cases:
         assert eval_form(B23, lam, lam) < 0
         h = hyperplane_new(lam, B23)
@@ -325,14 +325,14 @@ def test_empty_verdict_confirmed_by_brute_force():
 
 def test_stabilizer_strong_pair_is_all_ones_only():
     bp = boost_power(BOOST, 1)
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new((bp.b, F(0), bp.a, F(1), F(1)), B23)
     assert general_position(f, h, "strong")
     assert stabilizer_sign_patterns(f, h) == [(1, 1)]
 
 
 def test_stabilizer_zero_block_component_admits_flip():
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     h = hyperplane_new((0, 0, 0, 1, 1), B23)  # no first-block component
     patterns = stabilizer_sign_patterns(f, h)
     assert (1, 1) in patterns
@@ -347,7 +347,7 @@ def test_stabilizer_p1_negative_basis_vector():
 
 def test_stabilizer_always_contains_all_ones():
     rng = random.Random(73)
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     for _ in range(10):
         lam = tuple(rng.randint(-3, 3) for _ in range(5))
         if eval_form(B23, lam, lam) >= 0:
@@ -380,7 +380,7 @@ def test_stabilizer_matches_the_filter_over_all_patterns():
             l = standard_lattice("bpq", p, q)
             for _ in range(6):
                 g = random_isometry(l, rng, rng.randint(0, 2))
-                f = translate(g, standard_flat(p, q, l))
+                f = translate(g, standard_flat(p, q))
                 h = translate(g, hyperplane_new(random_normal(p, q, rng), l))
                 patterns = stabilizer_sign_patterns(f, h)
                 assert patterns == filtered_stabilizer_sign_patterns(f, h), (p, q)
@@ -409,7 +409,7 @@ def test_translate_by_identity():
 
 def test_translate_moves_blocks():
     rng = random.Random(79)
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     g = random_isometry(B23, rng)
     image = translate(g, f)
     assert image.blocks[0] == span([oracle_apply(g, row) for row in f.blocks[0].basis])
@@ -435,7 +435,7 @@ def test_translate_hyperplane_keeps_line():
 
 
 def test_translate_lattice_mismatch():
-    f = standard_flat(2, 3, B23)
+    f = standard_flat(2, 3)
     with pytest.raises(LatticeMismatch):
         translate(product_of_reflections([], B11), f)
 
@@ -460,7 +460,7 @@ def test_gr_point_requires_positive_definite():
 
 
 def test_a_flat_compares_unequal_to_what_is_not_a_flat():
-    flat = standard_flat(1, 1, B11)
+    flat = standard_flat(1, 1)
     assert flat.__eq__(3) is NotImplemented
     assert flat != 3
 

@@ -26,6 +26,7 @@ from geocycle.errors import (
     DetMinusOne,
     FormNotPreserved,
     IsotropicVector,
+    LatticeMismatch,
     NonIntegralMatrix,
     NotSquare,
 )
@@ -66,6 +67,7 @@ B14 = standard_lattice("bpq", 1, 4)
 B23 = standard_lattice("bpq", 2, 3)
 K3 = standard_lattice("k3")
 E8N = standard_lattice("e8_neg")
+H = standard_lattice("hyperbolic")
 BOOST = [[F(5, 4), F(3, 4)], [F(3, 4), F(5, 4)]]
 
 
@@ -510,17 +512,32 @@ def test_minus_one_on_k3_has_the_class_of_the_determinant():
 
 
 def test_rank_one_products_match_dense_products():
+    # every factor, the first one too, is a rank-one update of the running
+    # map; on H and K3 the first factor's denominator, Q(x) over its gcd
+    # with 2.gram.x, is 1 on some cases and not on others
     rng = random.Random(73)
-    for l in (B23, B14, E8N):
-        for _ in range(10):
-            vectors = [random_anisotropic(l, rng) for _ in range(rng.randint(0, 5))]
-            dense = identity_matrix(l.rank)
-            for v in vectors:
-                assert reflection(v, l).matrix == dense_reflection_matrix(v, l)
-                dense = mat_mul(dense, dense_reflection_matrix(v, l))
-            g = product_of_reflections(vectors, l)
-            assert g.matrix == dense
-            assert g.det == (-1) ** len(vectors)
+    cases = [
+        (l, [random_anisotropic(l, rng) for _ in range(rng.randint(0, 5))])
+        for l in (B23, B14, E8N, H)
+        for _ in range(10)
+    ]
+    # the dense oracle costs O(rank^3) per factor, so K3 gets few, short draws
+    cases += [(K3, [random_anisotropic(K3, rng) for _ in range(rng.randint(1, 2))]) for _ in range(3)]
+    cases += [(H, [(1, 2), (1, 1)]), (K3, [cases[-1][1][0], (1, -1) + (0,) * 20])]
+    first_is_integral = {}
+    for l, vectors in cases:
+        dense = identity_matrix(l.rank)
+        for v in vectors:
+            r = dense_reflection_matrix(v, l)
+            assert reflection(v, l).matrix == r
+            dense = mat_mul(dense, r)
+        g = product_of_reflections(vectors, l)
+        assert g.matrix == dense
+        assert g.det == (-1) ** len(vectors)
+        if vectors:  # r is the rightmost factor, the first one applied
+            integral = all(a.denominator == 1 for row in r for a in row)
+            first_is_integral.setdefault(l.name, set()).add(integral)
+    assert first_is_integral["H"] == first_is_integral["K3"] == {True, False}
 
 
 def test_product_of_reflections_rejects_bad_vectors():
@@ -650,7 +667,7 @@ def test_a_hand_built_isometry_is_held_in_lowest_terms(num, den):
 
 
 def test_compose_refuses_isometries_over_different_lattices():
-    with pytest.raises(AmbientMismatch, match="isometries over different lattices"):
+    with pytest.raises(LatticeMismatch, match="isometries over different lattices"):
         compose(product_of_reflections([], B11), product_of_reflections([], B23))
 
 

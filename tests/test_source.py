@@ -213,3 +213,33 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
             unread += [f"{path.stem}.{f.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def test_every_private_name_is_read():
+    # a top-level private function or class, or a module-level assigned
+    # name, that nothing in the package reads is dead code the public-helper
+    # scan does not see: a load, an attribute or an import counts as a read,
+    # and dunders such as __version__ are exempt
+    paths = sorted(SOURCE.glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = []
+    for path, tree in zip(paths, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.stem}.{name}" for name in names
+                       if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert unread == []

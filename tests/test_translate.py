@@ -52,7 +52,7 @@ def test_every_flat_of_an_auto_params_family_matches_the_oracle(p, q):
     m, t = search_parameters(n, DEFAULT_BOOST)
     spec = arrangement_spec(p, q, n, DEFAULT_BOOST, m, t)
     flats, _ = build_family(spec)
-    r = rotation_isometry(spec.rotation, p, q, spec.lattice())
+    r = rotation_isometry(spec.rotation, p, q)
     for before, after in zip(flats, flats[1:]):
         expected = recertified_translate(r, before)
         assert (after.int_blocks, after.int_rest) == (expected.int_blocks, expected.int_rest)
@@ -61,7 +61,7 @@ def test_every_flat_of_an_auto_params_family_matches_the_oracle(p, q):
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (3, 19)])
 def test_seeded_reflection_products_applied_twice_match_the_oracle(p, q):
     l = standard_lattice("bpq", p, q)
-    base = standard_flat(p, q, l)
+    base = standard_flat(p, q)
     rng = random.Random(2221 + 100 * p + q)
     opposite = 0
     for reflections in range(5):
@@ -122,7 +122,7 @@ def test_an_uncertified_matrix_on_a_flat_raises_form_not_preserved(make, recerti
     # re-certifying the image caught these by its inertia or orthogonality
     # check; translate now refuses the matrix itself
     l = standard_lattice("bpq", 2, 3)
-    flat = standard_flat(2, 3, l)
+    flat = standard_flat(2, 3)
     g = make(l)
     with pytest.raises(recertified):
         recertified_translate(g, flat)
@@ -136,7 +136,7 @@ def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
     for num in (((1, 0), (0, 1)), ((1, 0, 0, 0, 0),) * 4 + ((0, 0, 0, 0),)):
         g = Isometry(num, 1, l)
         with pytest.raises(FormNotPreserved):
-            translate(g, standard_flat(2, 3, l))
+            translate(g, standard_flat(2, 3))
 
 
 def test_the_form_is_checked_once_per_isometry(monkeypatch):
@@ -146,7 +146,7 @@ def test_the_form_is_checked_once_per_isometry(monkeypatch):
     # its first flat translate and never again
     l = standard_lattice("bpq", 3, 4)
     spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
-    r = rotation_isometry(spec.rotation, 3, 4, l)
+    r = rotation_isometry(spec.rotation, 3, 4)
     assert vars(r)["preserves_form"] is True
     g = verify.random_isometry(l, random.Random(22), reflections=3)
     assert vars(g)["preserves_form"] is True
@@ -161,7 +161,7 @@ def test_the_form_is_checked_once_per_isometry(monkeypatch):
     real = linalg.gram_of
     monkeypatch.setattr(linalg, "gram_of", counted)
     monkeypatch.setattr(grassmann, "gram_of", counted)
-    flat = standard_flat(3, 4, l)
+    flat = standard_flat(3, 4)
     calls.clear()
     image = translate(g, translate(g, flat))
     assert len(calls) == 0

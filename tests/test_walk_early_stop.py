@@ -174,7 +174,7 @@ def test_a_zero_denominator_does_not_preserve_the_form():
     g = Isometry(((0,) * 3,) * 3, 0, l)
     assert g.preserves_form is False
     with pytest.raises(FormNotPreserved):
-        grassmann.translate(Isometry(g.num, 0, l), standard_flat(1, 2, l))
+        grassmann.translate(Isometry(g.num, 0, l), standard_flat(1, 2))
     for call in (cartan_dieudonne, spinor_norm):
         with pytest.raises(FormNotPreserved):
             call(Isometry(g.num, 0, l))
