@@ -162,7 +162,7 @@ class Hyperplane:
     @cached_property
     def functional(self) -> IntVec:
         """gram.normal, i.e. z -> B(normal, z)."""
-        return ray(self.normal, self.lattice)[1]
+        return terms_times(self.lattice.gram_terms, self.normal)
 
 
 @dataclass(frozen=True)
@@ -227,19 +227,13 @@ def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
     return _certified_flat([part.rows for part in parts], l)
 
 
-def _certified_hyperplane(x, l: QuadLattice) -> Hyperplane:
-    """The hyperplane of the line through the integer vector x, whose Q
-    must be negative."""
-    normal, _, q = ray(x, l)
-    if q >= 0:
-        raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
-    return Hyperplane(l, normal)
-
-
 def hyperplane_new(normal, l: QuadLattice) -> Hyperplane:
     """The hyperplane orthogonal to a rational vector of negative
     self-pairing; it depends only on the vector's line."""
-    return _certified_hyperplane(cleared(normal, l)[0], l)
+    normal, _, q = ray(cleared(normal, l)[0], l)
+    if q >= 0:
+        raise NonNegativeVector(f"hyperplane normal needs negative self-pairing, got {q}")
+    return Hyperplane(l, normal)
 
 
 def _check_same_lattice(a, b) -> None:
@@ -397,24 +391,22 @@ def _translated_flat(g: Isometry, flat: Flat) -> Flat:
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
-    A flat's integer rows, a point's plane rows and a hyperplane's integer
-    normal are mapped through g's integer matrix and taken primitive (g's
-    denominator only rescales them). A flat needs g certified
-    (:meth:`Isometry.certify`, once per g; FormNotPreserved if not) and
-    carries its certificate through g (:func:`_translated_flat`); the image
-    normal's Q < 0 is checked again, and the image point goes through its
-    validating constructor.
+    g is certified (:meth:`Isometry.certify`, once per g; FormNotPreserved
+    if not), so every image carries its object's certificate: a flat's
+    (:func:`_translated_flat`), a normal's Q < 0 and a point's positive
+    plane. Integer rows and normals are mapped through g's integer matrix
+    and taken primitive (g's denominator only rescales them).
     """
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
     _check_same_lattice(g, obj)
+    g.certify()
     if isinstance(obj, Flat):
-        return _translated_flat(g.certify(), obj)
+        return _translated_flat(g, obj)
 
     def image(x):
         return primitive(terms_times(g.num_terms, x))
 
     if isinstance(obj, Hyperplane):
-        return _certified_hyperplane(image(obj.normal), obj.lattice)
-    plane = span([image(x) for x in obj.plane.rows], ambient=obj.lattice.rank)
-    return gr_point(plane, obj.lattice)
+        return Hyperplane(obj.lattice, image(obj.normal))
+    return GrPoint(obj.lattice, span([image(x) for x in obj.plane.rows], ambient=obj.lattice.rank))

@@ -53,7 +53,7 @@ class Isometry:
     - the Gram check, run by :meth:`certify` on an isometry not yet
       certified: :func:`isometry_from_matrix` returns its result certified
       this way, and a hand-built ``Isometry(...)`` is checked on its first
-      flat translate;
+      translate;
     - construction from exact reflections: :func:`product_of_reflections`
       (and so :func:`reflection`) returns certified isometries, and
       :func:`compose` of two certified factors a certified product;

@@ -81,6 +81,15 @@ class QuadLattice:
         return linalg.nonzero_terms(self.gram)
 
     @cached_property
+    def gram_entries(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, g_ij) for each nonzero Gram entry, in one flat tuple."""
+        return tuple((i, j, c) for i, row in enumerate(self.gram_terms) for j, c in row)
+
+    def self_pairing(self, v) -> int:
+        """Q(v) = v.G.v for an integer vector v, over the nonzero Gram entries."""
+        return sum(c * v[i] * v[j] for i, j, c in self.gram_entries)
+
+    @cached_property
     def orthogonal_rays(self) -> tuple[tuple[Ray, tuple[tuple[int, int], ...]], ...]:
         """Per row T_k of the congruence, ray(primitive(T_k)) and the
         nonzero terms of that primitive row: the orthogonal basis that the

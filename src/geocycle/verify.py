@@ -55,7 +55,7 @@ class CheckResult:
 
 def random_anisotropic_vector(l: QuadLattice, rng: random.Random):
     """A vector with entries in [-5, 5] and Q(v) != 0, drawn until one is."""
-    q = _self_pairing(l)
+    q = l.self_pairing
     while True:
         v = tuple([rng.randint(-5, 5) for _ in range(l.rank)])
         if q(v):
@@ -278,17 +278,10 @@ def check_spinor_norm(seed: int = DEFAULT_SEED) -> CheckResult:
     return _spinor_result(failures, time.perf_counter() - start)
 
 
-def _self_pairing(l: QuadLattice):
-    """v -> v.G.v for integer vectors, summing g_ij v_i v_j in integers over
-    the nonzero Gram entries."""
-    entries = [(i, j, c) for i, row in enumerate(l.gram_terms) for j, c in row]
-    return lambda v: sum(c * v[i] * v[j] for i, j, c in entries)
-
-
 def naive_roots(l: QuadLattice, bound: int) -> list[tuple[int, ...]]:
     """Oracle: exhaust the whole coordinate box, in lexicographic order.
     Only viable at desk scale."""
-    q = _self_pairing(l)
+    q = l.self_pairing
     box = itertools.product(range(-bound, bound + 1), repeat=l.rank)
     return [v for v in box if q(v) == obs.ROOT_NORM]
 
@@ -309,7 +302,7 @@ def check_root_enumeration() -> CheckResult:
     e8_elapsed = time.perf_counter() - e8_start
     if len(e8_roots) != 240:
         failures["e8_neg_bound_6"] = len(e8_roots)
-    e8_q = _self_pairing(standard_lattice("e8_neg"))
+    e8_q = standard_lattice("e8_neg").self_pairing
     if not all(e8_q(r) == -2 for r in e8_roots[:10]):
         failures["e8_neg_norms"] = "bad self-pairing"
     small = [

@@ -15,6 +15,7 @@ from geocycle.arrangement import (
 )
 from geocycle.errors import (
     AmbientMismatch,
+    FormNotPreserved,
     LatticeMismatch,
     NonNegativeVector,
     NotOrthogonal,
@@ -416,11 +417,21 @@ def test_translate_moves_blocks():
 
 
 def test_translate_rechecks_negative_normal():
-    # an uncertified matrix can send a negative line to a positive one;
-    # translate re-checks Q of the image and rejects it
+    # translate certifies the matrix itself, on every kind of object. The
+    # swap sends the negative line of (0, 1) to a positive one; diag(2, 1)
+    # sends the negative line of (1, 3) to the negative line of (2, 3) and
+    # the positive line of (1, 0) to itself, so only the certificate of the
+    # matrix tells that neither image may be taken
     swap = Isometry(((0, 1), (1, 0)), 1, B11)
-    with pytest.raises(NonNegativeVector):
-        translate(swap, hyperplane_new((0, 1), B11))
+    stretch = Isometry(((2, 0), (0, 1)), 1, B11)
+    for g, obj in [
+        (swap, hyperplane_new((0, 1), B11)),
+        (stretch, hyperplane_new((1, 3), B11)),
+        (stretch, gr_point(span([(1, 0)]), B11)),
+    ]:
+        with pytest.raises(FormNotPreserved, match="does not preserve the bilinear form"):
+            translate(g, obj)
+        assert g.preserves_form is False
 
 
 def test_translate_hyperplane_keeps_line():

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -243,3 +244,44 @@ def test_every_private_name_is_read():
             unread += [f"{path.stem}.{name}" for name in names
                        if name not in read and not (name.startswith("__") and name.endswith("__"))]
     assert unread == []
+
+
+def _definitions():
+    """The names a docstring reference may use for a definition of the
+    package: f, m.f, C.f and m.C.f for each module m, its top-level
+    functions, classes and assigned names, and the methods and annotated
+    fields of its classes C."""
+    names = set()
+    for path in SOURCE.glob("*.py"):
+        m = path.stem
+        names.add(m)
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                top = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            names.update(top + [f"{m}.{name}" for name in top])
+            if isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    name = getattr(f, "name", None) or getattr(getattr(f, "target", None), "id", None)
+                    if name:
+                        names.update({name, f"{node.name}.{name}", f"{m}.{node.name}.{name}"})
+    return names
+
+
+def test_every_docstring_reference_names_a_definition():
+    # a :func:, :meth:, :attr: or :class: reference in a docstring names a
+    # definition of the package, so deleting or renaming a helper leaves no
+    # docstring pointing at it
+    pattern = re.compile(r":(?:func|meth|attr|class):`~?([\w.]+)`")
+    defined = _definitions()
+    refs = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                refs += [(path.stem, ref) for ref in pattern.findall(ast.get_docstring(node) or "")]
+    assert len(refs) >= 35
+    assert [f"{m}: {ref}" for m, ref in refs if ref not in defined] == []

@@ -1,10 +1,12 @@
-"""A flat's translate carries its certificate through a certified isometry.
+"""A translate carries its certificate through a certified isometry.
 
-The oracle is recertified_translate: the same primitive image rows, with
-the whole image certified again on its integer Gram matrix. translate must
-give the same int_blocks and int_rest on every flat below, including blocks
-whose image rows' contents have opposite signs, where the sign of the
-carried B(x,y) is the only thing that tells the two triples apart.
+For a flat the oracle is recertified_translate: the same primitive image
+rows, with the whole image certified again on its integer Gram matrix.
+translate must give the same int_blocks and int_rest on every flat below,
+including blocks whose image rows' contents have opposite signs, where the
+sign of the carried B(x,y) is the only thing that tells the two triples
+apart. For a hyperplane and a point, the image's Q(normal) < 0 and its
+plane's positive definiteness are computed afresh, apart from the program.
 """
 
 import random
@@ -21,11 +23,11 @@ from geocycle.arrangement import (
     standard_flat,
 )
 from geocycle.errors import FormNotPreserved, NotOrthogonal, WrongInertia
-from geocycle.grassmann import _certified_flat, flat_new, translate
-from geocycle.isometries import Isometry, reflection
+from geocycle.grassmann import _certified_flat, flat_new, gr_point, hyperplane_new, translate
+from geocycle.isometries import Isometry, compose, reflection
 from geocycle.lattices import primitive_content, standard_lattice
-from geocycle.linalg import terms_times
-from oracles import recertified_translate
+from geocycle.linalg import span, terms_times
+from oracles import fraction_inertia, oracle_apply, recertified_translate
 
 
 def assert_matches_oracle(g, flat):
@@ -169,3 +171,52 @@ def test_the_form_is_checked_once_per_isometry(monkeypatch):
     assert len(calls) == 1 and vars(hand_built)["preserves_form"] is True
     translate(r, image)
     assert len(calls) == 1
+
+
+def dense_pairing(l, x, y):
+    """x.G.y summed over every entry of the Gram matrix."""
+    return sum(g * a * b for row, a in zip(l.gram, x) for g, b in zip(row, y))
+
+
+def seeded_certified_isometries():
+    """Reflection products on B(2,3) and B(3,4), certified by construction,
+    and the first powers of a family's rotation on B(3,4)."""
+    rng = random.Random(3401)
+    out = [
+        verify.random_isometry(standard_lattice("bpq", p, q), rng)
+        for p, q in [(2, 3), (3, 4)]
+        for _ in range(20)
+    ]
+    spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
+    r = power = rotation_isometry(spec.rotation, 3, 4)
+    for _ in range(12):
+        out.append(power)
+        power = compose(r, power)
+    return out
+
+
+def test_translated_normals_stay_negative_and_planes_positive():
+    # translate checks neither on an image: the certificate of g carries
+    # them. Here each is computed afresh, Q densely over the Gram matrix and
+    # the plane's inertia by the Fraction diagonalisation
+    rng = random.Random(3402)
+    isometries = seeded_certified_isometries()
+    assert len(isometries) >= 50
+    for g in isometries:
+        l = g.lattice
+        p = sum(row[i] > 0 for i, row in enumerate(l.gram))
+        normals = []
+        while len(normals) < 3:
+            v = [rng.randint(-3, 3) for _ in range(l.rank)]
+            if dense_pairing(l, v, v) < 0:
+                normals.append(v)
+        for v in normals:
+            normal = translate(g, hyperplane_new(v, l)).normal
+            assert dense_pairing(l, normal, normal) < 0
+        e = [[int(j == i) for j in range(l.rank)] for i in range(l.rank)]
+        planes = [e[:p], [[2 * a + b for a, b in zip(e[i], e[p + i])] for i in range(p)]]
+        for rows in planes:
+            image = translate(g, gr_point(span(rows), l)).plane
+            assert image == span([oracle_apply(g, row) for row in rows])
+            gram = [[dense_pairing(l, x, y) for y in image.rows] for x in image.rows]
+            assert fraction_inertia(gram) == (p, 0, 0)
