@@ -90,8 +90,10 @@ def _cmd_signs(args):
     coords = args.v.split(",")
     if len(coords) == args.p:
         coords += [0] * (args.q - args.p)
+    if len(coords) != args.q:
+        raise ValueError(f"--v needs p={args.p} or q={args.q} coordinates, got {len(coords)}")
     v = signmod.admissible_v(args.p, coords)
-    mat = signmod.pi_k_matrix(args.p, args.q, v)
+    mat = signmod.pi_k_matrix(v)
     # the expected matrix is diag(-1,...,-1,+1), so its det is (-1)^(p-1)
     holds = mat == signmod.expected_pi_k_matrix(args.p)
     payload = {

@@ -98,44 +98,37 @@ def random_admissible_v(p: int, q: int, rng: random.Random) -> AdmissibleV:
         return _admissible(p, tuple(num) + (0,) * (q - p), den)
 
 
-def _check_shape(p: int, q: int, v: AdmissibleV) -> None:
-    if v.p != p or v.q != q:
-        raise InadmissibleV(f"vector shaped for (p={v.p}, q={v.q}), wanted ({p}, {q})")
-
-
 def _diagonal(entries) -> Mat:
     """The matrix with the given Fraction diagonal and ZERO elsewhere."""
     n = len(entries)
     return tuple(tuple(x if i == j else ZERO for j in range(n)) for i, x in enumerate(entries))
 
 
-def reflection_blocks(p: int, q: int, v: AdmissibleV) -> tuple[Mat, Mat]:
+def reflection_blocks(v: AdmissibleV) -> tuple[Mat, Mat]:
     """The pair (diag(1,...,1,-1), I - 2vv^T) acting on the positive and
     negative coordinate blocks."""
-    _check_shape(p, q, v)
     c = v.coords
     star = tuple(tuple(int(i == j) - 2 * a * b for j, b in enumerate(c)) for i, a in enumerate(c))
-    return _diagonal([ONE] * (p - 1) + [-ONE]), star
+    return _diagonal([ONE] * (v.p - 1) + [-ONE]), star
 
 
-def build_k(p: int, q: int, v: AdmissibleV) -> Isometry:
+def build_k(v: AdmissibleV) -> Isometry:
     """The compact element of reflection_blocks as one isometry of
     diag(+1 x p, -1 x q): the reflection along e_p (Q = 1) is the diamond
     diag(1, ..., 1, -1), and the reflection along (0, num) (Q = -den^2, the
     line of (0, v)) is the star I - 2vv^T on the negative block."""
-    _check_shape(p, q, v)
+    p, q = v.p, v.q
     e_p = (0,) * (p - 1) + (1,) + (0,) * q
     return product_of_reflections([e_p, (0,) * p + v.num], standard_lattice("bpq", p, q))
 
 
-def pi_k_matrix(p: int, q: int, v: AdmissibleV) -> Mat:
+def pi_k_matrix(v: AdmissibleV) -> Mat:
     """The diagonal-summand action of the canonical compact element, diag(-1,
     ..., -1, +1) for every admissible v = X/D: its star has star^T v = v -
     2(v.v) v, so entry (k, k) is diamond_kk (D^2 - 2 sum X^2) / D^2."""
-    _check_shape(p, q, v)
     den2 = v.den * v.den
     t = Fraction(den2 - 2 * sum(x * x for x in v.num), den2)
-    return _diagonal([t] * (p - 1) + [-t])
+    return _diagonal([t] * (v.p - 1) + [-t])
 
 
 def expected_pi_k_matrix(p: int) -> Mat:

@@ -7,7 +7,9 @@ test suite and the command line runner share them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 import random
 import threading
@@ -104,10 +106,26 @@ def _random_strong_position_pair(base: gr.Flat, rng: random.Random):
 # -------------------------------------------------------------------- checks
 
 
-def check_sign_claim(seed: int = DEFAULT_SEED) -> CheckResult:
+def _check(budget: float = math.inf):
+    """A check that returns (ok, detail) as its CheckResult, named after the
+    function without its check_ prefix, timed around the call, and ok only
+    when it also ends within budget seconds."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def timed(*args) -> CheckResult:
+            start = time.perf_counter()
+            ok, detail = fn(*args)
+            elapsed = time.perf_counter() - start
+            name = fn.__name__.removeprefix("check_")
+            return CheckResult(name, ok and elapsed < budget, elapsed, detail)
+        return timed
+    return decorate
+
+
+@_check(budget=10.0)
+def check_sign_claim(seed: int = DEFAULT_SEED):
     """diag(-1,...,-1,+1), and so determinant (-1)^(p-1), exactly, for every
     signature 1 <= p <= q <= 6 and 25 seeded admissible vectors each."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     cases = failures = 0
     for p in range(1, 7):
@@ -115,19 +133,17 @@ def check_sign_claim(seed: int = DEFAULT_SEED) -> CheckResult:
             expected = signs.expected_pi_k_matrix(p)
             for _ in range(25):
                 v = signs.random_admissible_v(p, q, rng)
-                mat = signs.pi_k_matrix(p, q, v)
+                mat = signs.pi_k_matrix(v)
                 cases += 1
                 if mat != expected:
                     failures += 1
-    elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 10.0
-    return CheckResult("sign_claim", ok, elapsed, {"cases": cases, "failures": failures})
+    return failures == 0, {"cases": cases, "failures": failures}
 
 
-def check_arrangement_pattern() -> CheckResult:
+@_check()
+def check_arrangement_pattern():
     """Lower-triangular verdict table with points on the diagonal for the
     searched parameters at n = 5, in signatures (2,3), (3,3), (3,4)."""
-    start = time.perf_counter()
     ok = True
     per_case = {}
     m, t = arr.search_parameters(5, arr.DEFAULT_BOOST)
@@ -144,9 +160,7 @@ def check_arrangement_pattern() -> CheckResult:
             "lower_triangular": matrix.lower_triangular,
             "shift_consistent": matrix.shift_consistent,
         }
-    return CheckResult(
-        "arrangement_pattern", ok, time.perf_counter() - start, {"cases": per_case}
-    )
+    return ok, {"cases": per_case}
 
 
 def _inequality_grid():
@@ -157,10 +171,10 @@ def _inequality_grid():
                 yield boost, m, t
 
 
-def check_inequality_implies_empty() -> CheckResult:
+@_check()
+def check_inequality_implies_empty():
     """Whenever the exact tangent inequality holds, the directly computed
     flat/hyperplane intersection is empty (k = 1..12, 20 parameter combos)."""
-    start = time.perf_counter()
     combos = hits = violations = 0
     flats = {}  # tangent -> F_0..F_12: the flats depend on the rotation alone
     for boost, m, t in _inequality_grid():
@@ -174,20 +188,14 @@ def check_inequality_implies_empty() -> CheckResult:
                 hits += 1
                 if gr.intersect_flat_hyperplane(flats[t][k], h0).tag != "Empty":
                     violations += 1
-    elapsed = time.perf_counter() - start
     ok = violations == 0 and combos >= 20 and hits > 0
-    return CheckResult(
-        "inequality_implies_empty",
-        ok,
-        elapsed,
-        {"combos": combos, "inequality_hits": hits, "violations": violations},
-    )
+    return ok, {"combos": combos, "inequality_hits": hits, "violations": violations}
 
 
-def check_stabilizer_claim(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check()
+def check_stabilizer_claim(seed: int = DEFAULT_SEED):
     """Strong-general-position pairs admit only the all-ones block sign
     pattern; normals with a vanishing block component admit more."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     strong_cases = strong_failures = 0
     bases = {}
@@ -212,19 +220,12 @@ def check_stabilizer_claim(seed: int = DEFAULT_SEED) -> CheckResult:
         patterns = gr.stabilizer_sign_patterns(flat, hyper)
         if len(patterns) <= 1 or (1, 1) not in patterns:
             degenerate_failures += 1
-    elapsed = time.perf_counter() - start
-    ok = strong_failures == 0 and degenerate_failures == 0
-    return CheckResult(
-        "stabilizer_claim",
-        ok,
-        elapsed,
-        {
-            "strong_cases": strong_cases,
-            "strong_failures": strong_failures,
-            "degenerate_cases": degenerate_cases,
-            "degenerate_failures": degenerate_failures,
-        },
-    )
+    return strong_failures == 0 and degenerate_failures == 0, {
+        "strong_cases": strong_cases,
+        "strong_failures": strong_failures,
+        "degenerate_cases": degenerate_cases,
+        "degenerate_failures": degenerate_failures,
+    }
 
 
 def spinor_cases(seed: int = DEFAULT_SEED) -> tuple[QuadLattice, list]:
@@ -286,9 +287,9 @@ def naive_roots(l: QuadLattice, bound: int) -> list[tuple[int, ...]]:
     return [v for v in box if q(v) == obs.ROOT_NORM]
 
 
-def check_root_enumeration() -> CheckResult:
+@_check()
+def check_root_enumeration():
     """Counts on the named lattices plus pruned-equals-naive on small ones."""
-    start = time.perf_counter()
     h = standard_lattice("hyperbolic")
     b11 = standard_lattice("bpq", 1, 1)
     failures = {}
@@ -316,20 +317,13 @@ def check_root_enumeration() -> CheckResult:
     for l, bound in small:
         if obs.enumerate_roots(l, bound) != naive_roots(l, bound):
             failures[f"oracle_rank{l.rank}_bound{bound}"] = "pruned != naive"
-    elapsed = time.perf_counter() - start
-    ok = not failures and e8_elapsed < 60.0
-    return CheckResult(
-        "root_enumeration",
-        ok,
-        elapsed,
-        {"e8_count": len(e8_roots), "failures": failures},
-    )
+    return not failures and e8_elapsed < 60.0, {"e8_count": len(e8_roots), "failures": failures}
 
 
-def check_lattice_classification() -> CheckResult:
+@_check(budget=1.0)
+def check_lattice_classification():
     """K3 lattice is (3,19), even, unimodular; diag lattices match their
     construction for p, q <= 10; all exact and under one second."""
-    start = time.perf_counter()
     failures = {}
     k3 = classify(standard_lattice("k3"))
     if not (k3.signature == (3, 19) and k3.parity == "even" and k3.unimodular):
@@ -339,14 +333,12 @@ def check_lattice_classification() -> CheckResult:
             got = classify(standard_lattice("bpq", p, q))
             if not (got.signature == (p, q) and got.parity == "odd" and got.unimodular):
                 failures[f"b{p}{q}"] = asdict(got)
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 1.0
-    return CheckResult("lattice_classification", ok, elapsed, {"failures": failures})
+    return not failures, {"failures": failures}
 
 
-def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
+@_check(budget=5.0)
+def check_exact_linear_algebra(seed: int = DEFAULT_SEED):
     """Dimension formula, perp involution, Sylvester invariance."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     h = standard_lattice("hyperbolic")
     rank4 = combine(h, h)
@@ -374,9 +366,7 @@ def check_exact_linear_algebra(seed: int = DEFAULT_SEED) -> CheckResult:
         congruent = linalg.gram_of(zip(*gm), l)  # gm^T.G.gm, over gm's columns
         if linalg.inertia(congruent) != inertia:
             failures += 1
-    elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 5.0
-    return CheckResult("exact_linear_algebra", ok, elapsed, {"failures": failures})
+    return failures == 0, {"failures": failures}
 
 
 ALL_CHECKS = (

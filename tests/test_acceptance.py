@@ -15,6 +15,7 @@ from geocycle import verify
 )
 def test_acceptance(name, check):
     result = check(verify.DEFAULT_SEED)
+    assert result.name == name
     print(f"ACCEPTANCE {result.name}: {'PASS' if result.ok else 'FAIL'} "
           f"({result.elapsed:.2f}s)")
     assert result.ok, result.detail

@@ -76,6 +76,15 @@ def test_signs_checks_the_signature_of_the_argv(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("v", ["3/5,4/5,0", "3/5,4/5,0,0,0"])
+def test_signs_refuses_a_vector_of_neither_p_nor_q_coordinates(capsys, v):
+    # --v gives the first p coordinates or all q of them; any other length
+    # is bad input, refused where the argv is read
+    code, out, err = run_cli(capsys, "signs", "--p", "2", "--q", "4", "--v", v)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 # sha256 of stdout for `signs` and for `verify-all` at two seeds, recorded
 # before admissible vectors were kept as integers (X, D): the sign layer
 # must print the same bytes. argparse reads a leading "-" as an option, so

@@ -85,7 +85,7 @@ def oracle_action_on_diagonal(diamond, star, v):
 def oracle_build_k(p, q, v):
     """Oracle: the block-diagonal matrix of reflection_blocks, certified
     entry by entry through isometry_from_matrix."""
-    diamond, star = reflection_blocks(p, q, v)
+    diamond, star = reflection_blocks(v)
     n = p + q
     rows = [[F(0)] * n for _ in range(n)]
     for i in range(p):
@@ -186,7 +186,7 @@ def test_random_admissible_v_checks_the_signature_before_drawing(p, q):
 
 
 def test_build_k_2_2():
-    k = build_k(2, 2, V22)
+    k = build_k(V22)
     assert k.matrix == (
         (F(1), F(0), F(0), F(0)),
         (F(0), F(-1), F(0), F(0)),
@@ -197,19 +197,12 @@ def test_build_k_2_2():
 
 
 def test_build_k_1_2():
-    k = build_k(1, 2, admissible_v(1, [F(1), F(0)]))
+    k = build_k(admissible_v(1, [F(1), F(0)]))
     assert k.matrix == (
         (F(-1), F(0), F(0)),
         (F(0), F(-1), F(0)),
         (F(0), F(0), F(1)),
     )
-
-
-def test_build_k_rejects_inadmissible():
-    with pytest.raises(InadmissibleV):
-        build_k(2, 2, admissible_v(1, [F(1), F(0)]))
-    with pytest.raises(InadmissibleV):
-        build_k(2, 3, V22)  # v is shaped for q = 2
 
 
 def test_build_k_matches_block_assembly():
@@ -218,13 +211,13 @@ def test_build_k_matches_block_assembly():
         for q in range(p, 7):
             for _ in range(3):
                 v = random_admissible_v(p, q, rng)
-                assert build_k(p, q, v) == oracle_build_k(p, q, v)
+                assert build_k(v) == oracle_build_k(p, q, v)
 
 
 def test_negative_block_is_involution():
     from geocycle.linalg import mat_mul
 
-    _, star = reflection_blocks(3, 3, V33)
+    _, star = reflection_blocks(V33)
     assert mat_mul(star, star) == identity_matrix(3)
 
 
@@ -246,7 +239,7 @@ def test_projection_worked_example():
     # transported diag(1, 0): first row (7/25, -24/25), second row zero
     x = as_matrix([[F(7, 25), F(-24, 25)], [0, 0]])
     assert oracle_project_p1(x, V22) == (F(-1), F(0))
-    action = oracle_action_on_diagonal(*reflection_blocks(2, 2, V22), V22)
+    action = oracle_action_on_diagonal(*reflection_blocks(V22), V22)
     assert tuple(row[0] for row in action) == (F(-1), F(0))
 
 
@@ -259,19 +252,19 @@ def test_projection_shape_check():
 
 
 def test_pi_k_2_2():
-    mat = pi_k_matrix(2, 2, V22)
+    mat = pi_k_matrix(V22)
     assert mat == ((F(-1), F(0)), (F(0), F(1)))
     assert det(mat) == -1
 
 
 def test_pi_k_3_3():
-    mat = pi_k_matrix(3, 3, V33)
+    mat = pi_k_matrix(V33)
     assert mat == expected_diagonal(3)
     assert det(mat) == 1
 
 
 def test_pi_k_1_2():
-    mat = pi_k_matrix(1, 2, admissible_v(1, [F(1), F(0)]))
+    mat = pi_k_matrix(admissible_v(1, [F(1), F(0)]))
     assert mat == ((F(1),),)
     assert det(mat) == 1
 
@@ -282,19 +275,19 @@ def test_pi_k_sweep_small():
         for q in range(p, 7):
             for _ in range(3):
                 v = random_admissible_v(p, q, rng)
-                mat = pi_k_matrix(p, q, v)
+                mat = pi_k_matrix(v)
                 assert mat == expected_diagonal(p)
                 assert det(mat) == F(-1) ** (p - 1)
                 # pi_k_matrix reads star^T v off v.v instead of building the star
-                assert mat == oracle_action_on_diagonal(*reflection_blocks(p, q, v), v)
+                assert mat == oracle_action_on_diagonal(*reflection_blocks(v), v)
 
 
 def test_pi_k_matrix_computes_v_dot_v():
     # built around the validation, v.v = 2: a closed form that assumed
     # v.v = 1 would disagree with the dense star here
     v = AdmissibleV(2, (1, 1, 0), 1)
-    assert pi_k_matrix(2, 3, v) == oracle_action_on_diagonal(*reflection_blocks(2, 3, v), v)
-    assert pi_k_matrix(2, 3, v) != expected_diagonal(2)
+    assert pi_k_matrix(v) == oracle_action_on_diagonal(*reflection_blocks(v), v)
+    assert pi_k_matrix(v) != expected_diagonal(2)
 
 
 # -------------------------------------------------------------------- epsilon
@@ -308,8 +301,8 @@ def test_epsilon_matches_pi_k_sign():
     rng = random.Random(11)
     for p, q in ((1, 2), (2, 2), (2, 3), (3, 4)):
         v = random_admissible_v(p, q, rng)
-        diamond, star = reflection_blocks(p, q, v)
-        sign = 1 if det(pi_k_matrix(p, q, v)) > 0 else -1
+        diamond, star = reflection_blocks(v)
+        sign = 1 if det(pi_k_matrix(v)) > 0 else -1
         assert epsilon_general(diamond, star, v) == sign == (-1) ** (p - 1)
 
 
@@ -344,7 +337,7 @@ def random_orthogonal_pairs(p, q, rng):
     v = random_admissible_v(p, q, rng)
     diamond, star = random_signed_permutation_pair(p, q, rng)
     dense = (mat_mul(diamond, householder(p, rng)), mat_mul(star, householder(q, rng)))
-    return v, [reflection_blocks(p, q, v), (diamond, star), dense]
+    return v, [reflection_blocks(v), (diamond, star), dense]
 
 
 def test_action_on_diagonal_matches_projection_oracle():
@@ -436,7 +429,7 @@ def test_sampler_and_pi_k_match_the_fraction_oracles(seed):
             assert v.coords == coords
             assert v.den > 0 and math.gcd(v.den, *v.num) == 1
             assert sum(x * x for x in v.num) == v.den**2
-            assert repr(pi_k_matrix(p, q, v)) == repr(fraction_pi_k_matrix(p, coords))
+            assert repr(pi_k_matrix(v)) == repr(fraction_pi_k_matrix(p, coords))
 
 
 def _outcome(fn, *args):
@@ -506,7 +499,7 @@ def test_equal_vectors_have_equal_fields():
 
 
 def test_pi_k_matrix_zeros_are_the_shared_zero():
-    mat = pi_k_matrix(3, 4, random_admissible_v(3, 4, random.Random(2)))
+    mat = pi_k_matrix(random_admissible_v(3, 4, random.Random(2)))
     assert all(mat[i][j] is ZERO for i in range(3) for j in range(3) if i != j)
 
 
@@ -518,9 +511,9 @@ def test_check_sign_claim_calls_pi_k_matrix_525_times(monkeypatch):
     calls = []
     pi_k = signs.pi_k_matrix
 
-    def counted(p, q, v):
-        calls.append((p, q))
-        return pi_k(p, q, v)
+    def counted(v):
+        calls.append((v.p, v.q))
+        return pi_k(v)
 
     monkeypatch.setattr(signs, "pi_k_matrix", counted)
     result = verify.check_sign_claim(5)

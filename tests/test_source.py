@@ -246,6 +246,38 @@ def test_every_private_name_is_read():
     assert unread == []
 
 
+def test_all_checks_names_each_check_once():
+    # verify-all's table and the check functions are kept in step: each
+    # entry of ALL_CHECKS calls check_<its name>, and each check_ function
+    # of verify.py has one entry
+    tree = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
+    defined = sorted(node.name for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["ALL_CHECKS"]]
+    entries = [(name.value, [n.func.id for n in ast.walk(fn) if isinstance(n, ast.Call)])
+               for name, fn in (entry.elts for entry in table.elts)]
+    assert [calls for _, calls in entries] == [[f"check_{name}"] for name, _ in entries]
+    assert sorted(f"check_{name}" for name, _ in entries) == defined
+    assert [name for name, _ in entries] == [name for name, _ in importlib.import_module("geocycle.verify").ALL_CHECKS]
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises is dead code, and the helper scan
+    # counts its import as a use: each subclass of GeocycleError in
+    # errors.py is named by a raise statement of the package
+    classes = {node.name for node in ast.parse((SOURCE / "errors.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef) and node.name != "GeocycleError"}
+    raised = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    assert len(classes) >= 17
+    assert sorted(classes - raised) == []
+
+
 def _definitions():
     """The names a docstring reference may use for a definition of the
     package: f, m.f, C.f and m.C.f for each module m, its top-level

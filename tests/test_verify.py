@@ -11,7 +11,8 @@ every case runs once, and no child or pipe outlives it. The cases are
 drawn in the order the check drew them when it ran them in one loop.
 
 Each check can fail: with its subject patched to a wrong answer it counts
-the failures, and verify-all then exits 1.
+the failures, and verify-all then exits 1. A check with a wall-clock gate
+fails past it, with its detail unchanged.
 """
 
 import dataclasses
@@ -335,8 +336,8 @@ def patch_module(monkeypatch, name, **fns):
     monkeypatch.setattr(verify, name, types.SimpleNamespace(**{**vars(module), **fns}))
 
 
-def negated_expected_pi_k_matrix(p, q, v):
-    return tuple(tuple(-x for x in row) for row in signs.expected_pi_k_matrix(p))
+def negated_expected_pi_k_matrix(v):
+    return tuple(tuple(-x for x in row) for row in signs.expected_pi_k_matrix(v.p))
 
 
 def no_intersection_point(flat, hyper):
@@ -400,6 +401,51 @@ def test_verify_all_with_a_failing_check_exits_1(monkeypatch, capsys):
     assert (code, payload["all_ok"]) == (1, False)
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["lattice_classification"]
     assert "lattice_classification: FAIL" in captured.err
+    assert_no_child_left()
+
+
+# ------------------------------------------------------------ the clock gates
+#
+# verify's clock is patched to one that advances 100 s at every read, so
+# every wall-clock gate is exceeded: a total gate, arrangement_pattern's
+# 30 s per case, root_enumeration's 60 s on E8 and the spinor check's 10 s.
+
+
+def slow_clock():
+    now = [0.0]
+
+    def perf_counter():
+        now[0] += 100.0
+        return now[0]
+
+    return types.SimpleNamespace(perf_counter=perf_counter)
+
+
+# the checks that fail on the slow clock: the others have no gate
+GATED = {"sign_claim", "arrangement_pattern", "spinor_norm", "root_enumeration",
+         "lattice_classification", "exact_linear_algebra"}
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify.ALL_CHECKS if name != "spinor_norm"])
+def test_a_check_past_its_gate_fails_with_its_detail_unchanged(monkeypatch, name):
+    check = dict(verify.ALL_CHECKS)[name]
+    on_time = check(verify.DEFAULT_SEED)
+    monkeypatch.setattr(verify, "time", slow_clock())
+    late = check(verify.DEFAULT_SEED)
+    assert on_time.ok
+    assert (late.name, late.ok, late.detail) == (name, name not in GATED, on_time.detail)
+    assert late.elapsed >= 100.0
+
+
+@pytest.mark.parametrize("path", ["forked", "inline"])
+def test_run_all_past_the_gates_fails_the_gated_checks(request, monkeypatch, path):
+    forks = request.getfixturevalue(path)
+    monkeypatch.setattr(verify, "time", slow_clock())
+    results = verify.run_all(2)
+    assert [(r.name, r.ok) for r in results] == [
+        (name, name not in GATED) for name, _ in verify.ALL_CHECKS]
+    assert results[4].detail == {"failures": 0}
+    assert len(forks or ()) == (1 if path == "forked" else 0)
     assert_no_child_left()
 
 
