@@ -28,7 +28,7 @@ from .grassmann import (
 )
 from .isometries import Isometry, isometry_from_matrix
 from .lattices import QuadLattice, standard_lattice
-from .linalg import frac
+from .linalg import _identity, frac
 
 # Deterministic scan sequence for the rotation parameter; each t encodes the
 # exact rotation pair ((1-t^2)/(1+t^2), -2t/(1+t^2)).
@@ -172,15 +172,8 @@ class ArrangementSpec:
 
 def standard_flat(p: int, q: int) -> Flat:
     """The flat of B(p,q)'s coordinate splitting: blocks <e_i, f_i>, rest <f_j>_{j>p}."""
-    l = standard_lattice("bpq", p, q)
-    n = p + q
-
-    def unit(i):
-        return [1 if j == i else 0 for j in range(n)]
-
-    blocks = [[unit(i), unit(p + i)] for i in range(p)]
-    rest = [unit(p + j) for j in range(p, q)]
-    return flat_new(blocks, rest, l)
+    e = _identity(p + q)
+    return flat_new(zip(e[:p], e[p:]), e[2 * p:], standard_lattice("bpq", p, q))
 
 
 def rotation_isometry(pair: RotationPair, p: int, q: int) -> Isometry:
@@ -301,6 +294,8 @@ def search_parameters(n: int, boost: BoostParams) -> tuple[int, Fraction]:
     (m, t) is the same for every signature (p, q)."""
     if n < 1:
         raise ValueError("family size n must be at least 1")
+    if boost.b == 0:
+        raise ValueError("the family generator needs a nontrivial boost (b > 0)")
     # a walk shorter than n hit a pole or a nonnegative tangent at some k <= n
     walks = [(t, _negative_tangents(rotation_from_tangent(t), n)) for t in TANGENT_SCAN]
     walks = [(t, tangents) for t, tangents in walks if len(tangents) == n]

@@ -15,12 +15,13 @@ import time
 from fractions import Fraction
 
 from . import arrangement as arr
+from . import linalg
 from . import obstructions as obs
 from . import signs as signmod
 from . import verify
 from .errors import GeocycleError
 from .isometries import (
-    _matrix_isometry,
+    Isometry,
     cartan_dieudonne,
     in_congruence_subgroup,
     isometry_from_matrix,
@@ -70,7 +71,7 @@ def _cmd_lattice(args):
 def _cmd_spinor(args):
     l = standard_lattice(args.lattice, args.p, args.q)
     # the walk certifies the form itself; spinor_norm reads the rays it keeps
-    g = _matrix_isometry(_parse_matrix(args.matrix), l)
+    g = Isometry(*linalg.cleared(_parse_matrix(args.matrix)), l)
     reflections = cartan_dieudonne(g)
     payload = dict(spinor_norm(g).to_dict())
     payload["reflections"] = len(reflections)

@@ -41,11 +41,12 @@ WALK_CAP_SLACK = 64
 class Isometry:
     """A rational matrix g = num/den meant to satisfy g^T.gram.g = gram.
 
-    num is an integer matrix and den > 0 with gcd(num, den) = 1, put so
-    by construction (den = 0 aside), so equal isometries compare and hash
-    equal. Reflections, products and images are computed from (num, den)
-    in integers; `matrix` is the same map as Fractions, `det` is read off
-    num and `reflection_rays` walked when first asked for.
+    num is an integer rank x rank matrix and den > 0 with gcd(num, den) =
+    1, put so by construction, so equal isometries compare and hash equal;
+    construction refuses a num of another shape (NotSquare) and den = 0
+    (FormNotPreserved). Reflections, products and images are computed
+    from (num, den) in integers; `matrix` is the same map as Fractions,
+    `det` is read off num and `reflection_rays` walked when first asked for.
 
     Whether g preserves the form is :attr:`preserves_form`, set at most
     once per object by one of three certificates:
@@ -66,20 +67,21 @@ class Isometry:
     lattice: QuadLattice
 
     def __post_init__(self):
-        if self.den:  # a zero den is left to fail the Gram check
-            num, den = _normalized(self.num, self.den)
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
+        n = self.lattice.rank
+        if len(self.num) != n or any(len(row) != n for row in self.num):
+            raise NotSquare(f"expected a {n}x{n} matrix")
+        if not self.den:
+            raise FormNotPreserved("matrix does not preserve the bilinear form")
+        num, den = _normalized(self.num, self.den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @cached_property
     def preserves_form(self) -> bool:
-        """Whether den != 0, num is rank x rank and num^T.gram.num =
-        den^2.gram, in integers: the Gram matrix of num's columns against
-        den^2 times the lattice's (den = 0 would pass it with num = 0).
-        Computed at most once per object, and not at all when
-        construction or a completed walk has set it (see the class)."""
-        if not self.den or not _has_shape(self.num, self.lattice.rank):
-            return False
+        """Whether num^T.gram.num = den^2.gram, in integers: the Gram matrix
+        of num's columns against den^2 times the lattice's. Computed at
+        most once per object, and not at all when construction or a
+        completed walk has set it (see the class)."""
         d2 = self.den * self.den
         return linalg.gram_of(zip(*self.num), self.lattice) == [
             [d2 * x for x in row] for row in self.lattice.gram
@@ -116,7 +118,7 @@ class Isometry:
         :func:`cartan_dieudonne`, which certifies self as it describes."""
         l = self.lattice
         rays = None
-        if "preserves_form" not in vars(self) and self.den > 0 and _has_shape(self.num, l.rank):
+        if "preserves_form" not in vars(self):
             rays = _walk(self, capped=True)
             if rays is not None:
                 vars(self)["preserves_form"] = True
@@ -130,11 +132,6 @@ class Isometry:
         return tuple(rays)
 
 
-def _has_shape(num, n: int) -> bool:
-    """Whether num is n x n."""
-    return len(num) == n and all(len(row) == n for row in num)
-
-
 def _normalized(num, den: int) -> tuple[IntMat, int]:
     """(num, den) divided by gcd(num, den) and by the sign of den."""
     g = math.gcd(den, *chain.from_iterable(num))
@@ -145,19 +142,10 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
     return tuple(tuple([a // g for a in row]) for row in num), den // g
 
 
-def _matrix_isometry(m, l: QuadLattice) -> Isometry:
-    """The rational matrix m as an isometry not yet certified: (D.m, D)
-    with D the lcm of the denominators."""
-    a, d = linalg.cleared(m)
-    if not _has_shape(a, l.rank):
-        raise NotSquare(f"expected a {l.rank}x{l.rank} matrix")
-    return Isometry(a, d, l)
-
-
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
-    """Validate m^T.gram.m = gram exactly and package the result, certified
-    by the Gram check (:meth:`Isometry.certify`)."""
-    return _matrix_isometry(m, l).certify()
+    """The rational matrix m as (D.m, D), D the lcm of its denominators,
+    certified by the Gram check (:meth:`Isometry.certify`)."""
+    return Isometry(*linalg.cleared(m), l).certify()
 
 
 def _certified(num: IntMat, den: int, l: QuadLattice) -> Isometry:

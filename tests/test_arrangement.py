@@ -396,6 +396,14 @@ def test_search_rejects_empty_family():
         search_parameters(0, DEFAULT_BOOST)
 
 
+def test_search_refuses_a_trivial_boost_before_any_walk(monkeypatch):
+    # no (m, t) can work for the identity boost, so the search names that
+    # cause rather than running out of its grid
+    monkeypatch.setattr(arrangement, "_negative_tangents", None)
+    with pytest.raises(ValueError, match=r"^the family generator needs a nontrivial boost \(b > 0\)$"):
+        search_parameters(5, BoostParams(1, 0))
+
+
 def test_searched_parameters_satisfy_all_inequalities():
     for n in (1, 3, 5, 8):
         m, t = search_parameters(n, DEFAULT_BOOST)

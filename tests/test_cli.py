@@ -346,6 +346,13 @@ def test_arrange_past_its_caps_exits_2_at_once(capsys, monkeypatch, argv):
     assert "error: arrange takes" in err
 
 
+def test_arrange_auto_params_with_a_trivial_boost_names_the_boost(capsys):
+    code, out, err = run_cli(capsys, "arrange", "--p", "3", "--q", "4", "--n", "5",
+                             "--auto-params", "--boost-a", "1", "--boost-b", "0")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: the family generator needs a nontrivial boost (b > 0)"
+
+
 def _decimal_tangent(digits):
     return "1/1" + "0" * digits
 
@@ -543,6 +550,25 @@ def test_spinor_rejects_booleans_strings_and_objects(capsys, matrix):
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ("[[1,0],[0,1],[1,1]]", "expected a 2x2 matrix"),
+        ("[]", "expected a 2x2 matrix"),
+        ("[[1],[1,2]]", "ragged matrix"),
+        ("[[0,0],[0,0]]", "matrix does not preserve the bilinear form"),
+    ],
+    ids=["three_rows", "empty", "ragged", "zero"],
+)
+@pytest.mark.parametrize("command", [["spinor"], ["congruence", "--modulus", "2"]])
+def test_a_malformed_matrix_exits_2_with_its_cause(capsys, command, matrix, message):
+    code, out, err = run_cli(
+        capsys, *command, "--lattice", "bpq", "--p", "1", "--q", "1", "--matrix", matrix
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"error: {message}"
 
 
 def test_spinor_rejects_non_isometry(capsys):

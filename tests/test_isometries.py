@@ -43,7 +43,7 @@ from geocycle.isometries import (
     square_class,
     squarefree_part,
 )
-from geocycle.lattices import eval_form, primitive, standard_lattice
+from geocycle.lattices import QuadLattice, eval_form, primitive, standard_lattice
 from geocycle.linalg import (
     as_vector,
     cleared,
@@ -663,7 +663,14 @@ def test_a_hand_built_isometry_is_held_in_lowest_terms(num, den):
     assert (g.num, g.den) == (((1, 0), (0, 1)), 1)
     assert in_congruence_subgroup(g, 3)
     assert g == product_of_reflections([], B11)
-    assert Isometry(num, 0, B11).den == 0  # left to fail the Gram check
+    with pytest.raises(FormNotPreserved, match="matrix does not preserve the bilinear form"):
+        Isometry(num, 0, B11)
+
+
+def test_the_rank_0_isometry_is_the_empty_product():
+    g = Isometry((), 1, QuadLattice(()))
+    assert cartan_dieudonne(g) == []
+    assert spinor_norm(g) == SquareClass(1, 1)
 
 
 def test_compose_refuses_isometries_over_different_lattices():

@@ -23,6 +23,9 @@ UNCALLED_ALLOWED = {
     # check subspace membership with it
     "linalg.Subspace.contains",
 }
+# private names of one package module that others may read: linalg's exact
+# core, which the lattice, isometry, sign and arrangement layers share
+SHARED_PRIVATE = {"linalg._identity", "linalg._congruence", "linalg._bareiss_int"}
 # optional parameters of public functions and methods that no call in the
 # package, the demos or the benchmark passes, each kept for the reason given
 UNSET_ALLOWED = {
@@ -317,3 +320,36 @@ def test_every_docstring_reference_names_a_definition():
                 refs += [(path.stem, ref) for ref in pattern.findall(ast.get_docstring(node) or "")]
     assert len(refs) >= 35
     assert [f"{m}: {ref}" for m, ref in refs if ref not in defined] == []
+
+
+def _private_reads(tree):
+    """(module, name) for each _-prefixed, non-dunder name of another package
+    module that a module's tree imports, or reads as module._name through a
+    module it imported whole. Package modules import each other relatively."""
+    modules = {}  # the local name of each package module imported whole
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                reads += [(node.module, a.name) for a in node.names]
+            else:
+                modules.update({a.asname or a.name: a.name for a in node.names})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            reads.append((modules[node.value.id], node.attr))
+    return [(m, name) for m, name in reads
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a _-prefixed name belongs to its module: another module that imports
+    # it, or reads it as module._name, ties itself to internals the owner
+    # may change. The exact core's shared helpers are the one exception,
+    # and each of them is read
+    reads = {
+        (path.stem, f"{module}.{name}")
+        for path in sorted(SOURCE.glob("*.py"))
+        for module, name in _private_reads(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert {name for _, name in reads} >= SHARED_PRIVATE
+    assert sorted(f"{m} reads {name}" for m, name in reads if name not in SHARED_PRIVATE) == []

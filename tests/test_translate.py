@@ -22,7 +22,7 @@ from geocycle.arrangement import (
     search_parameters,
     standard_flat,
 )
-from geocycle.errors import FormNotPreserved, NotOrthogonal, WrongInertia
+from geocycle.errors import FormNotPreserved, NotOrthogonal, NotSquare, WrongInertia
 from geocycle.grassmann import _certified_flat, flat_new, gr_point, hyperplane_new, translate
 from geocycle.isometries import Isometry, compose, reflection
 from geocycle.lattices import primitive_content, standard_lattice
@@ -136,9 +136,8 @@ def test_an_uncertified_matrix_on_a_flat_raises_form_not_preserved(make, recerti
 def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
     l = standard_lattice("bpq", 2, 3)
     for num in (((1, 0), (0, 1)), ((1, 0, 0, 0, 0),) * 4 + ((0, 0, 0, 0),)):
-        g = Isometry(num, 1, l)
-        with pytest.raises(FormNotPreserved):
-            translate(g, standard_flat(2, 3))
+        with pytest.raises(NotSquare, match="expected a 5x5 matrix"):
+            Isometry(num, 1, l)
 
 
 def test_the_form_is_checked_once_per_isometry(monkeypatch):

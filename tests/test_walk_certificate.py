@@ -19,7 +19,6 @@ from geocycle.errors import CertificateFailed, GeocycleError
 from geocycle.isometries import (
     Isometry,
     _apply_update,
-    _matrix_isometry,
     _entry_bound,
     _reflection_update,
     cartan_dieudonne,
@@ -29,6 +28,7 @@ from geocycle.isometries import (
     spinor_norm,
 )
 from geocycle.lattices import ray, standard_lattice
+from geocycle.linalg import cleared
 from oracles import (
     eager_cartan_dieudonne,
     eager_cmd_spinor,
@@ -143,7 +143,7 @@ def test_no_valid_input_falls_back_to_the_gram_check(capsys, walks):
 def test_the_factors_and_the_spinor_norm_share_one_walk(walks):
     # the rays are held by the isometry: spinor_norm after cartan_dieudonne
     # neither walks again nor runs the Gram check
-    g = _matrix_isometry(json.loads(k3_reflection_product(5, 4)), standard_lattice("k3"))
+    g = Isometry(*cleared(json.loads(k3_reflection_product(5, 4))), standard_lattice("k3"))
     factors = cartan_dieudonne(g)
     norm = spinor_norm(g)
     assert walks == {"walks": [True], "gram": 0}
