@@ -172,6 +172,8 @@ class ArrangementSpec:
 
 def standard_flat(p: int, q: int) -> Flat:
     """The flat of B(p,q)'s coordinate splitting: blocks <e_i, f_i>, rest <f_j>_{j>p}."""
+    if p > q:
+        raise ValueError(f"a standard flat needs p <= q, got p={p}, q={q}")
     e = _identity(p + q)
     return flat_new(zip(e[:p], e[p:]), e[2 * p:], standard_lattice("bpq", p, q))
 

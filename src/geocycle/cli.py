@@ -15,13 +15,11 @@ import time
 from fractions import Fraction
 
 from . import arrangement as arr
-from . import linalg
 from . import obstructions as obs
 from . import signs as signmod
 from . import verify
 from .errors import GeocycleError
 from .isometries import (
-    Isometry,
     cartan_dieudonne,
     in_congruence_subgroup,
     isometry_from_matrix,
@@ -70,8 +68,8 @@ def _cmd_lattice(args):
 
 def _cmd_spinor(args):
     l = standard_lattice(args.lattice, args.p, args.q)
-    # the walk certifies the form itself; spinor_norm reads the rays it keeps
-    g = Isometry(*linalg.cleared(_parse_matrix(args.matrix)), l)
+    # construction's walk certifies the form; spinor_norm reads the rays it keeps
+    g = isometry_from_matrix(_parse_matrix(args.matrix), l)
     reflections = cartan_dieudonne(g)
     payload = dict(spinor_norm(g).to_dict())
     payload["reflections"] = len(reflections)

@@ -391,8 +391,8 @@ def _translated_flat(g: Isometry, flat: Flat) -> Flat:
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
-    g is certified (:meth:`Isometry.certify`, once per g; FormNotPreserved
-    if not), so every image carries its object's certificate: a flat's
+    g preserves the form (an :class:`Isometry` is checked when it is
+    made), so every image carries its object's certificate: a flat's
     (:func:`_translated_flat`), a normal's Q < 0 and a point's positive
     plane. Integer rows and normals are mapped through g's integer matrix
     and taken primitive (g's denominator only rescales them).
@@ -400,7 +400,6 @@ def translate(g: Isometry, obj):
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
     _check_same_lattice(g, obj)
-    g.certify()
     if isinstance(obj, Flat):
         return _translated_flat(g, obj)
 

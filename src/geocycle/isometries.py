@@ -39,27 +39,22 @@ WALK_CAP_SLACK = 64
 
 @dataclass(frozen=True)
 class Isometry:
-    """A rational matrix g = num/den meant to satisfy g^T.gram.g = gram.
+    """A rational matrix g = num/den with g^T.gram.g = gram, checked when
+    g is made.
 
     num is an integer rank x rank matrix and den > 0 with gcd(num, den) =
-    1, put so by construction, so equal isometries compare and hash equal;
-    construction refuses a num of another shape (NotSquare) and den = 0
-    (FormNotPreserved). Reflections, products and images are computed
-    from (num, den) in integers; `matrix` is the same map as Fractions,
-    `det` is read off num and `reflection_rays` walked when first asked for.
-
-    Whether g preserves the form is :attr:`preserves_form`, set at most
-    once per object by one of three certificates:
-
-    - the Gram check, run by :meth:`certify` on an isometry not yet
-      certified: :func:`isometry_from_matrix` returns its result certified
-      this way, and a hand-built ``Isometry(...)`` is checked on its first
-      translate;
-    - construction from exact reflections: :func:`product_of_reflections`
-      (and so :func:`reflection`) returns certified isometries, and
-      :func:`compose` of two certified factors a certified product;
-    - a completed walk: :func:`cartan_dieudonne` on an isometry not yet
-      certified, when its walk ends at the identity.
+    1, put so by construction, so equal isometries compare and hash equal.
+    Construction refuses a num of another shape (NotSquare), then runs the
+    capped walk of :func:`_walk`. A walk that reaches the identity has
+    written g as a product of exact reflections, and its rays are kept as
+    :attr:`reflection_rays`; otherwise the Gram check num^T.gram.num =
+    den^2.gram decides, and den = 0 or a failed check raises
+    FormNotPreserved. :func:`product_of_reflections` (and so
+    :func:`reflection`) and :func:`compose` build their products from
+    exact maps, so :func:`_certified` makes them with neither check. Hence
+    :func:`cartan_dieudonne`, :func:`spinor_norm`,
+    :func:`in_congruence_subgroup` and :func:`grassmann.translate` run no
+    certificate. `matrix` is g as Fractions and `det` is read off num.
     """
 
     num: IntMat
@@ -75,23 +70,12 @@ class Isometry:
         num, den = _normalized(self.num, self.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @cached_property
-    def preserves_form(self) -> bool:
-        """Whether num^T.gram.num = den^2.gram, in integers: the Gram matrix
-        of num's columns against den^2 times the lattice's. Computed at
-        most once per object, and not at all when construction or a
-        completed walk has set it (see the class)."""
-        d2 = self.den * self.den
-        return linalg.gram_of(zip(*self.num), self.lattice) == [
-            [d2 * x for x in row] for row in self.lattice.gram
-        ]
-
-    def certify(self) -> Isometry:
-        """self, once :attr:`preserves_form` holds; FormNotPreserved if not."""
-        if not self.preserves_form:
+        rays = _walk(self, capped=True)
+        if rays is not None:
+            object.__setattr__(self, "reflection_rays", _factors(rays, n))
+        elif linalg.gram_of(zip(*num), self.lattice) != [[den * den * x for x in row]
+                                                          for row in self.lattice.gram]:
             raise FormNotPreserved("matrix does not preserve the bilinear form")
-        return self
 
     @cached_property
     def matrix(self) -> Mat:
@@ -101,8 +85,7 @@ class Isometry:
 
     @cached_property
     def det(self) -> int:
-        """det(num) / den^rank, exactly +1 or -1 for a form-preserving
-        matrix (Bareiss on num)."""
+        """det(num) / den^rank, exactly +1 or -1 (Bareiss on num)."""
         return linalg._bareiss_int(self.num) // self.den ** len(self.num)
 
     @cached_property
@@ -114,22 +97,19 @@ class Isometry:
     @cached_property
     def reflection_rays(self) -> tuple[Ray, ...]:
         """The rays (x, gram.x, Q(x)) of the reflections whose product is
-        self, in order, found at most once per object by the walk of
-        :func:`cartan_dieudonne`, which certifies self as it describes."""
-        l = self.lattice
-        rays = None
-        if "preserves_form" not in vars(self):
-            rays = _walk(self, capped=True)
-            if rays is not None:
-                vars(self)["preserves_form"] = True
-        if rays is None:
-            self.certify()
-            rays = _walk(self, capped=False)
-        if rays is None:
-            raise CertificateFailed("reflection factorization did not reach the identity")
-        if len(rays) > 2 * l.rank:
-            raise CertificateFailed(f"{len(rays)} reflections exceed 2 * rank = {2 * l.rank}")
-        return tuple(rays)
+        self, in order: kept from construction's walk, or found by the walk
+        of :func:`cartan_dieudonne` without a cap on first use."""
+        return _factors(_walk(self, capped=False), self.lattice.rank)
+
+
+def _factors(rays: list[Ray] | None, rank: int) -> tuple[Ray, ...]:
+    """A walk's rays, refused unless the walk reached the identity in at
+    most 2 * rank reflections, the Cartan-Dieudonne bound."""
+    if rays is None:
+        raise CertificateFailed("reflection factorization did not reach the identity")
+    if len(rays) > 2 * rank:
+        raise CertificateFailed(f"{len(rays)} reflections exceed 2 * rank = {2 * rank}")
+    return tuple(rays)
 
 
 def _normalized(num, den: int) -> tuple[IntMat, int]:
@@ -143,29 +123,28 @@ def _normalized(num, den: int) -> tuple[IntMat, int]:
 
 
 def isometry_from_matrix(m, l: QuadLattice) -> Isometry:
-    """The rational matrix m as (D.m, D), D the lcm of its denominators,
-    certified by the Gram check (:meth:`Isometry.certify`)."""
-    return Isometry(*linalg.cleared(m), l).certify()
+    """The rational matrix m as the :class:`Isometry` (D.m, D), D the lcm
+    of its denominators."""
+    return Isometry(*linalg.cleared(m), l)
 
 
 def _certified(num: IntMat, den: int, l: QuadLattice) -> Isometry:
-    """Isometry(num, den, l) certified by construction: the caller built
-    num/den from maps that preserve the form."""
-    g = Isometry(num, den, l)
-    vars(g)["preserves_form"] = True
+    """The :class:`Isometry` num/den in lowest terms, made without its
+    walk or Gram check: the caller built num/den from maps that preserve
+    the form, and nonzero den."""
+    g = object.__new__(Isometry)
+    num, den = _normalized(num, den)
+    vars(g).update(num=num, den=den, lattice=l)
     return g
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
-    """g after h, from (num, den) in integers; certified when both factors
-    are (see :class:`Isometry`)."""
+    """g after h, from (num, den) in integers."""
     if g.lattice != h.lattice:
         raise LatticeMismatch("isometries over different lattices")
     cols = tuple(zip(*h.num))
     num = [[sum(map(mul, row, col)) for col in cols] for row in g.num]
-    if vars(g).get("preserves_form") and vars(h).get("preserves_form"):
-        return _certified(num, g.den * h.den, g.lattice)
-    return Isometry(num, g.den * h.den, g.lattice)
+    return _certified(num, g.den * h.den, g.lattice)
 
 
 def _reflection_update(x_ray, num: IntMat) -> tuple[int, list[int]]:
@@ -202,7 +181,8 @@ def _apply_update(x, q: int, c: list[int], num: IntMat, den: int) -> tuple[IntMa
 def product_of_reflections(vectors, l: QuadLattice) -> Isometry:
     """reflection(x_1) . ... . reflection(x_k) for anisotropic x_i: from the
     identity, each factor right to left is applied by the walk's two steps
-    (:func:`_reflection_update`, :func:`_apply_update`). Certified by construction."""
+    (:func:`_reflection_update`, :func:`_apply_update`), and the product
+    is made by :func:`_certified`."""
     num, den = _identity(l.rank), 1
     for v in reversed(list(vectors)):
         x_ray = ray(cleared(v, l)[0], l)
@@ -235,13 +215,11 @@ def cartan_dieudonne(g: Isometry) -> list[tuple[int, ...]]:
     The walk stops once its map is the identity, since every later ray
     would add no reflection.
 
-    A g not yet certified is certified by its own walk: a walk that ends at
-    the identity has written g as a product of exact reflections. That walk
-    runs under the entry cap of :func:`_walk`; if it stops or misses the
-    identity, g is certified by the Gram check instead (FormNotPreserved if
-    it fails) and walked again uncapped, so every verdict is the Gram
-    check's. The walk runs at most once per object: its rays are
-    :attr:`Isometry.reflection_rays`, which :func:`spinor_norm` reads too.
+    g preserves the form (see :class:`Isometry`), so the walk certifies
+    nothing here. It runs at most once per object: its rays are
+    :attr:`Isometry.reflection_rays`, kept from the capped walk of g's
+    construction or else walked without a cap on first use, and
+    :func:`spinor_norm` reads them too.
     """
     return [x for x, _, _ in g.reflection_rays]
 
@@ -376,7 +354,7 @@ def square_class(r: Fraction) -> SquareClass:
 def spinor_norm(g: Isometry) -> SquareClass:
     """Product of the self-pairings over g's reflection factorization, mod
     squares: the Qs of :attr:`Isometry.reflection_rays`, the walk of
-    :func:`cartan_dieudonne` (run here if it has not run on g yet).
+    :func:`cartan_dieudonne` (run here if g holds no rays yet).
 
     Independent of the factorization; the identity (empty product) gets the
     trivial class (+1, +1). Q of a vector and Q of the primitive integer
@@ -388,8 +366,8 @@ def spinor_norm(g: Isometry) -> SquareClass:
 
 def in_congruence_subgroup(g: Isometry, modulus: int) -> bool:
     """True iff g is integral, det +1, and congruent to the identity mod
-    modulus; FormNotPreserved if g fails its certificate (:meth:`Isometry.certify`)."""
-    g.certify()
+    modulus. g preserves the form: its :class:`Isometry` was checked when
+    it was made."""
     if modulus < 1:
         raise ValueError("modulus must be a positive integer")
     if g.den != 1:

@@ -19,7 +19,11 @@ flat's translate as it ran before it carried the certificate through the
 isometry: the image rows re-certified on their integer Gram matrix. So
 does the spinor command as it ran before the Cartan-Dieudonne walk
 certified the form: the Gram check on every matrix, then the walk, its
-spinor class the product of its own factors' Qs. So does the root join as it ran before it built roots by concatenation: the
+spinor class the product of its own factors' Qs. So does the congruence
+command as it ran before construction's walk certified the form: the Gram
+check first, then integrality, the determinant and the residues. Both read
+--matrix into a RawMatrix, num/den as a hand-built Isometry held it before
+construction refused a non-isometry. So does the root join as it ran before it built roots by concatenation: the
 chosen lists of every leaf kept, then expanded by itertools.product.
 So does the triangular-support guard the root search ran before it read
 its square forms off the lattice's orthogonal basis.
@@ -40,6 +44,7 @@ import random
 from fractions import Fraction
 from itertools import chain, islice, product
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from geocycle.arrangement import (
     MAX_BOOST_POWER,
@@ -55,8 +60,10 @@ from geocycle.arrangement import (
 from geocycle.cli import _parse_matrix
 from geocycle.errors import (
     CertificateFailed,
+    DetMinusOne,
     FormNotPreserved,
     InadmissibleV,
+    NonIntegralMatrix,
     NotSquare,
     SearchExhausted,
 )
@@ -67,12 +74,10 @@ from geocycle.grassmann import (
     intersect_flat_hyperplane,
 )
 from geocycle.isometries import (
-    Isometry,
     _identity,
     _normalized,
     _apply_update,
     _reflection_update,
-    isometry_from_matrix,
     square_class,
 )
 from geocycle.lattices import cleared, primitive, ray, standard_lattice
@@ -83,7 +88,6 @@ from geocycle.linalg import (
     frac,
     inertia,
     mat_mul,
-    terms_times,
     times_terms,
 )
 
@@ -514,16 +518,41 @@ def recertified_translate(g, flat):
     the whole image certified again from its integer Gram matrix by
     _certified_flat."""
     def image(x):
-        return primitive(terms_times(g.num_terms, x))
+        return primitive([sum(map(mul, row, x)) for row in g.num])
 
     parts = [[image(x), image(y)] for x, y, *_ in flat.int_blocks]
     return _certified_flat(parts + [[image(r) for r in flat.int_rest]], flat.lattice)
 
 
+class RawMatrix(NamedTuple):
+    """num/den over a lattice, not yet known to preserve its form: the
+    fields of an Isometry, which the oracles below read without making one."""
+
+    num: tuple
+    den: int
+    lattice: object
+
+
+def raw_matrix(m, l):
+    """The rows m cleared of denominators by frac_cleared, refused as an
+    Isometry refuses a matrix of the wrong shape."""
+    num, den = frac_cleared(m)
+    n = l.rank
+    if len(num) != n or any(len(row) != n for row in num):
+        raise NotSquare(f"expected a {n}x{n} matrix")
+    return RawMatrix(tuple(map(tuple, num)), den, l)
+
+
 def gram_preserves_form(g):
-    """The Gram check num^T.gram.num = den^2.gram on a fresh copy of g, so
-    that a certificate g already carries is not read."""
-    return Isometry(g.num, g.den, g.lattice).preserves_form
+    """The Gram check num^T.gram.num = den^2.gram with den != 0, summed
+    entry by entry from g.num, g.den and g.lattice.gram: gram.num first,
+    then num^T times it."""
+    gram, cols = g.lattice.gram, list(zip(*g.num))
+    gram_num = [[sum(map(mul, row, col)) for col in cols] for row in gram]
+    d2 = g.den * g.den
+    return g.den != 0 and [
+        [sum(map(mul, col, other)) for other in zip(*gram_num)] for col in cols
+    ] == [[d2 * x for x in row] for row in gram]
 
 
 def reflect(x_ray, num, den):
@@ -576,14 +605,34 @@ def factorization_spinor_norm(vectors, l):
 
 
 def eager_cmd_spinor(args):
-    """The spinor command's handler as it ran before: isometry_from_matrix's
-    Gram check, then the eager walk, whose factors give the class."""
+    """The spinor command's handler as it ran before: the Gram check, then
+    the eager walk, whose factors give the class."""
     l = standard_lattice(args.lattice, args.p, args.q)
-    g = isometry_from_matrix(_parse_matrix(args.matrix), l)
-    reflections = eager_cartan_dieudonne(g)
+    reflections = eager_cartan_dieudonne(raw_matrix(_parse_matrix(args.matrix), l))
     payload = dict(factorization_spinor_norm(reflections, l).to_dict())
     payload["reflections"] = len(reflections)
     return "ok", payload, None
+
+
+def eager_cmd_congruence(args):
+    """The congruence command's handler as it ran before construction's
+    walk: the Gram check first (FormNotPreserved), then the modulus, then
+    integrality, det +1 by Fraction elimination and every residue of
+    g - 1 mod the modulus."""
+    l = standard_lattice(args.lattice, args.p, args.q)
+    g = raw_matrix(_parse_matrix(args.matrix), l)
+    if not gram_preserves_form(g):
+        raise FormNotPreserved("matrix does not preserve the bilinear form")
+    if args.modulus < 1:
+        raise ValueError("modulus must be a positive integer")
+    if any(a % g.den for row in g.num for a in row):
+        raise NonIntegralMatrix("congruence membership needs integer entries")
+    num = [[a // g.den for a in row] for row in g.num]
+    if fraction_det(num) != 1:
+        raise DetMinusOne("congruence subgroups sit inside the determinant-one group")
+    member = all((a - (i == j)) % args.modulus == 0
+                 for i, row in enumerate(num) for j, a in enumerate(row))
+    return "ok", {"modulus": args.modulus, "member": member}, None
 
 
 def product_join(blocks, tables, target, n, budget):

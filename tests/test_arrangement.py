@@ -442,3 +442,19 @@ def test_search_matches_the_fraction_search_at_the_scan_limit():
 def test_boost_power_refuses_a_negative_exponent():
     with pytest.raises(ValueError, match="boost power wants a nonnegative exponent"):
         boost_power(DEFAULT_BOOST, -1)
+
+
+def test_standard_flat_needs_p_at_most_q():
+    # with p > q there are not p negative directions to pair with the e_i:
+    # refused before any row is built
+    with pytest.raises(ValueError, match=r"^a standard flat needs p <= q, got p=3, q=2$"):
+        standard_flat(3, 2)
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_standard_flat_pairs_each_e_i_with_f_i(q):
+    for p in range(1, q + 1):
+        e = [tuple(int(i == j) for j in range(p + q)) for i in range(p + q)]
+        flat = standard_flat(p, q)
+        assert flat.int_blocks == tuple((e[i], e[p + i], 1, 0, -1) for i in range(p))
+        assert flat.int_rest == tuple(e[2 * p:])

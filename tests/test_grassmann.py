@@ -35,7 +35,7 @@ from geocycle.isometries import Isometry, compose, product_of_reflections, refle
 from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import intersect, perp, restricted_definiteness, span
 from geocycle.verify import _random_strong_position_pair
-from oracles import filtered_stabilizer_sign_patterns, oracle_apply
+from oracles import RawMatrix, filtered_stabilizer_sign_patterns, oracle_apply
 
 B11 = standard_lattice("bpq", 1, 1)
 B12 = standard_lattice("bpq", 1, 2)
@@ -417,21 +417,19 @@ def test_translate_moves_blocks():
 
 
 def test_translate_rechecks_negative_normal():
-    # translate certifies the matrix itself, on every kind of object. The
-    # swap sends the negative line of (0, 1) to a positive one; diag(2, 1)
-    # sends the negative line of (1, 3) to the negative line of (2, 3) and
-    # the positive line of (1, 0) to itself, so only the certificate of the
-    # matrix tells that neither image may be taken
-    swap = Isometry(((0, 1), (1, 0)), 1, B11)
-    stretch = Isometry(((2, 0), (0, 1)), 1, B11)
-    for g, obj in [
-        (swap, hyperplane_new((0, 1), B11)),
-        (stretch, hyperplane_new((1, 3), B11)),
-        (stretch, gr_point(span([(1, 0)]), B11)),
-    ]:
+    # the matrix itself is certified, when its Isometry is made, so translate
+    # never meets these. The swap sends the negative line of (0, 1) to a
+    # positive one; diag(2, 1) sends the negative line of (1, 3) to the
+    # negative line of (2, 3) and the positive line of (1, 0) to itself, so
+    # only the certificate of the matrix tells that neither image may be taken
+    swap = RawMatrix(((0, 1), (1, 0)), 1, B11)
+    stretch = RawMatrix(((2, 0), (0, 1)), 1, B11)
+    image = oracle_apply(swap, (0, 1))
+    assert eval_form(B11, (0, 1), (0, 1)) < 0 < eval_form(B11, image, image)
+    assert (oracle_apply(stretch, (1, 3)), oracle_apply(stretch, (1, 0))) == ((2, 3), (2, 0))
+    for g in (swap, stretch):
         with pytest.raises(FormNotPreserved, match="does not preserve the bilinear form"):
-            translate(g, obj)
-        assert g.preserves_form is False
+            Isometry(*g)
 
 
 def test_translate_hyperplane_keeps_line():

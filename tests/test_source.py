@@ -322,6 +322,40 @@ def test_every_docstring_reference_names_a_definition():
     assert [f"{m}: {ref}" for m, ref in refs if ref not in defined] == []
 
 
+def _unused_imports(tree):
+    """The names a module's imports bind and it never reads. A read is a
+    loaded Name, which covers the base of an attribute, or a name inside a
+    string annotation; a __future__ import binds no name."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for text in (n.value for a in annotations if a for n in ast.walk(a)
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)):
+            read.update(n.id for n in ast.walk(ast.parse(text, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    # an import that nothing in its module reads is a leftover of a deleted
+    # use. __init__.py is exempt: importing the public names to re-export
+    # them is what it is for
+    unused = [
+        f"{path.stem}: {name}"
+        for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"
+        for name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []
+
+
 def _private_reads(tree):
     """(module, name) for each _-prefixed, non-dunder name of another package
     module that a module's tree imports, or reads as module._name through a

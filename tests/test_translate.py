@@ -27,7 +27,7 @@ from geocycle.grassmann import _certified_flat, flat_new, gr_point, hyperplane_n
 from geocycle.isometries import Isometry, compose, reflection
 from geocycle.lattices import primitive_content, standard_lattice
 from geocycle.linalg import span, terms_times
-from oracles import fraction_inertia, oracle_apply, recertified_translate
+from oracles import RawMatrix, fraction_inertia, oracle_apply, recertified_translate
 
 
 def assert_matches_oracle(g, flat):
@@ -97,19 +97,13 @@ def test_opposite_contents_flip_the_sign_of_the_block_pairing():
 def _permutation(l, i, j):
     n = l.rank
     swap = {i: j, j: i}
-    return Isometry(
-        tuple(tuple(int(swap.get(c, c) == r) for c in range(n)) for r in range(n)), 1, l
-    )
+    return tuple(tuple(int(swap.get(c, c) == r) for c in range(n)) for r in range(n))
 
 
 def _shear(l, into, source):
     # e_source -> e_source + e_into
     n = l.rank
-    return Isometry(
-        tuple(tuple(int(r == c or (r, c) == (into, source)) for c in range(n)) for r in range(n)),
-        1,
-        l,
-    )
+    return tuple(tuple(int(r == c or (r, c) == (into, source)) for c in range(n)) for r in range(n))
 
 
 @pytest.mark.parametrize(
@@ -122,15 +116,15 @@ def _shear(l, into, source):
 )
 def test_an_uncertified_matrix_on_a_flat_raises_form_not_preserved(make, recertified):
     # re-certifying the image caught these by its inertia or orthogonality
-    # check; translate now refuses the matrix itself
+    # check; the matrix itself is now refused when its Isometry is made, so
+    # no translate meets it
     l = standard_lattice("bpq", 2, 3)
     flat = standard_flat(2, 3)
-    g = make(l)
+    num = make(l)
     with pytest.raises(recertified):
-        recertified_translate(g, flat)
+        recertified_translate(RawMatrix(num, 1, l), flat)
     with pytest.raises(FormNotPreserved, match="does not preserve the bilinear form"):
-        translate(g, flat)
-    assert g.preserves_form is False
+        Isometry(num, 1, l)
 
 
 def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
@@ -141,18 +135,10 @@ def test_a_hand_built_isometry_of_the_wrong_shape_is_not_certified():
 
 
 def test_the_form_is_checked_once_per_isometry(monkeypatch):
-    # isometry_from_matrix returns its result certified, and a product of
-    # reflections arrives certified by construction: translating a flat by
-    # either forms no Gram matrix. A hand-built Isometry(...) is checked on
-    # its first flat translate and never again
-    l = standard_lattice("bpq", 3, 4)
-    spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
-    r = rotation_isometry(spec.rotation, 3, 4)
-    assert vars(r)["preserves_form"] is True
-    g = verify.random_isometry(l, random.Random(22), reflections=3)
-    assert vars(g)["preserves_form"] is True
-    hand_built = Isometry(g.num, g.den, l)
-    assert "preserves_form" not in vars(hand_built)
+    # every Isometry is certified when it is made: a product of reflections
+    # with no check, and a rotation read by isometry_from_matrix or a
+    # hand-built Isometry(...) by its walk. Neither forms a Gram matrix, and
+    # translating a flat by any of them forms none either
     calls = []
 
     def counted(rows, lattice):
@@ -164,12 +150,16 @@ def test_the_form_is_checked_once_per_isometry(monkeypatch):
     monkeypatch.setattr(grassmann, "gram_of", counted)
     flat = standard_flat(3, 4)
     calls.clear()
+    l = standard_lattice("bpq", 3, 4)
+    spec = arrangement_spec(3, 4, 3, DEFAULT_BOOST, 2, "1/10")
+    r = rotation_isometry(spec.rotation, 3, 4)
+    g = verify.random_isometry(l, random.Random(22), reflections=3)
+    hand_built = Isometry(g.num, g.den, l)
+    assert "reflection_rays" in vars(r) and "reflection_rays" in vars(hand_built)
     image = translate(g, translate(g, flat))
-    assert len(calls) == 0
     assert translate(hand_built, translate(hand_built, flat)) == image
-    assert len(calls) == 1 and vars(hand_built)["preserves_form"] is True
     translate(r, image)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def dense_pairing(l, x, y):

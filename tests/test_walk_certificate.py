@@ -1,10 +1,12 @@
-"""spinor's Cartan-Dieudonne walk certifies the form it factors.
+"""An Isometry's construction certifies the form by the Cartan-Dieudonne walk.
 
-The oracle is the spinor command as it ran before (tests/oracles.py): the
-Gram check on every matrix, then the walk. spinor must print the same bytes
-with the same exit code. A valid isometry must never fall back to the Gram
-check, and a non-isometry must raise FormNotPreserved, never
-ZeroDivisionError, within the walk's entry cap.
+The oracles are the spinor and congruence commands as they ran before
+(tests/oracles.py): the Gram check on every matrix, then the walk or the
+congruence tests. Both commands must print the same bytes with the same
+exit code, and congruence the same first stderr line. A valid isometry must
+never fall back to the Gram check, and a non-isometry must raise
+FormNotPreserved when it is built, never ZeroDivisionError, within the
+walk's entry cap.
 """
 
 import json
@@ -15,7 +17,7 @@ from itertools import chain
 import pytest
 
 from geocycle import cli, isometries, linalg, verify
-from geocycle.errors import CertificateFailed, GeocycleError
+from geocycle.errors import CertificateFailed, FormNotPreserved, GeocycleError
 from geocycle.isometries import (
     Isometry,
     _apply_update,
@@ -27,15 +29,17 @@ from geocycle.isometries import (
     reflection,
     spinor_norm,
 )
-from geocycle.lattices import ray, standard_lattice
+from geocycle.lattices import QuadLattice, ray, standard_lattice
 from geocycle.linalg import cleared
 from oracles import (
+    RawMatrix,
     eager_cartan_dieudonne,
+    eager_cmd_congruence,
     eager_cmd_spinor,
     factorization_spinor_norm,
     gram_preserves_form,
 )
-from test_cli import K3_MINUS_ONE, RESPELLED_MATRICES, k3_reflection_product
+from test_cli import DEEP, K3_MINUS_ONE, RESPELLED_MATRICES, k3_reflection_product
 from test_fuzz import _matrix_texts
 
 B11 = ["--lattice", "bpq", "--p", "1", "--q", "1"]
@@ -152,16 +156,16 @@ def test_the_factors_and_the_spinor_norm_share_one_walk(walks):
 
 def test_a_swap_of_signs_meets_an_isotropic_plus_ray(capsys, walks):
     # [[0,1],[1,0]] on B(1,1) sends e to f: g(e) - e and g(e) + e are both
-    # isotropic, and a reflection along the plus-ray would divide by Q = 0
+    # isotropic, and a reflection along the plus-ray would divide by Q = 0.
+    # The capped walk stops there, and construction's Gram check refuses g
     l = standard_lattice("bpq", 1, 1)
     assert l.orthogonal_rays[0][0][0] == (1, 0)
     assert ray((-1, 1), l)[2] == ray((1, 1), l)[2] == 0
-    g = Isometry(((0, 1), (1, 0)), 1, l)
-    assert isometries._walk(g, capped=True) is None
+    assert isometries._walk(RawMatrix(((0, 1), (1, 0)), 1, l), capped=True) is None
     assert walks == {"walks": [True], "gram": 0}
-    for call in (cartan_dieudonne, spinor_norm):
-        with pytest.raises(isometries.FormNotPreserved, match="does not preserve"):
-            call(Isometry(((0, 1), (1, 0)), 1, l))
+    with pytest.raises(FormNotPreserved, match="does not preserve"):
+        Isometry(((0, 1), (1, 0)), 1, l)
+    assert walks == {"walks": [True, True], "gram": 1}
     code = cli.main(spinor_argv(B11, "[[0,1],[1,0]]"))
     assert (code, capsys.readouterr()) == (2, ("", NOT_AN_ISOMETRY + "\n"))
 
@@ -173,9 +177,9 @@ def diagonal(n, value, perm=None):
 
 
 def non_isometries(rng):
-    """Hand-built Isometry(...)s that fail the Gram check, or pass it and
-    miss the walk's other conditions, over B(1,1), B(2,3), B(3,4), -E8 and
-    K3: nudged products, coordinate permutations and scalings, random
+    """Matrices num/den (RawMatrix) that fail the Gram check, or pass it
+    and miss the walk's other conditions, over B(1,1), B(2,3), B(3,4), -E8
+    and K3: nudged products, coordinate permutations and scalings, random
     integer matrices, and a negative denominator."""
     out = []
     for l in [standard_lattice("bpq", p, q) for p, q in ((1, 1), (2, 3), (3, 4))] + [
@@ -186,14 +190,14 @@ def non_isometries(rng):
             g = verify.random_isometry(l, rng, reflections=rng.randint(1, 4))
             rows = [list(row) for row in g.num]
             rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1))
-            out.append(Isometry(tuple(map(tuple, rows)), g.den, l))
+            out.append(RawMatrix(tuple(map(tuple, rows)), g.den, l))
             perm = list(range(n))
             rng.shuffle(perm)
-            out.append(Isometry(diagonal(n, 1, perm), 1, l))
-            out.append(Isometry(diagonal(n, rng.choice((2, 3))), 1, l))
+            out.append(RawMatrix(diagonal(n, 1, perm), 1, l))
+            out.append(RawMatrix(diagonal(n, rng.choice((2, 3))), 1, l))
             rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
-            out.append(Isometry(rows, rng.randint(1, 4), l))
-        out.append(Isometry(diagonal(n, -1), -1, l))
+            out.append(RawMatrix(rows, rng.randint(1, 4), l))
+        out.append(RawMatrix(diagonal(n, -1), -1, l))
     return out
 
 
@@ -205,18 +209,19 @@ def outcome(walk, g):
 
 
 def test_non_isometries_raise_what_the_oracle_raises():
+    # the oracle's refusal now comes when the Isometry is built; a matrix
+    # that is built factors and takes its class as the oracle's
     rng = random.Random(2301)
     raised = 0
     for g in non_isometries(rng):
         expected = outcome(eager_cartan_dieudonne, g)
-        fresh = Isometry(g.num, g.den, g.lattice)
-        assert outcome(cartan_dieudonne, fresh) == expected
-        assert outcome(spinor_norm, Isometry(g.num, g.den, g.lattice)) == outcome(
+        assert outcome(lambda h: cartan_dieudonne(Isometry(*h)), g) == expected
+        assert outcome(lambda h: spinor_norm(Isometry(*h)), g) == outcome(
             lambda h: factorization_spinor_norm(eager_cartan_dieudonne(h), h.lattice), g
         )
-        if isinstance(expected, tuple) and expected[0] is isometries.FormNotPreserved:
+        if isinstance(expected, tuple) and expected[0] is FormNotPreserved:
             raised += 1
-            assert vars(fresh)["preserves_form"] is False
+            assert outcome(lambda h: Isometry(*h), g) == expected
     assert raised > 80
 
 
@@ -245,17 +250,17 @@ def test_carried_certificates_agree_with_the_gram_check(p, q):
     certified += [compose(a, b) for a, b in zip(certified, certified[1:])]
     certified += [compose(a, compose(b, a)) for a, b in zip(certified, certified[3:])]
     for g in certified:
-        assert vars(g)["preserves_form"] is True
+        # made by _certified: no walk ran, and the independent Gram check holds
+        assert "reflection_rays" not in vars(g)
         assert gram_preserves_form(g)
     for g in certified[1:6]:
-        # a factor not yet certified leaves its composite uncertified, and
-        # the Gram check then decides
-        nudged = Isometry(g.num[:-1] + (tuple(a + 1 for a in g.num[-1]),), g.den, l)
-        for valid in (True, False):
-            h = Isometry(g.num, g.den, l) if valid else nudged
-            for product in (compose(g, h), compose(h, g)):
-                assert "preserves_form" not in vars(product)
-                assert product.preserves_form is valid is gram_preserves_form(product)
+        # a hand-built copy is certified by its own walk, and its composites
+        # equal those of the certified factor; a nudged copy is not built
+        h = Isometry(g.num, g.den, l)
+        assert "reflection_rays" in vars(h)
+        assert (compose(g, h), compose(h, g)) == (compose(g, g), compose(g, g))
+        with pytest.raises(FormNotPreserved):
+            Isometry(g.num[:-1] + (tuple(a + 1 for a in g.num[-1]),), g.den, l)
 
 
 def test_a_completed_walk_certifies_its_isometry():
@@ -264,8 +269,9 @@ def test_a_completed_walk_certifies_its_isometry():
         for _ in range(5):
             g = verify.random_isometry(l, rng, reflections=rng.randint(0, 6))
             fresh = Isometry(g.num, g.den, l)
+            # construction's walk reached the identity and kept its rays
+            assert "reflection_rays" in vars(fresh) and gram_preserves_form(fresh)
             assert cartan_dieudonne(fresh) == eager_cartan_dieudonne(g)
-            assert vars(fresh)["preserves_form"] is True and gram_preserves_form(fresh)
 
 
 def test_the_entry_bound_bounds_every_step():
@@ -290,14 +296,17 @@ def test_the_entry_bound_bounds_every_step():
 
 def test_a_valid_walk_past_the_cap_falls_back_to_the_same_factors(monkeypatch, walks):
     # with the cap at the input's own bit length, the capped walk of -1 on
-    # K3 stops; the Gram check certifies -1 and the uncapped walk factors it
+    # K3 stops: construction runs one Gram check, which certifies -1, and
+    # the first reflection_rays runs one uncapped walk, which factors it
     monkeypatch.setattr(isometries, "WALK_CAP_FACTOR", 1)
     monkeypatch.setattr(isometries, "WALK_CAP_SLACK", 0)
     l = standard_lattice("k3")
     g = Isometry(diagonal(22, -1), 1, l)
+    assert walks == {"walks": [True], "gram": 1}
+    assert "reflection_rays" not in vars(g)
     expected = eager_cartan_dieudonne(g)
-    walks["gram"] = 0
     assert cartan_dieudonne(g) == expected
+    assert spinor_norm(g) == factorization_spinor_norm(expected, l)
     assert walks == {"walks": [True, False], "gram": 1}
 
 
@@ -309,3 +318,110 @@ def test_a_walk_of_more_than_twice_the_rank_rays_is_refused(monkeypatch):
     monkeypatch.setattr(isometries, "_walk", lambda g, capped: too_many)
     with pytest.raises(CertificateFailed, match=r"^5 reflections exceed 2 \* rank = 4$"):
         cartan_dieudonne(Isometry(diagonal(2, 1), 1, l))
+
+
+def congruence_argv(lattice_argv, matrix, modulus):
+    return ["congruence", *lattice_argv, "--matrix", matrix, "--modulus", str(modulus)]
+
+
+def congruence_argvs():
+    """Every congruence argv of tests/test_cli.py and tests/test_isometries.py."""
+    b22 = ["--lattice", "bpq", "--p", "2", "--q", "2"]
+    argvs = [congruence_argv(B11, json.dumps(rows), 2)
+             for canonical, spellings in RESPELLED_MATRICES for rows in [canonical, *spellings]]
+    argvs += [congruence_argv(B11, m, 2)
+              for m in ("[[1,0],[0,1],[1,1]]", "[]", "[[1],[1,2]]", "[[0,0],[0,0]]")]
+    argvs += [
+        congruence_argv(B11, json.dumps([[1, 0], ["0", 1]]), 4),
+        congruence_argv(B11, '[["5/4","3/4"],["3/4","5/4"]]', 4),
+        congruence_argv(B11, "[[1,1],[0,1]]", 1),
+    ]
+    argvs += [congruence_argv(b22, "[[-1,0,0,0],[0,-1,0,0],[0,0,1,0],[0,0,0,1]]", m)
+              for m in (2, 4)]
+    argvs += [congruence_argv(["--lattice", "bpq", "--p", p, "--q", q], "[[1]]", 2)
+              for p, q in (("1000000", "1"), ("1", "1000000"))]
+    argvs += [congruence_argv(B11, text, 3) for text in ("[" * DEEP, "[" * DEEP + "]" * DEEP)]
+    return argvs
+
+
+def run_congruence_oracle(argv):
+    """(exit code, stdout, first stderr line) of the congruence command as
+    it ran before, with cli.main's error handling. A run that exits 0 or 1
+    prints its timing on stderr, so its stderr line is None."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        status, payload, _ = eager_cmd_congruence(args)
+    except (GeocycleError, ValueError, TypeError, OSError) as e:
+        return 2, "", f"error: {e}".splitlines()[0]
+    return (0 if status == "ok" else 1), json.dumps(payload) + "\n", None
+
+
+def run_congruence(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()[0] if code == 2 else None
+
+
+@pytest.mark.parametrize("argv", congruence_argvs(), ids=lambda a: a[-3][:40])
+def test_congruence_prints_the_oracles_bytes(capsys, argv):
+    assert run_congruence(capsys, argv) == run_congruence_oracle(argv)
+
+
+def test_congruence_prints_the_oracles_bytes_on_fuzzed_matrices(capsys):
+    moduli = random.Random(2306)
+    lines = set()
+    for kind, text, lattice_argv in _matrix_texts(random.Random(2305)):
+        argv = congruence_argv(lattice_argv, text, moduli.randint(-1, 6))
+        expected = run_congruence_oracle(argv)
+        assert run_congruence(capsys, argv) == expected, (kind, argv)
+        lines.add(expected[2] or expected[1])
+    assert {NOT_AN_ISOMETRY, "error: modulus must be a positive integer",
+            "error: congruence membership needs integer entries",
+            "error: congruence subgroups sit inside the determinant-one group",
+            '{"modulus": 4, "member": true}\n'} <= lines
+
+
+def test_rank_0_builds_and_walks_to_nothing(walks):
+    g = Isometry((), 1, QuadLattice(()))
+    assert vars(g)["reflection_rays"] == ()
+    assert cartan_dieudonne(g) == [] and spinor_norm(g) == isometries.SquareClass(1, 1)
+    assert walks == {"walks": [True], "gram": 0}
+
+
+def test_non_isometries_are_refused_when_built(walks):
+    # the B(1,1) swap, a stretch and a shear, and products nudged by one
+    # entry: each capped walk misses the identity, and the one Gram check
+    # that follows raises before any translate, walk or congruence test
+    l = standard_lattice("bpq", 1, 1)
+    cases = [(((0, 1), (1, 0)), 1, l), (((2, 0), (0, 1)), 1, l), (((1, 1), (0, 1)), 1, l)]
+    rng = random.Random(2308)
+    for l in (standard_lattice("bpq", 2, 3), standard_lattice("k3")):
+        for _ in range(4):
+            g = verify.random_isometry(l, rng, reflections=rng.randint(1, 4))
+            rows = [list(row) for row in g.num]
+            rows[rng.randrange(l.rank)][rng.randrange(l.rank)] += rng.choice((-1, 1))
+            cases.append((tuple(map(tuple, rows)), g.den, l))
+    for num, den, l in cases:
+        with pytest.raises(FormNotPreserved, match=f"^{NOT_AN_ISOMETRY[len('error: '):]}$"):
+            Isometry(num, den, l)
+    assert walks == {"walks": [True] * len(cases), "gram": len(cases)}
+
+
+def test_a_hand_built_k3_product_costs_one_capped_walk(walks):
+    g = Isometry(*cleared(json.loads(k3_reflection_product(11, 5))), standard_lattice("k3"))
+    assert walks == {"walks": [True], "gram": 0}
+    factors = cartan_dieudonne(g)
+    norm = spinor_norm(g)
+    assert walks == {"walks": [True], "gram": 0}
+    assert factors == eager_cartan_dieudonne(g)
+    assert norm == factorization_spinor_norm(factors, g.lattice)
+
+
+def test_the_spinor_checks_cases_form_no_gram_matrix(walks):
+    # products of reflections and their composites are made certified, so
+    # verify's 300 spinor cases walk each product once, uncapped, and run
+    # no Gram check
+    l, cases = verify.spinor_cases(101)
+    assert len(cases) == 300
+    assert sum(verify.spinor_case(l, case) for case in cases) == 0
+    assert walks["gram"] == 0 and set(walks["walks"]) == {False}

@@ -113,7 +113,10 @@ def test_minus_one_visits_every_ray(visits):
 
 
 def test_the_identity_visits_no_ray(visits):
-    assert cartan_dieudonne(plus_minus_identity(K3)[0]) == []
+    # construction's walk is the only walk, and it stops before the first ray
+    identity = Isometry(tuple(tuple(int(i == j) for j in range(22)) for i in range(22)), 1, K3)
+    assert visits[0] == 0
+    assert cartan_dieudonne(identity) == []
     assert visits[0] == 0
 
 
@@ -152,7 +155,7 @@ def test_product_of_reflections_equals_a_fraction_product():
                     assert ray(x, l)[2] != 0
                 vectors.append(x)
             g = product_of_reflections(vectors, l)
-            assert vars(g)["preserves_form"] is True
+            assert "reflection_rays" not in vars(g)  # made with no walk
             assert g.den > 0 and g.matrix == fraction_product(vectors, l.gram)
             assert math.gcd(g.den, *(a for row in g.num for a in row)) == 1
 
@@ -182,7 +185,7 @@ def test_maps_not_in_lowest_terms_factor_as_in_lowest_terms(l):
     for scale in (2, -1, -3):
         raw = tuple(tuple(scale * int(i == j) for j in range(n)) for i in range(n))
         identity = Isometry(raw, scale, l)
-        assert identity.preserves_form
+        assert vars(identity)["reflection_rays"] == ()
         assert cartan_dieudonne(Isometry(raw, scale, l)) == []
         assert spinor_norm(Isometry(raw, scale, l)) == SquareClass(1, 1)
     rng = random.Random(2602)
