@@ -7,6 +7,8 @@ triangular with points on the diagonal. The inequality controlling emptiness
 is evaluated as an exact rational comparison: angles never appear, only
 Pythagorean pairs (c, s) and the exact tangent s/c. A rotation's powers are
 walked as Gaussian integers: for t = 1/d, r^k = (d - i)^{2k} / (d^2 + 1)^k.
+The family is read off that walk, and the search compares its tangents with
+-(a+b)^m and -(a-b)^m as integer ratios, since a_m +- b_m = (a +- b)^m.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from .grassmann import (
     Flat,
     Hyperplane,
     IntersectionVerdict,
+    IntVec,
     flat_new,
     hyperplane_new,
     intersect_flat_hyperplane,
-    translate,
 )
-from .isometries import Isometry, isometry_from_matrix
-from .lattices import QuadLattice, standard_lattice
+from .lattices import QuadLattice, primitive, standard_lattice
 from .linalg import _identity, frac
 
 # Deterministic scan sequence for the rotation parameter; each t encodes the
@@ -60,7 +61,7 @@ def entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> in
     normal's a_m, b_m grow by about bits(boost), the longest numerator or
     denominator of a and b, per power."""
     h = max(x.bit_length() for f in (boost.a, boost.b) for x in f.as_integer_ratio())
-    return n * rotation.den.bit_length() + m * h
+    return n * rotation.cleared[2].bit_length() + m * h
 
 
 def check_entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> None:
@@ -120,23 +121,30 @@ class RotationPair:
             raise ValueError(f"rotation needs c^2 + s^2 = 1, got ({self.c}, {self.s})")
 
     @property
-    def den(self) -> int:
-        """The common denominator of c and s."""
-        return math.lcm(self.c.denominator, self.s.denominator)
+    def cleared(self) -> tuple[int, int, int]:
+        """(c*D, s*D, D) with D the common denominator of c and s, so that
+        r^k = (c*D + s*D*i)^k / D^k."""
+        d = math.lcm(self.c.denominator, self.s.denominator)
+        return int(self.c * d), int(self.s * d), d
+
+
+def _tangent_pair(t: Fraction) -> tuple[int, int, int]:
+    """rotation_from_tangent(t).cleared without Fractions: for t = u/v, (v^2 - u^2,
+    -2uv, u^2 + v^2) over their content, 2 when u and v are both odd, else 1."""
+    u, v = t.as_integer_ratio()
+    g = 2 if u * v % 2 else 1
+    return (v * v - u * u) // g, -2 * u * v // g, (u * u + v * v) // g
 
 
 def rotation_from_tangent(t) -> RotationPair:
     """Rational rotation with tan(angle/2) = -t, i.e. ((1-t^2)/(1+t^2), -2t/(1+t^2))."""
-    t = frac(t)
-    den = 1 + t * t
-    return RotationPair((1 - t * t) / den, (-2 * t) / den)
+    c, s, d = _tangent_pair(frac(t))
+    return RotationPair(Fraction(c, d), Fraction(s, d))
 
 
-def _rotation_powers(r: RotationPair):
-    """(re, im) with r^k = (re + im*i) / D^k for k = 0, 1, 2, ..., D the
-    common denominator of c and s: one walk, one Gaussian product a step."""
-    d = r.den
-    c, s = int(r.c * d), int(r.s * d)
+def _rotation_powers(c: int, s: int):
+    """(re, im) = (c + s*i)^k for k = 0, 1, 2, ..., so r^k = (re + im*i) / D^k
+    for (c, s, D) = r.cleared: one walk, one Gaussian product a step."""
     re, im = 1, 0
     while True:
         yield re, im
@@ -178,39 +186,40 @@ def standard_flat(p: int, q: int) -> Flat:
     return flat_new(zip(e[:p], e[p:]), e[2 * p:], standard_lattice("bpq", p, q))
 
 
-def rotation_isometry(pair: RotationPair, p: int, q: int) -> Isometry:
-    """The isometry of B(p,q) rotating <e_1, e_2> and <f_1, f_2> by the same pair."""
-    if p < 2 or q < 2:
-        raise ValueError("the rotation mixes two positive and two negative directions")
-    l = standard_lattice("bpq", p, q)
-    n = p + q
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for base in (0, p):  # e-block then f-block
-        rows[base][base:base + 2] = pair.c, -pair.s
-        rows[base + 1][base:base + 2] = pair.s, pair.c
-    return isometry_from_matrix(rows, l)
-
-
 def base_hyperplane_normal(spec: ArrangementSpec) -> tuple[Fraction, ...]:
     """The boosted negative vector b_m e_1 + a_m f_1 + f_2 + ... + f_p."""
-    bp = boost_power(spec.boost, spec.m)
-    coords = [Fraction(0)] * (spec.p + spec.q)
-    coords[0] = bp.b
-    coords[spec.p] = bp.a
-    for j in range(1, spec.p):
-        coords[spec.p + j] = Fraction(1)
-    return tuple(coords)
+    bp, p = boost_power(spec.boost, spec.m), spec.p
+    zero, one = Fraction(0), Fraction(1)
+    return (bp.b, *[zero] * (p - 1), bp.a, *[one] * (p - 1), *[zero] * (spec.q - p))
+
+
+def _power_image(x: IntVec, re: int, im: int, dk: int, p: int) -> IntVec:
+    """primitive(D^k r^k x), r^k = (re + im*i)/D^k: re + im*i times (x_0, x_1)
+    and (x_p, x_{p+1}) as complex numbers, D^k times every other coordinate."""
+    y = [a * dk for a in x]
+    for i in (0, p):
+        y[i], y[i + 1] = x[i] * re - x[i + 1] * im, x[i] * im + x[i + 1] * re
+    return primitive(y)
 
 
 def build_family(spec: ArrangementSpec) -> tuple[list[Flat], list[Hyperplane]]:
-    """Flats F_k and hyperplanes H_l for 0 <= k, l <= n: the base pair, then
-    each next pair translated from the last by the generator rotation."""
-    r = rotation_isometry(spec.rotation, spec.p, spec.q)
-    flats = [standard_flat(spec.p, spec.q)]
-    hypers = [hyperplane_new(base_hyperplane_normal(spec), spec.lattice())]
-    for _ in range(spec.n):
-        flats.append(translate(r, flats[-1]))
-        hypers.append(translate(r, hypers[-1]))
+    """Flats F_k = r^k F_0 and hyperplanes H_k = r^k H_0 for 0 <= k <= n, r
+    the generator rotation, read off one walk over its Gaussian powers. As
+    for a translate, the isometry r^k carries the certificates of F_0 and
+    H_0. It moves only e_1, e_2, f_1 and f_2, so F_k shares F_0's rest and
+    later blocks, and gives both rows of a moved block one content, so the
+    block keeps its Gram triple."""
+    base, p = standard_flat(spec.p, spec.q), spec.p
+    h0 = hyperplane_new(base_hyperplane_normal(spec), spec.lattice())
+    flats, hypers = [base], [h0]
+    moved, kept = base.int_blocks[:2], base.int_blocks[2:]
+    (c, s, d), dk = spec.rotation.cleared, 1
+    for re, im in islice(_rotation_powers(c, s), 1, spec.n + 1):
+        dk *= d
+        blocks = tuple((_power_image(x, re, im, dk, p), _power_image(y, re, im, dk, p), *gram)
+                       for x, y, *gram in moved)
+        flats.append(Flat(base.lattice, blocks + kept, base.int_rest))
+        hypers.append(Hyperplane(h0.lattice, _power_image(h0.normal, re, im, dk, p)))
     return flats, hypers
 
 
@@ -229,7 +238,7 @@ def inequality_details(spec: ArrangementSpec, n: int) -> list[InequalityDetail]:
     over the rotation powers."""
     bp = boost_power(spec.boost, spec.m)
     lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
-    powers = islice(_rotation_powers(spec.rotation), 1, n + 1)
+    powers = islice(_rotation_powers(*spec.rotation.cleared[:2]), 1, n + 1)
     tangents = (Fraction(im, re) if re else None for re, im in powers)
     return [
         InequalityDetail(t is not None and lower <= t <= upper, t is None, t, lower, upper)
@@ -276,11 +285,11 @@ def intersection_matrix(spec: ArrangementSpec) -> IntersectionMatrix:
     return IntersectionMatrix(size, grid, lower, shift_ok)
 
 
-def _negative_tangents(rotation: RotationPair, limit: int) -> list[tuple[int, int]]:
-    """tan(k*angle) = im/re as (im, re), re > 0, for k = 1, 2, ... while it is
-    negative: a pole or sign change makes the inequality fail for every boost."""
+def _negative_tangents(c: int, s: int, limit: int) -> list[tuple[int, int]]:
+    """tan(k*angle) = im/re as (im, re), re > 0, for (c + s*i)^k, k = 1, 2, ... while
+    it is negative: a pole or sign change makes the inequality fail for every boost."""
     out: list[tuple[int, int]] = []
-    for re, im in islice(_rotation_powers(rotation), 1, limit + 1):
+    for re, im in islice(_rotation_powers(c, s), 1, limit + 1):
         re, im = (re, im) if re > 0 else (-re, -im)
         if re == 0 or im >= 0:
             break
@@ -299,19 +308,17 @@ def search_parameters(n: int, boost: BoostParams) -> tuple[int, Fraction]:
     if boost.b == 0:
         raise ValueError("the family generator needs a nontrivial boost (b > 0)")
     # a walk shorter than n hit a pole or a nonnegative tangent at some k <= n
-    walks = [(t, _negative_tangents(rotation_from_tangent(t), n)) for t in TANGENT_SCAN]
+    walks = [(t, _negative_tangents(*_tangent_pair(t)[:2], n)) for t in TANGENT_SCAN]
     walks = [(t, tangents) for t, tangents in walks if len(tangents) == n]
+    gn, gd = (boost.a + boost.b).as_integer_ratio()
     for m in range(1, MAX_BOOST_POWER + 1):
-        bp = boost_power(boost, m)
-        ln, ld = (-(bp.a + bp.b)).as_integer_ratio()
-        un, ud = (-(bp.a - bp.b)).as_integer_ratio()
+        # a_m + b_m = (a+b)^m = hi/lo and a_m - b_m = (a-b)^m = lo/hi, as (a+b)(a-b) = 1
+        hi, lo = gn**m, gd**m
         for t, tangents in walks:
-            # lower <= im/re <= upper, cross-multiplied by re, ld, ud > 0
-            if all(ln * re <= im * ld and im * ud <= un * re for im, re in tangents):
+            # -hi/lo <= im/re <= -lo/hi, cross-multiplied by re, lo, hi > 0
+            if all(-hi * re <= im * lo and im * hi <= -lo * re for im, re in tangents):
                 return m, t
-    raise SearchExhausted(
-        f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}"
-    )
+    raise SearchExhausted(f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}")
 
 
 def arrangement_spec(

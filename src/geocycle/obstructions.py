@@ -25,6 +25,8 @@ ROOT_NORM = -2
 # K3 at bound 1 needs far more; it is stopped in well under a second
 # instead of holding millions of 22-coordinate roots in memory.
 ROOT_NODE_BUDGET = 500_000
+# Odd primes below 100: a diagonal form is tested mod each that divides a weight.
+LOCAL_PRIMES = tuple(p for p in range(3, 100, 2) if all(p % d for d in range(3, p, 2)))
 
 
 class _Budget:
@@ -301,7 +303,8 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     join over the blocks' values then visits only nodes that extend to a
     root and concatenates one vector of each chosen block into each root,
     so the cost is the tables plus O(rank · roots). All of it is exact. A
-    diagonal form that misses -2 mod 8 returns [] before any table.
+    diagonal form that misses -2 modulo 8, or modulo a prime of
+    LOCAL_PRIMES dividing a weight, has no root and returns [] at once.
 
     Raises BudgetExceeded once the tables, searches, join and roots together
     need more than ROOT_NODE_BUDGET nodes.
@@ -311,12 +314,13 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     budget = _Budget()
     blocks = _orthogonal_blocks(l.gram)
     if all(len(block) == 1 for block in blocks):
-        # each x_i^2 is 0, 1 or 4 mod 8
-        residues = {0}
-        for (i,) in blocks:
-            residues = {(r + l.gram[i][i] * s) % 8 for r in residues for s in (0, 1, 4)}
-        if ROOT_NORM % 8 not in residues:
-            return []
+        weights = [l.gram[i][i] for (i,) in blocks]
+        for mod in [8, *(p for p in LOCAL_PRIMES if any(w % p == 0 for w in weights))]:
+            squares, residues = {x * x % mod for x in range(mod)}, {0}
+            for w in weights:
+                residues = {(r + w * s) % mod for r in residues for s in squares}
+            if ROOT_NORM % mod not in residues:  # a root would reach it
+                return []
     grams = [[[l.gram[i][j] for j in block] for i in block] for block in blocks]
     forms = [None if _hyperbolic_entry(g) else _integer_square_forms(g) for g in grams]
     ranges = [_block_range(g, f, bound) for g, f in zip(grams, forms)]

@@ -17,9 +17,11 @@ So does verify's inequality check as it ran before it kept one flat family
 per rotation: a whole family per parameter combo, read at H_0. So does a
 flat's translate as it ran before it carried the certificate through the
 isometry: the image rows re-certified on their integer Gram matrix. So
-does the spinor command as it ran before the Cartan-Dieudonne walk
-certified the form: the Gram check on every matrix, then the walk, its
-spinor class the product of its own factors' Qs. So does the congruence
+does build_family as it ran before it read the family off the Gaussian
+walk: rotation_isometry, a certified matrix, translating each flat and
+hyperplane from the last. So does the spinor command as it ran before the
+Cartan-Dieudonne walk certified the form: the Gram check on every matrix,
+then the walk, its spinor class the product of its own factors' Qs. So does the congruence
 command as it ran before construction's walk certified the form: the Gram
 check first, then integrality, the determinant and the residues. Both read
 --matrix into a RawMatrix, num/den as a hand-built Isometry held it before
@@ -52,10 +54,12 @@ from geocycle.arrangement import (
     ArrangementSpec,
     RotationPair,
     _rotation_powers,
+    base_hyperplane_normal,
     boost_power,
     build_family,
     inequality_details,
     rotation_from_tangent,
+    standard_flat,
 )
 from geocycle.cli import _parse_matrix
 from geocycle.errors import (
@@ -71,13 +75,16 @@ from geocycle.grassmann import (
     _block_lines,
     _certified_flat,
     _rest_clause_holds,
+    hyperplane_new,
     intersect_flat_hyperplane,
+    translate,
 )
 from geocycle.isometries import (
     _identity,
     _normalized,
     _apply_update,
     _reflection_update,
+    isometry_from_matrix,
     square_class,
 )
 from geocycle.lattices import cleared, primitive, ray, standard_lattice
@@ -361,8 +368,34 @@ def rotation_power(r, k):
     """r^k as a RotationPair of Fractions, read off the library's integer walk."""
     if k < 0:
         raise ValueError("rotation power wants a nonnegative exponent")
-    dk = math.lcm(r.c.denominator, r.s.denominator) ** k
-    return RotationPair(*(Fraction(x, dk) for x in next(islice(_rotation_powers(r), k, None))))
+    c, s, d = r.cleared
+    return RotationPair(*(Fraction(x, d**k) for x in next(islice(_rotation_powers(c, s), k, None))))
+
+
+def rotation_isometry(pair, p, q):
+    """The isometry of B(p,q) rotating <e_1, e_2> and <f_1, f_2> by the same pair."""
+    if p < 2 or q < 2:
+        raise ValueError("the rotation mixes two positive and two negative directions")
+    l = standard_lattice("bpq", p, q)
+    n = p + q
+    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for base in (0, p):  # e-block then f-block
+        rows[base][base:base + 2] = pair.c, -pair.s
+        rows[base + 1][base:base + 2] = pair.s, pair.c
+    return isometry_from_matrix(rows, l)
+
+
+def translated_family(spec):
+    """build_family as it ran before it read the family off the Gaussian
+    walk: the certified base pair, then each next flat and hyperplane
+    translated from the last by the certified generator rotation."""
+    r = rotation_isometry(spec.rotation, spec.p, spec.q)
+    flats = [standard_flat(spec.p, spec.q)]
+    hypers = [hyperplane_new(base_hyperplane_normal(spec), spec.lattice())]
+    for _ in range(spec.n):
+        flats.append(translate(r, flats[-1]))
+        hypers.append(translate(r, hypers[-1]))
+    return flats, hypers
 
 
 def fraction_rotation_powers(r):

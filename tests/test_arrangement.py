@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import math
+import random
 from itertools import islice
 
 from geocycle import arrangement
@@ -19,7 +20,6 @@ from geocycle.arrangement import (
     inequality_details,
     intersection_matrix,
     rotation_from_tangent,
-    rotation_isometry,
     search_parameters,
     standard_flat,
 )
@@ -31,7 +31,9 @@ from oracles import (
     fraction_negative_tangents,
     fraction_rotation_powers,
     fraction_search_parameters,
+    rotation_isometry,
     rotation_power,
+    translated_family,
 )
 
 
@@ -134,7 +136,7 @@ ROTATIONS = [rotation_from_tangent(t) for t in TANGENT_SCAN] + [
 def test_gaussian_walk_matches_the_fraction_walk(r):
     # r^k = (re + im*i) / D^k in integers, D the lcm of the denominators
     d = math.lcm(r.c.denominator, r.s.denominator)
-    walks = zip(arrangement._rotation_powers(r), fraction_rotation_powers(r))
+    walks = zip(arrangement._rotation_powers(*r.cleared[:2]), fraction_rotation_powers(r))
     for k, ((re, im), (c, s)) in enumerate(islice(walks, 301)):
         assert type(re) is int and type(im) is int
         assert (F(re, d**k), F(im, d**k)) == (c, s)
@@ -142,10 +144,22 @@ def test_gaussian_walk_matches_the_fraction_walk(r):
 
 @pytest.mark.parametrize("r", ROTATIONS[:-1], ids=lambda r: f"{r.c},{r.s}")
 def test_negative_tangents_match_the_fraction_tangents(r):
-    got = arrangement._negative_tangents(r, 900)
+    got = arrangement._negative_tangents(*r.cleared[:2], 900)
     assert all(re > 0 for _, re in got)
     assert [F(im, re) for im, re in got] == fraction_negative_tangents(r, 900)
-    assert arrangement._negative_tangents(r, 3) == got[:3]
+    assert arrangement._negative_tangents(*r.cleared[:2], 3) == got[:3]
+
+
+@pytest.mark.parametrize("t", [F(1, 3), F(3, 5), F(7, 9), F(1, 10), F(1, 1024)], ids=str)
+def test_walk_from_the_tangent_pair_gives_the_fraction_tangents(t):
+    # (v^2 - u^2, -2uv, u^2 + v^2) over its content, 2 when u and v are
+    # both odd: the search walks this pair and builds no RotationPair
+    c, s, d = arrangement._tangent_pair(t)
+    r = rotation_from_tangent(t)
+    assert (c, s, d) == r.cleared
+    assert math.gcd(c, s, d) == 1 and c * c + s * s == d * d
+    got = arrangement._negative_tangents(c, s, 900)
+    assert [F(im, re) for im, re in got] == fraction_negative_tangents(r, 900)
 
 
 def test_rotation_validation():
@@ -211,29 +225,43 @@ def test_inequality_details_match_tangent_addition():
     assert [d.tangent for d in details] == [None, 0, None, 0]
 
 
-def test_plot_data_cost_is_linear_in_n(monkeypatch, tmp_path, capsys):
-    # the plot rows come from one walk over the rotation powers: n + 1
-    # powers (k = 0..n) at every n, not a fresh walk from k = 0 per row
-    import geocycle.arrangement as arrangement
-    from geocycle.cli import main
+def counting_walks(monkeypatch):
+    """Patch arrangement._rotation_powers to record each walk's steps under
+    the name of the function that started it."""
+    import sys
 
     original = arrangement._rotation_powers
-    steps = []
+    walks = {}
 
-    def counting(r):
-        for pair in original(r):
-            steps.append(pair)
-            yield pair
+    def counting(c, s):
+        steps = walks.setdefault(sys._getframe(1).f_code.co_name, [])
+
+        def walk():
+            for pair in original(c, s):
+                steps.append(pair)
+                yield pair
+
+        return walk()
 
     monkeypatch.setattr(arrangement, "_rotation_powers", counting)
+    return walks
+
+
+def test_plot_data_cost_is_linear_in_n(monkeypatch, tmp_path, capsys):
+    # the plot rows come from one walk over the rotation powers: n + 1
+    # powers (k = 0..n) at every n, not a fresh walk from k = 0 per row.
+    # build_family walks the powers too, for the family itself
+    from geocycle.cli import main
+
+    walks = counting_walks(monkeypatch)
     for n in (4, 40):
-        steps.clear()
+        walks.clear()
         path = tmp_path / f"plot{n}.csv"
         argv = ["arrange", "--p", "2", "--q", "3", "--n", str(n), "--m", "3", "--t", "1/10",
                 "--emit-plot-data", str(path)]
         assert main(argv) in (0, 1)
         capsys.readouterr()
-        assert len(steps) == n + 1
+        assert len(walks["inequality_details"]) == n + 1
         rows = path.read_text(encoding="utf-8").splitlines()
         assert len(rows) == n + 1
         d = inequality_details(arrangement_spec(2, 3, n, DEFAULT_BOOST, 3, F(1, 10)), n)[-1]
@@ -262,33 +290,92 @@ def test_family_hyperplanes_are_rotated_copies():
 
 
 def test_family_cost_is_linear_in_n(monkeypatch):
-    # each flat and hyperplane is the last one translated by the generator:
-    # no RREF beyond the base flat's, one certified rotation at every n
-    import geocycle.arrangement as arrangement
+    # each flat and hyperplane is read off the n + 1 rotation powers of one
+    # walk: no Isometry is made and no RREF runs beyond the base flat's, at
+    # every n
     import geocycle.linalg as linalg
+    from geocycle.isometries import Isometry
 
     counts = {}
+    original = Isometry.__post_init__
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def made(self):
+        counts["Isometry"] = counts.get("Isometry", 0) + 1
+        original(self)
 
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return original(*args, **kwargs)
+    real_echelon = linalg._echelon
 
-        monkeypatch.setattr(module, name, wrapper)
+    def echelon(*args):
+        counts["_echelon"] = counts.get("_echelon", 0) + 1
+        return real_echelon(*args)
 
-    counting(linalg, "rref")
-    counting(arrangement, "isometry_from_matrix")
+    monkeypatch.setattr(Isometry, "__post_init__", made)
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    walks = counting_walks(monkeypatch)
     seen = []
     for n in (5, 32):
+        spec = arrangement_spec(3, 4, n, DEFAULT_BOOST, *search_parameters(n, DEFAULT_BOOST))
         counts.clear()
-        m, t = search_parameters(n, DEFAULT_BOOST)
-        flats, hypers = build_family(arrangement_spec(3, 4, n, DEFAULT_BOOST, m, t))
+        walks.clear()
+        flats, hypers = build_family(spec)
         assert len(flats) == len(hypers) == n + 1
+        assert list(walks) == ["build_family"] and len(walks["build_family"]) == n + 1
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["isometry_from_matrix"] == 1
+    assert "Isometry" not in seen[0] and seen[0]["_echelon"] >= 1
+
+
+FAMILY_BOOSTS = [DEFAULT_BOOST, BoostParams(F(5, 3), F(4, 3)), BoostParams(F(13, 12), F(5, 12))]
+FAMILY_ROTATIONS = [
+    RotationPair(F(3, 5), F(-4, 5)),
+    RotationPair(F(-3, 5), F(-4, 5)),
+    RotationPair(F(0), F(-1)),
+    RotationPair(F(-119, 169), F(-120, 169)),
+    *(rotation_from_tangent(t) for t in (F(1, 3), F(3, 5), F(7, 9), F(1, 10))),
+]
+
+
+def seeded_family_specs(count, seed):
+    """Specs over p <= q <= 9, n <= 20 and m <= 6, cycling through the
+    explicit rotations and tangents with u and v both odd, then random
+    tangents; every third spec has p = q, and the first ones n = 0 and m = 0."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        q = rng.randint(2, 9)
+        p = q if i % 3 == 0 else rng.randint(2, q)
+        if i < len(FAMILY_ROTATIONS):
+            rotation = FAMILY_ROTATIONS[i]
+        else:
+            rotation = rotation_from_tangent(F(rng.randint(1, 12), rng.randint(1, 12)))
+        n = 0 if i % 7 == 0 else rng.randint(1, 20)
+        m = 0 if i % 5 == 0 else rng.randint(1, 6)
+        specs.append(ArrangementSpec(p, q, rng.choice(FAMILY_BOOSTS), m, rotation, n))
+    return specs
+
+
+def assert_family_is_the_translated_family(spec):
+    flats, hypers = build_family(spec)
+    old_flats, old_hypers = translated_family(spec)
+    assert [(f.int_blocks, f.int_rest) for f in flats] == [
+        (f.int_blocks, f.int_rest) for f in old_flats
+    ]
+    assert [h.normal for h in hypers] == [h.normal for h in old_hypers]
+    assert flats == old_flats and hypers == old_hypers
+
+
+def test_family_is_the_translated_family_on_seeded_specs():
+    specs = seeded_family_specs(320, 3801)
+    assert any(s.n == 0 for s in specs) and any(s.m == 0 for s in specs)
+    assert any(s.p == s.q for s in specs)
+    for spec in specs:
+        assert_family_is_the_translated_family(spec)
+
+
+@pytest.mark.parametrize("p,q", [(3, 19), (8, 8)])
+def test_family_is_the_translated_family_at_n_32(p, q):
+    m, t = search_parameters(32, DEFAULT_BOOST)
+    assert_family_is_the_translated_family(arrangement_spec(p, q, 32, DEFAULT_BOOST, m, t))
 
 
 def test_rotated_block_cut_line_has_the_derived_ratio():
@@ -421,6 +508,12 @@ def search_outcome(search, n, boost):
 
 
 BOOSTS = [DEFAULT_BOOST, BoostParams(F(5, 3), F(4, 3)), BoostParams(F(17, 8), F(15, 8))]
+SEARCH_BOOSTS = [
+    DEFAULT_BOOST,
+    BoostParams(F(5, 3), F(4, 3)),
+    BoostParams(F(13, 12), F(5, 12)),
+    BoostParams(F(41, 40), F(9, 40)),
+]
 
 
 @pytest.mark.parametrize("boost", BOOSTS, ids=lambda b: f"{b.a},{b.b}")
@@ -428,6 +521,17 @@ def test_search_matches_the_fraction_search(boost):
     for n in [*range(1, 25), 32, 64, 128, 256, 400, 500]:
         expected = search_outcome(fraction_search_parameters, n, boost)
         assert search_outcome(search_parameters, n, boost) == expected
+
+
+@pytest.mark.parametrize("boost", SEARCH_BOOSTS, ids=lambda b: f"{b.a},{b.b}")
+def test_search_matches_the_fraction_search_for_every_n_to_80(boost):
+    # the bounds read as integer powers of a + b and a - b, the tangents
+    # walked from the integer pair of each scan tangent
+    for n in range(1, 81):
+        expected = search_outcome(fraction_search_parameters, n, boost)
+        assert search_outcome(search_parameters, n, boost) == expected
+    with pytest.raises(SearchExhausted):
+        search_parameters(10**6, boost)
 
 
 def test_search_matches_the_fraction_search_at_the_scan_limit():

@@ -35,7 +35,6 @@ from geocycle.arrangement import (
     arrangement_spec,
     base_hyperplane_normal,
     build_family,
-    rotation_isometry,
     search_parameters,
     standard_flat,
 )
@@ -62,7 +61,15 @@ from geocycle.linalg import (
     restricted_definiteness,
     span,
 )
-from oracles import as_matrix, mat_vec, oracle_apply, oracle_matrix_inverse, rotation_power, transpose
+from oracles import (
+    as_matrix,
+    mat_vec,
+    oracle_apply,
+    oracle_matrix_inverse,
+    rotation_isometry,
+    rotation_power,
+    transpose,
+)
 
 
 def oracle(flat, normal):

@@ -18,7 +18,6 @@ from geocycle.arrangement import (
     DEFAULT_BOOST,
     arrangement_spec,
     intersection_matrix,
-    rotation_isometry,
     rotation_from_tangent,
     search_parameters,
 )
@@ -33,7 +32,7 @@ from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
 from geocycle.obstructions import ROOT_NORM, enumerate_roots
 from geocycle.signs import random_admissible_v
 from geocycle.verify import random_isometry
-from oracles import transpose
+from oracles import rotation_isometry, transpose
 
 
 def test_symmetric_diagonalization_reconstructs_exactly():

@@ -343,6 +343,44 @@ def test_diagonal_lattices_match_the_naive_oracle():
     assert unreachable == 18
 
 
+def local_values(weights, mod):
+    """The values of sum w_i x_i^2 mod `mod`, x running over [0, mod)^rank."""
+    return {sum(w * x * x for w, x in zip(weights, xs)) % mod
+            for xs in itertools.product(range(mod), repeat=len(weights))}
+
+
+def test_diagonal_lattices_past_mod_8_match_the_naive_oracle():
+    # a form that misses -2 modulo an odd prime dividing a weight has no
+    # roots at any bound; the test reads every residue off the box [0, p)
+    newly = 0
+    for rank in (2, 3):
+        for weights in itertools.combinations_with_replacement((*DIAGONAL_WEIGHTS, -7, 7), rank):
+            l = quad_lattice([[w if i == j else 0 for j in range(rank)] for i, w in enumerate(weights)])
+            assert enumerate_roots(l, 2) == naive_roots(l, 2), weights
+            primes = [p for p in (3, 5, 7) if any(w % p == 0 for w in weights)]
+            if ROOT_NORM % 8 in local_values(weights, 8) and any(
+                ROOT_NORM % p not in local_values(weights, p) for p in primes
+            ):
+                newly += 1
+                assert enumerate_roots(l, 10**9) == [], weights
+    assert newly == 120
+
+
+@pytest.mark.parametrize("gram,prime", [([[2, 0], [0, -3]], 3), ([[6, 0], [0, -5]], 5)])
+def test_a_form_missing_a_root_mod_an_odd_prime_has_none(gram, prime):
+    assert ROOT_NORM % 8 in local_values([gram[0][0], gram[1][1]], 8)
+    assert ROOT_NORM % prime not in local_values([gram[0][0], gram[1][1]], prime)
+    assert enumerate_roots(quad_lattice(gram), 10**9) == []
+
+
+@pytest.mark.parametrize("gram,root", [([[2, 0], [0, -5]], (3, 2)), ([[3, 0], [0, -5]], (1, 1))])
+def test_a_form_with_a_root_still_builds_its_tables(gram, root):
+    l = quad_lattice(gram)
+    assert root in enumerate_roots(l, 3) == naive_roots(l, 3)
+    with pytest.raises(BudgetExceeded, match="stopped after visiting 0"):
+        enumerate_roots(l, 10**9)
+
+
 def test_bound_must_be_positive():
     with pytest.raises(ValueError):
         enumerate_roots(H, 0)

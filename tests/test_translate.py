@@ -18,7 +18,6 @@ from geocycle.arrangement import (
     DEFAULT_BOOST,
     arrangement_spec,
     build_family,
-    rotation_isometry,
     search_parameters,
     standard_flat,
 )
@@ -27,7 +26,13 @@ from geocycle.grassmann import _certified_flat, flat_new, gr_point, hyperplane_n
 from geocycle.isometries import Isometry, compose, reflection
 from geocycle.lattices import primitive_content, standard_lattice
 from geocycle.linalg import span, terms_times
-from oracles import RawMatrix, fraction_inertia, oracle_apply, recertified_translate
+from oracles import (
+    RawMatrix,
+    fraction_inertia,
+    oracle_apply,
+    recertified_translate,
+    rotation_isometry,
+)
 
 
 def assert_matches_oracle(g, flat):
