@@ -7,8 +7,9 @@ triangular with points on the diagonal. The inequality controlling emptiness
 is evaluated as an exact rational comparison: angles never appear, only
 Pythagorean pairs (c, s) and the exact tangent s/c. A rotation's powers are
 walked as Gaussian integers: for t = 1/d, r^k = (d - i)^{2k} / (d^2 + 1)^k.
-The family is read off that walk, and the search compares its tangents with
--(a+b)^m and -(a-b)^m as integer ratios, since a_m +- b_m = (a +- b)^m.
+The family is read off that walk, and the search and inequality_details
+compare its tangents with -(a+b)^m and -(a-b)^m by one cross-multiplied
+integer test, since a_m +- b_m = (a +- b)^m.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .grassmann import (
     Hyperplane,
     IntersectionVerdict,
     IntVec,
-    flat_new,
     hyperplane_new,
     intersect_flat_hyperplane,
 )
@@ -47,13 +47,6 @@ MAX_Q = 32
 MAX_ENTRY_BITS = 5120
 
 
-def check_family_size(q: int, n: int, m: int = 0) -> None:
-    """Raise BudgetExceeded unless n <= MAX_FAMILY_SIZE, q <= MAX_Q and m <= MAX_BOOST_POWER."""
-    for name, value, cap in (("n", n, MAX_FAMILY_SIZE), ("q", q, MAX_Q), ("m", m, MAX_BOOST_POWER)):
-        if value > cap:
-            raise BudgetExceeded(f"arrange takes {name} <= {cap}, got {name} = {value}")
-
-
 def entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> int:
     """n * bits(D) + m * bits(boost), an estimate of the bit length of a
     family's entries: F_n's rows carry the n-th rotation power, an integer
@@ -64,9 +57,13 @@ def entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> in
     return n * rotation.cleared[2].bit_length() + m * h
 
 
-def check_entry_bits(n: int, m: int, boost: BoostParams, rotation: RotationPair) -> None:
-    """Raise BudgetExceeded unless entry_bits(...) <= MAX_ENTRY_BITS: checked
-    before any power of the boost or the rotation is formed."""
+def check_budget(q: int, n: int, m: int, boost: BoostParams, rotation: RotationPair) -> None:
+    """Raise BudgetExceeded unless n <= MAX_FAMILY_SIZE, q <= MAX_Q,
+    m <= MAX_BOOST_POWER and entry_bits(...) <= MAX_ENTRY_BITS, in that
+    order: checked before any power of the boost or the rotation is formed."""
+    for name, value, cap in (("n", n, MAX_FAMILY_SIZE), ("q", q, MAX_Q), ("m", m, MAX_BOOST_POWER)):
+        if value > cap:
+            raise BudgetExceeded(f"arrange takes {name} <= {cap}, got {name} = {value}")
     bits = entry_bits(n, m, boost, rotation)
     if bits > MAX_ENTRY_BITS:
         raise BudgetExceeded(
@@ -171,19 +168,21 @@ class ArrangementSpec:
             raise ValueError("the family generator needs a nontrivial boost (b > 0)")
         if not self.rotation.s < 0:
             raise ValueError("the family generator needs s < 0")
-        check_family_size(self.q, self.n, self.m)
-        check_entry_bits(self.n, self.m, self.boost, self.rotation)
+        check_budget(self.q, self.n, self.m, self.boost, self.rotation)
 
     def lattice(self) -> QuadLattice:
         return standard_lattice("bpq", self.p, self.q)
 
 
 def standard_flat(p: int, q: int) -> Flat:
-    """The flat of B(p,q)'s coordinate splitting: blocks <e_i, f_i>, rest <f_j>_{j>p}."""
+    """The flat of B(p,q)'s coordinate splitting, <e_i, f_i> of triple (1, 0, -1)
+    and rest <f_j>_{j>p}: unit rows are their own RREF rows and orthogonal, so
+    no certificate runs. The lattice checks the rank before any row exists."""
     if p > q:
         raise ValueError(f"a standard flat needs p <= q, got p={p}, q={q}")
-    e = _identity(p + q)
-    return flat_new(zip(e[:p], e[p:]), e[2 * p:], standard_lattice("bpq", p, q))
+    l = standard_lattice("bpq", p, q)
+    e = _identity(l.rank)
+    return Flat(l, tuple((x, y, 1, 0, -1) for x, y in zip(e[:p], e[p:])), e[2 * p:])
 
 
 def base_hyperplane_normal(spec: ArrangementSpec) -> tuple[Fraction, ...]:
@@ -232,18 +231,26 @@ class InequalityDetail:
     upper: Fraction
 
 
+def _in_window(tangents, hi: int, lo: int) -> bool:
+    """-hi/lo <= im/re <= -lo/hi for every tangent (im, re), re >= 0, with
+    hi/lo = (a+b)^m in lowest terms: a_m + b_m = (a+b)^m = hi/lo and
+    a_m - b_m = (a-b)^m = lo/hi, as (a+b)(a-b) = 1. Cross-multiplied by
+    re, lo, hi; false at a pole (re = 0, im != 0)."""
+    return all(-hi * re <= im * lo and im * hi <= -lo * re for im, re in tangents)
+
+
 def inequality_details(spec: ArrangementSpec, n: int) -> list[InequalityDetail]:
     """Exact evaluation of the emptiness inequality for the k-th rotated flat,
     -(a_m + b_m) <= tan(k*angle) <= -(a_m - b_m), for k = 1..n in one walk
-    over the rotation powers."""
-    bp = boost_power(spec.boost, spec.m)
-    lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
-    powers = islice(_rotation_powers(*spec.rotation.cleared[:2]), 1, n + 1)
-    tangents = (Fraction(im, re) if re else None for re, im in powers)
-    return [
-        InequalityDetail(t is not None and lower <= t <= upper, t is None, t, lower, upper)
-        for t in tangents
-    ]
+    over the rotation powers, by the search's own integer test."""
+    hi, lo = (x**spec.m for x in (spec.boost.a + spec.boost.b).as_integer_ratio())
+    lower, upper = Fraction(-hi, lo), Fraction(-lo, hi)
+    details = []
+    for re, im in islice(_rotation_powers(*spec.rotation.cleared[:2]), 1, n + 1):
+        im, re = (im, re) if re >= 0 else (-im, -re)
+        holds, tangent = _in_window([(im, re)], hi, lo), Fraction(im, re) if re else None
+        details.append(InequalityDetail(holds, not re, tangent, lower, upper))
+    return details
 
 
 @dataclass(frozen=True)
@@ -312,11 +319,9 @@ def search_parameters(n: int, boost: BoostParams) -> tuple[int, Fraction]:
     walks = [(t, tangents) for t, tangents in walks if len(tangents) == n]
     gn, gd = (boost.a + boost.b).as_integer_ratio()
     for m in range(1, MAX_BOOST_POWER + 1):
-        # a_m + b_m = (a+b)^m = hi/lo and a_m - b_m = (a-b)^m = lo/hi, as (a+b)(a-b) = 1
         hi, lo = gn**m, gd**m
         for t, tangents in walks:
-            # -hi/lo <= im/re <= -lo/hi, cross-multiplied by re, lo, hi > 0
-            if all(-hi * re <= im * lo and im * hi <= -lo * re for im, re in tangents):
+            if _in_window(tangents, hi, lo):
                 return m, t
     raise SearchExhausted(f"no (m <= {MAX_BOOST_POWER}, t) in the scan grid works for n = {n}")
 

@@ -112,9 +112,9 @@ def _cmd_arrange(args):
             raise ValueError("provide --p, --q and --n (or a --spec-json document)")
         boost = arr.BoostParams(frac(args.boost_a), frac(args.boost_b))
         if args.auto_params:
-            arr.check_family_size(args.q, args.n)
             # the search's cheapest outcome, m = 1 and the first scan tangent
-            arr.check_entry_bits(args.n, 1, boost, arr.rotation_from_tangent(arr.TANGENT_SCAN[0]))
+            first = arr.rotation_from_tangent(arr.TANGENT_SCAN[0])
+            arr.check_budget(args.q, args.n, 1, boost, first)
             m, t = arr.search_parameters(args.n, boost)
         else:
             if args.m is None or args.t is None:
@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_arr.add_argument("--auto-params", action="store_true")
     p_arr.add_argument("--m", type=int)
     p_arr.add_argument("--t", help="rotation tangent parameter, e.g. 1/10")
-    p_arr.add_argument("--boost-a", default="5/4")
-    p_arr.add_argument("--boost-b", default="3/4")
+    p_arr.add_argument("--boost-a", default=str(arr.DEFAULT_BOOST.a))
+    p_arr.add_argument("--boost-b", default=str(arr.DEFAULT_BOOST.b))
     p_arr.add_argument("--spec-json", help="full arrangement description as one JSON document")
     p_arr.add_argument("--emit-plot-data", metavar="PATH")
     p_arr.set_defaults(handler=_cmd_arrange)

@@ -47,33 +47,14 @@ _value = itemgetter(1)  # of a (column, value) pair
 # decimal exponent of a string is capped before Fraction sees it.
 MAX_DECIMAL_EXPONENT = 1000
 _DECIMAL_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-# the strings cleared reads without frac: an ASCII integer or "n/d"
+# the strings _ratio reads without Fraction: an ASCII integer or "n/d"
 _PLAIN_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and strings like ``"3/4"`` to Fraction.
-
-    Floats are rejected on purpose: they would silently poison exact
-    computations, and so are booleans, which would pass for 0 and 1. A
-    string with a zero denominator, or with a decimal exponent beyond
-    ±MAX_DECIMAL_EXPONENT, is a ValueError.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
-    if isinstance(x, str):
-        exponent = _DECIMAL_EXPONENT.search(x)
-        if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(
-                f"decimal exponent of {x[:40]!r} is beyond ±{MAX_DECIMAL_EXPONENT}"
-            )
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {x!r}") from None
-    raise TypeError(f"cannot use {type(x).__name__} in exact arithmetic: {x!r}")
+    """Coerce ints, Fractions and strings like ``"3/4"`` to Fraction, as
+    read by :func:`_ratio`; a Fraction is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 def as_vector(xs: Iterable) -> Vec:
@@ -119,10 +100,13 @@ def times_terms(rows, terms) -> list[int]:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(n, d) with x = n/d in lowest terms, d > 0. Ints and Fractions are
-    read as they are and a plain ASCII "n" or "n/d" string by one match and
-    one gcd; any other entry goes through :func:`frac`, which keeps its
-    errors and its exponent cap."""
+    """(n, d) with x = n/d in lowest terms, d > 0: the one reader of a
+    rational scalar. Ints and Fractions are read as they are and a plain
+    ASCII "n" or "n/d" string by one match and one gcd; other strings go
+    through Fraction. Floats are rejected on purpose: they would silently
+    poison exact computations, and so are booleans, which would pass for 0
+    and 1. A string with a zero denominator, or with a decimal exponent
+    beyond ±MAX_DECIMAL_EXPONENT, is a ValueError."""
     if type(x) is int:
         return x, 1
     if type(x) is Fraction:
@@ -133,7 +117,17 @@ def _ratio(x) -> tuple[int, int]:
         if d:
             g = math.gcd(n, d)
             return (n, d) if g == 1 else (n // g, d // g)
-    return frac(x).as_integer_ratio()
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x).as_integer_ratio()  # subclasses, such as an IntEnum member
+    if not isinstance(x, str):
+        raise TypeError(f"cannot use {type(x).__name__} in exact arithmetic: {x!r}")
+    exponent = _DECIMAL_EXPONENT.search(x)
+    if exponent and abs(int(exponent.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent of {x[:40]!r} is beyond ±{MAX_DECIMAL_EXPONENT}")
+    try:
+        return Fraction(x).as_integer_ratio()
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:

@@ -52,6 +52,7 @@ from geocycle.arrangement import (
     MAX_BOOST_POWER,
     TANGENT_SCAN,
     ArrangementSpec,
+    InequalityDetail,
     RotationPair,
     _rotation_powers,
     base_hyperplane_normal,
@@ -75,6 +76,7 @@ from geocycle.grassmann import (
     _block_lines,
     _certified_flat,
     _rest_clause_holds,
+    flat_new,
     hyperplane_new,
     intersect_flat_hyperplane,
     translate,
@@ -396,6 +398,29 @@ def translated_family(spec):
         flats.append(translate(r, flats[-1]))
         hypers.append(translate(r, hypers[-1]))
     return flats, hypers
+
+
+def flat_new_standard_flat(p, q):
+    """standard_flat as it was built before its closed form: the unit rows
+    certified by flat_new, the rows made before the lattice's rank check."""
+    if p > q:
+        raise ValueError(f"a standard flat needs p <= q, got p={p}, q={q}")
+    e = [tuple(int(i == j) for j in range(p + q)) for i in range(p + q)]
+    return flat_new(zip(e[:p], e[p:]), e[2 * p:], standard_lattice("bpq", p, q))
+
+
+def fraction_inequality_details(spec, n):
+    """inequality_details as it ran before it shared the search's integer
+    test: the boost power's Fraction window, compared with each tangent as
+    a Fraction."""
+    bp = boost_power(spec.boost, spec.m)
+    lower, upper = -(bp.a + bp.b), -(bp.a - bp.b)
+    powers = islice(_rotation_powers(*spec.rotation.cleared[:2]), 1, n + 1)
+    tangents = (Fraction(im, re) if re else None for re, im in powers)
+    return [
+        InequalityDetail(t is not None and lower <= t <= upper, t is None, t, lower, upper)
+        for t in tangents
+    ]
 
 
 def fraction_rotation_powers(r):

@@ -4,6 +4,8 @@ import pytest
 
 import math
 import random
+import re
+import tracemalloc
 from itertools import islice
 
 from geocycle import arrangement
@@ -23,11 +25,13 @@ from geocycle.arrangement import (
     search_parameters,
     standard_flat,
 )
-from geocycle.errors import SearchExhausted
+from geocycle.errors import BudgetExceeded, SearchExhausted
 from geocycle.grassmann import hyperplane_new, intersect_flat_hyperplane, translate
 from geocycle.lattices import eval_form
 from geocycle.linalg import perp, span
 from oracles import (
+    flat_new_standard_flat,
+    fraction_inequality_details,
     fraction_negative_tangents,
     fraction_rotation_powers,
     fraction_search_parameters,
@@ -225,6 +229,30 @@ def test_inequality_details_match_tangent_addition():
     assert [d.tangent for d in details] == [None, 0, None, 0]
 
 
+def test_inequality_details_match_the_fraction_comparison():
+    # the integer window test that the search runs, against the Fraction
+    # window of boost_power compared with each Fraction tangent: poles at
+    # (0, -1), re < 0 at k = 1 for (-3/5, -4/5), m = 0, and both window
+    # ends: under (25/24, 7/24), a + b = 4/3 and a - b = 3/4, and at m = 1
+    # the rotation (3/5, -4/5) has tangent -4/3 at k = 1, (4/5, -3/5) -3/4
+    boost = BoostParams(F(25, 24), F(7, 24))
+    specs = seeded_family_specs(320, 3901) + [
+        ArrangementSpec(2, 3, boost, 1, RotationPair(F(3, 5), F(-4, 5)), 4),
+        ArrangementSpec(2, 3, boost, 1, RotationPair(F(4, 5), F(-3, 5)), 4),
+    ]
+    assert any(s.m == 0 for s in specs)
+    assert {RotationPair(F(0), F(-1)), RotationPair(F(-3, 5), F(-4, 5))} <= {s.rotation for s in specs}
+    details = []
+    for spec in specs:
+        for n in (spec.n, 40):
+            got = inequality_details(spec, n)
+            assert got == fraction_inequality_details(spec, n)
+            details += got
+    assert any(d.pole for d in details) and any(d.holds for d in details)
+    assert any(d.holds and d.tangent == d.lower for d in details)
+    assert any(d.holds and d.tangent == d.upper for d in details)
+
+
 def counting_walks(monkeypatch):
     """Patch arrangement._rotation_powers to record each walk's steps under
     the name of the function that started it."""
@@ -291,8 +319,8 @@ def test_family_hyperplanes_are_rotated_copies():
 
 def test_family_cost_is_linear_in_n(monkeypatch):
     # each flat and hyperplane is read off the n + 1 rotation powers of one
-    # walk: no Isometry is made and no RREF runs beyond the base flat's, at
-    # every n
+    # walk, and the base flat is built in closed form: no Isometry is made
+    # and no RREF runs, at any n
     import geocycle.linalg as linalg
     from geocycle.isometries import Isometry
 
@@ -322,7 +350,7 @@ def test_family_cost_is_linear_in_n(monkeypatch):
         assert list(walks) == ["build_family"] and len(walks["build_family"]) == n + 1
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert "Isometry" not in seen[0] and seen[0]["_echelon"] >= 1
+    assert "Isometry" not in seen[0] and "_echelon" not in seen[0]
 
 
 FAMILY_BOOSTS = [DEFAULT_BOOST, BoostParams(F(5, 3), F(4, 3)), BoostParams(F(13, 12), F(5, 12))]
@@ -562,3 +590,32 @@ def test_standard_flat_pairs_each_e_i_with_f_i(q):
         flat = standard_flat(p, q)
         assert flat.int_blocks == tuple((e[i], e[p + i], 1, 0, -1) for i in range(p))
         assert flat.int_rest == tuple(e[2 * p:])
+
+
+def test_standard_flat_is_the_flat_new_construction():
+    # the closed form against the unit rows certified by flat_new, on every
+    # signature 1 <= p <= q with p + q <= 64
+    for q in range(1, 64):
+        for p in range(1, min(q, 64 - q) + 1):
+            flat, old = standard_flat(p, q), flat_new_standard_flat(p, q)
+            assert (flat.int_blocks, flat.int_rest) == (old.int_blocks, old.int_rest)
+            assert flat == old and flat.lattice is old.lattice
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (0, 3), (0, 0), (-1, 2), (32, 33), (1, 64), (40, 40)])
+def test_standard_flat_refuses_as_the_flat_new_construction(p, q):
+    with pytest.raises((ValueError, BudgetExceeded)) as old:
+        flat_new_standard_flat(p, q)
+    with pytest.raises(old.type, match=f"^{re.escape(str(old.value))}$"):
+        standard_flat(p, q)
+
+
+def test_standard_flat_checks_the_rank_before_any_row():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"got p \+ q = 3000$"):
+            standard_flat(1500, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,3 +1,4 @@
+import enum
 import math
 import random
 from fractions import Fraction as F
@@ -67,6 +68,70 @@ def test_frac_caps_decimal_exponents():
     for text in ("1e1001", "1e10000000", "1E-10000000", "3.5e+1_000_000", " 1e99999 "):
         with pytest.raises(ValueError, match="decimal exponent"):
             frac(text)
+
+
+class Weight(enum.IntEnum):
+    THREE = 3
+
+
+class Text(str):
+    pass
+
+
+DIGITS_5000 = "1" * 5000
+INT_LIMIT = "Exceeds the limit (4300 digits) for integer string conversion"
+# per input, frac's value, or the exception type and the start of its message
+RATIO_TABLE = [
+    (0, F(0)),
+    (-7, F(-7)),
+    (10**40, F(10**40)),
+    (True, (TypeError, "cannot use bool in exact arithmetic: True")),
+    (False, (TypeError, "cannot use bool in exact arithmetic: False")),
+    (0.75, (TypeError, "cannot use float in exact arithmetic: 0.75")),
+    (1.0, (TypeError, "cannot use float in exact arithmetic: 1.0")),
+    (F(3, 4), F(3, 4)),
+    (F(-6, 4), F(-3, 2)),
+    ("3/4", F(3, 4)),
+    (" 5/4 ", F(5, 4)),
+    ("0.75", F(3, 4)),
+    ("1_000", F(1000)),
+    ("+6/4", F(3, 2)),
+    ("1e1000", F(10**1000)),
+    ("1e1001", (ValueError, "decimal exponent of '1e1001' is beyond ±1000")),
+    ("1E-1001", (ValueError, "decimal exponent of '1E-1001' is beyond ±1000")),
+    ("1/0", (ValueError, "zero denominator in '1/0'")),
+    ("3/-4", (ValueError, "Invalid literal for Fraction: '3/-4'")),
+    (DIGITS_5000, (ValueError, INT_LIMIT)),
+    ("1/" + DIGITS_5000, (ValueError, INT_LIMIT)),
+    (Weight.THREE, F(3)),
+    (Text("3/4"), F(3, 4)),
+    (Text("1/0"), (ValueError, "zero denominator in '1/0'")),
+    (None, (TypeError, "cannot use NoneType in exact arithmetic: None")),
+]
+
+
+@pytest.mark.parametrize("x,expected", RATIO_TABLE, ids=lambda x: repr(x)[:20])
+def test_frac_and_ratio_read_a_scalar_alike(x, expected):
+    # frac is Fraction(*_ratio(x)) for anything but a Fraction: one parser,
+    # with the same value, exception type and message on every input, int
+    # and str subclasses included
+    if isinstance(expected, F):
+        got = frac(x)
+        assert type(got) is F and got == expected
+        assert type(got.numerator) is int and type(got.denominator) is int
+        n, d = linalg._ratio(x)
+        assert (type(n), type(d)) == (int, int) and (n, d) == expected.as_integer_ratio()
+        return
+    error, message = expected
+    for read in (frac, linalg._ratio):
+        with pytest.raises(error) as caught:
+            read(x)
+        assert type(caught.value) is error and str(caught.value).startswith(message)
+
+
+def test_frac_returns_a_fraction_as_it_is():
+    x = F(3, 4)
+    assert frac(x) is x
 
 
 def test_span_full_plane():

@@ -5,7 +5,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -69,6 +71,24 @@ def test_the_benchmark_self_test_passes():
                           capture_output=True, text=True, cwd=ROOT, timeout=600)
     assert done.returncode == 0, done.stderr[-4000:]
     assert done.stderr.rstrip().endswith("OK")
+
+
+def test_uncovered_reports_the_lines_a_cli_run_never_reaches(tmp_path):
+    # tests/uncovered.py --cli traces the program's own runs: the k3 lattice
+    # argv reads the k3 branch of standard_lattice and enumerates no root
+    from geocycle import obstructions
+
+    argvs = tmp_path / "argvs.json"
+    argvs.write_text(json.dumps([["lattice", "--kind", "k3"]]))
+    done = subprocess.run([sys.executable, str(ROOT / "tests" / "uncovered.py"), "--cli", str(argvs)],
+                          capture_output=True, text=True, cwd=ROOT, timeout=600,
+                          env={**os.environ, "PYTHONPATH": str(SOURCE.parent)})
+    assert done.returncode == 0, done.stderr[-4000:]
+    report = json.loads(done.stdout)
+    body, start = inspect.getsourcelines(obstructions.enumerate_roots)
+    assert any(start < line < start + len(body) for line in report["obstructions.py"])
+    k3 = (SOURCE / "lattices.py").read_text().splitlines().index('    if kind == "k3":') + 2
+    assert k3 not in report.get("lattices.py", [])
 
 
 def test_no_uncompared_dataclass_fields():

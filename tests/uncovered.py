@@ -1,6 +1,8 @@
-"""The statement lines of src/geocycle that the tests never run.
+"""The statement lines of src/geocycle that the tests, or a list of CLI
+runs, never run.
 
     PYTHONPATH=src python tests/uncovered.py [pytest arguments]
+    PYTHONPATH=src python tests/uncovered.py --cli ARGV.json
 
 Runs the tests in this process under sys.settrace, tracing only frames
 whose code lies in src/geocycle, and prints one JSON object: per module,
@@ -8,13 +10,20 @@ the sorted statement lines that never ran (modules with none are left
 out). A statement line is the first line of a statement that compiles to
 bytecode; a statement on a line marked "pragma: no cover" is skipped with
 its body. Subprocesses, and the child that verify-all forks, run outside
-this trace: what only they execute is listed too. Only the standard
-library and pytest are used, and pytest does not collect this file.
+this trace: what only they execute is listed too.
+
+With --cli, ARGV.json holds a JSON list of argument lists, and each is
+run through geocycle.cli.main in this process instead of the tests, its
+output discarded; verify-all then claims its spinor cases itself instead
+of forking, so they are traced. Only the standard library and pytest are
+used, and pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import json
 import sys
 import threading
@@ -51,6 +60,19 @@ def statement_lines(path: Path) -> set[int]:
     return (starts - skipped) & code_lines(compile(source, str(path), "exec"))
 
 
+def run_cli(argvs: list[list[str]]) -> int:
+    """Run each argv through geocycle.cli.main, its stdout and stderr
+    discarded, with verify-all's fork turned off; the report, not the runs'
+    exit codes, is the result, so this returns 0."""
+    from geocycle import cli, verify
+
+    verify._can_fork = lambda: False
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    return 0
+
+
 def main(args: list[str]) -> int:
     ran: dict[str, set[int]] = {}  # per file name of the package, its lines run
     inside: dict[str, bool] = {}  # per file name seen, whether it is the package's
@@ -71,7 +93,10 @@ def main(args: list[str]) -> int:
     threading.settrace(call)
     sys.settrace(call)
     try:
-        code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *args])
+        if args[:1] == ["--cli"]:
+            code = run_cli(json.loads(Path(args[1]).read_text()))
+        else:
+            code = pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider", *args])
     finally:
         sys.settrace(None)
         threading.settrace(None)
