@@ -3,6 +3,7 @@ geometric obstruction classes."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Optional, Sequence
@@ -19,9 +20,10 @@ ROOT_NORM = -2
 
 
 # Work budget of one enumerate_roots call, in nodes: table entries, nodes of
-# the per-block searches, nodes of the join and the roots it emits. Every
-# enumeration the tests, demos and benchmark run needs at most 14,336
-# (B(2,4) at bound 4), and B(3,5) at bound 3 (202,880 roots) needs 210,237.
+# the definite searches, every vector of a scanned box, nodes of the join and
+# the roots it emits. The demos, verify-all and the benchmark need at most
+# 5,690 (B(2,4) at bound 3), the tests 60,008 (a seeded indefinite block
+# beside another block), and B(3,5) at bound 3 (202,880 roots) 210,237.
 # K3 at bound 1 needs far more; it is stopped in well under a second
 # instead of holding millions of 22-coordinate roots in memory.
 ROOT_NODE_BUDGET = 500_000
@@ -116,54 +118,15 @@ def _enumerate_definite(
 def _enumerate_box(
     weights, icoeffs, lo: int, hi: int, bound: int, n: int, budget: _Budget
 ) -> dict[int, list[RootVector]]:
-    """General fallback: scan the coordinate box first-to-last for the
-    vectors whose value lies in [lo, hi], pruning with exact interval bounds
-    on each squared form over the unassigned tail."""
-    suffix_abs = [
-        [sum(abs(c) for c in row[t:]) for t in range(n + 1)] for row in icoeffs
-    ]
+    """General fallback: scan the whole coordinate box, in lexicographic
+    order, for the vectors whose value lies in [lo, hi]. The box's
+    (2*bound+1)^n vectors are charged to the budget before any is visited."""
+    budget.spend((2 * bound + 1) ** n)
     found: dict[int, list[RootVector]] = {}
-    x = [0] * n
-    fixed = [0] * n  # value of each form on the assigned prefix
-
-    def reachable(depth: int) -> tuple[int, int]:
-        lo_total = hi_total = 0
-        for k in range(n):
-            slack = bound * suffix_abs[k][depth]
-            lo_m, hi_m = fixed[k] - slack, fixed[k] + slack
-            if lo_m <= 0 <= hi_m:
-                sq_min, sq_max = 0, max(lo_m * lo_m, hi_m * hi_m)
-            else:
-                a, b = lo_m * lo_m, hi_m * hi_m
-                sq_min, sq_max = min(a, b), max(a, b)
-            w = weights[k]
-            if w >= 0:
-                lo_total += w * sq_min
-                hi_total += w * sq_max
-            else:
-                lo_total += w * sq_max
-                hi_total += w * sq_min
-        return lo_total, hi_total
-
-    def descend(depth: int) -> None:
-        budget.spend()
-        reach_lo, reach_hi = reachable(depth)
-        if reach_hi < lo or reach_lo > hi:
-            return
-        if depth == n:
-            # every form is fixed here, so reach_lo == reach_hi is the value
-            found.setdefault(reach_lo, []).append(tuple(x))
-            return
-        for value in range(-bound, bound + 1):
-            x[depth] = value
-            for k in range(n):
-                fixed[k] += icoeffs[k][depth] * value
-            descend(depth + 1)
-            for k in range(n):
-                fixed[k] -= icoeffs[k][depth] * value
-        x[depth] = 0
-
-    descend(0)
+    for x in itertools.product(range(-bound, bound + 1), repeat=n):
+        value = sum(w * sum(map(operator.mul, row, x)) ** 2 for w, row in zip(weights, icoeffs))
+        if lo <= value <= hi:
+            found.setdefault(value, []).append(x)
     return found
 
 
@@ -299,7 +262,7 @@ def enumerate_roots(l: QuadLattice, bound: int) -> list[RootVector]:
     vectors in the box, restricted to the window of values the other blocks
     can still complete to -2: the y-interval of each x for [[0, c], [c, 0]],
     the triangular completed-squares search for definite blocks (a rank-1
-    [[a]] is the one square a·x²) and a pruned box scan for the rest. A
+    [[a]] is the one square a·x²) and a scan of the whole box for the rest. A
     join over the blocks' values then visits only nodes that extend to a
     root and concatenates one vector of each chosen block into each root,
     so the cost is the tables plus O(rank · roots). All of it is exact. A

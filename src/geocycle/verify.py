@@ -313,6 +313,7 @@ def check_root_enumeration():
         (quad_lattice([[-2, 1], [1, -2]]), 3),
         (combine(h, quad_lattice([[-2]])), 2),
         (combine(h, h), 2),
+        (quad_lattice([[1, 1, 0], [1, -1, 1], [0, 1, 1]]), 2),
     ]
     for l, bound in small:
         if obs.enumerate_roots(l, bound) != naive_roots(l, bound):

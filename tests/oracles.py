@@ -38,7 +38,9 @@ found before only the admissible ones were built: a filter over all 2^p
 candidates. The determinant is checked against a Fraction elimination.
 So do the spinor check's draws as they ran inside its loop: each vector
 kept when its ray's Q is nonzero, 100 single vectors, then 200 pairs of
-lists whose lengths are drawn just before their vectors.
+lists whose lengths are drawn just before their vectors. So does the scan
+of an indefinite root block as it ran before it visited its whole box:
+interval pruning over the unassigned coordinates.
 """
 
 import math
@@ -99,6 +101,7 @@ from geocycle.linalg import (
     mat_mul,
     times_terms,
 )
+from geocycle.obstructions import RootVector
 
 
 def as_matrix(rows):
@@ -728,6 +731,59 @@ def product_join(blocks, tables, target, n, budget):
             flat = tuple(chain.from_iterable(parts))
             found.append(scatter(flat) if scatter else flat)
     found.sort()
+    return found
+
+
+def pruned_box_scan(weights, icoeffs, lo, hi, bound, n, budget):
+    """obstructions._enumerate_box as it ran before it scanned its box
+    directly: the box scanned first-to-last for the vectors whose value lies
+    in [lo, hi], pruning with exact interval bounds on each squared form
+    over the unassigned tail, one budget node per tree node visited."""
+    suffix_abs = [
+        [sum(abs(c) for c in row[t:]) for t in range(n + 1)] for row in icoeffs
+    ]
+    found: dict[int, list[RootVector]] = {}
+    x = [0] * n
+    fixed = [0] * n  # value of each form on the assigned prefix
+
+    def reachable(depth: int) -> tuple[int, int]:
+        lo_total = hi_total = 0
+        for k in range(n):
+            slack = bound * suffix_abs[k][depth]
+            lo_m, hi_m = fixed[k] - slack, fixed[k] + slack
+            if lo_m <= 0 <= hi_m:
+                sq_min, sq_max = 0, max(lo_m * lo_m, hi_m * hi_m)
+            else:
+                a, b = lo_m * lo_m, hi_m * hi_m
+                sq_min, sq_max = min(a, b), max(a, b)
+            w = weights[k]
+            if w >= 0:
+                lo_total += w * sq_min
+                hi_total += w * sq_max
+            else:
+                lo_total += w * sq_max
+                hi_total += w * sq_min
+        return lo_total, hi_total
+
+    def descend(depth: int) -> None:
+        budget.spend()
+        reach_lo, reach_hi = reachable(depth)
+        if reach_hi < lo or reach_lo > hi:
+            return
+        if depth == n:
+            # every form is fixed here, so reach_lo == reach_hi is the value
+            found.setdefault(reach_lo, []).append(tuple(x))
+            return
+        for value in range(-bound, bound + 1):
+            x[depth] = value
+            for k in range(n):
+                fixed[k] += icoeffs[k][depth] * value
+            descend(depth + 1)
+            for k in range(n):
+                fixed[k] -= icoeffs[k][depth] * value
+        x[depth] = 0
+
+    descend(0)
     return found
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from geocycle import obstructions
-from geocycle.errors import AmbientMismatch, BudgetExceeded
+from geocycle.errors import AmbientMismatch, BudgetExceeded, DegenerateGram
 from geocycle.lattices import combine, eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import perp, restricted_definiteness, span
 from geocycle.obstructions import (
@@ -25,6 +25,7 @@ from oracles import (
     is_lower_unitriangular_support,
     oracle_matrix_inverse,
     product_join,
+    pruned_box_scan,
 )
 
 H = standard_lattice("hyperbolic")
@@ -263,6 +264,72 @@ def test_budget_stops_the_box_search_on_an_irreducible_indefinite_block(monkeypa
     with pytest.raises(BudgetExceeded, match="more than 50 nodes") as excinfo:
         enumerate_roots(l, 3)
     assert any(entry.name == "_enumerate_box" for entry in excinfo.traceback)
+
+
+def random_box_block(rng):
+    """A seeded block that enumerate_roots hands to the box scan: rank 2-4,
+    entries in [-3, 3], connected, nondegenerate, not [[0, c], [c, 0]], its
+    square-form weights of both signs."""
+    while True:
+        n = rng.randint(2, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        if len(obstructions._orthogonal_blocks(gram)) > 1 or obstructions._hyperbolic_entry(gram):
+            continue
+        try:
+            weights = _integer_square_forms(gram)[0]
+        except DegenerateGram:
+            continue
+        if min(weights) < 0 < max(weights):
+            return gram
+
+
+def test_box_scan_matches_the_pruned_scan_on_seeded_indefinite_blocks(monkeypatch):
+    # each block at the root window, then first in a sum with a random
+    # companion block, at the window enumerate_roots passes it
+    rng = random.Random(20261022)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[:-1])
+        return _enumerate_box(*args)
+
+    monkeypatch.setattr(obstructions, "_enumerate_box", recorded)
+    seen = set()
+    reached = 0
+    for _ in range(300):
+        gram = random_box_block(rng)
+        n = len(gram)
+        bound = rng.randint(1, 6 if n < 4 else 3)  # at most 13^3 vectors in the box
+        seen.add((n, bound))
+        weights, icoeffs, scale = _integer_square_forms(gram)
+        root = ROOT_NORM * scale
+        args = (weights, icoeffs, root, root, bound, n)
+        assert _enumerate_box(*args, Unbounded()) == pruned_box_scan(*args, Unbounded()), gram
+        companion = quad_lattice(rng.choice(list(BLOCKS.values())))
+        before = len(calls)
+        enumerate_roots(combine(quad_lattice(gram), companion), bound)
+        # the block comes first, and is scanned unless its range misses the window
+        reached += len(calls) > before
+    assert seen >= {(2, b) for b in range(1, 7)} | {(3, b) for b in range(1, 7)}
+    assert reached >= 290
+    assert sum(lo < hi for _, _, lo, hi, _, _ in calls) >= 200  # wider than the root window
+    for args in calls:
+        assert _enumerate_box(*args, Unbounded()) == pruned_box_scan(*args, Unbounded()), args
+
+
+def test_box_scan_charges_its_whole_box_before_visiting_a_vector(monkeypatch):
+    weights, icoeffs, scale = _integer_square_forms(BLOCKS["indefinite3"])
+    root = ROOT_NORM * scale
+    budget = obstructions._Budget()
+    found = _enumerate_box(weights, icoeffs, root, root, 3, 3, budget)
+    assert budget.nodes == 7 ** 3
+    assert found == pruned_box_scan(weights, icoeffs, root, root, 3, 3, Unbounded())
+    monkeypatch.setattr(obstructions, "ROOT_NODE_BUDGET", 342)
+    with pytest.raises(BudgetExceeded, match=r"more than 342 nodes \(stopped after visiting 0\)"):
+        _enumerate_box(weights, icoeffs, root, root, 3, 3, obstructions._Budget())
 
 
 def counted_roots(l, bound):
