@@ -175,14 +175,14 @@ class ArrangementSpec:
 
 
 def standard_flat(p: int, q: int) -> Flat:
-    """The flat of B(p,q)'s coordinate splitting, <e_i, f_i> of triple (1, 0, -1)
-    and rest <f_j>_{j>p}: unit rows are their own RREF rows and orthogonal, so
-    no certificate runs. The lattice checks the rank before any row exists."""
+    """The flat of B(p,q)'s coordinate splitting, blocks <e_i, f_i> and rest
+    <f_j>_{j>p}: unit rows are their own RREF rows and orthogonal, so no
+    certificate runs. The lattice checks the rank before any row exists."""
     if p > q:
         raise ValueError(f"a standard flat needs p <= q, got p={p}, q={q}")
     l = standard_lattice("bpq", p, q)
     e = _identity(l.rank)
-    return Flat(l, tuple((x, y, 1, 0, -1) for x, y in zip(e[:p], e[p:])), e[2 * p:])
+    return Flat(l, tuple(zip(e[:p], e[p:])), e[2 * p:])
 
 
 def base_hyperplane_normal(spec: ArrangementSpec) -> tuple[Fraction, ...]:
@@ -206,17 +206,16 @@ def build_family(spec: ArrangementSpec) -> tuple[list[Flat], list[Hyperplane]]:
     the generator rotation, read off one walk over its Gaussian powers. As
     for a translate, the isometry r^k carries the certificates of F_0 and
     H_0. It moves only e_1, e_2, f_1 and f_2, so F_k shares F_0's rest and
-    later blocks, and gives both rows of a moved block one content, so the
-    block keeps its Gram triple."""
+    later block rows."""
     base, p = standard_flat(spec.p, spec.q), spec.p
     h0 = hyperplane_new(base_hyperplane_normal(spec), spec.lattice())
     flats, hypers = [base], [h0]
-    moved, kept = base.int_blocks[:2], base.int_blocks[2:]
+    moved, kept = base.block_rows[:2], base.block_rows[2:]
     (c, s, d), dk = spec.rotation.cleared, 1
     for re, im in islice(_rotation_powers(c, s), 1, spec.n + 1):
         dk *= d
-        blocks = tuple((_power_image(x, re, im, dk, p), _power_image(y, re, im, dk, p), *gram)
-                       for x, y, *gram in moved)
+        blocks = tuple((_power_image(x, re, im, dk, p), _power_image(y, re, im, dk, p))
+                       for x, y in moved)
         flats.append(Flat(base.lattice, blocks + kept, base.int_rest))
         hypers.append(Hyperplane(h0.lattice, _power_image(h0.normal, re, im, dk, p)))
     return flats, hypers

@@ -15,9 +15,10 @@ of its blocks and its rest, certified once on their integer Gram matrix
 (a translate carries the certificate through the isometry), and a
 hyperplane as the primitive integer vector on its normal line: every
 verdict is integer arithmetic. Scaling v by c scales a, b and w by c and
-Q(w) by c^2, so no verdict depends on the vector chosen on the line; a block
-keeps (Q(x), B(x,y), Q(y)) over its positive gcd, and w is formed only for a
-Point cell. The RREF subspaces of a flat are derived on demand.
+Q(w) by c^2, so no verdict depends on the vector chosen on the line; a
+block's (Q(x), B(x,y), Q(y)) is read off its rows, over its positive gcd,
+in one place (`block_terms`), and w is formed only for a Point cell. The
+RREF subspaces of a flat are derived on demand.
 
 A verdict reads Q(w) only for its sign, and a and b reach thousands of bits
 in a large family, so Q(w) is not formed on a *split* block, one whose
@@ -56,7 +57,7 @@ from .errors import (
     WrongInertia,
 )
 from .isometries import Isometry
-from .lattices import QuadLattice, cleared, primitive, primitive_content, ray
+from .lattices import QuadLattice, cleared, primitive, ray
 from .linalg import (
     Subspace,
     Terms,
@@ -93,13 +94,12 @@ class Flat:
     subspaces; flats are equal iff their lattices and subspaces are."""
 
     lattice: QuadLattice
-    # per block, of inertia (1,1,0): x, y and Q(x), B(x,y), Q(y) over their positive gcd
-    int_blocks: tuple[tuple[IntVec, IntVec, int, int, int], ...]
+    block_rows: tuple[tuple[IntVec, IntVec], ...]  # per block, of inertia (1,1,0): x, y
     int_rest: tuple[IntVec, ...]  # negative definite, possibly empty
 
     @cached_property
     def blocks(self) -> tuple[Subspace, ...]:
-        return tuple(span([x, y], ambient=self.lattice.rank) for x, y, *_ in self.int_blocks)
+        return tuple(span(rows, ambient=self.lattice.rank) for rows in self.block_rows)
 
     @cached_property
     def rest(self) -> Subspace:
@@ -107,18 +107,23 @@ class Flat:
 
     @cached_property
     def block_terms(self) -> tuple[tuple[Terms, Terms, int, int, int, IsotropicLines], ...]:
-        """int_blocks with x and y as their nonzero (column, value) terms
-        (a rotated block row has at most two), and last the block's
+        """Per block, x and y as their nonzero (column, value) terms (a
+        rotated block row has at most two), Q(x), B(x,y), Q(y) paired over
+        those terms and divided by their positive gcd, and last the block's
         isotropic lines from :func:`_isotropic_lines`: the verdicts read
-        these."""
-        return tuple(
-            (*nonzero_terms((x, y)), qx, bxy, qy, _isotropic_lines(qx, bxy, qy))
-            for x, y, qx, bxy, qy in self.int_blocks
-        )
+        these. No other code forms a block's Gram triple."""
+        gram, out = self.lattice.gram_terms, []
+        for x, y in self.block_rows:
+            xt, yt = nonzero_terms((x, y))
+            t = (_pair(xt, x, gram), _pair(xt, y, gram), _pair(yt, y, gram))
+            d = math.gcd(*t)  # > 0, as det < 0 at inertia (1,1,0)
+            qx, bxy, qy = (c // d for c in t)
+            out.append((xt, yt, qx, bxy, qy, _isotropic_lines(qx, bxy, qy)))
+        return tuple(out)
 
     @property
     def block_count(self) -> int:
-        return len(self.int_blocks)
+        return len(self.block_rows)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,6 +132,15 @@ class Flat:
 
     def __hash__(self):
         return hash((self.lattice, self.blocks, self.rest))
+
+
+def _pair(xt, y, gram: Terms) -> int:
+    """B(x, y) for x held as its nonzero terms, over the Gram matrix's."""
+    total = 0
+    for i, u in xt:
+        for j, g in gram[i]:
+            total += u * g * y[j]
+    return total
 
 
 def _isotropic_lines(qx: int, bxy: int, qy: int) -> IsotropicLines:
@@ -207,9 +221,7 @@ def _certified_flat(parts, l: QuadLattice) -> Flat:
             raise NotOrthogonal(f"components {part_of[a]} and {part_of[b]} are not orthogonal")
     if 2 * len(subs) + len(rest_gram) != l.rank:
         raise NotSpanning(f"components span only {len(rows)} of {l.rank} dimensions")
-    triples = [(g[0][0], g[0][1], g[1][1]) for g in subs]  # gcd > 0, as det < 0 at (1,1,0)
-    int_blocks = tuple((x, y, *(c // math.gcd(*t) for c in t)) for (x, y), t in zip(parts, triples))
-    return Flat(l, int_blocks, tuple(parts[-1]))
+    return Flat(l, tuple((x, y) for x, y in parts[:-1]), tuple(parts[-1]))
 
 
 def flat_new(u_bases, n_basis, l: QuadLattice) -> Flat:
@@ -337,7 +349,7 @@ def intersect_flat_hyperplane(flat: Flat, hyper: Hyperplane) -> IntersectionVerd
     if not positive:
         return _EMPTY
     cuts = []
-    for (x, y, *_), (a, b) in zip(flat.int_blocks, pairs):
+    for (x, y), (a, b) in zip(flat.block_rows, pairs):
         g = math.gcd(a, b)  # w over gcd(a, b): the same line, with smaller rows
         a, b = a // g, b // g
         cuts.append([b * xi - a * yi for xi, yi in zip(x, y)])
@@ -366,46 +378,26 @@ def stabilizer_sign_patterns(flat: Flat, hyper: Hyperplane) -> list[tuple[int, .
     )
 
 
-def _translated_flat(g: Isometry, flat: Flat) -> Flat:
-    """The image of a flat under a certified isometry g = A/D, built
-    without a new certificate: g preserves the form, so it keeps the blocks'
-    inertia, the rest's definiteness, the orthogonality and the span.
-
-    A row x goes to primitive(A.x) = A.x / cx, cx its signed content, and
-    B(A.x, A.y) = D^2 B(x, y). So the image block's Gram triple is a
-    positive multiple of (qx cy^2, bxy cx cy, qy cx^2), read over its
-    positive gcd, with (qx, bxy, qy) the block's own.
-    """
-    terms = g.num_terms
-    blocks = []
-    for x, y, qx, bxy, qy in flat.int_blocks:
-        x, cx = primitive_content(terms_times(terms, x))
-        y, cy = primitive_content(terms_times(terms, y))
-        t = (qx * cy * cy, bxy * cx * cy, qy * cx * cx)
-        d = math.gcd(*t)
-        blocks.append((x, y, t[0] // d, t[1] // d, t[2] // d))
-    rest = tuple(primitive(terms_times(terms, r)) for r in flat.int_rest)
-    return Flat(flat.lattice, tuple(blocks), rest)
-
-
 def translate(g: Isometry, obj):
     """Apply an isometry to a flat, hyperplane, or point.
 
     g preserves the form (an :class:`Isometry` is checked when it is
     made), so every image carries its object's certificate: a flat's
-    (:func:`_translated_flat`), a normal's Q < 0 and a point's positive
-    plane. Integer rows and normals are mapped through g's integer matrix
-    and taken primitive (g's denominator only rescales them).
+    inertias, orthogonality and span, a normal's Q < 0 and a point's
+    positive plane. Integer rows and normals are mapped through g's integer
+    matrix and taken primitive (g's denominator only rescales them); an
+    image block's Gram triple is read off its image rows.
     """
     if not isinstance(obj, (Flat, Hyperplane, GrPoint)):
         raise TypeError(f"cannot translate {type(obj).__name__}")
     _check_same_lattice(g, obj)
-    if isinstance(obj, Flat):
-        return _translated_flat(g, obj)
 
     def image(x):
         return primitive(terms_times(g.num_terms, x))
 
+    if isinstance(obj, Flat):
+        blocks = tuple((image(x), image(y)) for x, y in obj.block_rows)
+        return Flat(obj.lattice, blocks, tuple(map(image, obj.int_rest)))
     if isinstance(obj, Hyperplane):
         return Hyperplane(obj.lattice, image(obj.normal))
     return GrPoint(obj.lattice, span([image(x) for x in obj.plane.rows], ambient=obj.lattice.rank))

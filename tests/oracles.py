@@ -40,7 +40,9 @@ So do the spinor check's draws as they ran inside its loop: each vector
 kept when its ray's Q is nonzero, 100 single vectors, then 200 pairs of
 lists whose lengths are drawn just before their vectors. So does the scan
 of an indefinite root block as it ran before it visited its whole box:
-interval pruning over the unassigned coordinates.
+interval pruning over the unassigned coordinates. So does a block's Gram
+triple as a flat carried it beside its rows, paired here over the dense
+Gram matrix.
 """
 
 import math
@@ -467,6 +469,25 @@ def mat_mul_restricted_definiteness(a, lattice):
     return inertia(mat_mul(mat_mul(a.basis, lattice.gram), transpose(a.basis)))
 
 
+def dense_int_blocks(flat):
+    """Per block of the flat, (x, y, Q(x), B(x,y), Q(y)) with the triple
+    divided by its positive gcd, each pairing u.G.v a plain sum over the
+    dense Gram rows of u's nonzero coordinates: the triples a flat carried
+    beside its rows before block_terms read them off the rows' nonzero
+    terms."""
+    gram = flat.lattice.gram
+
+    def pairing(u, v):
+        return sum(ui * sum(map(mul, gram[i], v)) for i, ui in enumerate(u) if ui)
+
+    out = []
+    for x, y in flat.block_rows:
+        t = (pairing(x, x), pairing(x, y), pairing(y, y))
+        g = math.gcd(*t)
+        out.append((x, y, *(c // g for c in t)))
+    return tuple(out)
+
+
 def product_form_cut_lines(flat, hyper):
     """Per block <x, y> of the flat, None when a = B(v,x) and b = B(v,y)
     both vanish, else (a, b, Q(w)) with Q(w) = b^2 Q(x) - 2ab B(x,y) +
@@ -474,7 +495,7 @@ def product_form_cut_lines(flat, hyper):
     was before the verdicts were read as signs."""
     phi = hyper.functional
     out = []
-    for x, y, qx, bxy, qy in flat.int_blocks:
+    for x, y, qx, bxy, qy in dense_int_blocks(flat):
         a, b = sum(map(mul, phi, x)), sum(map(mul, phi, y))
         out.append((a, b, b * b * qx - 2 * a * b * bxy + a * a * qy) if a or b else None)
     return out
@@ -581,7 +602,7 @@ def recertified_translate(g, flat):
     def image(x):
         return primitive([sum(map(mul, row, x)) for row in g.num])
 
-    parts = [[image(x), image(y)] for x, y, *_ in flat.int_blocks]
+    parts = [[image(x), image(y)] for x, y in flat.block_rows]
     return _certified_flat(parts + [[image(r) for r in flat.int_rest]], flat.lattice)
 
 

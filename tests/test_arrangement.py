@@ -385,8 +385,8 @@ def seeded_family_specs(count, seed):
 def assert_family_is_the_translated_family(spec):
     flats, hypers = build_family(spec)
     old_flats, old_hypers = translated_family(spec)
-    assert [(f.int_blocks, f.int_rest) for f in flats] == [
-        (f.int_blocks, f.int_rest) for f in old_flats
+    assert [(f.block_rows, f.int_rest) for f in flats] == [
+        (f.block_rows, f.int_rest) for f in old_flats
     ]
     assert [h.normal for h in hypers] == [h.normal for h in old_hypers]
     assert flats == old_flats and hypers == old_hypers
@@ -588,7 +588,8 @@ def test_standard_flat_pairs_each_e_i_with_f_i(q):
     for p in range(1, q + 1):
         e = [tuple(int(i == j) for j in range(p + q)) for i in range(p + q)]
         flat = standard_flat(p, q)
-        assert flat.int_blocks == tuple((e[i], e[p + i], 1, 0, -1) for i in range(p))
+        assert flat.block_rows == tuple((e[i], e[p + i]) for i in range(p))
+        assert [t[2:5] for t in flat.block_terms] == [(1, 0, -1)] * p
         assert flat.int_rest == tuple(e[2 * p:])
 
 
@@ -598,7 +599,7 @@ def test_standard_flat_is_the_flat_new_construction():
     for q in range(1, 64):
         for p in range(1, min(q, 64 - q) + 1):
             flat, old = standard_flat(p, q), flat_new_standard_flat(p, q)
-            assert (flat.int_blocks, flat.int_rest) == (old.int_blocks, old.int_rest)
+            assert (flat.block_rows, flat.int_rest) == (old.block_rows, old.int_rest)
             assert flat == old and flat.lattice is old.lattice
 
 

@@ -46,6 +46,7 @@ from geocycle.errors import (
     WrongInertia,
 )
 from geocycle.grassmann import (
+    _certified_flat,
     flat_new,
     general_position,
     hyperplane_new,
@@ -53,6 +54,7 @@ from geocycle.grassmann import (
     stabilizer_sign_patterns,
     translate,
 )
+from geocycle.isometries import reflection
 from geocycle.lattices import eval_form, quad_lattice, standard_lattice
 from geocycle.linalg import (
     as_vector,
@@ -63,6 +65,7 @@ from geocycle.linalg import (
 )
 from oracles import (
     as_matrix,
+    dense_int_blocks,
     mat_vec,
     oracle_apply,
     oracle_matrix_inverse,
@@ -228,14 +231,15 @@ def flat_outcome(build, u_bases, n_basis, l):
 
 
 def assert_integer_rows(flat):
-    """The flat's rows are primitive integer vectors and each block carries
-    the Q(x), B(x,y), Q(y) of its rows divided by their positive gcd."""
+    """The flat's rows are primitive integer vectors and each block's
+    block_terms read the Q(x), B(x,y), Q(y) of its rows divided by their
+    positive gcd."""
     l = flat.lattice
-    for x, y, qx, bxy, qy in flat.int_blocks:
+    for (x, y), (_, _, qx, bxy, qy, _) in zip(flat.block_rows, flat.block_terms, strict=True):
         raw = (eval_form(l, x, x), eval_form(l, x, y), eval_form(l, y, y))
         g = math.gcd(*map(int, raw))
         assert g > 0 and (qx, bxy, qy) == tuple(c / g for c in raw)
-    rows = [row for x, y, *_ in flat.int_blocks for row in (x, y)] + list(flat.int_rest)
+    rows = [row for pair in flat.block_rows for row in pair] + list(flat.int_rest)
     assert all(isinstance(c, int) for row in rows for c in row)
     assert all(math.gcd(*row) == 1 for row in rows)
 
@@ -409,16 +413,17 @@ def test_random_small_normals_match_oracle():
 
 
 def assert_block_terms(flat):
-    """block_terms holds each block row's nonzero entries, and with them
-    rebuilds int_blocks (its last entry, the block's isotropic lines, is
-    checked in tests/test_cut_signs.py)."""
+    """block_terms holds each block row's nonzero entries and the block's
+    Gram triple, and with them rebuilds the dense oracle's blocks (its last
+    entry, the block's isotropic lines, is checked in
+    tests/test_cut_signs.py)."""
     n = flat.lattice.rank
     assert all(v for xt, yt, *_ in flat.block_terms for _, v in xt + yt)
     rebuilt = tuple(
         (*(tuple(dict(terms).get(j, 0) for j in range(n)) for terms in (xt, yt)), *triple)
         for xt, yt, *triple, _ in flat.block_terms
     )
-    assert rebuilt == flat.int_blocks
+    assert rebuilt == dense_int_blocks(flat)
 
 
 def test_block_terms_of_sparse_and_dense_flats_match_oracle():
@@ -438,7 +443,7 @@ def test_block_terms_of_sparse_and_dense_flats_match_oracle():
     while dense < 2:
         g = verify.random_isometry(l, rng, reflections=3)
         moved = [translate(g, flat) for flat in flats]
-        rows = [row for f in moved for x, y, *_ in f.int_blocks for row in (x, y, *f.int_rest)]
+        rows = [row for f in moved for x, y in f.block_rows for row in (x, y, *f.int_rest)]
         if not all(map(all, rows)):
             continue
         dense += 1
@@ -450,6 +455,41 @@ def test_block_terms_of_sparse_and_dense_flats_match_oracle():
                 assert_matches_oracle(flat, hyper, normal)
                 tags.add(intersect_flat_hyperplane(flat, translate(g, hyper)).tag)
     assert tags == {"Point", "Empty"}
+
+
+def test_block_terms_triples_match_the_dense_oracle():
+    # block_terms pairs a block's rows over their nonzero terms and the Gram
+    # matrix's; dense_int_blocks pairs them over every dense entry. Swept:
+    # every flat of the auto-params families at n = 64 (one or two terms a
+    # row), seeded translates of the standard flat and of its RREF-row
+    # rebuild (B(x,y) != 0), a non-split block, a block with Q(x) = 0, and
+    # an image whose rows' contents have opposite signs
+    flats = []
+    for p, q in [(3, 4), (8, 8), (3, 19)]:
+        spec = arrangement_spec(p, q, 64, DEFAULT_BOOST, *search_parameters(64, DEFAULT_BOOST))
+        flats += build_family(spec)[0]
+    for p, q in [(2, 3), (3, 4), (3, 19)]:
+        l = standard_lattice("bpq", p, q)
+        rng = random.Random(4100 + 100 * p + q)
+        for reflections in range(1, 5):
+            g = verify.random_isometry(l, rng, reflections=reflections)
+            image = translate(g, standard_flat(p, q))
+            sheared = flat_new([b.basis for b in image.blocks], image.rest.basis, l)
+            flats += [image, sheared, translate(g, sheared)]
+    b23, b11 = standard_lattice("bpq", 2, 3), standard_lattice("bpq", 1, 1)
+    flats.append(flat_new([[(1, 0, 0, 0, 0), (0, 0, 1, 1, 0)], [(0, 1, 0, 0, 0), (0, 0, 0, 0, 1)]],
+                          [(0, 0, 1, -1, 0)], b23))
+    flats.append(_certified_flat(
+        [[(1, 0, 1, 0, 0), (1, 0, 0, 0, 0)], [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)], [(0, 0, 0, 0, 1)]],
+        b23,
+    ))
+    flats.append(translate(reflection((1, 0), b11), _certified_flat([[(1, 1), (0, 1)], []], b11)))
+    for flat in flats:
+        assert_block_terms(flat)
+    triples = [t[2:5] for flat in flats for t in flat.block_terms]
+    assert (0, 1, -1) in triples  # the opposite-contents image of (0, -1, -1)
+    assert any(qx == 0 for qx, _, _ in triples) and any(bxy for _, bxy, _ in triples)
+    assert any(lines is None for flat in flats for *_, lines in flat.block_terms)
 
 
 # ------------------------------------------------------- the flat certificate
@@ -608,7 +648,7 @@ def test_translated_flat_equals_flat_new_of_its_subspaces():
     g = verify.random_isometry(l, random.Random(5), reflections=3)
     image = translate(g, flat)
     rebuilt = flat_new([b.basis for b in image.blocks], image.rest.basis, l)
-    assert image.int_blocks != rebuilt.int_blocks
+    assert image.block_rows != rebuilt.block_rows
     assert image == rebuilt
     assert hash(image) == hash(rebuilt)
     swapped = flat_new([b.basis for b in reversed(image.blocks)], image.rest.basis, l)

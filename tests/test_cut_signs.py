@@ -36,7 +36,7 @@ from geocycle.grassmann import (
     translate,
 )
 from geocycle.lattices import standard_lattice
-from oracles import product_form_cut_lines, product_form_tag
+from oracles import dense_int_blocks, product_form_cut_lines, product_form_tag
 
 B23 = standard_lattice("bpq", 2, 3)
 
@@ -130,15 +130,15 @@ def test_flats_moved_by_seeded_isometries_are_split_with_other_triples():
         moved = [translate(g, flat) for flat in flats]
         for flat in moved:
             assert None not in lines_of(flat)
-            triples.update(t[2:] for t in flat.int_blocks)
+            triples.update(t[2:] for t in dense_int_blocks(flat))
             for hyper in hypers:
                 tags.add(assert_signs_match_product_form(flat, translate(g, hyper)))
                 tags.add(assert_signs_match_product_form(flat, hyper))
         tags.add(assert_signs_match_product_form(moved[0], translate(g, orthogonal_to_blocks)))
     assert (1, 0, -25) in triples and len(triples) > 5
-    assert translate(
+    assert dense_int_blocks(translate(
         verify.random_isometry(B23, random.Random(5), reflections=3), standard_flat(2, 3)
-    ).int_blocks[1][2:] == (1, 0, -25)
+    ))[1][2:] == (1, 0, -25)
     assert tags == {"Point", "Empty", "Degenerate"}
 
 
@@ -147,7 +147,7 @@ def test_non_split_block_reads_the_product_form():
     # split block <e2, f3>; moved by isometries it stays non-split
     flat = flat_new([[(1, 0, 0, 0, 0), (0, 0, 1, 1, 0)], [(0, 1, 0, 0, 0), (0, 0, 0, 0, 1)]],
                     [(0, 0, 1, -1, 0)], B23)
-    assert [t[2:] for t in flat.int_blocks] == [(1, 0, -2), (1, 0, -1)]
+    assert [t[2:] for t in dense_int_blocks(flat)] == [(1, 0, -2), (1, 0, -1)]
     assert lines_of(flat) == (None, (1, 1, -1, 1))
     hypers = seeded_hypers(B23, 19, 300)
     tags = tags_of(flat, hypers)
@@ -168,7 +168,7 @@ def test_non_split_block_reads_the_product_form():
         ],
         B23,
     )
-    assert sheared.int_blocks[0][2:] == (1, 1, -1) and lines_of(sheared)[0] is None
+    assert dense_int_blocks(sheared)[0][2:] == (1, 1, -1) and lines_of(sheared)[0] is None
     assert tags_of(sheared, hypers) == tags
 
 
@@ -179,7 +179,7 @@ def test_block_with_an_isotropic_row():
         [[(1, 0, 1, 0, 0), (1, 0, 0, 0, 0)], [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)], [(0, 0, 0, 0, 1)]],
         B23,
     )
-    assert [t[2:] for t in flat.int_blocks] == [(0, 1, 1), (1, 0, -1)]
+    assert [t[2:] for t in dense_int_blocks(flat)] == [(0, 1, 1), (1, 0, -1)]
     assert lines_of(flat)[0] == (1, 0, 1, -2)
     assert set(tags_of(flat, seeded_hypers(B23, 29, 300))) == {"Point", "Empty", "Degenerate"}
 

@@ -44,7 +44,9 @@ class Unbounded:
 
 def box_enumerate_roots(l, bound):
     """Oracle: the whole-lattice dispatch enumerate_roots used before the
-    block join, one search over all coordinates for the value -2."""
+    block join, one search over all coordinates for the value -2; a form
+    that is not definite takes the interval-pruned scan, not the program's
+    box scan."""
     if l.rank == 0:
         return []
     weights, icoeffs, scale = _integer_square_forms(l.gram)
@@ -54,7 +56,7 @@ def box_enumerate_roots(l, bound):
     if all(w < 0 for w in weights) and is_lower_unitriangular_support(icoeffs):
         search = _enumerate_definite
     else:
-        search = _enumerate_box
+        search = pruned_box_scan
     found = search(weights, icoeffs, target, target, bound, l.rank, Unbounded())
     return sorted(found.get(target, []))
 

@@ -2,11 +2,12 @@
 
 For a flat the oracle is recertified_translate: the same primitive image
 rows, with the whole image certified again on its integer Gram matrix.
-translate must give the same int_blocks and int_rest on every flat below,
-including blocks whose image rows' contents have opposite signs, where the
-sign of the carried B(x,y) is the only thing that tells the two triples
-apart. For a hyperplane and a point, the image's Q(normal) < 0 and its
-plane's positive definiteness are computed afresh, apart from the program.
+translate must give the same block_rows and int_rest on every flat below,
+and the image's block_terms the dense oracle's Gram triples, including
+blocks whose image rows' contents have opposite signs, where B(x,y)
+changes sign under the isometry. For a hyperplane and a point, the
+image's Q(normal) < 0 and its plane's positive definiteness are computed
+afresh, apart from the program.
 """
 
 import random
@@ -28,6 +29,7 @@ from geocycle.lattices import primitive_content, standard_lattice
 from geocycle.linalg import span, terms_times
 from oracles import (
     RawMatrix,
+    dense_int_blocks,
     fraction_inertia,
     oracle_apply,
     recertified_translate,
@@ -38,7 +40,8 @@ from oracles import (
 def assert_matches_oracle(g, flat):
     image = translate(g, flat)
     expected = recertified_translate(g, flat)
-    assert (image.int_blocks, image.int_rest) == (expected.int_blocks, expected.int_rest)
+    assert (image.block_rows, image.int_rest) == (expected.block_rows, expected.int_rest)
+    assert [t[2:5] for t in image.block_terms] == [t[2:] for t in dense_int_blocks(image)]
     return image
 
 
@@ -46,7 +49,7 @@ def opposite_content_blocks(g, flat):
     """How many blocks with B(x,y) != 0 have image rows whose signed
     contents cx, cy satisfy cx * cy < 0."""
     count = 0
-    for x, y, _, bxy, _ in flat.int_blocks:
+    for x, y, _, bxy, _ in dense_int_blocks(flat):
         cx = primitive_content(terms_times(g.num_terms, x))[1]
         cy = primitive_content(terms_times(g.num_terms, y))[1]
         count += bool(bxy) and cx * cy < 0
@@ -62,7 +65,7 @@ def test_every_flat_of_an_auto_params_family_matches_the_oracle(p, q):
     r = rotation_isometry(spec.rotation, p, q)
     for before, after in zip(flats, flats[1:]):
         expected = recertified_translate(r, before)
-        assert (after.int_blocks, after.int_rest) == (expected.int_blocks, expected.int_rest)
+        assert (after.block_rows, after.int_rest) == (expected.block_rows, expected.int_rest)
 
 
 @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (3, 19)])
@@ -91,11 +94,12 @@ def test_opposite_contents_flip_the_sign_of_the_block_pairing():
     # and y to itself, content +1: B(e - f, f) = +1
     l = standard_lattice("bpq", 1, 1)
     flat = _certified_flat([[(1, 1), (0, 1)], []], l)
-    assert flat.int_blocks == (((1, 1), (0, 1), 0, -1, -1),)
+    assert dense_int_blocks(flat) == (((1, 1), (0, 1), 0, -1, -1),)
     r = reflection((1, 0), l)
     assert opposite_content_blocks(r, flat) == 1
     image = assert_matches_oracle(r, flat)
-    assert image.int_blocks == (((1, -1), (0, 1), 0, 1, -1),)
+    assert dense_int_blocks(image) == (((1, -1), (0, 1), 0, 1, -1),)
+    assert image.block_terms[0][2:5] == (0, 1, -1)
     assert image == flat  # the same splitting of the plane
 
 
