@@ -3,6 +3,10 @@
 Every subcommand prints a single JSON document on stdout (CSV with --csv for
 matrices) and timing on stderr, so identical argv always produces identical
 stdout bytes. Exit codes: 0 ok, 1 a checked claim failed, 2 bad input.
+
+:func:`write_json` writes the document. A list payload (the roots) goes out
+JSON_SLICE rows at a time, in the bytes one ``json.dumps`` call would write,
+so the encoder never holds a token list for the whole document.
 """
 
 from __future__ import annotations
@@ -27,6 +31,27 @@ from .isometries import (
 )
 from .lattices import K3_BLOCKS, check_rank, classify, standard_lattice
 from .linalg import det, frac
+
+
+# json.dumps keeps one string per token until it joins them, about 20 times
+# the text it returns, so a list payload is encoded this many rows at a time
+JSON_SLICE = 256
+
+
+def write_json(payload, out) -> None:
+    """Write json.dumps(payload) + "\\n" to out, a list JSON_SLICE rows at a time."""
+    # every payload is a fresh tree of dicts, lists and tuples: no cycle to check
+    if not isinstance(payload, list):
+        out.write(json.dumps(payload, check_circular=False))
+        out.write("\n")
+        return
+    out.write("[")
+    for start in range(0, len(payload), JSON_SLICE):
+        if start:
+            out.write(", ")
+        out.write(json.dumps(payload[start:start + JSON_SLICE], check_circular=False)[1:-1])
+    out.write("]\n")
+
 
 def _loads(text: str, what: str):
     """json.loads, with a document nested past the recursion limit as bad input."""
@@ -278,8 +303,7 @@ def main(argv=None) -> int:
     if args.csv and csv_text is not None:
         sys.stdout.write(csv_text)
     else:
-        # every payload is a fresh tree of dicts, lists and tuples: no cycle to check
-        sys.stdout.write(json.dumps(payload, check_circular=False) + "\n")
+        write_json(payload, sys.stdout)
     print(f"elapsed_ms={elapsed_ms}", file=sys.stderr)
     return 0 if status == "ok" else 1
 

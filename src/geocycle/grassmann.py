@@ -111,13 +111,18 @@ class Flat:
         rotated block row has at most two), Q(x), B(x,y), Q(y) paired over
         those terms and divided by their positive gcd, and last the block's
         isotropic lines from :func:`_isotropic_lines`: the verdicts read
-        these. No other code forms a block's Gram triple."""
+        these. No other code forms a block's Gram triple. A hand-built block
+        whose triple is not of inertia (1,1,0) raises WrongInertia."""
         gram, out = self.lattice.gram_terms, []
-        for x, y in self.block_rows:
+        for i, (x, y) in enumerate(self.block_rows):
             xt, yt = nonzero_terms((x, y))
             t = (_pair(xt, x, gram), _pair(xt, y, gram), _pair(yt, y, gram))
-            d = math.gcd(*t)  # > 0, as det < 0 at inertia (1,1,0)
+            d = math.gcd(*t) or 1  # a zero triple fails the test below
             qx, bxy, qy = (c // d for c in t)
+            if bxy * bxy <= qx * qy:  # inertia (1,1,0) iff det < 0
+                raise WrongInertia(
+                    f"block {i} has Gram triple {(qx, bxy, qy)}, not of inertia (1, 1, 0)"
+                )
             out.append((xt, yt, qx, bxy, qy, _isotropic_lines(qx, bxy, qy)))
         return tuple(out)
 

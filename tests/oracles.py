@@ -501,10 +501,9 @@ def product_form_cut_lines(flat, hyper):
     return out
 
 
-def product_form_tag(flat, hyper):
-    """The verdict's tag from product_form_cut_lines: Degenerate at any
-    vanishing block, else Point iff every Q(w) > 0."""
-    lines = product_form_cut_lines(flat, hyper)
+def product_form_tag(lines):
+    """The verdict's tag from the output of product_form_cut_lines:
+    Degenerate at any vanishing block, else Point iff every Q(w) > 0."""
     if None in lines:
         return "Degenerate"
     return "Point" if all(q > 0 for *_, q in lines) else "Empty"

@@ -25,6 +25,7 @@ on its Fraction normal, not on the kernel's primitive one.
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -46,6 +47,7 @@ from geocycle.errors import (
     WrongInertia,
 )
 from geocycle.grassmann import (
+    Flat,
     _certified_flat,
     flat_new,
     general_position,
@@ -490,6 +492,32 @@ def test_block_terms_triples_match_the_dense_oracle():
     assert (0, 1, -1) in triples  # the opposite-contents image of (0, -1, -1)
     assert any(qx == 0 for qx, _, _ in triples) and any(bxy for _, bxy, _ in triples)
     assert any(lines is None for flat in flats for *_, lines in flat.block_terms)
+
+
+B11 = standard_lattice("bpq", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "l,block_rows,message",
+    [
+        # a zero triple: block_terms divided by its gcd, 0
+        (B11, (((1, 1), (1, 1)),), "block 0 has Gram triple (0, 0, 0)"),
+        # discriminant 0, also after the gcd (4, 4, 4) -> (1, 1, 1)
+        (B11, (((1, 0), (1, 0)),), "block 0 has Gram triple (1, 1, 1)"),
+        (B11, (((2, 0), (2, 0)),), "block 0 has Gram triple (1, 1, 1)"),
+        # definite blocks, after a good block 0
+        (standard_lattice("bpq", 2, 2), (((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (1, 0, 0, 0))),
+         "block 1 has Gram triple (1, 0, 1)"),
+        (standard_lattice("bpq", 2, 2), (((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 0, 0, 1), (0, 0, 1, 0))),
+         "block 1 has Gram triple (-1, 0, -1)"),
+    ],
+)
+def test_block_terms_refuses_a_hand_built_block_not_of_inertia_1_1(l, block_rows, message):
+    # Flat(...) checks nothing, so block_terms is where a bad block is met;
+    # the first two flats raised ZeroDivisionError and read isotropic lines
+    # off a degenerate block before block_terms tested the discriminant
+    with pytest.raises(WrongInertia, match=re.escape(message + ", not of inertia (1, 1, 0)")):
+        Flat(l, block_rows, ()).block_terms
 
 
 # ------------------------------------------------------- the flat certificate

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -780,6 +782,60 @@ def test_roots_stdout_is_byte_identical_to_the_recorded_hash(capsys, args):
     code, out, _ = run_cli(capsys, "roots", *args.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ROOTS[args]
+
+
+def mixed_rows(count):
+    """`count` rows of one to four entries, about half of them negative."""
+    return [tuple((-1) ** (i + j) * (i + 3 * j) for j in range(1 + i % 4)) for i in range(count)]
+
+
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, cli.JSON_SLICE - 1, cli.JSON_SLICE, cli.JSON_SLICE + 1, 2 * cli.JSON_SLICE + 1],
+)
+def test_write_json_writes_a_list_in_the_bytes_of_one_dumps_call(count):
+    rows = mixed_rows(count)
+    out = io.StringIO()
+    cli.write_json(rows, out)
+    assert out.getvalue() == json.dumps(rows) + "\n"
+
+
+def test_write_json_writes_a_dict_in_the_bytes_of_one_dumps_call():
+    payload = {"count": 3, "rows": mixed_rows(3), "tangent": "-3/4", "ok": True, "none": None}
+    out = io.StringIO()
+    cli.write_json(payload, out)
+    assert out.getvalue() == json.dumps(payload) + "\n"
+
+
+def test_roots_are_encoded_at_most_a_slice_at_a_time(capsys, monkeypatch):
+    # B(2,4) at bound 3 has 4,792 roots; one json.dumps call took them all
+    lengths, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: lengths.append(len(obj)) or dumps(obj, **kw))
+    code, out, _ = run_cli(capsys, "roots", "--lattice", "bpq", "--p", "2", "--q", "4", "--bound", "3")
+    assert code == 0
+    assert sum(lengths) == 4792 and len(lengths) == -(-4792 // cli.JSON_SLICE)
+    assert max(lengths) <= cli.JSON_SLICE
+
+
+def test_write_json_peak_is_at_most_a_third_of_one_dumps_call():
+    # the encoder holds one string per token until it joins them; a slice
+    # at a time it holds a slice's tokens and the text written so far
+    from geocycle.lattices import standard_lattice
+    from geocycle.obstructions import enumerate_roots
+
+    roots = enumerate_roots(standard_lattice("bpq", 2, 4), 3)
+
+    def peak(write):
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            write(out)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda out: out.write(json.dumps(roots, check_circular=False) + "\n"))
+    assert 3 * peak(lambda out: cli.write_json(roots, out)) <= whole
 
 
 def k3_reflection_product(seed, count):

@@ -48,7 +48,7 @@ def assert_signs_match_product_form(flat, hyper):
     assert pairs == [None if e is None else e[:2] for e in expected]
     assert positive == all(e[2] > 0 for e in expected if e is not None)
     tag = intersect_flat_hyperplane(flat, hyper).tag
-    assert tag == product_form_tag(flat, hyper)
+    assert tag == product_form_tag(expected)
     strong = general_position(flat, hyper, "strong", skip_rest_clause_when_empty=True)
     assert strong == (tag == "Point" and (not flat.int_rest or general_position(flat, hyper)))
     return tag
